@@ -7,6 +7,7 @@ Artifacts per run directory:
   verdict.json      metric-ordering checks for this run's report
   manifest.json     stages completed / failure point
   ckpt_latest.json / ckpt_best.json
+                    generator checkpoints: JSON, tensors as base64 float64 (format v2)
   samples_latent.csv / samples_input.csv (optional)
 """
 

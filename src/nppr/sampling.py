@@ -78,7 +78,8 @@ class PerturbationBatch:
     """M latent draws per input plus (optionally) their input-space images."""
     latent: Tensor            # (B, M, D)
     relaxed_weights: Tensor   # (B, M, K); exact draws store one-hot rows
-    component_draws: np.ndarray  # (B, M, K, D) standard-normal noise
+    component_draws: np.ndarray  # standard-normal noise: (B, M, K, D) relaxed,
+                                 # (B, M, D) exact (for the drawn component only)
     images: Tensor | None = None  # (B, M, input_dim), inside the budget
 
     @property
@@ -125,9 +126,7 @@ def sample_perturbations(params: GmmParams, M: int, tau: float,
     z = gumbel_softmax_sample(pi_b, tau, rng)                     # (B, M, K)
 
     xi = rng.standard_normal((B, M, K, D))
-    chol_b = T.reshape(params.chol, (B, 1, K, D, D))              # broadcast over M
-    xi_col = T.constant(xi.reshape(B, M, K, D, 1))
-    lx = T.reshape(T.matmul(chol_b, xi_col), (B, M, K, D))        # L_k xi_k
+    lx = T.chol_apply(params.chol, xi)                            # L_k xi_k
     mu_b = T.reshape(params.means, (B, 1, K, D))
     comp = T.add(mu_b, lx)                                        # (B, M, K, D)
     z_col = T.reshape(z, (B, M, K, 1))
@@ -168,8 +167,6 @@ def sample_exact(params: GmmParams, M: int, rng: np.random.Generator) -> Perturb
 
     onehot = np.zeros((B, M, K))
     np.put_along_axis(onehot, z[..., None], 1.0, axis=2)
-    full_xi = np.zeros((B, M, K, D))
-    np.put_along_axis(full_xi, z[..., None, None], xi[:, :, None, :], axis=2)
     return PerturbationBatch(latent=T.constant(latent),
                              relaxed_weights=T.constant(onehot),
-                             component_draws=full_xi)
+                             component_draws=xi)

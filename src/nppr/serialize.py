@@ -1,13 +1,20 @@
-"""Versioned weight snapshots: JSON documents of named row-major arrays."""
+"""Versioned weight snapshots: JSON documents of named row-major arrays.
+
+Format version 2 stores each array as {"shape": [...], "data": "<base64>"},
+where the payload is the array's row-major little-endian float64 bytes, so
+values round-trip bit-exactly and a document is about 10.7 bytes per float.
+Version 1 documents (decimal lists) are refused by the version guard.
+"""
 
 from __future__ import annotations
 
+import base64
 import json
 from pathlib import Path
 
 import numpy as np
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class SnapshotError(Exception):
@@ -16,7 +23,8 @@ class SnapshotError(Exception):
 
 def tensors_to_doc(named: dict[str, np.ndarray]) -> dict:
     return {
-        name: {"shape": list(arr.shape), "data": np.asarray(arr, dtype=np.float64).ravel().tolist()}
+        name: {"shape": list(arr.shape),
+               "data": base64.b64encode(np.asarray(arr, dtype="<f8").tobytes()).decode("ascii")}
         for name, arr in named.items()
     }
 
@@ -25,11 +33,16 @@ def doc_to_tensors(doc: dict) -> dict[str, np.ndarray]:
     out = {}
     for name, entry in doc.items():
         shape = tuple(int(s) for s in entry["shape"])
-        data = np.asarray(entry["data"], dtype=np.float64)
+        try:
+            raw = base64.b64decode(entry["data"], validate=True)
+        except (TypeError, ValueError):  # binascii.Error is a ValueError
+            raise SnapshotError(f"snapshot entry '{name}': data is not valid base64") from None
         expected = int(np.prod(shape)) if shape else 1
-        if data.size != expected:
-            raise SnapshotError(f"snapshot entry '{name}': {data.size} values for shape {shape}")
-        out[name] = data.reshape(shape)
+        if len(raw) != 8 * expected:
+            raise SnapshotError(
+                f"snapshot entry '{name}': {len(raw)} bytes for shape {shape} "
+                f"(expected {8 * expected})")
+        out[name] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
     return out
 
 

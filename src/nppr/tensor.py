@@ -297,6 +297,29 @@ def affine(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     return _node(out_data, (x, weight, bias), bwd, "affine")
 
 
+def chol_apply(chol: Tensor, xi: np.ndarray) -> Tensor:
+    """Apply per-component factors to constant noise: out[b,m,k] = chol[b,k] @ xi[b,m,k].
+
+    chol is (B,K,D,D) and xi a constant (B,M,K,D) array. Forward and backward
+    are each one matmul batched over (b,k) against a (B,K,D,M) copy of xi; no
+    (B,M,K,D,D) intermediate is built and no gradient goes to xi.
+    """
+    xi = np.asarray(xi, dtype=np.float64)
+    if chol.ndim != 4 or xi.ndim != 4 or chol.shape[-1] != chol.shape[-2]:
+        raise ShapeError(f"chol_apply: expected chol (B,K,D,D) and xi (B,M,K,D), "
+                         f"got {chol.shape} and {xi.shape}")
+    B, K, D, _ = chol.shape
+    if (xi.shape[0], xi.shape[2], xi.shape[3]) != (B, K, D):
+        raise ShapeError(f"chol_apply: xi {xi.shape} does not match chol {chol.shape}")
+    xi_t = np.ascontiguousarray(xi.transpose(0, 2, 3, 1))          # (B, K, D, M)
+    out_data = (chol.data @ xi_t).transpose(0, 3, 1, 2)            # (B, M, K, D)
+
+    def bwd(g):
+        _accumulate(chol, g.transpose(0, 2, 3, 1) @ np.swapaxes(xi_t, -1, -2))
+
+    return _node(out_data, (chol,), bwd, "chol_apply")
+
+
 # ---------------------------------------------------------------------------
 # Nonlinearities
 

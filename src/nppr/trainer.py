@@ -5,8 +5,9 @@ annealing, per-epoch probe metrics, and checkpointing."""
 from __future__ import annotations
 
 import csv
+import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -110,8 +111,13 @@ def _load_params(generator: Generator, named: dict[str, np.ndarray]) -> None:
     generator.upsampler.load_frozen_state(named)
 
 
+def _config_record(cfg: TrainConfig) -> dict:
+    """The TrainConfig as plain JSON values, the form a checkpoint stores."""
+    return json.loads(json.dumps(asdict(cfg)))
+
+
 def save_checkpoint(generator: Generator, path, *, opt: Adam | None = None,
-                    epochs: int | None = None, epoch_next: int = 0,
+                    train_cfg: TrainConfig | None = None, epoch_next: int = 0,
                     best_nppr: float | None = None, initial_loss: float | None = None,
                     high_loss_streak: int = 0) -> None:
     named = _snapshot_params(generator)
@@ -125,7 +131,7 @@ def save_checkpoint(generator: Generator, path, *, opt: Adam | None = None,
         "kind": "generator-checkpoint",
         "mode": generator.mode.value,
         "gamma": generator.gamma,
-        "epochs": epochs,
+        "train_cfg": _config_record(train_cfg) if train_cfg is not None else None,
         "epoch_next": int(epoch_next),
         "adam_t": int(opt.t) if opt is not None else None,
         "best_nppr": best_nppr,
@@ -179,12 +185,12 @@ def restore_checkpoint(path, clf: Classifier,
     generator = Generator(head, upsampler, clf, gamma=extra["gamma"])
     _load_params(generator, named)
     state = {
-        "epochs": extra.get("epochs"),
-        "epoch_next": extra.get("epoch_next", 0),
-        "best_nppr": extra.get("best_nppr"),
-        "initial_loss": extra.get("initial_loss"),
-        "high_loss_streak": extra.get("high_loss_streak", 0),
-        "adam_t": extra.get("adam_t"),
+        "train_cfg": extra["train_cfg"],
+        "epoch_next": extra["epoch_next"],
+        "best_nppr": extra["best_nppr"],
+        "initial_loss": extra["initial_loss"],
+        "high_loss_streak": extra["high_loss_streak"],
+        "adam_t": extra["adam_t"],
         "adam_m": [named.get(f"adam.m.{n}") for n in generator.named_params()],
         "adam_v": [named.get(f"adam.v.{n}") for n in generator.named_params()],
     }
@@ -200,6 +206,25 @@ def restore(path, clf: Classifier,
             expected_mode: DependencyMode | None = None) -> Generator:
     generator, _ = restore_checkpoint(path, clf, expected_mode)
     return generator
+
+
+def _check_resume_config(written: dict | None, cfg: TrainConfig) -> None:
+    """Refuse to resume a checkpoint under a TrainConfig other than its own.
+
+    `written` is None for a parameter-only checkpoint, which records no run.
+    """
+    if written is None:
+        return
+    current = _config_record(cfg)
+    fields = [k for k in current if written.get(k) != current[k]]
+    if not fields:
+        return
+    length = (f"checkpoint was written by a {written['epochs']}-epoch run "
+              f"but cfg.epochs is {cfg.epochs}; " if "epochs" in fields else "")
+    raise ValueError(
+        f"train_generator: {length}the checkpoint's TrainConfig differs in "
+        f"{', '.join(fields)}; every schedule and random stream depends on it, "
+        f"so resume with the same TrainConfig")
 
 
 def _probe_metrics(generator: Generator, probe_x: np.ndarray, probe_y: np.ndarray,
@@ -223,12 +248,13 @@ def train_generator(clf: Classifier, split: SplitDataset, cfg: TrainConfig,
     so a restored run replays exactly like an uninterrupted one.
 
     A checkpoint carries the whole loop state: parameters, Adam state
-    (moments and step count), `epoch_next`, `best_nppr`, and the divergence
-    reference (`initial_loss`, `high_loss_streak`). `ckpt_best.json` is
-    written before `ckpt_latest.json`, the resume point. Every schedule is a
-    function of `cfg.epochs`, so a resume must use the same TrainConfig as
-    the run that wrote `resume_state`; a checkpoint from a run of another
-    length is refused with ValueError.
+    (moments and step count), `epoch_next`, `best_nppr`, the divergence
+    reference (`initial_loss`, `high_loss_streak`), and the run's whole
+    TrainConfig. `ckpt_best.json` is written before `ckpt_latest.json`, the
+    resume point. Schedules anneal over `cfg.epochs` and random streams are
+    keyed by `cfg.seed`, so a resume must use the same TrainConfig as the run
+    that wrote `resume_state`; any differing field is refused with ValueError
+    naming the fields.
     """
     if not clf.frozen:
         raise ValueError("train_generator: classifier must be frozen first")
@@ -244,17 +270,12 @@ def train_generator(clf: Classifier, split: SplitDataset, cfg: TrainConfig,
     initial_loss = None
     high_loss_streak = 0
     if resume_state is not None:
-        written_epochs = resume_state.get("epochs")
-        if written_epochs is not None and int(written_epochs) != cfg.epochs:
-            raise ValueError(
-                f"train_generator: checkpoint was written by a {written_epochs}-epoch run "
-                f"but cfg.epochs is {cfg.epochs}; every schedule anneals over cfg.epochs, "
-                f"so resume with the same TrainConfig")
+        _check_resume_config(resume_state["train_cfg"], cfg)
         start_epoch = int(resume_state["epoch_next"])
-        best_nppr = resume_state.get("best_nppr")
-        initial_loss = resume_state.get("initial_loss")
-        high_loss_streak = int(resume_state.get("high_loss_streak", 0))
-        if resume_state.get("adam_t") is not None:
+        best_nppr = resume_state["best_nppr"]
+        initial_loss = resume_state["initial_loss"]
+        high_loss_streak = int(resume_state["high_loss_streak"])
+        if resume_state["adam_t"] is not None:
             opt.load_state_dict({"t": resume_state["adam_t"],
                                  "m": resume_state["adam_m"],
                                  "v": resume_state["adam_v"]})
@@ -329,7 +350,7 @@ def train_generator(clf: Classifier, split: SplitDataset, cfg: TrainConfig,
         if improved:
             best_nppr = probe["nppr_running"]
         if out_dir is not None:
-            loop_state = dict(opt=opt, epochs=cfg.epochs, epoch_next=epoch + 1,
+            loop_state = dict(opt=opt, train_cfg=cfg, epoch_next=epoch + 1,
                               best_nppr=best_nppr, initial_loss=initial_loss,
                               high_loss_streak=high_loss_streak)
             if improved:

@@ -1,0 +1,67 @@
+"""Snapshot format: base64 float64 payloads, corruption errors, version guard, size."""
+
+import base64
+import json
+
+import numpy as np
+import pytest
+
+from nppr.generator import build_generator
+from nppr.models import Classifier, ClassifierConfig, DependencyMode, HeadConfig
+from nppr.optim import Adam
+from nppr.serialize import SnapshotError, load_snapshot, save_snapshot
+from nppr.trainer import save_checkpoint
+from nppr.upsample import UpsamplerConfig
+
+
+def _write(path, tensors, version=2):
+    path.write_text(json.dumps({"format_version": version, "tensors": tensors}))
+
+
+def test_extreme_values_roundtrip_bit_exact(tmp_path):
+    values = np.array([[-0.0, 5e-324], [1e308, -1.0 / 3.0]])
+    path = tmp_path / "s.json"
+    save_snapshot(path, {"w": values})
+    back, _ = load_snapshot(path)
+    assert back["w"].shape == (2, 2)
+    assert back["w"].tobytes() == values.tobytes()
+
+
+def test_bad_base64_rejected(tmp_path):
+    path = tmp_path / "s.json"
+    _write(path, {"w": {"shape": [1], "data": "not base64!"}})
+    with pytest.raises(SnapshotError, match="'w'.*base64"):
+        load_snapshot(path)
+
+
+def test_short_payload_rejected(tmp_path):
+    path = tmp_path / "s.json"
+    _write(path, {"w": {"shape": [2], "data": base64.b64encode(b"\0" * 8).decode()}})
+    with pytest.raises(SnapshotError, match="'w': 8 bytes for shape"):
+        load_snapshot(path)
+
+
+def test_v1_decimal_document_refused(tmp_path):
+    path = tmp_path / "s.json"
+    _write(path, {"w": {"shape": [2], "data": [0.5, 1.5]}}, version=1)
+    with pytest.raises(SnapshotError, match="format_version 1 unsupported"):
+        load_snapshot(path)
+
+
+def test_desk_checkpoint_stays_binary(tmp_path):
+    # A joint generator at the desk shapes (K=7, D=16) with dense Adam moments.
+    # Base64 float64 needs about 10.7 bytes per float, decimal text about 15.
+    clf = Classifier(ClassifierConfig(input_dim=16, num_classes=10, hidden=(32,)), seed=0)
+    gen = build_generator(clf, HeadConfig(mode=DependencyMode.JOINT, K=7, latent_dim=16),
+                          UpsamplerConfig(mode="linear_vector"), seed=0)
+    opt = Adam(gen.params(), lr=1e-3)
+    rng = np.random.default_rng(0)
+    for p in gen.params():
+        p.grad = rng.normal(size=p.data.shape)
+    opt.step()
+    path = tmp_path / "ckpt_latest.json"
+    save_checkpoint(gen, path, opt=opt)
+    named, _ = load_snapshot(path)
+    floats = sum(arr.size for arr in named.values())
+    assert floats > 100_000
+    assert path.stat().st_size <= 12 * floats

@@ -126,6 +126,12 @@ def _rng(seed):
     return np.random.default_rng(seed)
 
 
+def _chol_apply_case(r):
+    xi = r.normal(size=(2, 3, 2, 3))  # (B, M, K, D) constant noise, closed over
+    return (lambda ts: T.reduce_mean(T.mul(T.chol_apply(ts[0], xi), ts[1])),
+            [r.uniform(-1, 1, (2, 2, 3, 3)), r.uniform(-2, 2, (2, 3, 2, 3))])
+
+
 # Per-op finite-difference checks; inputs are kept away from kinks/ties.
 PER_OP_CASES = {
     "add": lambda r: (lambda ts: T.reduce_mean(T.add(ts[0], ts[1])),
@@ -147,6 +153,7 @@ PER_OP_CASES = {
     "matmul_bcast_batch": lambda r: (lambda ts: T.reduce_mean(T.matmul(ts[0], ts[1])),
                                      [r.uniform(-1, 1, (2, 1, 3, 4)),
                                       r.uniform(-1, 1, (5, 4, 2))]),
+    "chol_apply": _chol_apply_case,
     "affine": lambda r: (lambda ts: T.reduce_mean(T.affine(ts[0], ts[1], ts[2])),
                          [r.uniform(-2, 2, (3, 4)), r.uniform(-2, 2, (4, 2)),
                           r.uniform(-2, 2, (2,))]),
@@ -191,6 +198,41 @@ PER_OP_CASES = {
 def test_per_op_finite_difference(name, seed):
     build, leaves = PER_OP_CASES[name](_rng(seed * 101 + 7))
     check_grads(build, leaves, tol=1e-5)
+
+
+class TestCholApply:
+    @staticmethod
+    def _matmul_chain(chol, xi):
+        """The generic reshape -> constant -> matmul -> reshape route to L_k xi_k."""
+        B, M, K, D = xi.shape
+        chol_b = T.reshape(chol, (B, 1, K, D, D))
+        xi_col = T.constant(xi.reshape(B, M, K, D, 1))
+        return T.reshape(T.matmul(chol_b, xi_col), (B, M, K, D))
+
+    @pytest.mark.parametrize("shared", [False, True], ids=["per_row", "broadcast"])
+    def test_matches_matmul_chain(self, shared):
+        # `shared` builds chol by broadcast_to from one (1,K,D,D) factor, as the
+        # label head does.
+        rng = np.random.default_rng(5)
+        B, M, K, D = 4, 6, 3, 5
+        raw = rng.normal(size=(1 if shared else B, K, D, D))
+        xi = rng.standard_normal((B, M, K, D))
+        probe = T.constant(rng.normal(size=(B, M, K, D)))
+        results = []
+        for apply in (T.chol_apply, self._matmul_chain):
+            leaf = Tensor(raw.copy(), requires_grad=True)
+            chol = T.broadcast_to(leaf, (B, K, D, D)) if shared else leaf
+            out = apply(chol, xi)
+            T.reduce_sum(T.mul(out, probe)).backward()
+            results.append((out.data, leaf.grad))
+        (out_fused, grad_fused), (out_chain, grad_chain) = results
+        np.testing.assert_allclose(out_fused, out_chain, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(grad_fused, grad_chain, rtol=0, atol=1e-12)
+
+    def test_shape_guard(self):
+        chol = Tensor(np.zeros((2, 3, 4, 4)), requires_grad=True)
+        with pytest.raises(ShapeError, match="chol_apply"):
+            T.chol_apply(chol, np.zeros((2, 5, 3, 2)))
 
 
 def _random_graph(rng):

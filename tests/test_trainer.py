@@ -272,6 +272,17 @@ class TestCheckpoints:
         with pytest.raises(ValueError, match=r"3-epoch.*cfg\.epochs is 6"):
             train_generator(clf, split, _cfg(epochs=6), restored, resume_state=state)
 
+    def test_resume_refuses_other_train_config(self, instance, tmp_path):
+        # Same length, other seed and learning rate: neither run's continuation.
+        clf, split = instance
+        out = tmp_path / "seed0"
+        train_generator(clf, split, _cfg(epochs=2), _gen(clf), out_dir=out)
+        restored, state = restore_checkpoint(out / "ckpt_latest.json", clf)
+        assert state["train_cfg"]["seed"] == 0
+        with pytest.raises(ValueError, match=r"differs in lr, seed;"):
+            train_generator(clf, split, _cfg(epochs=2, seed=7, lr=0.5), restored,
+                            resume_state=state)
+
     def test_frozen_premap_survives_restore(self, instance, tmp_path):
         clf, split = instance
         head_cfg = HeadConfig(mode=DependencyMode.JOINT, K=2, latent_dim=2,
