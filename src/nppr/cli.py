@@ -22,7 +22,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .config import ConfigError, ExperimentConfig, config_to_json, parse_config
+from .config import ConfigError, ExperimentConfig, parse_config
 from .datasets import stratified_split
 from .experiment import (evaluate_generator, export_perturbation_samples, fit_classifier,
                          make_dataset, run_experiment)
@@ -74,14 +74,19 @@ def cmd_train(args) -> int:
     return 0 if verdict["all_pass"] else 1
 
 
+def _restore(cfg: ExperimentConfig, checkpoint: str):
+    """Rebuild the run's split and frozen classifier, then load `checkpoint`."""
+    split = stratified_split(make_dataset(cfg.dataset), cfg.train_frac, cfg.seed)
+    clf = fit_classifier(cfg, split)
+    generator, _ = restore_checkpoint(checkpoint, clf, expected_mode=cfg.head.mode)
+    return split, clf, generator
+
+
 def cmd_evaluate(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args, cfg, f"evaluate-seed{cfg.seed}")
     out.mkdir(parents=True, exist_ok=True)
-    ds = make_dataset(cfg.dataset)
-    split = stratified_split(ds, cfg.train_frac, cfg.seed)
-    clf = fit_classifier(cfg, split)
-    generator, _ = restore_checkpoint(args.checkpoint, clf, expected_mode=cfg.head.mode)
+    split, clf, generator = _restore(cfg, args.checkpoint)
     report = evaluate_generator(cfg, clf, generator, split)
     (out / "report.json").write_text(report.to_json())
     for line in report.summary_lines():
@@ -135,10 +140,7 @@ def cmd_export_samples(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args, cfg, f"samples-seed{cfg.seed}")
     out.mkdir(parents=True, exist_ok=True)
-    ds = make_dataset(cfg.dataset)
-    split = stratified_split(ds, cfg.train_frac, cfg.seed)
-    clf = fit_classifier(cfg, split)
-    generator, _ = restore_checkpoint(args.checkpoint, clf, expected_mode=cfg.head.mode)
+    split, _, generator = _restore(cfg, args.checkpoint)
     per_input = args.per_input or max(cfg.export_samples, 8)
     export_perturbation_samples(generator, split, per_input, out, cfg.seed)
     print(f"wrote {out / 'samples_latent.csv'} and {out / 'samples_input.csv'}")

@@ -5,17 +5,25 @@ d=16/C=10, K=7, M=32, kappa=1, 50 epochs, epsilon 16/255). Budgets written
 as rationals like "16/255" are parsed exactly. Unknown keys are fatal in
 strict mode: a silently misconfigured robustness run is worse than a failed
 one.
+
+Each document section is read into its dataclass, which gives every key's
+type and default. The section tables in `_CHECKS` are where a field's check
+lives. What does not map one key to one field is spelled out in
+`parse_config` and `serialize_config`: `dependency` and `budget.epsilon`
+(each sets two fields), the derived `dataset.dim`, and the cross-field
+upsampler checks.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
 
 from .models import DependencyMode, HeadConfig
 from .sampling import AnnealSchedule, GumbelConfig
+from .serialize import config_record
 from .trainer import TrainConfig
 from .upsample import MODE_BICUBIC, MODE_LINEAR, MODE_NONE, UpsamplerConfig
 
@@ -53,15 +61,19 @@ class ClassifierSpec:
 class BaselineSpec:
     pgd_steps: int = 20
     cw_steps: int = 20
-    gaussian_sigma_rule: str = "gamma/3"
+    gaussian_sigma_rule: str | float = "gamma/3"   # or a positive sigma
     eval_samples: int = 512
 
 
 @dataclass
 class SweepSpec:
     modes: tuple = ()          # mixture counts K
-    epsilons: tuple = ()       # Fractions
+    epsilons: tuple = ()       # budget radii, as Fractions
     dependencies: tuple = ()   # DependencyMode values
+
+    def __post_init__(self):
+        self.epsilons = tuple(_parse_epsilon(e, "sweep.epsilons") for e in self.epsilons)
+        self.dependencies = tuple(DependencyMode(d) for d in self.dependencies)
 
 
 @dataclass
@@ -85,14 +97,18 @@ class ExperimentConfig:
 
 
 def _parse_epsilon(value, path: str) -> Fraction:
+    """A budget radius > 0: exact for text like "16/255", the nearest
+    fraction with a denominator up to 10**9 for a number."""
     try:
         if isinstance(value, str):
-            return Fraction(value)
-        if isinstance(value, (int, float)):
-            return Fraction(value).limit_denominator(10 ** 9)
-    except (ValueError, ZeroDivisionError):
-        pass
-    raise ConfigError(f"{path}: cannot parse '{value}' as a budget radius")
+            epsilon = Fraction(value)
+        else:
+            epsilon = Fraction(value).limit_denominator(10 ** 9)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise ConfigError(f"{path}: cannot parse '{value}' as a budget radius") from None
+    if epsilon <= 0:
+        raise ConfigError(f"{path}: must be > 0")
+    return epsilon
 
 
 class _Section:
@@ -109,11 +125,9 @@ class _Section:
     def _full(self, key: str) -> str:
         return f"{self.path}.{key}" if self.path else key
 
-    def get(self, key: str, default, kind=None, check=None, required: bool = False):
+    def get(self, key: str, default, kind=None, check=None):
         self.seen.add(key)
         if key not in self.doc:
-            if required:
-                raise ConfigError(f"{self._full(key)}: required key missing")
             return default
         value = self.doc[key]
         if kind is not None:
@@ -162,6 +176,105 @@ def _pair(value):
     return None if (isinstance(value, (list, tuple)) and len(value) == 2) else "must be an (init, final) pair"
 
 
+def _positive_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
+def _grid(form: str):
+    def check(value):
+        if not (isinstance(value, list) and len(value) == 3):
+            return f"must be {form}"
+        return None if all(_positive_int(v) for v in value) else f"must be {form} of positive ints"
+    return check
+
+
+def _sigma_rule(value):
+    if value == "gamma/3":
+        return None
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return "must be 'gamma/3' or a number"
+    return _positive(value)
+
+
+_DEPENDENCIES = tuple(m.value for m in DependencyMode)
+
+# One table per document section: the check each field's value must pass.
+# A field without a row is only type-checked.
+_CHECKS = {
+    DatasetSpec: {
+        "kind": _one_of({"blobs", "rings", "grid-image"}), "dim": _at_least(1),
+        "classes": _at_least(2), "n": _at_least(10), "separation": _positive,
+        "sigma": _positive, "image_shape": _grid("[c, h, w]"), "radius_step": _positive,
+        "noise": _positive,
+    },
+    ClassifierSpec: {
+        "hidden": lambda v: None if v and all(isinstance(h, int) and h > 0 for h in v)
+        else "must be a non-empty list of positive ints",
+        "epochs": _at_least(1), "lr": _positive, "batch_size": _at_least(1),
+    },
+    HeadConfig: {
+        "K": _at_least(1), "latent_dim": _at_least(1), "hidden_dim": _at_least(1),
+        "label_emb_dim": _at_least(1),
+    },
+    UpsamplerConfig: {
+        "mode": _one_of({MODE_BICUBIC, MODE_LINEAR, MODE_NONE}),
+        "latent_grid": lambda v: None if v is None else _grid("[c, h', w']")(v),
+    },
+    TrainConfig: {
+        "epochs": _at_least(1), "lr": _positive, "lr_schedule": _one_of({"constant", "cosine"}),
+        "warmup_epochs": _at_least(0), "lr_min": _positive, "samples_per_input": _at_least(1),
+        "batch_size": _at_least(1), "eval_every": _at_least(1), "probe_size": _at_least(1),
+        "probe_samples": _at_least(1),
+    },
+    GumbelConfig: {"tau_init": _positive, "tau_final": _positive},
+    AnnealSchedule: {
+        "T_pi": _pair, "T_mu": _pair, "T_sigma": _pair, "T_shared": _pair,
+        "warmup_epochs": _at_least(0),
+    },
+    BaselineSpec: {
+        "pgd_steps": _at_least(1), "cw_steps": _at_least(1),
+        "gaussian_sigma_rule": _sigma_rule, "eval_samples": _at_least(1),
+    },
+    SweepSpec: {
+        "modes": lambda v: None if all(_positive_int(k) for k in v)
+        else "entries must be ints >= 1",
+        "dependencies": lambda v: None if all(d in _DEPENDENCIES for d in v)
+        else "entries must be dependency mode names",
+    },
+    ExperimentConfig: {
+        "train_frac": lambda v: None if 0.0 < v < 1.0 else "must be in (0, 1)",
+        "export_samples": _at_least(0),
+    },
+}
+# The JSON type of a field whose default does not give it. Every other field
+# takes the type of its default, a tuple being read from a list. Of the
+# None defaults only latent_grid accepts an explicit null.
+_KIND = {"batch_size": int, "output_dir": str, "latent_grid": object,
+         "gaussian_sigma_rule": object}
+# Document keys that differ from their field's name.
+_KEY = {"K": "modes"}
+
+
+def _read(sec: _Section, cls, **given):
+    """Build `cls` from `sec`, reading every field not in `given`."""
+    for f in fields(cls):
+        if f.name in given:
+            continue
+        key = _KEY.get(f.name, f.name)
+        if f.default_factory is not MISSING:
+            given[f.name] = _read(sec.section(key), f.default_factory)
+            continue
+        kind = _KIND.get(f.name, type(f.default))
+        value = sec.get(key, f.default, list if kind is tuple else kind,
+                        _CHECKS[cls].get(f.name))
+        given[f.name] = tuple(value) if kind is tuple else value
+    sec.finish()
+    try:
+        return cls(**given)
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"{sec.path}: {err}") from None
+
+
 def parse_config(text: str | dict, strict: bool = True) -> ExperimentConfig:
     """Parse and validate a config document, applying all defaults."""
     if isinstance(text, str):
@@ -173,226 +286,63 @@ def parse_config(text: str | dict, strict: bool = True) -> ExperimentConfig:
         doc = text
     root = _Section(doc, "", strict)
 
-    ds = root.section("dataset")
-    dataset = DatasetSpec(
-        kind=ds.get("kind", "blobs", str, _one_of({"blobs", "rings", "grid-image"})),
-        dim=ds.get("dim", 16, int, _at_least(1)),
-        classes=ds.get("classes", 10, int, _at_least(2)),
-        n=ds.get("n", 1000, int, _at_least(10)),
-        seed=ds.get("seed", 0, int),
-        separation=ds.get("separation", 6.0, float, _positive),
-        sigma=ds.get("sigma", 1.0, float, _positive),
-        image_shape=tuple(ds.get("image_shape", [1, 8, 8], list,
-                                 lambda v: None if len(v) == 3 else "must be [c, h, w]")),
-        radius_step=ds.get("radius_step", 2.0, float, _positive),
-        noise=ds.get("noise", 0.3, float, _positive),
-    )
-    ds.finish()
+    dataset = _read(root.section("dataset"), DatasetSpec)
     if dataset.kind == "grid-image":
         c, h, w = dataset.image_shape
-        dataset.dim = int(c) * int(h) * int(w)
+        dataset.dim = c * h * w
     elif dataset.kind == "rings":
         dataset.dim = 2
+    classifier = _read(root.section("classifier"), ClassifierSpec)
 
-    cs = root.section("classifier")
-    classifier = ClassifierSpec(
-        hidden=tuple(cs.get("hidden", [64, 32], list,
-                            lambda v: None if v and all(isinstance(h, int) and h > 0 for h in v)
-                            else "must be a non-empty list of positive ints")),
-        epochs=cs.get("epochs", 200, int, _at_least(1)),
-        lr=cs.get("lr", 1e-2, float, _positive),
-        batch_size=cs.get("batch_size", None, int, _at_least(1)) if "batch_size" in cs.doc
-        else cs.get("batch_size", None),
-        accuracy_threshold=cs.get("accuracy_threshold", 0.95, float),
-    )
-    cs.finish()
+    # `dependency` sets both the head's and the training mode.
+    dependency = DependencyMode(root.get("dependency", "joint", str, _one_of(_DEPENDENCIES)))
+    head = _read(root.section("gmm"), HeadConfig, mode=dependency)
 
-    gm = root.section("gmm")
-    k = gm.get("modes", 7, int, _at_least(1))
-    latent_dim = gm.get("latent_dim", 16, int, _at_least(1))
-    hidden_dim = gm.get("hidden_dim", 64, int, _at_least(1))
-    label_emb_dim = gm.get("label_emb_dim", 16, int, _at_least(1))
-    label_emb_normalized = gm.get("label_emb_normalized", True, bool)
-    gm.finish()
-
-    dependency = DependencyMode(root.get(
-        "dependency", "joint", str, _one_of({m.value for m in DependencyMode})))
-    head = HeadConfig(mode=dependency, K=k, latent_dim=latent_dim, hidden_dim=hidden_dim,
-                      label_emb_dim=label_emb_dim, label_emb_normalized=label_emb_normalized)
-
+    # `budget.epsilon` is both the exact budget and the upsampler's gamma.
     budget = root.section("budget")
     epsilon = _parse_epsilon(budget.get("epsilon", "16/255"), "budget.epsilon")
-    if epsilon <= 0:
-        raise ConfigError("budget.epsilon: must be > 0")
     budget.finish()
 
+    # Checked before the constructor, which would not name the key.
     us = root.section("upsampler")
-    ups_mode = us.get("mode", MODE_LINEAR, str, _one_of({MODE_BICUBIC, MODE_LINEAR, MODE_NONE}))
-    latent_grid = us.get("latent_grid", None)
-    if latent_grid is not None:
-        if not (isinstance(latent_grid, list) and len(latent_grid) == 3):
-            raise ConfigError("upsampler.latent_grid: must be [c, h', w']")
-        latent_grid = tuple(int(v) for v in latent_grid)
-    learnable = us.get("learnable_premap", True, bool)
-    us.finish()
-    if ups_mode == MODE_BICUBIC and latent_grid is None:
+    if us.doc.get("mode") == MODE_BICUBIC and us.doc.get("latent_grid") is None:
         raise ConfigError("upsampler.latent_grid: required for bicubic_image mode")
-    try:
-        upsampler = UpsamplerConfig(mode=ups_mode, learnable_premap=learnable,
-                                    latent_grid=latent_grid, gamma=float(epsilon))
-    except ValueError as err:
-        raise ConfigError(f"upsampler: {err}") from None
-    if ups_mode == MODE_BICUBIC:
-        c, hl, wl = latent_grid
+    upsampler = _read(us, UpsamplerConfig, gamma=float(epsilon))
+    if upsampler.mode == MODE_BICUBIC:
+        c, hl, wl = upsampler.latent_grid
         ci, hi, wi = dataset.image_shape
         if dataset.kind != "grid-image":
             raise ConfigError("upsampler.mode: bicubic_image needs a grid-image dataset")
         if c != ci or hl > hi or wl > wi:
-            raise ConfigError(
-                f"upsampler.latent_grid: {latent_grid} incompatible with image {dataset.image_shape}")
+            raise ConfigError(f"upsampler.latent_grid: {upsampler.latent_grid} "
+                              f"incompatible with image {dataset.image_shape}")
         if upsampler.latent_dim_for_grid != head.latent_dim:
             raise ConfigError(
                 f"gmm.latent_dim: {head.latent_dim} != latent grid size {upsampler.latent_dim_for_grid}")
-    if ups_mode == MODE_NONE and head.latent_dim != dataset.dim:
+    if upsampler.mode == MODE_NONE and head.latent_dim != dataset.dim:
         raise ConfigError(
             f"gmm.latent_dim: 'none' upsampler needs latent_dim == input dim ({dataset.dim})")
 
-    tr = root.section("train")
-    gu = tr.section("gumbel")
-    gumbel = GumbelConfig(
-        tau_init=gu.get("tau_init", 1.0, float, _positive),
-        tau_final=gu.get("tau_final", 0.1, float, _positive),
-        anneal=gu.get("anneal", True, bool),
-    )
-    gu.finish()
-    an = tr.section("anneal")
-    try:
-        anneal = AnnealSchedule(
-            T_pi=tuple(an.get("T_pi", [3.0, 1.0], list, _pair)),
-            T_mu=tuple(an.get("T_mu", [3.0, 1.0], list, _pair)),
-            T_sigma=tuple(an.get("T_sigma", [1.5, 1.0], list, _pair)),
-            T_shared=tuple(an.get("T_shared", [1.5, 1.0], list, _pair)),
-            warmup_epochs=an.get("warmup_epochs", 0, int, _at_least(0)),
-        )
-    except ValueError as err:
-        raise ConfigError(f"train.anneal: {err}") from None
-    an.finish()
-    try:
-        train = TrainConfig(
-            epochs=tr.get("epochs", 50, int, _at_least(1)),
-            lr=tr.get("lr", 5e-4, float, _positive),
-            lr_schedule=tr.get("lr_schedule", "constant", str, _one_of({"constant", "cosine"})),
-            warmup_epochs=tr.get("warmup_epochs", 20, int, _at_least(0)),
-            lr_min=tr.get("lr_min", 2e-6, float, _positive),
-            samples_per_input=tr.get("samples_per_input", 32, int, _at_least(1)),
-            batch_size=tr.get("batch_size", 128, int, _at_least(1)),
-            seed=tr.get("seed", 0, int),
-            mode=dependency,
-            gumbel=gumbel,
-            anneal=anneal,
-            eval_every=tr.get("eval_every", 5, int, _at_least(1)),
-            kappa=tr.get("kappa", 1.0, float),
-            probe_size=tr.get("probe_size", 64, int, _at_least(1)),
-            probe_samples=tr.get("probe_samples", 64, int, _at_least(1)),
-        )
-    except ValueError as err:
-        raise ConfigError(f"train: {err}") from None
-    tr.finish()
-
-    bl = root.section("baselines")
-    sigma_rule = bl.get("gaussian_sigma_rule", "gamma/3")
-    if not (sigma_rule == "gamma/3" or isinstance(sigma_rule, (int, float))):
-        raise ConfigError("baselines.gaussian_sigma_rule: must be 'gamma/3' or a number")
-    baselines = BaselineSpec(
-        pgd_steps=bl.get("pgd_steps", 20, int, _at_least(1)),
-        cw_steps=bl.get("cw_steps", 20, int, _at_least(1)),
-        gaussian_sigma_rule=sigma_rule,
-        eval_samples=bl.get("eval_samples", 512, int, _at_least(1)),
-    )
-    bl.finish()
-
-    sw = root.section("sweep")
-    sweep = SweepSpec(
-        modes=tuple(sw.get("modes", [], list)),
-        epsilons=tuple(_parse_epsilon(e, "sweep.epsilons") for e in sw.get("epsilons", [], list)),
-        dependencies=tuple(DependencyMode(d) for d in sw.get(
-            "dependencies", [], list,
-            lambda v: None if all(d in {m.value for m in DependencyMode} for d in v)
-            else "entries must be dependency mode names")),
-    )
-    sw.finish()
-
-    cfg = ExperimentConfig(
-        dataset=dataset, classifier=classifier, head=head, upsampler=upsampler,
-        train=train, baselines=baselines, epsilon=epsilon,
-        seed=root.get("seed", 0, int),
-        train_frac=root.get("train_frac", 0.8, float,
-                            lambda v: None if 0.0 < v < 1.0 else "must be in (0, 1)"),
-        export_samples=root.get("export_samples", 0, int, _at_least(0)),
-        output_dir=root.get("output_dir", None, str) if "output_dir" in doc else None,
-        sweep=sweep,
-    )
-    root.finish()
-    return cfg
+    train = _read(root.section("train"), TrainConfig, mode=dependency)
+    baselines = _read(root.section("baselines"), BaselineSpec)
+    sweep = _read(root.section("sweep"), SweepSpec)
+    return _read(root, ExperimentConfig, dataset=dataset, classifier=classifier, head=head,
+                 upsampler=upsampler, train=train, baselines=baselines, epsilon=epsilon,
+                 sweep=sweep)
 
 
 def serialize_config(cfg: ExperimentConfig) -> dict:
     """Canonical document form; parse(serialize(cfg)) == cfg."""
-    eps = cfg.epsilon
-    return {
-        "dataset": {
-            "kind": cfg.dataset.kind, "dim": cfg.dataset.dim, "classes": cfg.dataset.classes,
-            "n": cfg.dataset.n, "seed": cfg.dataset.seed, "separation": cfg.dataset.separation,
-            "sigma": cfg.dataset.sigma, "image_shape": list(cfg.dataset.image_shape),
-            "radius_step": cfg.dataset.radius_step, "noise": cfg.dataset.noise,
-        },
-        "classifier": {
-            "hidden": list(cfg.classifier.hidden), "epochs": cfg.classifier.epochs,
-            "lr": cfg.classifier.lr,
-            **({"batch_size": cfg.classifier.batch_size} if cfg.classifier.batch_size else {}),
-            "accuracy_threshold": cfg.classifier.accuracy_threshold,
-        },
-        "gmm": {
-            "modes": cfg.head.K, "latent_dim": cfg.head.latent_dim,
-            "hidden_dim": cfg.head.hidden_dim, "label_emb_dim": cfg.head.label_emb_dim,
-            "label_emb_normalized": cfg.head.label_emb_normalized,
-        },
-        "dependency": cfg.head.mode.value,
-        "upsampler": {
-            "mode": cfg.upsampler.mode, "learnable_premap": cfg.upsampler.learnable_premap,
-            "latent_grid": list(cfg.upsampler.latent_grid) if cfg.upsampler.latent_grid else None,
-        },
-        "budget": {"epsilon": f"{eps.numerator}/{eps.denominator}"},
-        "train": {
-            "epochs": cfg.train.epochs, "lr": cfg.train.lr,
-            "lr_schedule": cfg.train.lr_schedule, "warmup_epochs": cfg.train.warmup_epochs,
-            "lr_min": cfg.train.lr_min, "samples_per_input": cfg.train.samples_per_input,
-            "batch_size": cfg.train.batch_size, "seed": cfg.train.seed,
-            "eval_every": cfg.train.eval_every, "kappa": cfg.train.kappa,
-            "probe_size": cfg.train.probe_size, "probe_samples": cfg.train.probe_samples,
-            "gumbel": {"tau_init": cfg.train.gumbel.tau_init,
-                       "tau_final": cfg.train.gumbel.tau_final,
-                       "anneal": cfg.train.gumbel.anneal},
-            "anneal": {"T_pi": list(cfg.train.anneal.T_pi), "T_mu": list(cfg.train.anneal.T_mu),
-                       "T_sigma": list(cfg.train.anneal.T_sigma),
-                       "T_shared": list(cfg.train.anneal.T_shared),
-                       "warmup_epochs": cfg.train.anneal.warmup_epochs},
-        },
-        "baselines": {
-            "pgd_steps": cfg.baselines.pgd_steps, "cw_steps": cfg.baselines.cw_steps,
-            "gaussian_sigma_rule": cfg.baselines.gaussian_sigma_rule,
-            "eval_samples": cfg.baselines.eval_samples,
-        },
-        "seed": cfg.seed,
-        "train_frac": cfg.train_frac,
-        "export_samples": cfg.export_samples,
-        **({"output_dir": cfg.output_dir} if cfg.output_dir is not None else {}),
-        "sweep": {
-            "modes": list(cfg.sweep.modes),
-            "epsilons": [f"{e.numerator}/{e.denominator}" for e in cfg.sweep.epsilons],
-            "dependencies": [d.value for d in cfg.sweep.dependencies],
-        },
-    }
+    doc = config_record(cfg)
+    head = doc.pop("head")
+    doc["dependency"] = head.pop("mode")
+    doc["gmm"] = {_KEY.get(k, k): v for k, v in head.items()}
+    del doc["train"]["mode"], doc["upsampler"]["gamma"]
+    doc["budget"] = {"epsilon": doc.pop("epsilon")}
+    for section, key in ((doc["classifier"], "batch_size"), (doc, "output_dir")):
+        if section[key] is None:
+            del section[key]
+    return doc
 
 
 def config_to_json(cfg: ExperimentConfig) -> str:

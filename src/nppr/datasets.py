@@ -11,9 +11,7 @@ grid-image: c x h x w images with a class-specific bump, for exercising the
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -24,7 +22,6 @@ from .rng import DATASET, substream
 class LabeledDataset:
     x: np.ndarray              # (N, d) float64, images flattened row-major
     y: np.ndarray              # (N,) int64 labels in [0, C)
-    kind: str = "flat"         # "flat" or "image"
     image_shape: tuple | None = None
 
     def __post_init__(self):
@@ -40,10 +37,6 @@ class LabeledDataset:
     @property
     def dim(self) -> int:
         return self.x.shape[1]
-
-    @property
-    def num_classes(self) -> int:
-        return int(self.y.max()) + 1 if self.n else 0
 
 
 @dataclass
@@ -107,7 +100,7 @@ def make_grid_image(image_shape: tuple, classes: int, n: int, seed: int,
     patterns = np.stack(patterns)
     y = rng.integers(0, classes, size=n)
     x = patterns[y] + noise * rng.standard_normal((n, c * h * w))
-    return LabeledDataset(x=x, y=y, kind="image", image_shape=(c, h, w))
+    return LabeledDataset(x=x, y=y, image_shape=(c, h, w))
 
 
 def stratified_split(ds: LabeledDataset, train_frac: float = 0.8,
@@ -124,26 +117,6 @@ def stratified_split(ds: LabeledDataset, train_frac: float = 0.8,
         test_idx.extend(idx[cut:])
     train_idx = np.sort(np.asarray(train_idx))
     test_idx = np.sort(np.asarray(test_idx))
-    make = lambda sel: LabeledDataset(ds.x[sel], ds.y[sel], ds.kind, ds.image_shape)
+    make = lambda sel: LabeledDataset(ds.x[sel], ds.y[sel], ds.image_shape)
     return SplitDataset(train=make(train_idx), test=make(test_idx))
 
-
-def save_csv(ds: LabeledDataset, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"feature_{i}" for i in range(ds.dim)] + ["label"])
-        for row, label in zip(ds.x, ds.y):
-            writer.writerow([repr(v) for v in row] + [int(label)])
-
-
-def load_csv(path) -> LabeledDataset:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header[-1] != "label" or not header[0].startswith("feature_"):
-            raise ValueError(f"dataset csv {path}: unexpected header {header[:3]}...")
-        xs, ys = [], []
-        for row in reader:
-            xs.append([float(v) for v in row[:-1]])
-            ys.append(int(row[-1]))
-    return LabeledDataset(x=np.asarray(xs), y=np.asarray(ys))

@@ -18,8 +18,6 @@ import json
 import logging
 from pathlib import Path
 
-import numpy as np
-
 from .config import ExperimentConfig, config_to_json, resolve_sigma
 from .datasets import (LabeledDataset, SplitDataset, make_blobs, make_grid_image,
                        make_rings, stratified_split)
@@ -59,8 +57,7 @@ def fit_classifier(cfg: ExperimentConfig, split: SplitDataset) -> Classifier:
     clf = train_classifier(
         split.train.x, split.train.y, epochs=spec.epochs, seed=cfg.seed,
         hidden=spec.hidden, lr=spec.lr, batch_size=spec.batch_size,
-        accuracy_threshold=spec.accuracy_threshold,
-        input_kind=split.train.kind, image_shape=split.train.image_shape)
+        accuracy_threshold=spec.accuracy_threshold, image_shape=split.train.image_shape)
     return clf
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
 
 from . import tensor as T
@@ -49,15 +51,18 @@ class Generator:
         batch = np.atleast_2d(x).shape[0]
         return self.head.forward(features=features, labels=y, temps=temps, batch_size=batch)
 
-    def _to_images(self, batch: PerturbationBatch) -> PerturbationBatch:
-        B, M, D = batch.latent.shape
-        flat = T.reshape(batch.latent, (B * M, D))
-        up = self.upsampler(flat)
-        bounded = apply_budget(up, self.gamma)
-        batch.images = T.reshape(bounded, (B, M, self.upsampler.input_dim))
+    def images(self, latent: Tensor) -> Tensor:
+        """(N, latent_dim) latent rows -> (N, input_dim) perturbations inside the budget."""
+        bounded = apply_budget(self.upsampler(latent), self.gamma)
         # Budget post-condition; NaN propagation is handled by the trainer's
         # non-finite-loss path, so only real values are bounded here.
-        assert not np.any(np.abs(batch.images.data) > self.gamma)
+        assert not np.any(np.abs(bounded.data) > self.gamma)
+        return bounded
+
+    def _to_images(self, batch: PerturbationBatch) -> PerturbationBatch:
+        B, M, D = batch.latent.shape
+        bounded = self.images(T.reshape(batch.latent, (B * M, D)))
+        batch.images = T.reshape(bounded, (B, M, self.upsampler.input_dim))
         return batch
 
     def perturb_relaxed(self, params: GmmParams, M: int, tau: float,
@@ -70,6 +75,19 @@ class Generator:
         """Evaluation path: exact categorical draws, no relaxation bias."""
         return self._to_images(sample_exact(params, M, rng))
 
+    def exact_images(self, params: GmmParams, M: int, rng: np.random.Generator,
+                     rows: int) -> Iterator[tuple[int, np.ndarray]]:
+        """perturb_exact's images, flattened to (input, draw) rows and yielded as
+        (first row, images) pieces of at most `rows` rows.
+
+        Every draw is made before the first piece, so the values equal
+        perturb_exact's; only the input-space arrays are held a piece at a time.
+        """
+        latent = sample_exact(params, M, rng).latent.data
+        flat = latent.reshape(-1, latent.shape[2])
+        for lo in range(0, flat.shape[0], rows):
+            yield lo, self.images(T.constant(flat[lo:lo + rows])).data
+
 
 def build_generator(clf: Classifier, head_cfg: HeadConfig, ups_cfg: UpsamplerConfig,
                     seed: int = 0) -> Generator:
@@ -80,7 +98,7 @@ def build_generator(clf: Classifier, head_cfg: HeadConfig, ups_cfg: UpsamplerCon
             raise ValueError(
                 f"latent grid {ups_cfg.latent_grid} implies latent_dim {expected}, "
                 f"head has {head_cfg.latent_dim}")
-    feature_dim = clf.feature_hook.feature_dim if head_cfg.mode.conditions_on_features else None
+    feature_dim = clf.cfg.hidden[-1] if head_cfg.mode.conditions_on_features else None
     num_classes = clf.num_classes if head_cfg.mode.conditions_on_labels else None
     head = GmmHead(head_cfg, feature_dim=feature_dim, num_classes=num_classes, seed=seed)
     upsampler = Upsampler(ups_cfg, latent_dim=head_cfg.latent_dim,

@@ -10,7 +10,7 @@ All indicator evaluations resolve argmax ties toward the lowest class index.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -25,15 +25,11 @@ CLIPPED_GAUSSIAN = "clipped_gaussian"
 
 # Inputs per forward chunk when expanding B x M Monte-Carlo samples.
 _CHUNK = 1 << 16
-
-
-@dataclass
-class MarginLossConfig:
-    kappa: float = 1.0
-
-    def __post_init__(self):
-        if not np.isfinite(self.kappa):
-            raise ValueError("margin loss: kappa must be finite")
+# Rows the estimators perturb and classify at a time: 8 MiB per array at
+# d=256, where a whole block of up to _CHUNK rows took 128 MiB per array, and
+# several at once. The draws are still made per block, so the estimates do
+# not depend on _ROWS.
+_ROWS = 1 << 12
 
 
 def margin_loss(logits: Tensor, y: np.ndarray, kappa: float = 1.0) -> Tensor:
@@ -73,8 +69,12 @@ def mc_half_width(p: float, draws: int) -> float:
     return 3.0 * float(np.sqrt(p * (1.0 - p) / max(draws, 1)))
 
 
-def clean_accuracy(clf: Classifier, x: np.ndarray, y: np.ndarray) -> float:
-    return clf.accuracy(x, y)
+def _hits(clf: Classifier, xb: np.ndarray, yb: np.ndarray, M: int, lo: int,
+          delta: np.ndarray) -> int:
+    """Correct predictions on the (input, draw) rows lo, lo+1, ... of a block,
+    perturbed by `delta`; row r belongs to input r // M."""
+    owner = np.arange(lo, lo + len(delta)) // M
+    return int(np.sum(clf.predict(xb[owner] + delta) == yb[owner]))
 
 
 def _correct_fraction(clf: Classifier, points: np.ndarray, labels: np.ndarray) -> float:
@@ -101,10 +101,8 @@ def nppr_estimate(clf: Classifier, generator: Generator, x: np.ndarray, y: np.nd
     for start in range(0, x.shape[0], block):
         xb, yb = x[start:start + block], y[start:start + block]
         params = generator.gmm_params(xb, yb, temps=temps)
-        batch = generator.perturb_exact(params, M, rng)
-        perturbed = (xb[:, None, :] + batch.images.data).reshape(-1, x.shape[1])
-        preds = clf.predict(perturbed).reshape(len(xb), M)
-        hits += int(np.sum(preds == yb[:, None]))
+        for lo, images in generator.exact_images(params, M, rng, _ROWS):
+            hits += _hits(clf, xb, yb, M, lo, images)
     return hits / (x.shape[0] * M)
 
 
@@ -133,9 +131,9 @@ def pr_estimate(clf: Classifier, x: np.ndarray, y: np.ndarray, dist: str,
     for start in range(0, x.shape[0], block):
         xb, yb = x[start:start + block], y[start:start + block]
         noise = baseline_noise(dist, (len(xb), M, x.shape[1]), gamma, rng, sigma)
-        perturbed = (xb[:, None, :] + noise).reshape(-1, x.shape[1])
-        preds = clf.predict(perturbed).reshape(len(xb), M)
-        hits += int(np.sum(preds == yb[:, None]))
+        noise = noise.reshape(-1, x.shape[1])
+        for lo in range(0, noise.shape[0], _ROWS):
+            hits += _hits(clf, xb, yb, M, lo, noise[lo:lo + _ROWS])
     return hits / (x.shape[0] * M)
 
 

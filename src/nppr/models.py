@@ -49,19 +49,11 @@ class DependencyMode(str, Enum):
         return self in (DependencyMode.LABEL, DependencyMode.JOINT)
 
 
-@dataclass(frozen=True)
-class FeatureHook:
-    """Where features are read: index of the penultimate activation."""
-    layer_index: int
-    feature_dim: int
-
-
 @dataclass
 class ClassifierConfig:
     input_dim: int
     num_classes: int
     hidden: tuple = (32,)
-    input_kind: str = "flat"  # "flat" or "image"; both consume flattened rows
     image_shape: tuple | None = None
 
     def __post_init__(self):
@@ -90,11 +82,6 @@ class Classifier:
     @property
     def num_classes(self) -> int:
         return self.cfg.num_classes
-
-    @property
-    def feature_hook(self) -> FeatureHook:
-        return FeatureHook(layer_index=len(self.cfg.hidden) - 1,
-                           feature_dim=self.cfg.hidden[-1])
 
     def params(self) -> list[Tensor]:
         return [*self.weights, *self.biases]
@@ -144,13 +131,6 @@ class Classifier:
     def state(self) -> dict[str, np.ndarray]:
         return {name: p.data.copy() for name, p in self.named_params().items()}
 
-    def load_state(self, named: dict[str, np.ndarray]) -> None:
-        for name, p in self.named_params().items():
-            arr = np.asarray(named[name], dtype=np.float64)
-            if arr.shape != p.data.shape:
-                raise ValueError(f"classifier state '{name}': shape {arr.shape} != {p.data.shape}")
-            p.data = arr
-
 
 def extract_features(clf: Classifier, x: Tensor) -> Tensor:
     """Intermediate features for head conditioning; constant w.r.t. classifier
@@ -168,7 +148,6 @@ def train_classifier(x: np.ndarray, y: np.ndarray, epochs: int, seed: int,
                      hidden: tuple = (32,), lr: float = 1e-2,
                      batch_size: int | None = None,
                      accuracy_threshold: float = 0.95,
-                     input_kind: str = "flat",
                      image_shape: tuple | None = None) -> Classifier:
     """Fit an MLP on (x, y) and freeze it.
 
@@ -183,8 +162,7 @@ def train_classifier(x: np.ndarray, y: np.ndarray, epochs: int, seed: int,
     if np.any(y < 0):
         raise ValueError("train_classifier: labels must be in [0, C)")
     cfg = ClassifierConfig(input_dim=x.shape[1], num_classes=max(num_classes, 2),
-                           hidden=tuple(hidden), input_kind=input_kind,
-                           image_shape=image_shape)
+                           hidden=tuple(hidden), image_shape=image_shape)
     clf = Classifier(cfg, seed=seed)
     opt = Adam(clf.params(), lr=lr)
     n = x.shape[0]
@@ -410,10 +388,3 @@ class GmmHead:
         rows = T.take_rows(self._embedding(), idx)
         logits = T.affine(rows, self._named["head.pi_w"], self._named["head.pi_b"])
         return T.scale(logits, 1.0 / temps.T_pi)
-
-
-def head_forward(head: GmmHead, features: Tensor | None = None,
-                 labels: np.ndarray | None = None,
-                 temps: Temperatures | None = None,
-                 batch_size: int | None = None) -> GmmParams:
-    return head.forward(features=features, labels=labels, temps=temps, batch_size=batch_size)

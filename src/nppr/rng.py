@@ -15,12 +15,10 @@ CLASSIFIER = 1
 GENERATOR_INIT = 2
 SHUFFLE = 3
 GUMBEL = 4
-COMPONENT_NOISE = 5
 PROBE = 6
 EVAL = 7
 ATTACK = 8
 DATASET = 9
-SWEEP = 10
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:

@@ -16,6 +16,8 @@ from .models import GmmParams
 from .tensor import Tensor
 
 GUMBEL_FLOOR = 1e-12
+# Draws per gathered block of mixture factors in sample_exact.
+_GATHER_ROWS = 1 << 12
 
 
 @dataclass
@@ -161,9 +163,13 @@ def sample_exact(params: GmmParams, M: int, rng: np.random.Generator) -> Perturb
     means = params.means.data                                     # (B, K, D)
     chol = params.chol.data                                       # (B, K, D, D)
     rows = np.arange(B)[:, None]
-    mu_z = means[rows, z]                                         # (B, M, D)
-    l_z = chol[rows, z]                                           # (B, M, D, D)
-    latent = mu_z + np.einsum("bmde,bme->bmd", l_z, xi)
+    latent = means[rows, z]                                       # (B, M, D)
+    # The drawn factors chol[b, z[b, m]] are gathered a few inputs at a time:
+    # all at once they are (B, M, D, D), 128 MiB for 64 inputs x 1024 draws.
+    step = max(1, _GATHER_ROWS // M)
+    for lo in range(0, B, step):
+        part = slice(lo, lo + step)
+        latent[part] += np.einsum("bmde,bme->bmd", chol[rows[part], z[part]], xi[part])
 
     onehot = np.zeros((B, M, K))
     np.put_along_axis(onehot, z[..., None], 1.0, axis=2)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import base64
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,12 @@ FORMAT_VERSION = 2
 
 class SnapshotError(Exception):
     """Raised for version mismatches or structurally corrupt snapshot files."""
+
+
+def config_record(cfg) -> dict:
+    """A config dataclass as plain JSON values: tuples become lists, enums
+    their values and fractions "n/d" text."""
+    return json.loads(json.dumps(asdict(cfg), default=lambda r: f"{r.numerator}/{r.denominator}"))
 
 
 def tensors_to_doc(named: dict[str, np.ndarray]) -> dict:

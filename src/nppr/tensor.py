@@ -73,10 +73,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        """Same values, cut from the graph."""
-        return Tensor(self.data, requires_grad=False)
-
     def zero_grad(self) -> None:
         self.grad = None
 

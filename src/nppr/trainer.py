@@ -5,9 +5,8 @@ annealing, per-epoch probe metrics, and checkpointing."""
 from __future__ import annotations
 
 import csv
-import json
 import logging
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +19,7 @@ from .models import Classifier, DependencyMode, GmmHead, HeadConfig, Temperature
 from .optim import Adam
 from .rng import GUMBEL, PROBE, SHUFFLE, substream
 from .sampling import AnnealSchedule, GumbelConfig, anneal_value, gumbel_tau
-from .serialize import FORMAT_VERSION, SnapshotError, load_snapshot, save_snapshot
+from .serialize import SnapshotError, config_record, load_snapshot, save_snapshot
 from .upsample import Upsampler, UpsamplerConfig
 
 log = logging.getLogger(__name__)
@@ -111,11 +110,6 @@ def _load_params(generator: Generator, named: dict[str, np.ndarray]) -> None:
     generator.upsampler.load_frozen_state(named)
 
 
-def _config_record(cfg: TrainConfig) -> dict:
-    """The TrainConfig as plain JSON values, the form a checkpoint stores."""
-    return json.loads(json.dumps(asdict(cfg)))
-
-
 def save_checkpoint(generator: Generator, path, *, opt: Adam | None = None,
                     train_cfg: TrainConfig | None = None, epoch_next: int = 0,
                     best_nppr: float | None = None, initial_loss: float | None = None,
@@ -125,29 +119,18 @@ def save_checkpoint(generator: Generator, path, *, opt: Adam | None = None,
         for name, m, v in zip(generator.named_params(), opt.m, opt.v):
             named[f"adam.m.{name}"] = m.copy()
             named[f"adam.v.{name}"] = v.copy()
-    head_cfg = generator.head.cfg
-    ups_cfg = generator.upsampler.cfg
     extra = {
         "kind": "generator-checkpoint",
         "mode": generator.mode.value,
         "gamma": generator.gamma,
-        "train_cfg": _config_record(train_cfg) if train_cfg is not None else None,
+        "train_cfg": config_record(train_cfg) if train_cfg is not None else None,
         "epoch_next": int(epoch_next),
         "adam_t": int(opt.t) if opt is not None else None,
         "best_nppr": best_nppr,
         "initial_loss": initial_loss,
         "high_loss_streak": int(high_loss_streak),
-        "head_cfg": {
-            "mode": head_cfg.mode.value, "K": head_cfg.K,
-            "latent_dim": head_cfg.latent_dim, "hidden_dim": head_cfg.hidden_dim,
-            "label_emb_dim": head_cfg.label_emb_dim,
-            "label_emb_normalized": head_cfg.label_emb_normalized,
-        },
-        "ups_cfg": {
-            "mode": ups_cfg.mode, "learnable_premap": ups_cfg.learnable_premap,
-            "latent_grid": list(ups_cfg.latent_grid) if ups_cfg.latent_grid else None,
-            "gamma": ups_cfg.gamma,
-        },
+        "head_cfg": config_record(generator.head.cfg),
+        "ups_cfg": config_record(generator.upsampler.cfg),
         "input_dim": generator.upsampler.input_dim,
         "image_shape": list(generator.upsampler.image_shape) if generator.upsampler.image_shape else None,
         "feature_dim": generator.head.feature_dim,
@@ -167,15 +150,8 @@ def restore_checkpoint(path, clf: Classifier,
         raise SnapshotError(
             f"{path}: checkpoint mode '{mode.value}' does not match expected "
             f"'{DependencyMode(expected_mode).value}'")
-    hc = extra["head_cfg"]
-    head_cfg = HeadConfig(mode=DependencyMode(hc["mode"]), K=hc["K"],
-                          latent_dim=hc["latent_dim"], hidden_dim=hc["hidden_dim"],
-                          label_emb_dim=hc["label_emb_dim"],
-                          label_emb_normalized=hc["label_emb_normalized"])
-    uc = extra["ups_cfg"]
-    ups_cfg = UpsamplerConfig(mode=uc["mode"], learnable_premap=uc["learnable_premap"],
-                              latent_grid=tuple(uc["latent_grid"]) if uc["latent_grid"] else None,
-                              gamma=uc["gamma"])
+    head_cfg = HeadConfig(**extra["head_cfg"])
+    ups_cfg = UpsamplerConfig(**extra["ups_cfg"])
     head = GmmHead(head_cfg, feature_dim=extra.get("feature_dim"),
                    num_classes=extra.get("num_classes"), seed=0)
     upsampler = Upsampler(ups_cfg, latent_dim=head_cfg.latent_dim,
@@ -197,11 +173,6 @@ def restore_checkpoint(path, clf: Classifier,
     return generator, state
 
 
-def checkpoint(generator: Generator, path) -> None:
-    """Parameter-only snapshot (no optimizer state)."""
-    save_checkpoint(generator, path)
-
-
 def restore(path, clf: Classifier,
             expected_mode: DependencyMode | None = None) -> Generator:
     generator, _ = restore_checkpoint(path, clf, expected_mode)
@@ -215,7 +186,7 @@ def _check_resume_config(written: dict | None, cfg: TrainConfig) -> None:
     """
     if written is None:
         return
-    current = _config_record(cfg)
+    current = config_record(cfg)
     fields = [k for k in current if written.get(k) != current[k]]
     if not fields:
         return
@@ -341,9 +312,7 @@ def train_generator(clf: Classifier, split: SplitDataset, cfg: TrainConfig,
         probe = _probe_metrics(generator, probe_x, probe_y, temps,
                                cfg.probe_samples, substream(cfg.seed, PROBE, epoch, 1))
         records.append(EpochRecord(
-            epoch=epoch, train_loss=epoch_loss, nppr_running=probe["nppr_running"],
-            entropy_ratio=probe["entropy_ratio"], pi_max=probe["pi_max"],
-            pi_min=probe["pi_min"], pi_std=probe["pi_std"], tau_gumbel=tau,
+            epoch=epoch, train_loss=epoch_loss, **probe, tau_gumbel=tau,
             T_pi=temps.T_pi, T_mu=temps.T_mu, T_sigma=temps.T_sigma, aborted=aborted))
 
         improved = best_nppr is None or probe["nppr_running"] < best_nppr
@@ -374,13 +343,7 @@ def read_epoch_csv(path) -> list[EpochRecord]:
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         for row in reader:
-            out.append(EpochRecord(
-                epoch=int(row["epoch"]),
-                train_loss=float(row["train_loss"]),
-                nppr_running=float(row["nppr_running"]),
-                entropy_ratio=float(row["entropy_ratio"]),
-                pi_max=float(row["pi_max"]), pi_min=float(row["pi_min"]),
-                pi_std=float(row["pi_std"]), tau_gumbel=float(row["tau_gumbel"]),
-                T_pi=float(row["T_pi"]), T_mu=float(row["T_mu"]),
-                T_sigma=float(row["T_sigma"])))
+            values = {name: float(row[name]) for name in EPOCH_CSV_COLUMNS}
+            values["epoch"] = int(row["epoch"])
+            out.append(EpochRecord(**values))
     return out

@@ -79,6 +79,8 @@ class UpsamplerConfig:
     gamma: float = 16.0 / 255.0
 
     def __post_init__(self):
+        if self.latent_grid is not None:
+            self.latent_grid = tuple(self.latent_grid)
         if self.mode not in (MODE_BICUBIC, MODE_LINEAR, MODE_NONE):
             raise ValueError(f"upsampler mode '{self.mode}' unknown")
         if self.gamma <= 0:

@@ -6,12 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nppr import tensor as T
+import nppr.metrics
 from nppr.datasets import make_blobs
+from nppr.generator import build_generator
 from nppr.metrics import (CLIPPED_GAUSSIAN, UNIFORM_BALL, RobustnessReport, ar_cw,
-                          ar_pgd, entropy_ratio, margin_loss, mc_half_width,
+                          ar_pgd, baseline_noise, entropy_ratio, margin_loss, mc_half_width,
                           mixture_statistics, nppr_estimate, pr_estimate)
-from nppr.models import Classifier, ClassifierConfig, train_classifier
+from nppr.models import (Classifier, ClassifierConfig, DependencyMode, HeadConfig,
+                         train_classifier)
 from nppr.tensor import Tensor
+from nppr.upsample import UpsamplerConfig
 
 
 def linear_clf(w, b=0.0):
@@ -53,10 +57,6 @@ class TestMarginLoss:
         val = margin_loss(logits, np.array([0]), kappa=1.0).item()
         assert val == pytest.approx(np.log1p(np.exp(-9.0)), rel=1e-9)
         assert val == pytest.approx(1.234e-4, rel=1e-3)
-
-    def test_kappa_default_is_one(self):
-        from nppr.metrics import MarginLossConfig
-        assert MarginLossConfig().kappa == 1.0
 
     def test_mean_over_rows(self):
         logits = Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
@@ -112,6 +112,54 @@ class TestNpprEstimate:
         with pytest.raises(ValueError, match="empty"):
             nppr_estimate(clf, None, np.zeros((0, 1)), np.zeros(0, dtype=int), 4,
                           np.random.default_rng(0))
+
+
+class TestPiecewiseEvaluation:
+    """The estimators classify their draws a piece of rows at a time; the
+    pieces must reproduce the whole-block draws and estimates exactly."""
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        ds = make_blobs(d=3, classes=3, n=60, seed=4, separation=1.5)
+        clf = train_classifier(ds.x, ds.y, epochs=60, seed=0, hidden=(8,),
+                               accuracy_threshold=0.5)
+        head = HeadConfig(mode=DependencyMode.JOINT, K=3, latent_dim=2, hidden_dim=8,
+                          label_emb_dim=4)
+        gen = build_generator(clf, head, UpsamplerConfig(mode="linear_vector", gamma=1.5),
+                              seed=2)
+        return clf, gen, ds.x, ds.y
+
+    def test_pieces_equal_whole_batch(self, setup):
+        _, gen, x, y = setup
+        params = gen.gmm_params(x, y)
+        whole = gen.perturb_exact(params, 5, np.random.default_rng(8)).images.data
+        pieces = list(gen.exact_images(params, 5, np.random.default_rng(8), rows=7))
+        assert [lo for lo, _ in pieces] == list(range(0, 300, 7))
+        np.testing.assert_array_equal(np.concatenate([im for _, im in pieces]),
+                                      whole.reshape(300, 3))
+
+    def test_estimate_independent_of_piece_size(self, setup, monkeypatch):
+        clf, gen, x, y = setup
+        params = gen.gmm_params(x, y)
+        images = gen.perturb_exact(params, 5, np.random.default_rng(8)).images.data
+        preds = clf.predict((x[:, None, :] + images).reshape(-1, 3)).reshape(60, 5)
+        expected = float(np.mean(preds == y[:, None]))
+        assert 0.0 < expected < 1.0
+        for rows in (1, 7, 300, 1 << 12):
+            monkeypatch.setattr(nppr.metrics, "_ROWS", rows)
+            assert nppr_estimate(clf, gen, x, y, 5, np.random.default_rng(8)) == expected
+
+    @pytest.mark.parametrize("dist", [UNIFORM_BALL, CLIPPED_GAUSSIAN])
+    def test_pr_independent_of_piece_size(self, setup, dist, monkeypatch):
+        clf, _, x, y = setup
+        noise = baseline_noise(dist, (60, 5, 3), 1.5, np.random.default_rng(9))
+        preds = clf.predict((x[:, None, :] + noise).reshape(-1, 3)).reshape(60, 5)
+        expected = float(np.mean(preds == y[:, None]))
+        assert 0.0 < expected < 1.0
+        for rows in (1, 7, 300, 1 << 12):
+            monkeypatch.setattr(nppr.metrics, "_ROWS", rows)
+            got = pr_estimate(clf, x, y, dist, 1.5, 5, np.random.default_rng(9))
+            assert got == expected
 
 
 def _stub_nppr(clf, stub, x, y, M):

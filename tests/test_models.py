@@ -73,7 +73,7 @@ class TestFeatures:
     def test_shape_contract(self, blob_classifier):
         clf, ds = blob_classifier
         feats = extract_features(clf, Tensor(ds.x[:7]))
-        assert feats.shape == (7, clf.feature_hook.feature_dim)
+        assert feats.shape == (7, clf.cfg.hidden[-1])
 
     def test_deterministic(self, blob_classifier):
         clf, ds = blob_classifier

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import nppr.sampling
 from nppr import tensor as T
 from nppr.models import GmmParams
 from nppr.sampling import (AnnealSchedule, GumbelConfig, anneal_value, categorical_exact,
@@ -215,6 +216,23 @@ class TestSampleExact:
         a = sample_exact(params, M=7, rng=np.random.default_rng(22))
         b = sample_exact(params, M=7, rng=np.random.default_rng(22))
         np.testing.assert_array_equal(a.latent.data, b.latent.data)
+
+
+    @pytest.mark.parametrize("gather_rows", [1, 7, 1 << 12])
+    def test_gathered_blocks_equal_one_gather(self, gather_rows, monkeypatch):
+        # The factors are gathered a few inputs at a time; the latent draws
+        # must equal the whole (B, M, D, D) gather bit for bit.
+        rng = np.random.default_rng(23)
+        B, K, D, M = 9, 3, 4, 5
+        params = _params(rng.normal(size=(B, K)), rng.normal(size=(B, K, D)),
+                         np.tril(rng.normal(size=(B, K, D, D))))
+        monkeypatch.setattr(nppr.sampling, "_GATHER_ROWS", gather_rows)
+        batch = sample_exact(params, M=M, rng=np.random.default_rng(24))
+        z = batch.relaxed_weights.data.argmax(axis=2)
+        rows = np.arange(B)[:, None]
+        whole = params.means.data[rows, z] + np.einsum(
+            "bmde,bme->bmd", params.chol.data[rows, z], batch.component_draws)
+        np.testing.assert_array_equal(batch.latent.data, whole)
 
 
 class TestAnnealing:
