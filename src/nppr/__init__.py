@@ -11,7 +11,7 @@ from .generator import Generator, build_generator
 from .metrics import (RobustnessReport, ar_cw, ar_pgd, entropy_ratio, margin_loss,
                       nppr_estimate, pr_estimate)
 from .models import (Classifier, DependencyMode, GmmHead, GmmParams, HeadConfig,
-                     Temperatures, extract_features, train_classifier)
+                     Temperatures, train_classifier)
 from .oracle import GridSpec, oracle_ar, oracle_pr, verify_propositions
 from .sampling import (AnnealSchedule, GumbelConfig, PerturbationBatch, anneal_value,
                        gumbel_softmax_sample, sample_exact, sample_perturbations)
@@ -27,7 +27,7 @@ __all__ = [
     "GumbelConfig", "HeadConfig", "PerturbationBatch", "RobustnessReport",
     "Temperatures", "Tensor", "TrainConfig", "UpsamplerConfig", "anneal_value",
     "apply_budget", "ar_cw", "ar_pgd", "bicubic_kernel", "build_generator",
-    "entropy_ratio", "extract_features", "gumbel_softmax_sample", "margin_loss",
+    "entropy_ratio", "gumbel_softmax_sample", "margin_loss",
     "nppr_estimate", "oracle_ar", "oracle_pr", "parse_config", "pr_estimate",
     "sample_exact", "sample_perturbations", "train_classifier", "train_generator",
     "verify_propositions",

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
 
@@ -99,6 +100,8 @@ class ExperimentConfig:
 def _parse_epsilon(value, path: str) -> Fraction:
     """A budget radius > 0: exact for text like "16/255", the nearest
     fraction with a denominator up to 10**9 for a number."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{path}: expected a number or a string, got bool")
     try:
         if isinstance(value, str):
             epsilon = Fraction(value)
@@ -139,6 +142,8 @@ class _Section:
                 raise ConfigError(
                     f"{self._full(key)}: expected {getattr(kind, '__name__', kind)}, "
                     f"got {type(value).__name__}")
+            if kind is float and not math.isfinite(value):
+                raise ConfigError(f"{self._full(key)}: must be finite, got {value}")
         if check is not None:
             err = check(value)
             if err:
@@ -193,7 +198,7 @@ def _sigma_rule(value):
         return None
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return "must be 'gamma/3' or a number"
-    return _positive(value)
+    return _positive(value) if math.isfinite(value) else "must be finite"
 
 
 _DEPENDENCIES = tuple(m.value for m in DependencyMode)
@@ -208,7 +213,7 @@ _CHECKS = {
         "noise": _positive,
     },
     ClassifierSpec: {
-        "hidden": lambda v: None if v and all(isinstance(h, int) and h > 0 for h in v)
+        "hidden": lambda v: None if v and all(_positive_int(h) for h in v)
         else "must be a non-empty list of positive ints",
         "epochs": _at_least(1), "lr": _positive, "batch_size": _at_least(1),
     },

@@ -8,10 +8,13 @@ parameters, mirroring the four dependency structures:
   independent: free global parameters broadcast over the batch
   label:       label embedding drives mixture weights; means and Cholesky
                factors stay global
-  input:       shared trunk (affine -> batch norm -> relu) feeding three
-               separate output layers for weights, means and factors
+  input:       shared trunk (affine -> divide by T_shared -> relu) feeding
+               three separate output layers for weights, means and factors
   joint:       mixture weights from the label embedding, means/factors from
                the feature trunk
+
+Every head is per-row: the mixture for one input does not depend on the other
+inputs of its batch.
 """
 
 from __future__ import annotations
@@ -92,13 +95,7 @@ class Classifier:
                 f"classifier: expected (N, {self.cfg.input_dim}) input, got {x.shape}")
 
     def logits(self, x: Tensor) -> Tensor:
-        self._check_input(x)
-        h = x
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = T.affine(h, w, b)
-            if i < len(self.weights) - 1:
-                h = T.relu(h)
-        return h
+        return T.affine(self.features(x), self.weights[-1], self.biases[-1])
 
     def features(self, x: Tensor) -> Tensor:
         """Penultimate activations (post-relu of the last hidden layer)."""
@@ -130,12 +127,6 @@ class Classifier:
 
     def state(self) -> dict[str, np.ndarray]:
         return {name: p.data.copy() for name, p in self.named_params().items()}
-
-
-def extract_features(clf: Classifier, x: Tensor) -> Tensor:
-    """Intermediate features for head conditioning; constant w.r.t. classifier
-    weights once the classifier is frozen."""
-    return clf.features(x)
 
 
 def cross_entropy(logits: Tensor, y: np.ndarray) -> Tensor:
@@ -288,8 +279,6 @@ class GmmHead:
             w = rng.normal(0.0, np.sqrt(2.0 / feature_dim), size=(feature_dim, hid))
             self._named["head.trunk_w"] = Tensor(w, requires_grad=True)
             self._named["head.trunk_b"] = Tensor(np.zeros(hid), requires_grad=True)
-            self._named["head.bn_gamma"] = Tensor(np.ones(hid), requires_grad=True)
-            self._named["head.bn_beta"] = Tensor(np.zeros(hid), requires_grad=True)
             if mode == DependencyMode.INPUT:
                 w, b = _zero_linear(hid, K)
                 self._named["head.pi_w"], self._named["head.pi_b"] = w, b
@@ -298,8 +287,7 @@ class GmmHead:
             w, b = _zero_linear(hid, K * D * D, bias_init=chol_bias.ravel().copy())
             self._named["head.chol_w"], self._named["head.chol_b"] = w, b
 
-        eye = np.eye(D)
-        self._eye = T.constant(eye)
+        self._eye = T.constant(np.eye(D))
         self._strict_lower = T.constant(np.tril(np.ones((D, D)), k=-1))
 
     def params(self) -> list[Tensor]:
@@ -325,66 +313,48 @@ class GmmHead:
         return T.add(off, diag)
 
     def _trunk(self, features: Tensor, temps: Temperatures) -> Tensor:
+        """relu(affine(features) / T_shared): T_shared divides the trunk's
+        pre-activations, so it scales every trunk-driven output."""
         pre = T.affine(features, self._named["head.trunk_w"], self._named["head.trunk_b"])
-        pre = T.scale(pre, 1.0 / temps.T_shared)
-        normed = T.batch_norm(pre, self._named["head.bn_gamma"], self._named["head.bn_beta"])
-        return T.relu(normed)
+        return T.relu(T.scale(pre, 1.0 / temps.T_shared))
 
     def forward(self, features: Tensor | None = None, labels: np.ndarray | None = None,
                 temps: Temperatures | None = None, batch_size: int | None = None) -> GmmParams:
+        """Mixture parameters, one row per input. Weights come from `pi0`, the
+        label embedding or the trunk; means and factors from the global
+        `mu0`/`chol0` (scaled, then broadcast) or the trunk."""
         temps = temps or Temperatures()
-        cfg = self.cfg
-        mode = cfg.mode
-        K, D = cfg.K, cfg.latent_dim
+        mode, K, D = self.cfg.mode, self.cfg.K, self.cfg.latent_dim
         if mode.conditions_on_features and features is None:
             raise ValueError(f"head mode '{mode.value}' requires features")
         if mode.conditions_on_labels and labels is None:
             raise ValueError(f"head mode '{mode.value}' requires labels")
 
-        if features is not None:
-            B = features.shape[0]
-        elif labels is not None:
-            B = len(labels)
-        elif batch_size is not None:
-            B = int(batch_size)
-        else:
+        B = (features.shape[0] if features is not None
+             else len(labels) if labels is not None else batch_size)
+        if B is None:
             raise ValueError("independent head needs an explicit batch_size")
 
-        if mode == DependencyMode.INDEPENDENT:
-            pi = T.scale(self._named["head.pi0"], 1.0 / temps.T_pi)
-            pi_b = T.broadcast_to(T.reshape(pi, (1, K)), (B, K))
-            mu = T.scale(self._named["head.mu0"], 1.0 / temps.T_mu)
-            mu_b = T.broadcast_to(T.reshape(mu, (1, K, D)), (B, K, D))
-            chol = self._assemble_chol(self._named["head.chol0"], temps.T_sigma)
-            chol_b = T.broadcast_to(T.reshape(chol, (1, K, D, D)), (B, K, D, D))
-            return GmmParams(pi_b, mu_b, chol_b)
+        def rows(t: Tensor) -> Tensor:
+            return T.broadcast_to(T.reshape(t, (1, *t.shape)), (B, *t.shape))
 
-        if mode == DependencyMode.LABEL:
-            pi_logits = self._pi_from_labels(labels, temps)
-            mu = T.scale(self._named["head.mu0"], 1.0 / temps.T_mu)
-            mu_b = T.broadcast_to(T.reshape(mu, (1, K, D)), (B, K, D))
-            chol = self._assemble_chol(self._named["head.chol0"], temps.T_sigma)
-            chol_b = T.broadcast_to(T.reshape(chol, (1, K, D, D)), (B, K, D, D))
-            return GmmParams(pi_logits, mu_b, chol_b)
+        p = self._named
+        trunk = self._trunk(features, temps) if mode.conditions_on_features else None
+        if mode.conditions_on_labels:
+            pi_in = T.take_rows(self._embedding(), np.asarray(labels, dtype=np.int64))
+        else:
+            pi_in = trunk
+        if pi_in is None:
+            pi_logits = rows(T.scale(p["head.pi0"], 1.0 / temps.T_pi))
+        else:
+            pi_logits = T.scale(T.affine(pi_in, p["head.pi_w"], p["head.pi_b"]), 1.0 / temps.T_pi)
 
-        trunk = self._trunk(features, temps)
-        mu_flat = T.affine(trunk, self._named["head.mu_w"], self._named["head.mu_b"])
-        mu = T.reshape(T.scale(mu_flat, 1.0 / temps.T_mu), (B, K, D))
-        chol_raw = T.reshape(
-            T.affine(trunk, self._named["head.chol_w"], self._named["head.chol_b"]),
-            (B, K, D, D))
-        chol = self._assemble_chol(chol_raw, temps.T_sigma)
-
-        if mode == DependencyMode.INPUT:
-            pi_logits = T.scale(
-                T.affine(trunk, self._named["head.pi_w"], self._named["head.pi_b"]),
-                1.0 / temps.T_pi)
-        else:  # JOINT: weights come from the label embedding
-            pi_logits = self._pi_from_labels(labels, temps)
-        return GmmParams(pi_logits, mu, chol)
-
-    def _pi_from_labels(self, labels: np.ndarray, temps: Temperatures) -> Tensor:
-        idx = np.asarray(labels, dtype=np.int64)
-        rows = T.take_rows(self._embedding(), idx)
-        logits = T.affine(rows, self._named["head.pi_w"], self._named["head.pi_b"])
-        return T.scale(logits, 1.0 / temps.T_pi)
+        if trunk is None:
+            means = rows(T.scale(p["head.mu0"], 1.0 / temps.T_mu))
+            chol = rows(self._assemble_chol(p["head.chol0"], temps.T_sigma))
+        else:
+            mu_flat = T.affine(trunk, p["head.mu_w"], p["head.mu_b"])
+            means = T.reshape(T.scale(mu_flat, 1.0 / temps.T_mu), (B, K, D))
+            chol_raw = T.affine(trunk, p["head.chol_w"], p["head.chol_b"])
+            chol = self._assemble_chol(T.reshape(chol_raw, (B, K, D, D)), temps.T_sigma)
+        return GmmParams(pi_logits, means, chol)

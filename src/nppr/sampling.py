@@ -48,7 +48,7 @@ class AnnealSchedule:
     def __post_init__(self):
         for name in ("T_pi", "T_mu", "T_sigma", "T_shared"):
             pair = tuple(float(v) for v in getattr(self, name))
-            if len(pair) != 2 or pair[0] <= 0 or pair[1] <= 0:
+            if len(pair) != 2 or not all(0 < v < np.inf for v in pair):
                 raise ValueError(f"anneal: {name} must be a positive (init, final) pair")
             setattr(self, name, pair)
 

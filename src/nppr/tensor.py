@@ -411,33 +411,6 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _node(out_data, (a,), bwd, "log_softmax")
 
 
-def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize each feature over the batch axis (axis 0), always with batch
-    statistics; no running estimates are maintained."""
-    if x.ndim != 2:
-        raise ShapeError(f"batch_norm: expected 2-D input, got {x.shape}")
-    if gamma.shape != (x.shape[1],) or beta.shape != (x.shape[1],):
-        raise ShapeError(
-            f"batch_norm: gamma/beta must be ({x.shape[1]},), got {gamma.shape}, {beta.shape}")
-    n = x.shape[0]
-    mean = x.data.mean(axis=0)
-    var = x.data.var(axis=0)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mean) * inv_std
-    out_data = xhat * gamma.data + beta.data
-
-    def bwd(g):
-        _accumulate(beta, g.sum(axis=0))
-        _accumulate(gamma, (g * xhat).sum(axis=0))
-        gx = g * gamma.data
-        _accumulate(
-            x,
-            inv_std * (gx - gx.mean(axis=0) - xhat * (gx * xhat).sum(axis=0) / n),
-        )
-
-    return _node(out_data, (x, gamma, beta), bwd, "batch_norm")
-
-
 # ---------------------------------------------------------------------------
 # Reductions and indexing
 

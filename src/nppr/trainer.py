@@ -141,7 +141,13 @@ def save_checkpoint(generator: Generator, path, *, opt: Adam | None = None,
 
 def restore_checkpoint(path, clf: Classifier,
                        expected_mode: DependencyMode | None = None) -> tuple[Generator, dict]:
-    """Rebuild a generator (and optimizer state) from a checkpoint file."""
+    """Rebuild a generator (and optimizer state) from a checkpoint file.
+
+    The stored tensors must be exactly the generator's parameters, its
+    upsampler's frozen state and, when `adam_t` is set, the Adam moments of
+    every parameter; otherwise SnapshotError names the missing and the
+    unexpected tensors.
+    """
     named, extra = load_snapshot(path)
     if extra.get("kind") != "generator-checkpoint":
         raise SnapshotError(f"{path}: not a generator checkpoint")
@@ -159,6 +165,13 @@ def restore_checkpoint(path, clf: Classifier,
                           image_shape=tuple(extra["image_shape"]) if extra.get("image_shape") else None,
                           rng=substream(0, 0))
     generator = Generator(head, upsampler, clf, gamma=extra["gamma"])
+    expected = {*generator.named_params(), *generator.upsampler.frozen_state()}
+    if extra["adam_t"] is not None:
+        expected |= {f"adam.{k}.{n}" for k in "mv" for n in generator.named_params()}
+    if set(named) != expected:
+        raise SnapshotError(
+            f"{path}: checkpoint tensors do not match the generator: "
+            f"missing {sorted(expected - set(named))}, unexpected {sorted(set(named) - expected)}")
     _load_params(generator, named)
     state = {
         "train_cfg": extra["train_cfg"],
@@ -171,12 +184,6 @@ def restore_checkpoint(path, clf: Classifier,
         "adam_v": [named.get(f"adam.v.{n}") for n in generator.named_params()],
     }
     return generator, state
-
-
-def restore(path, clf: Classifier,
-            expected_mode: DependencyMode | None = None) -> Generator:
-    generator, _ = restore_checkpoint(path, clf, expected_mode)
-    return generator
 
 
 def _check_resume_config(written: dict | None, cfg: TrainConfig) -> None:

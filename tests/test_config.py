@@ -249,6 +249,28 @@ NEWLY_REJECTED = [
      "train.anneal: float() argument must be a string or a real number, not 'NoneType'"),
     ('{"budget": {"epsilon": Infinity}}',
      "budget.epsilon: cannot parse 'inf' as a budget radius"),
+    # a JSON true once read as the number 1
+    ({"budget": {"epsilon": True}}, "budget.epsilon: expected a number or a string, got bool"),
+    ({"sweep": {"epsilons": ["1/2", True]}},
+     "sweep.epsilons: expected a number or a string, got bool"),
+    ({"classifier": {"hidden": [True]}},
+     "classifier.hidden: must be a non-empty list of positive ints"),
+    # Infinity and NaN in a float field
+    ('{"train": {"lr": Infinity}}', "train.lr: must be finite, got inf"),
+    ('{"train": {"kappa": NaN}}', "train.kappa: must be finite, got nan"),
+    ('{"dataset": {"sigma": Infinity}}', "dataset.sigma: must be finite, got inf"),
+    ('{"classifier": {"accuracy_threshold": NaN}}',
+     "classifier.accuracy_threshold: must be finite, got nan"),
+    ('{"train": {"gumbel": {"tau_init": Infinity}}}',
+     "train.gumbel.tau_init: must be finite, got inf"),
+    ('{"baselines": {"gaussian_sigma_rule": Infinity}}',
+     "baselines.gaussian_sigma_rule: must be finite"),
+    ('{"baselines": {"gaussian_sigma_rule": NaN}}',
+     "baselines.gaussian_sigma_rule: must be finite"),
+    ('{"train": {"anneal": {"T_shared": [NaN, 1]}}}',
+     "train.anneal: anneal: T_shared must be a positive (init, final) pair"),
+    ('{"train": {"anneal": {"T_pi": [Infinity, 1]}}}',
+     "train.anneal: anneal: T_pi must be a positive (init, final) pair"),
 ]
 
 

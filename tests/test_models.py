@@ -5,9 +5,10 @@ import pytest
 
 from nppr import tensor as T
 from nppr.datasets import make_blobs
-from nppr.models import (DependencyMode, GmmHead, HeadConfig, Temperatures,
-                         extract_features, train_classifier)
+from nppr.generator import build_generator
+from nppr.models import DependencyMode, GmmHead, HeadConfig, Temperatures, train_classifier
 from nppr.tensor import Tensor
+from nppr.upsample import UpsamplerConfig
 
 
 @pytest.fixture(scope="module")
@@ -67,18 +68,18 @@ class TestFeatures:
         clf = train_classifier(ds.x, ds.y, epochs=1, seed=0, hidden=(6,))
         for b in clf.biases:
             b.data = np.zeros_like(b.data)
-        feats = extract_features(clf, Tensor(np.zeros((2, 3))))
+        feats = clf.features(Tensor(np.zeros((2, 3))))
         np.testing.assert_array_equal(feats.data, np.zeros((2, 6)))
 
     def test_shape_contract(self, blob_classifier):
         clf, ds = blob_classifier
-        feats = extract_features(clf, Tensor(ds.x[:7]))
+        feats = clf.features(Tensor(ds.x[:7]))
         assert feats.shape == (7, clf.cfg.hidden[-1])
 
     def test_deterministic(self, blob_classifier):
         clf, ds = blob_classifier
-        a = extract_features(clf, Tensor(ds.x[:5])).data
-        b = extract_features(clf, Tensor(ds.x[:5])).data
+        a = clf.features(Tensor(ds.x[:5])).data
+        b = clf.features(Tensor(ds.x[:5])).data
         np.testing.assert_array_equal(a, b)
 
 
@@ -177,3 +178,46 @@ class TestHeads:
     def test_k_guard(self):
         with pytest.raises(ValueError, match="K"):
             HeadConfig(mode=DependencyMode.INDEPENDENT, K=0)
+
+
+def _perturbed_generator(clf, mode):
+    """A generator whose head weights are moved off the symmetric init."""
+    head_cfg = HeadConfig(mode=mode, K=3, latent_dim=2, hidden_dim=8, label_emb_dim=4)
+    gen = build_generator(clf, head_cfg, UpsamplerConfig(mode="linear_vector", gamma=1.0), seed=0)
+    rng = np.random.default_rng(11)
+    for p in gen.head.params():
+        p.data = p.data + rng.normal(0.0, 0.5, size=p.data.shape)
+    return gen
+
+
+class TestPerRowHeads:
+    @pytest.mark.parametrize("mode", list(DependencyMode), ids=lambda m: m.value)
+    def test_row_alone_equals_row_in_batch(self, blob_classifier, mode):
+        # The mixture for one input must not depend on the other inputs of its batch.
+        clf, ds = blob_classifier
+        gen = _perturbed_generator(clf, mode)
+        x, y = ds.x[:9], ds.y[:9]
+        temps = Temperatures(T_pi=1.3, T_mu=0.7, T_sigma=1.1, T_shared=1.5)
+        whole = gen.gmm_params(x, y, temps=temps)
+        for i in range(len(x)):
+            alone = gen.gmm_params(x[i:i + 1], y[i:i + 1], temps=temps)
+            for name in ("pi_logits", "means", "chol"):
+                np.testing.assert_allclose(getattr(alone, name).data[0],
+                                           getattr(whole, name).data[i],
+                                           rtol=0, atol=1e-12, err_msg=f"{name}, row {i}")
+
+    @pytest.mark.parametrize("mode", [DependencyMode.INPUT, DependencyMode.JOINT],
+                             ids=lambda m: m.value)
+    def test_t_shared_divides_the_trunk(self, blob_classifier, mode):
+        # relu is positively homogeneous, so dividing the trunk by T_shared
+        # divides each trunk-driven output (less its bias) by T_shared.
+        clf, ds = blob_classifier
+        gen = _perturbed_generator(clf, mode)
+        bias = gen.head.named_params()["head.mu_b"].data.reshape(3, 2)
+        one = gen.gmm_params(ds.x[:6], ds.y[:6], temps=Temperatures(T_shared=1.0))
+        two = gen.gmm_params(ds.x[:6], ds.y[:6], temps=Temperatures(T_shared=2.0))
+        assert not np.allclose(one.means.data, two.means.data)
+        np.testing.assert_allclose(two.means.data - bias, (one.means.data - bias) / 2.0,
+                                   rtol=0, atol=1e-12)
+        if mode == DependencyMode.INPUT:
+            assert not np.allclose(one.pi_logits.data, two.pi_logits.data)

@@ -169,9 +169,6 @@ PER_OP_CASES = {
                           [r.uniform(-2, 2, (3, 4)), r.uniform(-2, 2, (3, 4))]),
     "log_softmax": lambda r: (lambda ts: T.reduce_mean(T.mul(T.log_softmax(ts[0]), ts[1])),
                               [r.uniform(-2, 2, (3, 4)), r.uniform(-2, 2, (3, 4))]),
-    "batch_norm": lambda r: (lambda ts: T.reduce_mean(T.mul(T.batch_norm(ts[0], ts[1], ts[2]), ts[3])),
-                             [r.uniform(-2, 2, (6, 3)), r.uniform(0.5, 2, (3,)),
-                              r.uniform(-1, 1, (3,)), r.uniform(-2, 2, (6, 3))]),
     "reduce_sum_axis": lambda r: (lambda ts: T.reduce_mean(T.reduce_sum(ts[0], axis=1)),
                                   [r.uniform(-2, 2, (3, 4))]),
     "reduce_mean_keep": lambda r: (lambda ts: T.reduce_sum(T.reduce_mean(ts[0], axis=0, keepdims=True)),

@@ -1,5 +1,6 @@
 """Training-loop behavior: determinism, schedules, checkpoints, degenerate budgets."""
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from nppr.rng import substream
 from nppr.sampling import AnnealSchedule, GumbelConfig
 from nppr.serialize import SnapshotError
 from nppr.trainer import (EPOCH_CSV_COLUMNS, TrainConfig, lr_at_epoch, read_epoch_csv,
-                          restore, restore_checkpoint, save_checkpoint, temps_at_epoch,
+                          restore_checkpoint, save_checkpoint, temps_at_epoch,
                           train_generator, write_epoch_csv)
 from nppr.upsample import UpsamplerConfig
 
@@ -174,7 +175,7 @@ class TestCheckpoints:
         p1 = tmp_path / "a.json"
         p2 = tmp_path / "b.json"
         save_checkpoint(gen, p1)
-        restored = restore(p1, clf)
+        restored = restore_checkpoint(p1, clf)[0]
         save_checkpoint(restored, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
@@ -184,21 +185,48 @@ class TestCheckpoints:
         path = tmp_path / "ck.json"
         save_checkpoint(gen, path)
         with pytest.raises(SnapshotError, match="mode"):
-            restore(path, clf, expected_mode=DependencyMode.INDEPENDENT)
+            restore_checkpoint(path, clf, expected_mode=DependencyMode.INDEPENDENT)
 
     def test_corrupt_file_rejected(self, tmp_path, instance):
         clf, _ = instance
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         with pytest.raises(SnapshotError, match="corrupt"):
-            restore(bad, clf)
+            restore_checkpoint(bad, clf)
 
     def test_version_guard(self, tmp_path, instance):
         clf, _ = instance
         doc = tmp_path / "v9.json"
         doc.write_text('{"format_version": 9, "tensors": {}}')
         with pytest.raises(SnapshotError, match="format_version"):
-            restore(doc, clf)
+            restore_checkpoint(doc, clf)
+
+    @staticmethod
+    def _rewrite_tensors(path, edit):
+        doc = json.loads(path.read_text())
+        edit(doc["tensors"])
+        path.write_text(json.dumps(doc, sort_keys=True))
+
+    def test_restore_refuses_unexpected_tensor(self, instance, tmp_path):
+        # A checkpoint of a head with batch-norm parameters would otherwise
+        # load into the current head as another model.
+        clf, split = instance
+        train_generator(clf, split, _cfg(epochs=1), _gen(clf), out_dir=tmp_path)
+        path = tmp_path / "ckpt_latest.json"
+        self._rewrite_tensors(path, lambda t: t.update({"head.bn_gamma": t["head.trunk_b"],
+                                                        "head.bn_beta": t["head.trunk_b"]}))
+        with pytest.raises(SnapshotError,
+                           match=r"missing \[\], unexpected \['head.bn_beta', 'head.bn_gamma'\]"):
+            restore_checkpoint(path, clf)
+
+    @pytest.mark.parametrize("name", ["head.mu_w", "adam.v.head.mu_w", "upsampler.weight"])
+    def test_restore_refuses_missing_tensor(self, instance, tmp_path, name):
+        clf, split = instance
+        train_generator(clf, split, _cfg(epochs=1), _gen(clf), out_dir=tmp_path)
+        path = tmp_path / "ckpt_latest.json"
+        self._rewrite_tensors(path, lambda t: t.pop(name))
+        with pytest.raises(SnapshotError, match=rf"missing \['{name}'\], unexpected \[\]"):
+            restore_checkpoint(path, clf)
 
     def test_resume_replays_uninterrupted_run(self, instance, tmp_path, monkeypatch):
         clf, split = instance
@@ -292,7 +320,7 @@ class TestCheckpoints:
         frozen_w = gen.upsampler.weight.data.copy()
         path = tmp_path / "frozen.json"
         save_checkpoint(gen, path)
-        restored = restore(path, clf)
+        restored = restore_checkpoint(path, clf)[0]
         np.testing.assert_array_equal(restored.upsampler.weight.data, frozen_w)
         assert restored.upsampler.params() == []
 
