@@ -15,6 +15,12 @@ parameters, mirroring the four dependency structures:
 
 Every head is per-row: the mixture for one input does not depend on the other
 inputs of its batch.
+
+A Cholesky factor is stored packed: its D(D+1)/2 lower-triangle entries in
+row-major order (`np.tril_indices`), the unconstrained parametrisation of
+Pinheiro & Bates (1996). `tensor.tril_factor` scales them by 1/T_sigma, maps
+the diagonal through softplus plus CHOL_DIAG_FLOOR and scatters them into a
+D x D block, so the zero upper triangle has no parameters.
 """
 
 from __future__ import annotations
@@ -207,7 +213,11 @@ class Temperatures:
 
 @dataclass
 class GmmParams:
-    """Batched mixture parameters: weight logits, means, lower Cholesky factors."""
+    """Batched mixture parameters: weight logits, means, lower Cholesky factors.
+
+    `chol` is the unpacked output of `tensor.tril_factor`: the head's packed
+    D(D+1)/2 entries per component scattered into full D x D blocks.
+    """
     pi_logits: Tensor   # (B, K)
     means: Tensor       # (B, K, D)
     chol: Tensor        # (B, K, D, D), strictly lower + softplus-floored diagonal
@@ -240,6 +250,11 @@ def _zero_linear(in_dim: int, out_dim: int, bias_init: np.ndarray | None = None)
 class GmmHead:
     """Produces GmmParams for a batch under one dependency mode.
 
+    Factors are parametrised packed: `head.chol0` is (K, D(D+1)/2) and the
+    trunk's `head.chol_w`/`head.chol_b` emit K * D(D+1)/2 columns, each
+    component's lower triangle in row-major order; `tensor.tril_factor`
+    unpacks them.
+
     Initialization is symmetric: zero weight logits (uniform mixture), zero
     means, and factor diagonals that softplus to 0.5, so the entropy ratio of
     the mixture weights starts at 1.
@@ -260,8 +275,8 @@ class GmmHead:
         K, D = cfg.K, cfg.latent_dim
         self._named: dict[str, Tensor] = {}
 
-        chol_bias = np.zeros((K, D, D))
-        chol_bias[:, np.arange(D), np.arange(D)] = _INV_SOFTPLUS_HALF
+        rows, cols = np.tril_indices(D)
+        chol_bias = np.tile(np.where(rows == cols, _INV_SOFTPLUS_HALF, 0.0), (K, 1))
 
         if mode in (DependencyMode.INDEPENDENT, DependencyMode.LABEL):
             # Global means/factors (label mode conditions only the weights).
@@ -284,11 +299,8 @@ class GmmHead:
                 self._named["head.pi_w"], self._named["head.pi_b"] = w, b
             w, b = _zero_linear(hid, K * D)
             self._named["head.mu_w"], self._named["head.mu_b"] = w, b
-            w, b = _zero_linear(hid, K * D * D, bias_init=chol_bias.ravel().copy())
+            w, b = _zero_linear(hid, chol_bias.size, bias_init=chol_bias.ravel().copy())
             self._named["head.chol_w"], self._named["head.chol_b"] = w, b
-
-        self._eye = T.constant(np.eye(D))
-        self._strict_lower = T.constant(np.tril(np.ones((D, D)), k=-1))
 
     def params(self) -> list[Tensor]:
         return list(self._named.values())
@@ -303,14 +315,9 @@ class GmmHead:
         sq = T.reduce_sum(T.mul(emb, emb), axis=1, keepdims=True)
         return T.div(emb, T.sqrt(sq))
 
-    def _assemble_chol(self, raw: Tensor, t_sigma: float) -> Tensor:
-        """raw (..., D, D) -> lower-triangular factor with positive diagonal."""
-        scaled = T.scale(raw, 1.0 / t_sigma)
-        off = T.mul(scaled, self._strict_lower)
-        diag_vals = T.reduce_sum(T.mul(scaled, self._eye), axis=-1)  # (..., D)
-        floored = T.softplus(diag_vals) + T.constant(CHOL_DIAG_FLOOR)
-        diag = T.mul(T.reshape(floored, (*floored.shape, 1)), self._eye)
-        return T.add(off, diag)
+    def _assemble_chol(self, packed: Tensor, t_sigma: float) -> Tensor:
+        """packed (..., D(D+1)/2) -> lower-triangular factor with positive diagonal."""
+        return T.tril_factor(packed, self.cfg.latent_dim, t_sigma, CHOL_DIAG_FLOOR)
 
     def _trunk(self, features: Tensor, temps: Temperatures) -> Tensor:
         """relu(affine(features) / T_shared): T_shared divides the trunk's
@@ -356,5 +363,5 @@ class GmmHead:
             mu_flat = T.affine(trunk, p["head.mu_w"], p["head.mu_b"])
             means = T.reshape(T.scale(mu_flat, 1.0 / temps.T_mu), (B, K, D))
             chol_raw = T.affine(trunk, p["head.chol_w"], p["head.chol_b"])
-            chol = self._assemble_chol(T.reshape(chol_raw, (B, K, D, D)), temps.T_sigma)
+            chol = self._assemble_chol(T.reshape(chol_raw, (B, K, -1)), temps.T_sigma)
         return GmmParams(pi_logits, means, chol)

@@ -65,8 +65,14 @@ class Adam:
         }
 
     def load_state_dict(self, state: dict) -> None:
-        if len(state["m"]) != len(self.params):
+        if len(state["m"]) != len(self.params) or len(state["v"]) != len(self.params):
             raise ValueError("adam: state does not match parameter count")
+        m = [np.array(x, dtype=np.float64) for x in state["m"]]
+        v = [np.array(x, dtype=np.float64) for x in state["v"]]
+        for kind, moments in (("m", m), ("v", v)):
+            for i, (x, p) in enumerate(zip(moments, self.params)):
+                if x.shape != p.data.shape:
+                    raise ValueError(f"adam: moment {kind}[{i}] shape {x.shape} "
+                                     f"does not match param {p.data.shape}")
         self.t = int(state["t"])
-        self.m = [np.array(m, dtype=np.float64) for m in state["m"]]
-        self.v = [np.array(v, dtype=np.float64) for v in state["v"]]
+        self.m, self.v = m, v

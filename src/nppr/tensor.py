@@ -316,6 +316,34 @@ def chol_apply(chol: Tensor, xi: np.ndarray) -> Tensor:
     return _node(out_data, (chol,), bwd, "chol_apply")
 
 
+def tril_factor(packed: Tensor, dim: int, t_sigma: float, floor: float) -> Tensor:
+    """Unpack row-major lower triangles into Cholesky factors: (..., D(D+1)/2) -> (..., D, D).
+
+    Entries are divided by t_sigma (as a multiplication by 1/t_sigma); the
+    diagonal ones then become softplus(.) + floor, so every factor has a
+    positive diagonal. The upper triangle is zero and has no parameters.
+    """
+    D = int(dim)
+    if packed.ndim < 1 or packed.shape[-1] != D * (D + 1) // 2:
+        raise ShapeError(f"tril_factor: expected last axis {D * (D + 1) // 2} "
+                         f"(D={D}), got shape {packed.shape}")
+    rows, cols = np.tril_indices(D)
+    diag = np.flatnonzero(rows == cols)
+    c = 1.0 / float(t_sigma)
+    vals = packed.data * c
+    scaled_diag = vals[..., diag]  # a copy, kept for the backward
+    vals[..., diag] = np.logaddexp(0.0, scaled_diag) + floor
+    out_data = np.zeros((*packed.shape[:-1], D, D))
+    out_data[..., rows, cols] = vals
+
+    def bwd(g):
+        gp = g[..., rows, cols]
+        gp[..., diag] *= _sigmoid(scaled_diag)
+        _accumulate(packed, gp * c)
+
+    return _node(out_data, (packed,), bwd, "tril_factor")
+
+
 # ---------------------------------------------------------------------------
 # Nonlinearities
 
@@ -503,26 +531,6 @@ def take_rows(a: Tensor, index: np.ndarray) -> Tensor:
         _accumulate(a, full)
 
     return _node(out_data, (a,), bwd, "take_rows")
-
-
-def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
-    if not tensors:
-        raise ShapeError("concat: need at least one tensor")
-    ax = axis % tensors[0].ndim
-    for t in tensors[1:]:
-        if t.ndim != tensors[0].ndim:
-            raise ShapeError(f"concat: rank mismatch {tensors[0].shape} vs {t.shape}")
-    out_data = np.concatenate([t.data for t in tensors], axis=ax)
-    sizes = [t.shape[ax] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def bwd(g):
-        for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-            sl = [slice(None)] * g.ndim
-            sl[ax] = slice(start, stop)
-            _accumulate(t, g[tuple(sl)])
-
-    return _node(out_data, tuple(tensors), bwd, "concat")
 
 
 # ---------------------------------------------------------------------------

@@ -103,10 +103,7 @@ def _snapshot_params(generator: Generator) -> dict[str, np.ndarray]:
 
 def _load_params(generator: Generator, named: dict[str, np.ndarray]) -> None:
     for name, p in generator.named_params().items():
-        arr = np.asarray(named[name], dtype=np.float64)
-        if arr.shape != p.data.shape:
-            raise SnapshotError(f"checkpoint param '{name}': shape {arr.shape} != {p.data.shape}")
-        p.data = arr.copy()
+        p.data = np.asarray(named[name], dtype=np.float64).copy()
     generator.upsampler.load_frozen_state(named)
 
 
@@ -145,8 +142,10 @@ def restore_checkpoint(path, clf: Classifier,
 
     The stored tensors must be exactly the generator's parameters, its
     upsampler's frozen state and, when `adam_t` is set, the Adam moments of
-    every parameter; otherwise SnapshotError names the missing and the
-    unexpected tensors.
+    every parameter, each in the shape the generator gives it. Otherwise
+    SnapshotError names the missing and the unexpected tensors, or every
+    tensor whose shape differs together with both shapes; nothing is loaded
+    before these checks pass.
     """
     named, extra = load_snapshot(path)
     if extra.get("kind") != "generator-checkpoint":
@@ -165,13 +164,21 @@ def restore_checkpoint(path, clf: Classifier,
                           image_shape=tuple(extra["image_shape"]) if extra.get("image_shape") else None,
                           rng=substream(0, 0))
     generator = Generator(head, upsampler, clf, gamma=extra["gamma"])
-    expected = {*generator.named_params(), *generator.upsampler.frozen_state()}
+    expected = {n: p.data.shape for n, p in generator.named_params().items()}
+    expected |= {n: v.shape for n, v in generator.upsampler.frozen_state().items()}
     if extra["adam_t"] is not None:
-        expected |= {f"adam.{k}.{n}" for k in "mv" for n in generator.named_params()}
-    if set(named) != expected:
+        expected |= {f"adam.{k}.{n}": p.data.shape
+                     for k in "mv" for n, p in generator.named_params().items()}
+    if set(named) != set(expected):
         raise SnapshotError(
             f"{path}: checkpoint tensors do not match the generator: "
-            f"missing {sorted(expected - set(named))}, unexpected {sorted(set(named) - expected)}")
+            f"missing {sorted(set(expected) - set(named))}, "
+            f"unexpected {sorted(set(named) - set(expected))}")
+    wrong = [f"{n} {named[n].shape} != {shape}" for n, shape in sorted(expected.items())
+             if named[n].shape != shape]
+    if wrong:
+        raise SnapshotError(f"{path}: checkpoint tensor shapes do not match the generator "
+                            f"(stored != expected): {', '.join(wrong)}")
     _load_params(generator, named)
     state = {
         "train_cfg": extra["train_cfg"],

@@ -6,7 +6,9 @@ import pytest
 from nppr import tensor as T
 from nppr.datasets import make_blobs
 from nppr.generator import build_generator
-from nppr.models import DependencyMode, GmmHead, HeadConfig, Temperatures, train_classifier
+from nppr.metrics import margin_loss
+from nppr.models import (Classifier, ClassifierConfig, DependencyMode, GmmHead, HeadConfig,
+                         Temperatures, train_classifier)
 from nppr.tensor import Tensor
 from nppr.upsample import UpsamplerConfig
 
@@ -147,7 +149,7 @@ class TestHeads:
 
     def test_chol_structure(self):
         head = _head(DependencyMode.INPUT, K=2, latent=3)
-        head._named["head.chol_w"].data = np.random.default_rng(4).normal(size=(8, 2 * 9))
+        head._named["head.chol_w"].data = np.random.default_rng(4).normal(size=(8, 2 * 6))
         feats = Tensor(np.random.default_rng(5).normal(size=(3, 5)))
         chol = head.forward(features=feats).chol.data
         upper = np.triu(chol, k=1)
@@ -221,3 +223,30 @@ class TestPerRowHeads:
                                    rtol=0, atol=1e-12)
         if mode == DependencyMode.INPUT:
             assert not np.allclose(one.pi_logits.data, two.pi_logits.data)
+
+
+class TestPackedFactors:
+    """Every stored factor entry is a live parameter: none is masked away."""
+
+    @pytest.mark.parametrize("mode, name, shape",
+                             [(DependencyMode.JOINT, "head.chol_w", (64, 7 * 136)),
+                              (DependencyMode.INDEPENDENT, "head.chol0", (7, 136))],
+                             ids=["joint", "independent"])
+    def test_every_factor_entry_gets_gradient(self, mode, name, shape):
+        # Desk shapes: 16 inputs, 10 classes, 32 features, K=7, D=16, width 64.
+        clf = Classifier(ClassifierConfig(input_dim=16, num_classes=10, hidden=(32,)), seed=0)
+        clf.freeze()
+        gen = build_generator(clf, HeadConfig(mode=mode, K=7, latent_dim=16),
+                              UpsamplerConfig(mode="linear_vector", gamma=2.0), seed=0)
+        rng = np.random.default_rng(3)
+        B, M = 12, 4
+        x, y = rng.normal(size=(B, 16)), rng.integers(0, 10, size=B)
+        batch = gen.perturb_relaxed(gen.gmm_params(x, y), M, 0.5, rng)
+        perturbed = T.reshape(T.add(T.constant(x[:, None, :]), batch.images), (B * M, 16))
+        margin_loss(clf.logits(perturbed), np.repeat(y, M)).backward()
+        grad = gen.head.named_params()[name].grad
+        assert grad.shape == shape
+        # A trunk weight column is live when some trunk unit moves it; the
+        # global factors have one row per component and every entry must move.
+        live = np.any(grad != 0.0, axis=0) if mode == DependencyMode.JOINT else grad != 0.0
+        assert np.count_nonzero(~live) == 0

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nppr import tensor as T
+from nppr.models import CHOL_DIAG_FLOOR
 from nppr.optim import Adam
 from nppr.tensor import ShapeError, Tensor, numeric_counters, reset_numeric_counters
 
@@ -154,6 +155,9 @@ PER_OP_CASES = {
                                      [r.uniform(-1, 1, (2, 1, 3, 4)),
                                       r.uniform(-1, 1, (5, 4, 2))]),
     "chol_apply": _chol_apply_case,
+    "tril_factor": lambda r: (lambda ts: T.reduce_mean(T.mul(T.tril_factor(ts[0], 3, 0.7, 1e-6),
+                                                             ts[1])),
+                              [r.uniform(-2, 2, (2, 6)), r.uniform(-2, 2, (2, 3, 3))]),
     "affine": lambda r: (lambda ts: T.reduce_mean(T.affine(ts[0], ts[1], ts[2])),
                          [r.uniform(-2, 2, (3, 4)), r.uniform(-2, 2, (4, 2)),
                           r.uniform(-2, 2, (2,))]),
@@ -179,8 +183,6 @@ PER_OP_CASES = {
                              [r.uniform(-2, 2, (3, 4))]),
     "take_rows": lambda r: (lambda ts: T.reduce_mean(T.take_rows(ts[0], np.array([0, 2, 2, 1]))),
                             [r.uniform(-2, 2, (3, 4))]),
-    "concat": lambda r: (lambda ts: T.reduce_mean(T.concat([ts[0], ts[1]], axis=1)),
-                         [r.uniform(-2, 2, (3, 2)), r.uniform(-2, 2, (3, 4))]),
     "reshape": lambda r: (lambda ts: T.reduce_mean(T.mul(T.reshape(ts[0], (2, 6)), ts[1])),
                           [r.uniform(-2, 2, (3, 4)), r.uniform(-2, 2, (2, 6))]),
     "transpose": lambda r: (lambda ts: T.reduce_mean(T.mul(T.transpose(ts[0], (1, 0, 2)), ts[1])),
@@ -230,6 +232,46 @@ class TestCholApply:
         chol = Tensor(np.zeros((2, 3, 4, 4)), requires_grad=True)
         with pytest.raises(ShapeError, match="chol_apply"):
             T.chol_apply(chol, np.zeros((2, 5, 3, 2)))
+
+
+class TestTrilFactor:
+    @staticmethod
+    def _mask_chain(packed, D, t_sigma):
+        """Scatter into full D x D blocks, then the scale/mask/softplus chain."""
+        rows, cols = np.tril_indices(D)
+        select = np.zeros((rows.size, D * D))
+        select[np.arange(rows.size), rows * D + cols] = 1.0
+        raw = T.reshape(T.matmul(packed, T.constant(select)), (*packed.shape[:-1], D, D))
+        eye = T.constant(np.eye(D))
+        strict_lower = T.constant(np.tril(np.ones((D, D)), k=-1))
+        scaled = T.scale(raw, 1.0 / t_sigma)
+        off = T.mul(scaled, strict_lower)
+        diag_vals = T.reduce_sum(T.mul(scaled, eye), axis=-1)
+        floored = T.softplus(diag_vals) + T.constant(CHOL_DIAG_FLOOR)
+        diag = T.mul(T.reshape(floored, (*floored.shape, 1)), eye)
+        return T.add(off, diag)
+
+    @pytest.mark.parametrize("t_sigma", [1.0, 0.37])
+    def test_matches_mask_chain(self, t_sigma):
+        rng = np.random.default_rng(9)
+        B, K, D = 4, 3, 5
+        packed = rng.normal(0.0, 2.0, size=(B, K, D * (D + 1) // 2))
+        probe = T.constant(rng.normal(size=(B, K, D, D)))
+        results = []
+        for build in (lambda t: T.tril_factor(t, D, t_sigma, CHOL_DIAG_FLOOR),
+                      lambda t: self._mask_chain(t, D, t_sigma)):
+            leaf = Tensor(packed.copy(), requires_grad=True)
+            out = build(leaf)
+            T.reduce_sum(T.mul(out, probe)).backward()
+            results.append((out.data, leaf.grad))
+        (out_op, grad_op), (out_chain, grad_chain) = results
+        np.testing.assert_array_equal(out_op, out_chain)
+        np.testing.assert_allclose(grad_op, grad_chain, rtol=0, atol=1e-12)
+
+    def test_shape_guard(self):
+        packed = Tensor(np.zeros((2, 3, 9)), requires_grad=True)
+        with pytest.raises(ShapeError, match="tril_factor"):
+            T.tril_factor(packed, 4, 1.0, CHOL_DIAG_FLOOR)
 
 
 def _random_graph(rng):
@@ -332,3 +374,13 @@ class TestAdam:
         opt2.load_state_dict(state)
         assert opt2.t == opt.t
         np.testing.assert_array_equal(opt2.m[0], opt.m[0])
+
+    @pytest.mark.parametrize("kind", ["m", "v"])
+    def test_load_refuses_misshapen_moment(self, kind):
+        p = Tensor(np.zeros(3), requires_grad=True)
+        opt = Adam([p], lr=1e-2)
+        state = {"t": 1, "m": [np.zeros(3)], "v": [np.zeros(3)]}
+        state[kind] = [np.zeros((2, 3))]
+        with pytest.raises(ValueError, match=rf"moment {kind}\[0\] shape \(2, 3\).*\(3,\)"):
+            opt.load_state_dict(state)
+        assert opt.t == 0 and opt.m[0].shape == (3,)

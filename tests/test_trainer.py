@@ -12,9 +12,10 @@ from nppr.datasets import make_blobs, stratified_split
 from nppr.generator import build_generator
 from nppr.metrics import nppr_estimate
 from nppr.models import DependencyMode, HeadConfig, train_classifier
+from nppr.optim import Adam
 from nppr.rng import substream
 from nppr.sampling import AnnealSchedule, GumbelConfig
-from nppr.serialize import SnapshotError
+from nppr.serialize import SnapshotError, doc_to_tensors, tensors_to_doc
 from nppr.trainer import (EPOCH_CSV_COLUMNS, TrainConfig, lr_at_epoch, read_epoch_csv,
                           restore_checkpoint, save_checkpoint, temps_at_epoch,
                           train_generator, write_epoch_csv)
@@ -226,6 +227,45 @@ class TestCheckpoints:
         path = tmp_path / "ckpt_latest.json"
         self._rewrite_tensors(path, lambda t: t.pop(name))
         with pytest.raises(SnapshotError, match=rf"missing \['{name}'\], unexpected \[\]"):
+            restore_checkpoint(path, clf)
+
+    def test_restore_refuses_misshapen_adam_moment(self, instance, tmp_path):
+        # Loaded as is, these moments would turn head.mu_b into a (2, 6) array
+        # at the first Adam step of the resumed run.
+        clf, split = instance
+        train_generator(clf, split, _cfg(epochs=1), _gen(clf), out_dir=tmp_path)
+        path = tmp_path / "ckpt_latest.json"
+
+        def stack_moments(t):
+            for key in ("adam.m.head.mu_b", "adam.v.head.mu_b"):
+                arr = doc_to_tensors({key: t[key]})[key]
+                t.update(tensors_to_doc({key: np.stack([arr, arr])}))
+
+        self._rewrite_tensors(path, stack_moments)
+        with pytest.raises(SnapshotError, match=r"adam\.m\.head\.mu_b \(2, 6\) != \(6,\), "
+                                                r"adam\.v\.head\.mu_b \(2, 6\) != \(6,\)$"):
+            restore_checkpoint(path, clf)
+
+    def test_restore_refuses_full_block_factors(self, instance, tmp_path):
+        # A joint checkpoint from before the packed parametrisation stores each
+        # K=7, D=16 factor as a full 16 x 16 block: 1792 columns, not 7 * 136.
+        clf, _ = instance
+        head_cfg = HeadConfig(mode=DependencyMode.JOINT, K=7, latent_dim=16)
+        gen = build_generator(clf, head_cfg, UpsamplerConfig(mode="linear_vector"), seed=0)
+        path = tmp_path / "ckpt_latest.json"
+        save_checkpoint(gen, path, opt=Adam(gen.params()))
+        rows, cols = np.tril_indices(16)
+
+        def unpack(t):
+            for key in [k for k in t if k.endswith(("head.chol_w", "head.chol_b"))]:
+                packed = doc_to_tensors({key: t[key]})[key]
+                lead = packed.shape[:-1]
+                full = np.zeros((*lead, 7, 16, 16))
+                full[..., rows, cols] = packed.reshape(*lead, 7, 136)
+                t.update(tensors_to_doc({key: full.reshape(*lead, 1792)}))
+
+        self._rewrite_tensors(path, unpack)
+        with pytest.raises(SnapshotError, match=r"head\.chol_w \(64, 1792\) != \(64, 952\)"):
             restore_checkpoint(path, clf)
 
     def test_resume_replays_uninterrupted_run(self, instance, tmp_path, monkeypatch):
