@@ -2,8 +2,8 @@
 
 Trains a Gaussian-mixture perturbation generator against a frozen classifier
 to produce conservative probabilistic-robustness estimates, alongside fixed
--distribution baselines, adversarial attacks, and brute-force oracles that
-certify the metric orderings at desk scale.
+-distribution baselines, adversarial attacks, a quadrature oracle for
+desk-scale instances, and checks of the metric orderings.
 """
 
 from .config import ExperimentConfig, parse_config
@@ -12,7 +12,7 @@ from .metrics import (RobustnessReport, ar_cw, ar_pgd, entropy_ratio, margin_los
                       nppr_estimate, pr_estimate)
 from .models import (Classifier, DependencyMode, GmmHead, GmmParams, HeadConfig,
                      Temperatures, train_classifier)
-from .oracle import GridSpec, oracle_ar, oracle_pr, verify_propositions
+from .oracle import GridSpec, oracle_pr, verify_propositions
 from .sampling import (AnnealSchedule, GumbelConfig, PerturbationBatch, anneal_value,
                        gumbel_softmax_sample, sample_exact, sample_perturbations)
 from .tensor import Tensor
@@ -28,7 +28,7 @@ __all__ = [
     "Temperatures", "Tensor", "TrainConfig", "UpsamplerConfig", "anneal_value",
     "apply_budget", "ar_cw", "ar_pgd", "bicubic_kernel", "build_generator",
     "entropy_ratio", "gumbel_softmax_sample", "margin_loss",
-    "nppr_estimate", "oracle_ar", "oracle_pr", "parse_config", "pr_estimate",
+    "nppr_estimate", "oracle_pr", "parse_config", "pr_estimate",
     "sample_exact", "sample_perturbations", "train_classifier", "train_generator",
     "verify_propositions",
 ]

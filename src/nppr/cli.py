@@ -109,7 +109,7 @@ def cmd_sweep(args) -> int:
                     cfg,
                     head=replace(cfg.head, mode=dep, K=k),
                     upsampler=replace(cfg.upsampler, gamma=float(eps)),
-                    train=replace(cfg.train, mode=dep, seed=cfg.train.seed + run_index),
+                    train=replace(cfg.train, seed=cfg.train.seed + run_index),
                     epsilon=eps,
                     seed=cfg.seed + run_index,
                     sweep=cfg.sweep,

@@ -9,9 +9,9 @@ one.
 Each document section is read into its dataclass, which gives every key's
 type and default. The section tables in `_CHECKS` are where a field's check
 lives. What does not map one key to one field is spelled out in
-`parse_config` and `serialize_config`: `dependency` and `budget.epsilon`
-(each sets two fields), the derived `dataset.dim`, and the cross-field
-upsampler checks.
+`parse_config` and `serialize_config`: `dependency` (the head's mode, kept
+outside `gmm`), `budget.epsilon` (the exact budget and the upsampler's
+gamma), the derived `dataset.dim`, and the cross-field upsampler checks.
 """
 
 from __future__ import annotations
@@ -299,7 +299,6 @@ def parse_config(text: str | dict, strict: bool = True) -> ExperimentConfig:
         dataset.dim = 2
     classifier = _read(root.section("classifier"), ClassifierSpec)
 
-    # `dependency` sets both the head's and the training mode.
     dependency = DependencyMode(root.get("dependency", "joint", str, _one_of(_DEPENDENCIES)))
     head = _read(root.section("gmm"), HeadConfig, mode=dependency)
 
@@ -328,7 +327,7 @@ def parse_config(text: str | dict, strict: bool = True) -> ExperimentConfig:
         raise ConfigError(
             f"gmm.latent_dim: 'none' upsampler needs latent_dim == input dim ({dataset.dim})")
 
-    train = _read(root.section("train"), TrainConfig, mode=dependency)
+    train = _read(root.section("train"), TrainConfig)
     baselines = _read(root.section("baselines"), BaselineSpec)
     sweep = _read(root.section("sweep"), SweepSpec)
     return _read(root, ExperimentConfig, dataset=dataset, classifier=classifier, head=head,
@@ -342,7 +341,7 @@ def serialize_config(cfg: ExperimentConfig) -> dict:
     head = doc.pop("head")
     doc["dependency"] = head.pop("mode")
     doc["gmm"] = {_KEY.get(k, k): v for k, v in head.items()}
-    del doc["train"]["mode"], doc["upsampler"]["gamma"]
+    del doc["upsampler"]["gamma"]
     doc["budget"] = {"epsilon": doc.pop("epsilon")}
     for section, key in ((doc["classifier"], "batch_size"), (doc, "output_dir")):
         if section[key] is None:

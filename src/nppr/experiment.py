@@ -7,7 +7,9 @@ Artifacts per run directory:
   verdict.json      metric-ordering checks for this run's report
   manifest.json     stages completed / failure point
   ckpt_latest.json / ckpt_best.json
-                    generator checkpoints: JSON, tensors as base64 float64 (format v2)
+                    generator checkpoints (format v2, tensors as base64 float64):
+                    the generator's tensors and Adam moments, its head and
+                    upsampler configs, the TrainConfig and the loop state
   samples_latent.csv / samples_input.csv (optional)
 """
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-
 import numpy as np
 
 from . import tensor as T
@@ -21,26 +19,28 @@ class Generator:
     classifier, so they act as constants for the generator's graph.
     """
 
-    def __init__(self, head: GmmHead, upsampler: Upsampler, clf: Classifier, gamma: float):
-        if gamma <= 0:
-            raise ValueError("generator: gamma must be > 0")
+    def __init__(self, head: GmmHead, upsampler: Upsampler, clf: Classifier):
         if head.cfg.latent_dim != upsampler.latent_dim:
             raise ValueError(
                 f"generator: head latent_dim {head.cfg.latent_dim} != upsampler {upsampler.latent_dim}")
         self.head = head
         self.upsampler = upsampler
         self.clf = clf
-        self.gamma = float(gamma)
+        self.gamma = float(upsampler.cfg.gamma)
 
     @property
     def mode(self) -> DependencyMode:
         return self.head.cfg.mode
 
     def params(self) -> list[Tensor]:
-        return [*self.head.params(), *self.upsampler.params()]
+        return list(self.named_params().values())
 
     def named_params(self) -> dict[str, Tensor]:
         return {**self.head.named_params(), **self.upsampler.named_params()}
+
+    def tensors(self) -> dict[str, Tensor]:
+        """Every tensor of the generator's state, trainable or frozen."""
+        return {**self.head.named_params(), **self.upsampler.tensors()}
 
     def gmm_params(self, x: np.ndarray, y: np.ndarray | None,
                    temps: Temperatures | None = None) -> GmmParams:
@@ -75,18 +75,10 @@ class Generator:
         """Evaluation path: exact categorical draws, no relaxation bias."""
         return self._to_images(sample_exact(params, M, rng))
 
-    def exact_images(self, params: GmmParams, M: int, rng: np.random.Generator,
-                     rows: int) -> Iterator[tuple[int, np.ndarray]]:
-        """perturb_exact's images, flattened to (input, draw) rows and yielded as
-        (first row, images) pieces of at most `rows` rows.
-
-        Every draw is made before the first piece, so the values equal
-        perturb_exact's; only the input-space arrays are held a piece at a time.
-        """
+    def exact_draws(self, params: GmmParams, M: int, rng: np.random.Generator) -> np.ndarray:
+        """perturb_exact's latent draws as (input, draw) rows, before the upsampler."""
         latent = sample_exact(params, M, rng).latent.data
-        flat = latent.reshape(-1, latent.shape[2])
-        for lo in range(0, flat.shape[0], rows):
-            yield lo, self.images(T.constant(flat[lo:lo + rows])).data
+        return latent.reshape(-1, latent.shape[2])
 
 
 def build_generator(clf: Classifier, head_cfg: HeadConfig, ups_cfg: UpsamplerConfig,
@@ -105,4 +97,4 @@ def build_generator(clf: Classifier, head_cfg: HeadConfig, ups_cfg: UpsamplerCon
                           input_dim=clf.cfg.input_dim,
                           image_shape=clf.cfg.image_shape,
                           rng=substream(seed, GENERATOR_INIT, 1))
-    return Generator(head, upsampler, clf, gamma=ups_cfg.gamma)
+    return Generator(head, upsampler, clf)

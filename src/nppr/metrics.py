@@ -16,7 +16,7 @@ import numpy as np
 
 from . import tensor as T
 from .generator import Generator
-from .models import Classifier, Temperatures
+from .models import Classifier, Temperatures, cross_entropy
 from .rng import ATTACK, substream
 from .tensor import Tensor
 
@@ -69,20 +69,20 @@ def mc_half_width(p: float, draws: int) -> float:
     return 3.0 * float(np.sqrt(p * (1.0 - p) / max(draws, 1)))
 
 
-def _hits(clf: Classifier, xb: np.ndarray, yb: np.ndarray, M: int, lo: int,
-          delta: np.ndarray) -> int:
-    """Correct predictions on the (input, draw) rows lo, lo+1, ... of a block,
-    perturbed by `delta`; row r belongs to input r // M."""
-    owner = np.arange(lo, lo + len(delta)) // M
-    return int(np.sum(clf.predict(xb[owner] + delta) == yb[owner]))
-
-
-def _correct_fraction(clf: Classifier, points: np.ndarray, labels: np.ndarray) -> float:
+def _hits(clf: Classifier, xb: np.ndarray, yb: np.ndarray, draws: np.ndarray,
+          to_input=None) -> int:
+    """Correct predictions on the (input, draw) rows of a block, classified
+    _ROWS rows at a time: row r perturbs input r // M by draws[r], mapped to
+    input space by `to_input` (a Tensor -> Tensor map) when it is given."""
+    M = len(draws) // len(xb)
     hits = 0
-    for start in range(0, points.shape[0], _CHUNK):
-        stop = start + _CHUNK
-        hits += int(np.sum(clf.predict(points[start:stop]) == labels[start:stop]))
-    return hits / points.shape[0]
+    for lo in range(0, len(draws), _ROWS):
+        delta = draws[lo:lo + _ROWS]
+        if to_input is not None:
+            delta = to_input(T.constant(delta)).data
+        owner = np.arange(lo, lo + len(delta)) // M
+        hits += int(np.sum(clf.predict(xb[owner] + delta) == yb[owner]))
+    return hits
 
 
 def nppr_estimate(clf: Classifier, generator: Generator, x: np.ndarray, y: np.ndarray,
@@ -101,8 +101,8 @@ def nppr_estimate(clf: Classifier, generator: Generator, x: np.ndarray, y: np.nd
     for start in range(0, x.shape[0], block):
         xb, yb = x[start:start + block], y[start:start + block]
         params = generator.gmm_params(xb, yb, temps=temps)
-        for lo, images in generator.exact_images(params, M, rng, _ROWS):
-            hits += _hits(clf, xb, yb, M, lo, images)
+        hits += _hits(clf, xb, yb, generator.exact_draws(params, M, rng),
+                      to_input=generator.images)
     return hits / (x.shape[0] * M)
 
 
@@ -131,9 +131,7 @@ def pr_estimate(clf: Classifier, x: np.ndarray, y: np.ndarray, dist: str,
     for start in range(0, x.shape[0], block):
         xb, yb = x[start:start + block], y[start:start + block]
         noise = baseline_noise(dist, (len(xb), M, x.shape[1]), gamma, rng, sigma)
-        noise = noise.reshape(-1, x.shape[1])
-        for lo in range(0, noise.shape[0], _ROWS):
-            hits += _hits(clf, xb, yb, M, lo, noise[lo:lo + _ROWS])
+        hits += _hits(clf, xb, yb, noise.reshape(-1, x.shape[1]))
     return hits / (x.shape[0] * M)
 
 
@@ -146,7 +144,7 @@ def _attack(clf: Classifier, x: np.ndarray, y: np.ndarray, gamma: float, steps: 
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if gamma == 0.0:
-        return _correct_fraction(clf, x, y)
+        return clf.accuracy(x, y)
     alpha = 2.5 * gamma / steps if step_size is None else step_size
 
     delta = rng.uniform(-gamma, gamma, size=x.shape)
@@ -154,7 +152,7 @@ def _attack(clf: Classifier, x: np.ndarray, y: np.ndarray, gamma: float, steps: 
         adv = Tensor(x + delta, requires_grad=True)
         logits = clf.logits(adv)
         if objective == "cross_entropy":
-            loss = T.scale(T.reduce_mean(T.gather_row(T.log_softmax(logits), y)), -1.0)
+            loss = cross_entropy(logits, y)
         else:  # margin: push the runner-up above the true class
             mask = np.zeros(logits.shape)
             mask[np.arange(len(y)), y] = -1e30
@@ -163,7 +161,7 @@ def _attack(clf: Classifier, x: np.ndarray, y: np.ndarray, gamma: float, steps: 
             loss = T.reduce_mean(T.softplus(gap))
         loss.backward()
         delta = np.clip(delta + alpha * np.sign(adv.grad), -gamma, gamma)
-    return _correct_fraction(clf, x + delta, y)
+    return _hits(clf, x, y, delta) / len(x)
 
 
 def ar_pgd(clf: Classifier, x: np.ndarray, y: np.ndarray, gamma: float,

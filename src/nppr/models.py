@@ -315,10 +315,6 @@ class GmmHead:
         sq = T.reduce_sum(T.mul(emb, emb), axis=1, keepdims=True)
         return T.div(emb, T.sqrt(sq))
 
-    def _assemble_chol(self, packed: Tensor, t_sigma: float) -> Tensor:
-        """packed (..., D(D+1)/2) -> lower-triangular factor with positive diagonal."""
-        return T.tril_factor(packed, self.cfg.latent_dim, t_sigma, CHOL_DIAG_FLOOR)
-
     def _trunk(self, features: Tensor, temps: Temperatures) -> Tensor:
         """relu(affine(features) / T_shared): T_shared divides the trunk's
         pre-activations, so it scales every trunk-driven output."""
@@ -358,10 +354,11 @@ class GmmHead:
 
         if trunk is None:
             means = rows(T.scale(p["head.mu0"], 1.0 / temps.T_mu))
-            chol = rows(self._assemble_chol(p["head.chol0"], temps.T_sigma))
+            chol = rows(T.tril_factor(p["head.chol0"], D, temps.T_sigma, CHOL_DIAG_FLOOR))
         else:
             mu_flat = T.affine(trunk, p["head.mu_w"], p["head.mu_b"])
             means = T.reshape(T.scale(mu_flat, 1.0 / temps.T_mu), (B, K, D))
             chol_raw = T.affine(trunk, p["head.chol_w"], p["head.chol_b"])
-            chol = self._assemble_chol(T.reshape(chol_raw, (B, K, -1)), temps.T_sigma)
+            chol = T.tril_factor(T.reshape(chol_raw, (B, K, -1)), D, temps.T_sigma,
+                                 CHOL_DIAG_FLOOR)
         return GmmParams(pi_logits, means, chol)

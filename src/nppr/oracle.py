@@ -1,9 +1,10 @@
-"""Independent brute-force verifiers for desk-scale instances.
+"""Quadrature oracle for desk-scale instances and the metric-ordering verdicts.
 
-These deliberately share nothing with the Monte-Carlo estimators beyond the
-classifier forward pass: robustness is decided by exhaustive grid search and
-probabilities by quadrature, so the learned pipeline can be checked against
-something that cannot lie about its own assumptions.
+`oracle_pr` shares nothing with the Monte-Carlo estimators beyond the
+classifier forward pass: it computes a retention probability by quadrature
+over a grid on the budget ball, so a sampled estimate can be checked against
+something that cannot lie about its own assumptions. `verify_propositions`
+checks the orderings AR <= NPPR <= PR across reports.
 """
 
 from __future__ import annotations
@@ -41,30 +42,6 @@ class GridSpec:
         return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-@dataclass
-class OracleArResult:
-    robust: bool
-    worst_point: np.ndarray | None
-
-
-def oracle_ar(clf: Classifier, x: np.ndarray, y: int, grid: GridSpec) -> OracleArResult:
-    """Exhaustive label-flip search over the grid.
-
-    Sound one way only: a reported flip is a real flip; robustness claims are
-    relative to the grid resolution. The first flipping offset in index order
-    is returned as the witness.
-    """
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    if x.shape[0] != grid.dims:
-        raise ValueError(f"oracle_ar: input dim {x.shape[0]} != grid dims {grid.dims}")
-    offsets = grid.points()
-    preds = clf.predict(x[None, :] + offsets)
-    flips = np.nonzero(preds != int(y))[0]
-    if flips.size == 0:
-        return OracleArResult(robust=True, worst_point=None)
-    return OracleArResult(robust=False, worst_point=offsets[flips[0]].copy())
-
-
 def uniform_ball_density(grid: GridSpec):
     """Constant density of the uniform law on the ball."""
     vol = (2.0 * grid.gamma) ** grid.dims
@@ -98,20 +75,6 @@ def oracle_pr(clf: Classifier, x: np.ndarray, y: int, dist, grid: GridSpec) -> f
         raise ValueError("oracle_pr: density is zero on the whole grid")
     correct = clf.predict(x[None, :] + offsets) == int(y)
     return float(np.sum(weights * correct) / total)
-
-
-def linear_flip_threshold(weights: np.ndarray, x: np.ndarray, y: int) -> tuple[float, float]:
-    """Closed-form flip test for a binary linear classifier logits = x @ W + b.
-
-    Returns (margin, attack_reach_per_gamma): a flip inside radius gamma exists
-    iff margin <= gamma * reach. `weights` is ((d, 2) W, (2,) b).
-    """
-    W, b = weights
-    logits = x @ W + b
-    other = 1 - int(y)
-    margin = float(logits[int(y)] - logits[other])
-    reach = float(np.abs(W[:, int(y)] - W[:, other]).sum())
-    return margin, reach
 
 
 @dataclass

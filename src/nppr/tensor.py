@@ -83,44 +83,6 @@ class Tensor:
         flag = ", grad" if self.requires_grad else ""
         return f"Tensor(op={self.op}, shape={self.shape}{flag})"
 
-    # Operator sugar; scalars are promoted to constant tensors.
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, 1.0 / float(other))
-        return div(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-
-def _as_tensor(value) -> Tensor:
-    if isinstance(value, Tensor):
-        return value
-    return Tensor(value)
-
 
 def constant(data) -> Tensor:
     """A tensor that never receives gradients."""
@@ -544,16 +506,6 @@ def reshape(a: Tensor, shape: tuple) -> Tensor:
         _accumulate(a, g.reshape(a.shape))
 
     return _node(out_data, (a,), bwd, "reshape")
-
-
-def transpose(a: Tensor, axes: tuple) -> Tensor:
-    out_data = a.data.transpose(axes)
-    inverse = np.argsort(axes)
-
-    def bwd(g):
-        _accumulate(a, g.transpose(inverse))
-
-    return _node(out_data, (a,), bwd, "transpose")
 
 
 def broadcast_to(a: Tensor, shape: tuple) -> Tensor:

@@ -13,14 +13,14 @@ import numpy as np
 
 from . import tensor as T
 from .datasets import SplitDataset
-from .generator import Generator
+from .generator import Generator, build_generator
 from .metrics import margin_loss, mixture_statistics, nppr_estimate
-from .models import Classifier, DependencyMode, GmmHead, HeadConfig, Temperatures
+from .models import Classifier, DependencyMode, HeadConfig, Temperatures
 from .optim import Adam
 from .rng import GUMBEL, PROBE, SHUFFLE, substream
 from .sampling import AnnealSchedule, GumbelConfig, anneal_value, gumbel_tau
 from .serialize import SnapshotError, config_record, load_snapshot, save_snapshot
-from .upsample import Upsampler, UpsamplerConfig
+from .upsample import UpsamplerConfig
 
 log = logging.getLogger(__name__)
 
@@ -38,7 +38,6 @@ class TrainConfig:
     samples_per_input: int = 32
     batch_size: int = 128
     seed: int = 0
-    mode: DependencyMode = DependencyMode.JOINT
     gumbel: GumbelConfig = field(default_factory=GumbelConfig)
     anneal: AnnealSchedule = field(default_factory=AnnealSchedule)
     eval_every: int = 5
@@ -47,8 +46,6 @@ class TrainConfig:
     probe_samples: int = 64
 
     def __post_init__(self):
-        if isinstance(self.mode, str):
-            self.mode = DependencyMode(self.mode)
         if self.epochs < 1 or self.samples_per_input < 1 or self.lr <= 0:
             raise ValueError("train config: need epochs >= 1, M >= 1, lr > 0")
         if self.lr_schedule not in ("constant", "cosine"):
@@ -96,21 +93,22 @@ def temps_at_epoch(cfg: TrainConfig, epoch: int) -> Temperatures:
 
 
 def _snapshot_params(generator: Generator) -> dict[str, np.ndarray]:
-    named = {name: p.data.copy() for name, p in generator.named_params().items()}
-    named.update({k: v.copy() for k, v in generator.upsampler.frozen_state().items()})
-    return named
+    return {name: t.data.copy() for name, t in generator.tensors().items()}
 
 
 def _load_params(generator: Generator, named: dict[str, np.ndarray]) -> None:
-    for name, p in generator.named_params().items():
-        p.data = np.asarray(named[name], dtype=np.float64).copy()
-    generator.upsampler.load_frozen_state(named)
+    for name, t in generator.tensors().items():
+        t.data = np.asarray(named[name], dtype=np.float64).copy()
 
 
 def save_checkpoint(generator: Generator, path, *, opt: Adam | None = None,
                     train_cfg: TrainConfig | None = None, epoch_next: int = 0,
                     best_nppr: float | None = None, initial_loss: float | None = None,
                     high_loss_streak: int = 0) -> None:
+    """Write the generator's tensors, their Adam moments when `opt` is given,
+    and in `extra` the head and upsampler configs and the loop state. The
+    mode, the budget and the shapes follow from the configs and the
+    classifier, so they are not written."""
     named = _snapshot_params(generator)
     if opt is not None:
         for name, m, v in zip(generator.named_params(), opt.m, opt.v):
@@ -118,8 +116,6 @@ def save_checkpoint(generator: Generator, path, *, opt: Adam | None = None,
             named[f"adam.v.{name}"] = v.copy()
     extra = {
         "kind": "generator-checkpoint",
-        "mode": generator.mode.value,
-        "gamma": generator.gamma,
         "train_cfg": config_record(train_cfg) if train_cfg is not None else None,
         "epoch_next": int(epoch_next),
         "adam_t": int(opt.t) if opt is not None else None,
@@ -128,10 +124,6 @@ def save_checkpoint(generator: Generator, path, *, opt: Adam | None = None,
         "high_loss_streak": int(high_loss_streak),
         "head_cfg": config_record(generator.head.cfg),
         "ups_cfg": config_record(generator.upsampler.cfg),
-        "input_dim": generator.upsampler.input_dim,
-        "image_shape": list(generator.upsampler.image_shape) if generator.upsampler.image_shape else None,
-        "feature_dim": generator.head.feature_dim,
-        "num_classes": generator.head.num_classes,
     }
     save_snapshot(path, named, extra=extra)
 
@@ -140,32 +132,26 @@ def restore_checkpoint(path, clf: Classifier,
                        expected_mode: DependencyMode | None = None) -> tuple[Generator, dict]:
     """Rebuild a generator (and optimizer state) from a checkpoint file.
 
-    The stored tensors must be exactly the generator's parameters, its
-    upsampler's frozen state and, when `adam_t` is set, the Adam moments of
-    every parameter, each in the shape the generator gives it. Otherwise
+    The generator is built by `build_generator` from the stored head and
+    upsampler configs and `clf`. The stored tensors must be exactly its
+    `tensors()` and, when `adam_t` is set, the Adam moments of every
+    parameter, each in the shape the generator gives it. Otherwise
     SnapshotError names the missing and the unexpected tensors, or every
-    tensor whose shape differs together with both shapes; nothing is loaded
-    before these checks pass.
+    tensor whose shape differs together with both shapes, as when `clf` has
+    another input or feature width than the classifier the checkpoint was
+    trained against; nothing is loaded before these checks pass. Keys of
+    `extra` that this reader does not use are ignored.
     """
     named, extra = load_snapshot(path)
     if extra.get("kind") != "generator-checkpoint":
         raise SnapshotError(f"{path}: not a generator checkpoint")
-    mode = DependencyMode(extra["mode"])
-    if expected_mode is not None and mode != DependencyMode(expected_mode):
-        raise SnapshotError(
-            f"{path}: checkpoint mode '{mode.value}' does not match expected "
-            f"'{DependencyMode(expected_mode).value}'")
     head_cfg = HeadConfig(**extra["head_cfg"])
-    ups_cfg = UpsamplerConfig(**extra["ups_cfg"])
-    head = GmmHead(head_cfg, feature_dim=extra.get("feature_dim"),
-                   num_classes=extra.get("num_classes"), seed=0)
-    upsampler = Upsampler(ups_cfg, latent_dim=head_cfg.latent_dim,
-                          input_dim=extra["input_dim"],
-                          image_shape=tuple(extra["image_shape"]) if extra.get("image_shape") else None,
-                          rng=substream(0, 0))
-    generator = Generator(head, upsampler, clf, gamma=extra["gamma"])
-    expected = {n: p.data.shape for n, p in generator.named_params().items()}
-    expected |= {n: v.shape for n, v in generator.upsampler.frozen_state().items()}
+    if expected_mode is not None and head_cfg.mode != DependencyMode(expected_mode):
+        raise SnapshotError(
+            f"{path}: checkpoint mode '{head_cfg.mode.value}' does not match expected "
+            f"'{DependencyMode(expected_mode).value}'")
+    generator = build_generator(clf, head_cfg, UpsamplerConfig(**extra["ups_cfg"]))
+    expected = {n: t.data.shape for n, t in generator.tensors().items()}
     if extra["adam_t"] is not None:
         expected |= {f"adam.{k}.{n}": p.data.shape
                      for k in "mv" for n, p in generator.named_params().items()}

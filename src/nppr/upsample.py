@@ -113,7 +113,6 @@ class Upsampler:
         self.latent_dim = int(latent_dim)
         self.input_dim = int(input_dim)
         self.image_shape = tuple(image_shape) if image_shape else None
-        self._params: list[Tensor] = []
 
         if cfg.mode == MODE_NONE:
             if self.latent_dim != self.input_dim:
@@ -125,8 +124,6 @@ class Upsampler:
             w = rng.normal(0.0, 1.0 / np.sqrt(self.latent_dim), size=(self.latent_dim, self.input_dim))
             self.weight = Tensor(w, requires_grad=cfg.learnable_premap)
             self.bias = Tensor(np.zeros(self.input_dim), requires_grad=cfg.learnable_premap)
-            if cfg.learnable_premap:
-                self._params = [self.weight, self.bias]
         else:
             c, hl, wl = (int(v) for v in cfg.latent_grid)
             if c * hl * wl != self.latent_dim:
@@ -141,31 +138,21 @@ class Upsampler:
             w = rng.normal(0.0, 1.0 / np.sqrt(self.latent_dim), size=(self.latent_dim, self.latent_dim))
             self.weight = Tensor(w, requires_grad=cfg.learnable_premap)
             self.bias = Tensor(np.zeros(self.latent_dim), requires_grad=cfg.learnable_premap)
-            if cfg.learnable_premap:
-                self._params = [self.weight, self.bias]
             self._wh = T.constant(bicubic_weight_matrix(hi, hl))
             self._ww_t = T.constant(bicubic_weight_matrix(wi, wl).T)
             self._grid = (c, hl, wl)
 
     def params(self) -> list[Tensor]:
-        return list(self._params)
+        return list(self.named_params().values())
 
-    def named_params(self) -> dict[str, Tensor]:
-        if self.weight is None or not self.cfg.learnable_premap:
+    def tensors(self) -> dict[str, Tensor]:
+        """The premap, trainable or not: a frozen random init must survive restore."""
+        if self.weight is None:
             return {}
         return {"upsampler.weight": self.weight, "upsampler.bias": self.bias}
 
-    def frozen_state(self) -> dict[str, np.ndarray]:
-        """Premap values to persist even when not trainable (random init must survive restore)."""
-        if self.weight is None:
-            return {}
-        return {"upsampler.weight": self.weight.data, "upsampler.bias": self.bias.data}
-
-    def load_frozen_state(self, named: dict[str, np.ndarray]) -> None:
-        if self.weight is None:
-            return
-        self.weight.data = np.asarray(named["upsampler.weight"], dtype=np.float64)
-        self.bias.data = np.asarray(named["upsampler.bias"], dtype=np.float64)
+    def named_params(self) -> dict[str, Tensor]:
+        return self.tensors() if self.cfg.learnable_premap else {}
 
     def forward(self, latent: Tensor) -> Tensor:
         """(N, latent_dim) -> (N, input_dim), pre-budget, differentiable."""

@@ -1,19 +1,20 @@
 """Margin loss values, estimator laws, attack baselines, entropy ratio."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nppr import tensor as T
 import nppr.metrics
 from nppr.datasets import make_blobs
 from nppr.generator import build_generator
 from nppr.metrics import (CLIPPED_GAUSSIAN, UNIFORM_BALL, RobustnessReport, ar_cw,
                           ar_pgd, baseline_noise, entropy_ratio, margin_loss, mc_half_width,
                           mixture_statistics, nppr_estimate, pr_estimate)
-from nppr.models import (Classifier, ClassifierConfig, DependencyMode, HeadConfig,
-                         train_classifier)
+from nppr.models import (CHOL_DIAG_FLOOR, Classifier, ClassifierConfig, DependencyMode,
+                         HeadConfig, train_classifier)
 from nppr.tensor import Tensor
 from nppr.upsample import UpsamplerConfig
 
@@ -29,21 +30,6 @@ def linear_clf(w, b=0.0):
     clf.biases[1].data = np.zeros(2)
     clf.freeze()
     return clf
-
-
-class _UniformStub:
-    """Duck-typed generator whose exact draws are Uniform(-width, width)^d."""
-
-    def __init__(self, dim, width, seed=0):
-        self.dim = dim
-        self.width = width
-
-    def gmm_params(self, x, y, temps=None):
-        return np.atleast_2d(x).shape[0]
-
-    def perturb_exact(self, batch_size, M, rng):
-        noise = rng.uniform(-self.width, self.width, size=(batch_size, M, self.dim))
-        return type("Batch", (), {"images": T.constant(noise)})()
 
 
 class TestMarginLoss:
@@ -88,24 +74,30 @@ class TestMarginLoss:
 
 
 class TestNpprEstimate:
+    """The real estimator on a sign classifier with a 1-D unit mixture: the
+    latent draw is N(0, s^2) with s = 0.5 + CHOL_DIAG_FLOOR, and the
+    perturbation is tanh of it (gamma 1, `none` upsampler)."""
+
+    @staticmethod
+    def _estimate(x, M):
+        clf = linear_clf(np.array([1.0]))
+        gen = build_generator(clf, HeadConfig(mode=DependencyMode.INDEPENDENT, K=1, latent_dim=1),
+                              UpsamplerConfig(mode="none", gamma=1.0))
+        return nppr_estimate(clf, gen, np.array([[x]]), np.array([1]), M,
+                             np.random.default_rng(0))
+
     def test_always_correct_gives_one(self):
-        clf = linear_clf(np.array([1.0]), b=0.0)
-        stub = _UniformStub(dim=1, width=0.1)
-        val = _stub_nppr(clf, stub, np.array([[5.0]]), np.array([1]), M=200)
-        assert val == 1.0
+        assert self._estimate(5.0, M=200) == 1.0
 
     def test_always_wrong_gives_zero(self):
-        clf = linear_clf(np.array([1.0]))
-        stub = _UniformStub(dim=1, width=0.1)
-        val = _stub_nppr(clf, stub, np.array([[-5.0]]), np.array([1]), M=200)
-        assert val == 0.0
+        assert self._estimate(-5.0, M=200) == 0.0
 
-    def test_threshold_uniform_three_quarters(self):
-        # sign classifier, x=0.5, y=+, eps ~ Uniform(-1,1): P(eps > -0.5) = 0.75
-        clf = linear_clf(np.array([1.0]))
-        stub = _UniformStub(dim=1, width=1.0)
-        val = _stub_nppr(clf, stub, np.array([[0.5]]), np.array([1]), M=10_000)
-        assert abs(val - 0.75) <= 0.02
+    def test_near_threshold_matches_normal_law(self):
+        # Correct iff 0.1 + tanh(z) > 0, i.e. z > -atanh(0.1).
+        M = 20_000
+        p = 0.5 * (1.0 + math.erf(math.atanh(0.1) / (0.5 + CHOL_DIAG_FLOOR) / math.sqrt(2.0)))
+        assert p == pytest.approx(0.5795, abs=1e-4)
+        assert abs(self._estimate(0.1, M) - p) <= mc_half_width(p, M)
 
     def test_empty_dataset_rejected(self):
         clf = linear_clf(np.array([1.0]))
@@ -129,15 +121,6 @@ class TestPiecewiseEvaluation:
                               seed=2)
         return clf, gen, ds.x, ds.y
 
-    def test_pieces_equal_whole_batch(self, setup):
-        _, gen, x, y = setup
-        params = gen.gmm_params(x, y)
-        whole = gen.perturb_exact(params, 5, np.random.default_rng(8)).images.data
-        pieces = list(gen.exact_images(params, 5, np.random.default_rng(8), rows=7))
-        assert [lo for lo, _ in pieces] == list(range(0, 300, 7))
-        np.testing.assert_array_equal(np.concatenate([im for _, im in pieces]),
-                                      whole.reshape(300, 3))
-
     def test_estimate_independent_of_piece_size(self, setup, monkeypatch):
         clf, gen, x, y = setup
         params = gen.gmm_params(x, y)
@@ -160,15 +143,6 @@ class TestPiecewiseEvaluation:
             monkeypatch.setattr(nppr.metrics, "_ROWS", rows)
             got = pr_estimate(clf, x, y, dist, 1.5, 5, np.random.default_rng(9))
             assert got == expected
-
-
-def _stub_nppr(clf, stub, x, y, M):
-    """nppr_estimate semantics against a duck-typed uniform generator."""
-    rng = np.random.default_rng(33)
-    batch = stub.perturb_exact(x.shape[0], M, rng)
-    perturbed = (x[:, None, :] + batch.images.data).reshape(-1, x.shape[1])
-    preds = clf.predict(perturbed).reshape(x.shape[0], M)
-    return float(np.mean(preds == y[:, None]))
 
 
 class TestPrEstimate:

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from nppr.metrics import UNIFORM_BALL, RobustnessReport, pr_estimate
-from nppr.oracle import (GridSpec, linear_flip_threshold, oracle_ar, oracle_pr,
-                         verify_propositions)
+from nppr.oracle import GridSpec, oracle_pr, verify_propositions
 
 from test_metrics import linear_clf
 
@@ -24,52 +23,6 @@ class TestGridSpec:
         assert any(np.all(p == 0.0) for p in pts)
         assert any(np.all(p == 0.2) for p in pts)
         assert any(np.all(p == -0.2) for p in pts)
-
-
-class TestOracleAr:
-    def test_sign_classifier_robust_small_ball(self):
-        clf = linear_clf(np.array([1.0]))
-        res = oracle_ar(clf, np.array([0.5]), 1, GridSpec(dims=1, points_per_dim=101, gamma=0.25))
-        assert res.robust is True
-        assert res.worst_point is None
-
-    def test_sign_classifier_flips_large_ball(self):
-        clf = linear_clf(np.array([1.0]))
-        res = oracle_ar(clf, np.array([0.5]), 1, GridSpec(dims=1, points_per_dim=101, gamma=1.0))
-        assert res.robust is False
-        assert res.worst_point[0] <= -0.5
-
-    def test_worst_point_is_first_in_index_order(self):
-        clf = linear_clf(np.array([1.0]))
-        res = oracle_ar(clf, np.array([0.1]), 1, GridSpec(dims=1, points_per_dim=11, gamma=1.0))
-        assert res.worst_point[0] == -1.0  # lexicographically first flipping offset
-
-    def test_matches_closed_form_on_random_instances(self):
-        rng = np.random.default_rng(0)
-        checked = 0
-        while checked < 100:
-            d = int(rng.integers(1, 4))
-            w = rng.normal(size=d)
-            w[np.abs(w) < 0.15] += 0.3
-            b = 0.3 * rng.normal()
-            x = rng.normal(size=d)
-            clf = linear_clf(w, b)
-            y = int(clf.predict(x[None, :])[0])
-            margin, reach = linear_flip_threshold(
-                (np.stack([np.zeros(d), w], axis=1), np.array([0.0, b])), x, y)
-            margin = abs(margin)
-            gamma = margin / reach * rng.uniform(0.4, 1.8)
-            if abs(margin - gamma * reach) < 0.02 * max(margin, 1e-6):
-                continue  # knife-edge; grid and closed form could differ by ties
-            grid = GridSpec(dims=d, points_per_dim=9, gamma=gamma)
-            res = oracle_ar(clf, x, y, grid)
-            assert res.robust == (margin > gamma * reach)
-            checked += 1
-
-    def test_dims_mismatch_rejected(self):
-        clf = linear_clf(np.array([1.0]))
-        with pytest.raises(ValueError, match="dim"):
-            oracle_ar(clf, np.array([0.5, 0.5]), 1, GridSpec(dims=1, points_per_dim=5, gamma=0.1))
 
 
 class TestOraclePr:

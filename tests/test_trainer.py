@@ -11,7 +11,8 @@ from nppr import tensor as T
 from nppr.datasets import make_blobs, stratified_split
 from nppr.generator import build_generator
 from nppr.metrics import nppr_estimate
-from nppr.models import DependencyMode, HeadConfig, train_classifier
+from nppr.models import (Classifier, ClassifierConfig, DependencyMode, HeadConfig,
+                         train_classifier)
 from nppr.optim import Adam
 from nppr.rng import substream
 from nppr.sampling import AnnealSchedule, GumbelConfig
@@ -33,7 +34,7 @@ def instance():
 
 def _cfg(**kw):
     base = dict(epochs=8, lr=1e-2, samples_per_input=8, batch_size=96, seed=0,
-                mode=DependencyMode.JOINT, probe_size=32, probe_samples=32)
+                probe_size=32, probe_samples=32)
     base.update(kw)
     return TrainConfig(**base)
 
@@ -62,7 +63,7 @@ def _train_until_killed(monkeypatch, clf, split, cfg, out, epoch_next):
     monkeypatch.setattr(nppr.trainer, "save_checkpoint", save_then_die)
     with pytest.raises(_Killed):
         train_generator(clf, split, cfg, _gen(clf), out_dir=out)
-    return restore_checkpoint(out / "ckpt_latest.json", clf, expected_mode=cfg.mode)
+    return restore_checkpoint(out / "ckpt_latest.json", clf, expected_mode=DependencyMode.JOINT)
 
 
 class TestSchedules:
@@ -350,6 +351,39 @@ class TestCheckpoints:
         with pytest.raises(ValueError, match=r"differs in lr, seed;"):
             train_generator(clf, split, _cfg(epochs=2, seed=7, lr=0.5), restored,
                             resume_state=state)
+
+    @pytest.mark.parametrize("other, named", [
+        (dict(input_dim=3, hidden=(16,)), r"upsampler\.weight \(2, 2\) != \(2, 3\)"),
+        (dict(input_dim=2, hidden=(8,)), r"head\.trunk_w \(16, 16\) != \(8, 16\)"),
+    ], ids=["input_width", "feature_width"])
+    def test_restore_refuses_other_classifier(self, instance, tmp_path, other, named):
+        # The generator is rebuilt around the classifier given to restore, so a
+        # checkpoint trained against another input or feature width is refused
+        # here instead of failing later inside evaluation.
+        clf, split = instance
+        train_generator(clf, split, _cfg(epochs=1), _gen(clf), out_dir=tmp_path)
+        wrong = Classifier(ClassifierConfig(num_classes=2, **other), seed=0)
+        with pytest.raises(SnapshotError, match=named):
+            restore_checkpoint(tmp_path / "ckpt_latest.json", wrong)
+
+    def test_restore_ignores_old_extra_keys(self, instance, tmp_path, monkeypatch):
+        # Older checkpoints also wrote the mode three times, the budget twice
+        # and four shapes the classifier gives; they restore and resume as is.
+        clf, split = instance
+        cfg = _cfg(epochs=2, eval_every=1)
+        out = tmp_path / "old"
+        restored, state = _train_until_killed(monkeypatch, clf, split, cfg, out, 1)
+        path = out / "ckpt_latest.json"
+        doc = json.loads(path.read_text())
+        doc["extra"].update(mode="joint", gamma=1.25, input_dim=2, image_shape=None,
+                            feature_dim=16, num_classes=2)
+        doc["extra"]["train_cfg"]["mode"] = "joint"
+        path.write_text(json.dumps(doc, sort_keys=True))
+        old, old_state = restore_checkpoint(path, clf, expected_mode=DependencyMode.JOINT)
+        for name, t in restored.tensors().items():
+            np.testing.assert_array_equal(old.tensors()[name].data, t.data)
+        _, records = train_generator(clf, split, cfg, old, resume_state=old_state)
+        assert [r.epoch for r in records] == [1]
 
     def test_frozen_premap_survives_restore(self, instance, tmp_path):
         clf, split = instance
