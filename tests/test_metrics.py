@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nppr import tensor as T
 import nppr.metrics
 from nppr.datasets import make_blobs
 from nppr.generator import build_generator
@@ -120,6 +121,15 @@ class TestPiecewiseEvaluation:
         gen = build_generator(clf, head, UpsamplerConfig(mode="linear_vector", gamma=1.5),
                               seed=2)
         return clf, gen, ds.x, ds.y
+
+    def test_pieces_equal_whole_batch(self, setup):
+        _, gen, x, y = setup
+        params = gen.gmm_params(x, y)
+        whole = gen.perturb_exact(params, 5, np.random.default_rng(8)).images.data
+        draws = gen.exact_draws(params, 5, np.random.default_rng(8))
+        assert draws.shape == (300, 2)
+        pieces = [gen.images(T.constant(draws[lo:lo + 7])).data for lo in range(0, 300, 7)]
+        np.testing.assert_array_equal(np.concatenate(pieces), whole.reshape(300, 3))
 
     def test_estimate_independent_of_piece_size(self, setup, monkeypatch):
         clf, gen, x, y = setup

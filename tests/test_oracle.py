@@ -25,6 +25,67 @@ class TestGridSpec:
         assert any(np.all(p == -0.2) for p in pts)
 
 
+class TestOracleAr:
+    """Adversarial robustness on the grid: `oracle_pr` over the uniform ball
+    reads exactly 1.0 when no grid offset flips the label, and below 1.0
+    otherwise."""
+
+    @staticmethod
+    def _robust(clf, x, y, grid):
+        return oracle_pr(clf, x, y, "uniform_ball", grid) == 1.0
+
+    def test_sign_classifier_robust_small_ball(self):
+        clf = linear_clf(np.array([1.0]))
+        assert self._robust(clf, np.array([0.5]), 1,
+                            GridSpec(dims=1, points_per_dim=101, gamma=0.25))
+
+    def test_sign_classifier_flips_large_ball(self):
+        clf = linear_clf(np.array([1.0]))
+        grid = GridSpec(dims=1, points_per_dim=101, gamma=1.0)
+        assert not self._robust(clf, np.array([0.5]), 1, grid)
+        # Offsets -1.00, ..., -0.50 flip the label: at -0.50 the logits tie and
+        # argmax picks class 0.
+        flips = np.sum(grid.points()[:, 0] <= -0.5 + 1e-12)
+        assert oracle_pr(clf, np.array([0.5]), 1, "uniform_ball", grid) == \
+            pytest.approx(1.0 - flips / 101)
+
+    def test_worst_point_is_first_in_index_order(self):
+        clf = linear_clf(np.array([1.0]))
+        x = np.array([0.1])
+        grid = GridSpec(dims=1, points_per_dim=11, gamma=1.0)
+        pts = grid.points()
+        flips = clf.predict(x[None, :] + pts) != 1
+        assert pts[np.argmax(flips)][0] == -1.0  # lexicographically first flipping offset
+        assert oracle_pr(clf, x, 1, "uniform_ball", grid) == pytest.approx(1.0 - flips.mean())
+
+    def test_matches_closed_form_on_random_instances(self):
+        # Logit gap u = w.x + b; the worst grid offset is a corner of the
+        # L-infinity ball, where |u| drops by gamma * ||w||_1.
+        rng = np.random.default_rng(0)
+        checked = 0
+        while checked < 100:
+            d = int(rng.integers(1, 4))
+            w = rng.normal(size=d)
+            w[np.abs(w) < 0.15] += 0.3
+            b = 0.3 * rng.normal()
+            x = rng.normal(size=d)
+            clf = linear_clf(w, b)
+            y = int(clf.predict(x[None, :])[0])
+            margin, reach = abs(float(w @ x + b)), float(np.sum(np.abs(w)))
+            gamma = margin / reach * rng.uniform(0.4, 1.8)
+            if abs(margin - gamma * reach) < 0.02 * max(margin, 1e-6):
+                continue  # knife-edge; grid and closed form could differ by ties
+            grid = GridSpec(dims=d, points_per_dim=9, gamma=gamma)
+            assert self._robust(clf, x, y, grid) == (margin > gamma * reach)
+            checked += 1
+
+    def test_dims_mismatch_rejected(self):
+        clf = linear_clf(np.array([1.0]))
+        with pytest.raises(ValueError, match="dim"):
+            oracle_pr(clf, np.array([0.5, 0.5]), 1, "uniform_ball",
+                      GridSpec(dims=1, points_per_dim=5, gamma=0.1))
+
+
 class TestOraclePr:
     def test_whole_ball_correct(self):
         clf = linear_clf(np.array([1.0]))
