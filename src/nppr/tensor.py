@@ -7,6 +7,12 @@ backward root visits nodes in a correct reverse order.
 
 All values are 64-bit floats. Ops are plain numpy calls in a fixed order, so
 forward values are bit-stable for fixed inputs.
+
+A backward computes gradients only for operands that require them: the
+product for a frozen weight or a constant input is never formed. The first
+gradient a tensor receives is stored without a copy, so a `.grad` may share
+memory with another tensor's gradient (or be a read-only broadcast view);
+nothing may write into a stored `.grad`.
 """
 
 from __future__ import annotations
@@ -93,7 +99,7 @@ def _accumulate(parent: Tensor, grad: np.ndarray) -> None:
     if not parent.requires_grad:
         return
     if parent.grad is None:
-        parent.grad = np.array(grad, dtype=np.float64, copy=True)
+        parent.grad = np.asarray(grad, dtype=np.float64)
     else:
         parent.grad = parent.grad + grad
 
@@ -164,8 +170,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data + b.data
 
     def bwd(g):
-        _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, _unbroadcast(g, b.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g, a.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g, b.shape))
 
     return _node(out_data, (a, b), bwd, "add")
 
@@ -175,8 +183,10 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data - b.data
 
     def bwd(g):
-        _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, _unbroadcast(-g, b.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g, a.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(-g, b.shape))
 
     return _node(out_data, (a, b), bwd, "sub")
 
@@ -186,8 +196,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data * b.data
 
     def bwd(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g * b.data, a.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g * a.data, b.shape))
 
     return _node(out_data, (a, b), bwd, "mul")
 
@@ -197,8 +209,10 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data / b.data
 
     def bwd(g):
-        _accumulate(a, _unbroadcast(g / b.data, a.shape))
-        _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g / b.data, a.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
 
     return _node(out_data, (a, b), bwd, "div")
 
@@ -230,10 +244,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data @ b.data
 
     def bwd(g):
-        ga = g @ np.swapaxes(b.data, -1, -2)
-        gb = np.swapaxes(a.data, -1, -2) @ g
-        _accumulate(a, _unbroadcast(ga, a.shape))
-        _accumulate(b, _unbroadcast(gb, b.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
 
     return _node(out_data, (a, b), bwd, "matmul")
 
@@ -248,9 +262,12 @@ def affine(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     out_data = x.data @ weight.data + bias.data
 
     def bwd(g):
-        _accumulate(x, g @ weight.data.T)
-        _accumulate(weight, x.data.T @ g)
-        _accumulate(bias, g.sum(axis=0))
+        if x.requires_grad:
+            _accumulate(x, g @ weight.data.T)
+        if weight.requires_grad:
+            _accumulate(weight, x.data.T @ g)
+        if bias.requires_grad:
+            _accumulate(bias, g.sum(axis=0))
 
     return _node(out_data, (x, weight, bias), bwd, "affine")
 
@@ -419,7 +436,7 @@ def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
     def bwd(g):
         if axis_n is None:
-            _accumulate(a, np.broadcast_to(g, a.shape).copy() if np.ndim(g) else np.full(a.shape, g))
+            _accumulate(a, np.broadcast_to(g, a.shape) if np.ndim(g) else np.full(a.shape, g))
             return
         if not keepdims:
             g = np.expand_dims(g, axis_n)

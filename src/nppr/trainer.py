@@ -139,8 +139,11 @@ def restore_checkpoint(path, clf: Classifier,
     SnapshotError names the missing and the unexpected tensors, or every
     tensor whose shape differs together with both shapes, as when `clf` has
     another input or feature width than the classifier the checkpoint was
-    trained against; nothing is loaded before these checks pass. Keys of
-    `extra` that this reader does not use are ignored.
+    trained against; nothing is loaded before these checks pass. A stored
+    upsampler that cannot be built for `clf` at all (a `none` upsampler of
+    another width, a bicubic grid that does not fit its image) is refused
+    with SnapshotError too, naming the path and the builder's message. Keys
+    of `extra` that this reader does not use are ignored.
     """
     named, extra = load_snapshot(path)
     if extra.get("kind") != "generator-checkpoint":
@@ -150,7 +153,10 @@ def restore_checkpoint(path, clf: Classifier,
         raise SnapshotError(
             f"{path}: checkpoint mode '{head_cfg.mode.value}' does not match expected "
             f"'{DependencyMode(expected_mode).value}'")
-    generator = build_generator(clf, head_cfg, UpsamplerConfig(**extra["ups_cfg"]))
+    try:
+        generator = build_generator(clf, head_cfg, UpsamplerConfig(**extra["ups_cfg"]))
+    except ValueError as err:
+        raise SnapshotError(f"{path}: checkpoint does not fit the classifier: {err}") from None
     expected = {n: t.data.shape for n, t in generator.tensors().items()}
     if extra["adam_t"] is not None:
         expected |= {f"adam.{k}.{n}": p.data.shape

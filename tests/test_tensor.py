@@ -1,5 +1,7 @@
 """Engine tests: forward examples, finite-difference gradient oracle, Adam."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -197,6 +199,79 @@ def test_per_op_finite_difference(name, seed):
     check_grads(build, leaves, tol=1e-5)
 
 
+# Multi-operand ops whose backward guards each operand by requires_grad.
+GUARDED_CASES = ["add", "add_broadcast", "sub", "mul", "div", "matmul", "matmul_batched",
+                 "matmul_bcast_batch", "affine"]
+FROZEN_SUBSETS = [(name, frozen) for name in GUARDED_CASES
+                  for n in [3 if name == "affine" else 2]
+                  for r in range(1, n) for frozen in itertools.combinations(range(n), r)]
+
+
+@pytest.mark.parametrize("name, frozen", FROZEN_SUBSETS,
+                         ids=[f"{n}-frozen{''.join(map(str, f))}" for n, f in FROZEN_SUBSETS])
+def test_frozen_operands_leave_other_grads_unchanged(name, frozen):
+    build, leaves = PER_OP_CASES[name](_rng(11))
+
+    def grads(frozen):
+        ts = [Tensor(leaf, requires_grad=i not in frozen) for i, leaf in enumerate(leaves)]
+        build(ts).backward()
+        return [t.grad for t in ts]
+
+    full = grads(())
+    for i, g in enumerate(grads(frozen)):
+        if i in frozen:
+            assert g is None
+        else:
+            np.testing.assert_array_equal(g, full[i])
+
+
+def _log_matmuls(t: Tensor) -> list:
+    """Swap t.data for a view that logs every matmul reading it; return the log."""
+    calls = []
+
+    class Logged(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.matmul:
+                calls.append(method)
+            inputs = tuple(x.view(np.ndarray) if isinstance(x, Logged) else x for x in inputs)
+            return getattr(ufunc, method)(*inputs, **kwargs)
+
+    t.data = t.data.view(Logged)
+    return calls
+
+
+@pytest.mark.parametrize("op", ["affine", "matmul"])
+@pytest.mark.parametrize("frozen", [0, 1])
+def test_frozen_operand_product_is_skipped(op, frozen):
+    # The frozen operand's gradient is the only backward product that reads
+    # the other operand's data, so that data must see no matmul in backward.
+    r = _rng(5)
+    ts = [Tensor(r.normal(size=(5, 4))), Tensor(r.normal(size=(4, 3))), Tensor(r.normal(size=3))]
+    for i, t in enumerate(ts):
+        t.requires_grad = i != frozen
+    calls = _log_matmuls(ts[1 - frozen])
+    out = T.affine(*ts) if op == "affine" else T.matmul(ts[0], ts[1])
+    root = T.reduce_sum(out)
+    assert calls == ["__call__"]  # the forward product
+    calls.clear()
+    root.backward()
+    assert calls == []
+    assert ts[frozen].grad is None and ts[1 - frozen].grad is not None
+
+
+def test_shared_first_gradient_stays_its_own():
+    # add hands a and b views of one array; the later second use of a must
+    # make a new array for a.grad instead of writing into the shared one.
+    a = Tensor(np.array([1.0, -2.0, 0.5]), requires_grad=True)
+    b = Tensor(np.array([0.3, 0.4, -1.0]), requires_grad=True)
+    c, d = np.array([2.0, 3.0, 5.0]), np.array([-1.0, 7.0, 0.25])
+    y = T.add(a, b)
+    T.reduce_sum(T.add(T.mul(y, Tensor(d)), T.mul(a, Tensor(c)))).backward()
+    assert np.shares_memory(b.grad, y.grad)
+    np.testing.assert_array_equal(b.grad, d)
+    np.testing.assert_array_equal(a.grad, d + c)
+
+
 class TestCholApply:
     @staticmethod
     def _matmul_chain(chol, xi):
@@ -372,6 +447,26 @@ class TestAdam:
         opt2.load_state_dict(state)
         assert opt2.t == opt.t
         np.testing.assert_array_equal(opt2.m[0], opt.m[0])
+
+    def test_step_on_read_only_broadcast_grad(self):
+        # reduce_sum's backward stores a read-only broadcast view as the leaf's
+        # grad; Adam must read it exactly as it reads an owned copy.
+        def leaf():
+            return Tensor(np.array([[1.0, -2.0, 0.5], [0.25, 3.0, -1.5]]), requires_grad=True)
+
+        viewed, copied = leaf(), leaf()
+        opt_viewed, opt_copied = Adam([viewed], lr=1e-2), Adam([copied], lr=1e-2)
+        weights = Tensor(np.array([0.7, -1.3]))
+        for _ in range(3):
+            opt_viewed.zero_grad()
+            T.reduce_sum(T.mul(T.reduce_sum(viewed, axis=1), weights)).backward()
+            assert not viewed.grad.flags.writeable
+            copied.grad = viewed.grad.copy()
+            opt_viewed.step()
+            opt_copied.step()
+        np.testing.assert_array_equal(viewed.data, copied.data)
+        np.testing.assert_array_equal(opt_viewed.m[0], opt_copied.m[0])
+        np.testing.assert_array_equal(opt_viewed.v[0], opt_copied.v[0])
 
     @pytest.mark.parametrize("kind", ["m", "v"])
     def test_load_refuses_misshapen_moment(self, kind):

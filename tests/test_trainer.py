@@ -352,19 +352,39 @@ class TestCheckpoints:
             train_generator(clf, split, _cfg(epochs=2, seed=7, lr=0.5), restored,
                             resume_state=state)
 
-    @pytest.mark.parametrize("other, named", [
-        (dict(input_dim=3, hidden=(16,)), r"upsampler\.weight \(2, 2\) != \(2, 3\)"),
-        (dict(input_dim=2, hidden=(8,)), r"head\.trunk_w \(16, 16\) != \(8, 16\)"),
-    ], ids=["input_width", "feature_width"])
-    def test_restore_refuses_other_classifier(self, instance, tmp_path, other, named):
+    @pytest.mark.parametrize("ups_mode, other, named", [
+        ("linear_vector", dict(input_dim=3, hidden=(16,)),
+         r"upsampler\.weight \(2, 2\) != \(2, 3\)"),
+        ("linear_vector", dict(input_dim=2, hidden=(8,)),
+         r"head\.trunk_w \(16, 16\) != \(8, 16\)"),
+        ("none", dict(input_dim=3, hidden=(16,)),
+         r"ckpt_latest\.json: .*upsampler 'none' needs latent_dim == input_dim, got 2 vs 3"),
+    ], ids=["input_width", "feature_width", "none_upsampler"])
+    def test_restore_refuses_other_classifier(self, instance, tmp_path, ups_mode, other, named):
         # The generator is rebuilt around the classifier given to restore, so a
         # checkpoint trained against another input or feature width is refused
         # here instead of failing later inside evaluation.
         clf, split = instance
-        train_generator(clf, split, _cfg(epochs=1), _gen(clf), out_dir=tmp_path)
+        train_generator(clf, split, _cfg(epochs=1), _gen(clf, ups_mode=ups_mode),
+                        out_dir=tmp_path)
         wrong = Classifier(ClassifierConfig(num_classes=2, **other), seed=0)
         with pytest.raises(SnapshotError, match=named):
             restore_checkpoint(tmp_path / "ckpt_latest.json", wrong)
+
+    def test_restore_refuses_unfitting_bicubic_grid(self, tmp_path):
+        # A 3x3 latent grid fits a 4x4 image but cannot be upsampled to 2x2.
+        def image_clf(side):
+            return Classifier(ClassifierConfig(input_dim=side * side, num_classes=2, hidden=(8,),
+                                               image_shape=(1, side, side)), seed=0)
+
+        head_cfg = HeadConfig(mode=DependencyMode.JOINT, K=2, latent_dim=9, hidden_dim=8,
+                              label_emb_dim=4)
+        ups_cfg = UpsamplerConfig(mode="bicubic_image", latent_grid=(1, 3, 3), gamma=0.5)
+        path = tmp_path / "bicubic.json"
+        save_checkpoint(build_generator(image_clf(4), head_cfg, ups_cfg), path)
+        with pytest.raises(SnapshotError, match=r"bicubic\.json: .*latent grid \(1, 3, 3\) "
+                                                r"incompatible with input grid \(1, 2, 2\)"):
+            restore_checkpoint(path, image_clf(2))
 
     def test_restore_ignores_old_extra_keys(self, instance, tmp_path, monkeypatch):
         # Older checkpoints also wrote the mode three times, the budget twice
