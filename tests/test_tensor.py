@@ -202,9 +202,14 @@ def test_per_op_finite_difference(name, seed):
 # Multi-operand ops whose backward guards each operand by requires_grad.
 GUARDED_CASES = ["add", "add_broadcast", "sub", "mul", "div", "matmul", "matmul_batched",
                  "matmul_bcast_batch", "affine"]
+
+
+def _proper_subsets(n):
+    return [s for r in range(1, n) for s in itertools.combinations(range(n), r)]
+
+
 FROZEN_SUBSETS = [(name, frozen) for name in GUARDED_CASES
-                  for n in [3 if name == "affine" else 2]
-                  for r in range(1, n) for frozen in itertools.combinations(range(n), r)]
+                  for frozen in _proper_subsets(3 if name == "affine" else 2)]
 
 
 @pytest.mark.parametrize("name, frozen", FROZEN_SUBSETS,
@@ -246,9 +251,8 @@ def test_frozen_operand_product_is_skipped(op, frozen):
     # The frozen operand's gradient is the only backward product that reads
     # the other operand's data, so that data must see no matmul in backward.
     r = _rng(5)
-    ts = [Tensor(r.normal(size=(5, 4))), Tensor(r.normal(size=(4, 3))), Tensor(r.normal(size=3))]
-    for i, t in enumerate(ts):
-        t.requires_grad = i != frozen
+    ts = [Tensor(r.normal(size=shape), requires_grad=i != frozen)
+          for i, shape in enumerate([(5, 4), (4, 3), (3,)])]
     calls = _log_matmuls(ts[1 - frozen])
     out = T.affine(*ts) if op == "affine" else T.matmul(ts[0], ts[1])
     root = T.reduce_sum(out)
