@@ -126,6 +126,8 @@ def pr_estimate(clf: Classifier, x: np.ndarray, y: np.ndarray, dist: str,
     y = np.asarray(y, dtype=np.int64)
     if x.shape[0] == 0:
         raise ValueError("pr_estimate: empty dataset")
+    if M < 1:
+        raise ValueError("pr_estimate: M must be >= 1")
     block = max(1, _CHUNK // M)
     hits = 0
     for start in range(0, x.shape[0], block):

@@ -240,6 +240,13 @@ class GmmParams:
         e = np.exp(z)
         return e / e.sum(axis=1, keepdims=True)
 
+    def non_finite(self) -> str | None:
+        """Name of the first field holding a NaN or an infinity, else None."""
+        for name in ("pi_logits", "means", "chol"):
+            if not np.all(np.isfinite(getattr(self, name).data)):
+                return name
+        return None
+
 
 def _zero_linear(in_dim: int, out_dim: int, bias_init: np.ndarray | None = None):
     w = Tensor(np.zeros((in_dim, out_dim)), requires_grad=True)

@@ -16,8 +16,9 @@ from .models import GmmParams
 from .tensor import Tensor
 
 GUMBEL_FLOOR = 1e-12
-# Draws per gathered block of mixture factors in sample_exact.
-_GATHER_ROWS = 1 << 12
+# Draw rows per stacked product in sample_exact: inputs are taken
+# max(1, _STACKED_ROWS // M) at a time.
+_STACKED_ROWS = 1 << 12
 
 
 @dataclass
@@ -152,24 +153,34 @@ def categorical_exact(pi: np.ndarray, rng: np.random.Generator, size: tuple) -> 
 
 
 def sample_exact(params: GmmParams, M: int, rng: np.random.Generator) -> PerturbationBatch:
-    """Exact (non-relaxed) draws used by every evaluation-time estimator."""
+    """Exact (non-relaxed) draws used by every evaluation-time estimator.
+
+    latent = mu_z + L_z xi for the drawn component z. L_z xi comes from one
+    matrix product per input: its (M, D) noise against all K of its factors
+    stacked side by side, a (D, K*D) matrix; each draw then keeps the D columns
+    of its own component. Inputs are taken max(1, _STACKED_ROWS // M) at a
+    time, so a product's temporary is at most max(M, _STACKED_ROWS) rows of
+    K*D floats.
+    """
     if M < 1:
         raise ValueError("sample_exact: M must be >= 1")
+    bad = params.non_finite()
+    if bad is not None:
+        raise ValueError(f"sample_exact: {bad} must be finite")
     B, K, D = params.batch, params.K, params.latent_dim
     pi = params.pi()
     z = categorical_exact(pi, rng, (M,))                          # (B, M)
     xi = rng.standard_normal((B, M, D))
 
-    means = params.means.data                                     # (B, K, D)
-    chol = params.chol.data                                       # (B, K, D, D)
-    rows = np.arange(B)[:, None]
-    latent = means[rows, z]                                       # (B, M, D)
-    # The drawn factors chol[b, z[b, m]] are gathered a few inputs at a time:
-    # all at once they are (B, M, D, D), 128 MiB for 64 inputs x 1024 draws.
-    step = max(1, _GATHER_ROWS // M)
+    latent = params.means.data[np.arange(B)[:, None], z]          # (B, M, D)
+    # Column k*D + d of stacked[b] is row d of L_k, so (xi @ stacked[b])
+    # holds L_k xi for every k side by side.
+    stacked = np.swapaxes(params.chol.data.reshape(B, K * D, D), 1, 2)  # (B, D, K*D)
+    step = max(1, _STACKED_ROWS // M)
     for lo in range(0, B, step):
         part = slice(lo, lo + step)
-        latent[part] += np.einsum("bmde,bme->bmd", chol[rows[part], z[part]], xi[part])
+        every = (xi[part] @ stacked[part]).reshape(-1, K, D)
+        latent[part] += every[np.arange(len(every)), z[part].ravel()].reshape(-1, M, D)
 
     onehot = np.zeros((B, M, K))
     np.put_along_axis(onehot, z[..., None], 1.0, axis=2)

@@ -206,10 +206,13 @@ def _check_resume_config(written: dict | None, cfg: TrainConfig) -> None:
 
 def _probe_metrics(generator: Generator, probe_x: np.ndarray, probe_y: np.ndarray,
                    temps: Temperatures, M: int, rng: np.random.Generator) -> dict:
-    running = nppr_estimate(generator.clf, generator, probe_x, probe_y, M, rng, temps=temps)
+    """Weight statistics and the running NPPR; a non-finite mixture has no
+    NPPR, so it reads NaN there."""
     params = generator.gmm_params(probe_x, probe_y, temps=temps)
     stats = mixture_statistics(params.pi())
-    stats["nppr_running"] = running
+    stats["nppr_running"] = (
+        nppr_estimate(generator.clf, generator, probe_x, probe_y, M, rng, temps=temps)
+        if params.non_finite() is None else float("nan"))
     return stats
 
 
@@ -321,9 +324,13 @@ def train_generator(clf: Classifier, split: SplitDataset, cfg: TrainConfig,
             epoch=epoch, train_loss=epoch_loss, **probe, tau_gumbel=tau,
             T_pi=temps.T_pi, T_mu=temps.T_mu, T_sigma=temps.T_sigma, aborted=aborted))
 
-        improved = best_nppr is None or probe["nppr_running"] < best_nppr
+        running = probe["nppr_running"]
+        if np.isnan(running):
+            events.append(f"epoch {epoch}: non-finite mixture, probe NPPR not estimated")
+            log.warning(events[-1])
+        improved = not np.isnan(running) and (best_nppr is None or running < best_nppr)
         if improved:
-            best_nppr = probe["nppr_running"]
+            best_nppr = running
         if out_dir is not None:
             loop_state = dict(opt=opt, train_cfg=cfg, epoch_next=epoch + 1,
                               best_nppr=best_nppr, initial_loss=initial_loss,

@@ -202,6 +202,12 @@ class TestPrEstimate:
             pr_estimate(clf, np.ones((1, 1)), np.ones(1, dtype=int), "laplace",
                         gamma=0.1, M=4, rng=np.random.default_rng(0))
 
+    def test_no_draws_rejected(self):
+        clf = linear_clf(np.array([1.0]))
+        with pytest.raises(ValueError, match="M must be >= 1"):
+            pr_estimate(clf, np.ones((1, 1)), np.ones(1, dtype=int), UNIFORM_BALL,
+                        gamma=0.1, M=0, rng=np.random.default_rng(0))
+
 
 def _random_linear_instance(rng, d):
     w = rng.normal(size=d)

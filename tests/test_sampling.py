@@ -218,21 +218,60 @@ class TestSampleExact:
         np.testing.assert_array_equal(a.latent.data, b.latent.data)
 
 
-    @pytest.mark.parametrize("gather_rows", [1, 7, 1 << 12])
-    def test_gathered_blocks_equal_one_gather(self, gather_rows, monkeypatch):
-        # The factors are gathered a few inputs at a time; the latent draws
-        # must equal the whole (B, M, D, D) gather bit for bit.
+    @pytest.mark.parametrize("stacked_rows", [1, 7, 1 << 12])
+    def test_gathered_blocks_equal_one_gather(self, stacked_rows, monkeypatch):
         rng = np.random.default_rng(23)
         B, K, D, M = 9, 3, 4, 5
         params = _params(rng.normal(size=(B, K)), rng.normal(size=(B, K, D)),
                          np.tril(rng.normal(size=(B, K, D, D))))
-        monkeypatch.setattr(nppr.sampling, "_GATHER_ROWS", gather_rows)
-        batch = sample_exact(params, M=M, rng=np.random.default_rng(24))
-        z = batch.relaxed_weights.data.argmax(axis=2)
-        rows = np.arange(B)[:, None]
-        whole = params.means.data[rows, z] + np.einsum(
-            "bmde,bme->bmd", params.chol.data[rows, z], batch.component_draws)
-        np.testing.assert_array_equal(batch.latent.data, whole)
+        _check_stacked_parts(params, M, stacked_rows, monkeypatch)
+
+    @pytest.mark.parametrize("stacked_rows", [1, 7, 1 << 12])
+    def test_shared_factors_stacked_parts(self, stacked_rows, monkeypatch):
+        # Independent and label heads broadcast one set of K factors to every row.
+        rng = np.random.default_rng(25)
+        B, K, D, M = 11, 4, 3, 6
+        means = np.broadcast_to(rng.normal(size=(K, D)), (B, K, D))
+        chol = np.broadcast_to(np.tril(rng.normal(size=(K, D, D))), (B, K, D, D))
+        params = _params(rng.normal(size=(B, K)), means, chol)
+        _check_stacked_parts(params, M, stacked_rows, monkeypatch)
+
+    @pytest.mark.parametrize("stacked_rows", [1, 7, 1 << 12])
+    def test_input_longer_than_a_part(self, stacked_rows, monkeypatch):
+        # M exceeds every part size, so each part holds one input of M rows.
+        rng = np.random.default_rng(26)
+        B, K, D, M = 3, 2, 3, (1 << 12) + 3
+        params = _params(rng.normal(size=(B, K)), rng.normal(size=(B, K, D)),
+                         np.tril(rng.normal(size=(B, K, D, D))))
+        _check_stacked_parts(params, M, stacked_rows, monkeypatch)
+
+    @pytest.mark.parametrize("field", ["pi_logits", "means", "chol"])
+    def test_non_finite_mixture_refused(self, field):
+        values = {"pi_logits": np.zeros((2, 3)), "means": np.zeros((2, 3, 2)),
+                  "chol": _diag_chol(2, 3, 2)}
+        values[field].flat[0] = np.nan
+        with pytest.raises(ValueError, match=f"sample_exact: {field} must be finite"):
+            sample_exact(_params(**values), M=4, rng=np.random.default_rng(27))
+
+
+def _einsum_reference(params, batch):
+    """Per-draw reference: gather each draw's own factor and contract it."""
+    z = batch.relaxed_weights.data.argmax(axis=2)
+    rows = np.arange(params.batch)[:, None]
+    return params.means.data[rows, z] + np.einsum(
+        "bmde,bme->bmd", params.chol.data[rows, z], batch.component_draws)
+
+
+def _check_stacked_parts(params, M, stacked_rows, monkeypatch):
+    """Inputs taken a few at a time give the latents of one whole-block
+    product bit for bit, and agree with the per-draw gather to round-off."""
+    monkeypatch.setattr(nppr.sampling, "_STACKED_ROWS", params.batch * M)
+    whole = sample_exact(params, M, rng=np.random.default_rng(24))
+    monkeypatch.setattr(nppr.sampling, "_STACKED_ROWS", stacked_rows)
+    batch = sample_exact(params, M, rng=np.random.default_rng(24))
+    np.testing.assert_array_equal(batch.latent.data, whole.latent.data)
+    np.testing.assert_allclose(batch.latent.data, _einsum_reference(params, batch),
+                               rtol=1e-12, atol=1e-12)
 
 
 class TestAnnealing:

@@ -161,6 +161,21 @@ class TestTraining:
         assert all(r.aborted for r in records2)
         assert any("non-finite" in e for e in events2)
 
+    def test_non_finite_mixture_has_no_probe_nppr(self, instance, tmp_path):
+        # Poisoned from the start, the restored state is non-finite too: the
+        # probe must not report an NPPR for it, nor keep one as the best.
+        clf, split = instance
+        gen = _gen(clf)
+        gen.head._named["head.mu_b"].data = np.full_like(gen.head._named["head.mu_b"].data,
+                                                         np.nan)
+        events = []
+        _, records = train_generator(clf, split, _cfg(epochs=2), gen, out_dir=tmp_path,
+                                     events=events)
+        assert all(np.isnan(r.nppr_running) for r in records)
+        assert sum("probe NPPR not estimated" in e for e in events) == 2
+        assert not (tmp_path / "ckpt_best.json").exists()
+        assert restore_checkpoint(tmp_path / "ckpt_latest.json", clf)[1]["best_nppr"] is None
+
     def test_pi_stats_within_bounds(self, instance):
         clf, split = instance
         _, records = train_generator(clf, split, _cfg(epochs=4), _gen(clf))
