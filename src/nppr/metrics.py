@@ -5,6 +5,11 @@ The estimators report the probability of *retaining* the correct label:
   - pr_estimate:   under a fixed baseline distribution clipped into the ball
   - ar_pgd/ar_cw:  one attacked point per input (fraction still correct)
 All indicator evaluations resolve argmax ties toward the lowest class index.
+
+The Monte-Carlo estimators record no autograd tape: they classify with
+`Classifier.predict`, a plain numpy forward, and `nppr_estimate` runs the
+head and the upsampler under `tensor.no_grad()`. Only the attacks, which need
+input gradients, go through the engine.
 """
 
 from __future__ import annotations
@@ -56,8 +61,9 @@ def entropy_ratio(pi: np.ndarray, K: int) -> float:
     p = np.asarray(pi, dtype=np.float64)
     if p.shape != (K,):
         raise ValueError(f"entropy_ratio: expected ({K},) weights, got {p.shape}")
-    if np.any(p < -1e-12) or abs(p.sum() - 1.0) > 1e-9:
-        raise ValueError("entropy_ratio: weights must lie on the simplex")
+    # Written so that a NaN fails it: every comparison with NaN is False.
+    if not (np.all(p >= -1e-12) and abs(p.sum() - 1.0) <= 1e-9):
+        raise ValueError("entropy_ratio: weights must be finite and lie on the simplex")
     nz = p[p > 0.0]
     h = -float(np.sum(nz * np.log(nz)))
     return h / float(np.log(K))
@@ -73,7 +79,12 @@ def _hits(clf: Classifier, xb: np.ndarray, yb: np.ndarray, draws: np.ndarray,
           to_input=None) -> int:
     """Correct predictions on the (input, draw) rows of a block, classified
     _ROWS rows at a time: row r perturbs input r // M by draws[r], mapped to
-    input space by `to_input` (a Tensor -> Tensor map) when it is given."""
+    input space by `to_input` (a Tensor -> Tensor map) when it is given.
+
+    It records no tape: a caller passing `to_input` runs it under
+    `tensor.no_grad()`, each piece is built in one array (the owners' rows,
+    picked with `np.take`, then the perturbation added in place) and
+    `Classifier.predict` classifies it outside the engine."""
     M = len(draws) // len(xb)
     hits = 0
     for lo in range(0, len(draws), _ROWS):
@@ -81,7 +92,9 @@ def _hits(clf: Classifier, xb: np.ndarray, yb: np.ndarray, draws: np.ndarray,
         if to_input is not None:
             delta = to_input(T.constant(delta)).data
         owner = np.arange(lo, lo + len(delta)) // M
-        hits += int(np.sum(clf.predict(xb[owner] + delta) == yb[owner]))
+        rows = np.take(xb, owner, axis=0)
+        rows += delta
+        hits += int(np.sum(clf.predict(rows) == yb[owner]))
     return hits
 
 
@@ -100,9 +113,10 @@ def nppr_estimate(clf: Classifier, generator: Generator, x: np.ndarray, y: np.nd
     hits = 0
     for start in range(0, x.shape[0], block):
         xb, yb = x[start:start + block], y[start:start + block]
-        params = generator.gmm_params(xb, yb, temps=temps)
-        hits += _hits(clf, xb, yb, generator.exact_draws(params, M, rng),
-                      to_input=generator.images)
+        with T.no_grad():
+            params = generator.gmm_params(xb, yb, temps=temps)
+            hits += _hits(clf, xb, yb, generator.exact_draws(params, M, rng),
+                          to_input=generator.images)
     return hits / (x.shape[0] * M)
 
 
@@ -112,7 +126,8 @@ def baseline_noise(dist: str, shape: tuple, gamma: float, rng: np.random.Generat
         return rng.uniform(-gamma, gamma, size=shape)
     if dist == CLIPPED_GAUSSIAN:
         s = gamma / 3.0 if sigma is None else sigma
-        return np.clip(rng.normal(0.0, s, size=shape), -gamma, gamma)
+        noise = rng.normal(0.0, s, size=shape)
+        return np.clip(noise, -gamma, gamma, out=noise)
     raise ValueError(f"pr_estimate: unknown distribution '{dist}'")
 
 
@@ -243,10 +258,16 @@ class RobustnessReport:
 
 def mixture_statistics(pi_rows: np.ndarray) -> dict:
     """Per-row weight statistics averaged over the batch: max, min, std of the
-    weight vector plus the mean entropy ratio."""
+    weight vector plus the mean entropy ratio, which reads NaN when any row is
+    not finite."""
     pi_rows = np.atleast_2d(pi_rows)
     K = pi_rows.shape[1]
-    ers = [entropy_ratio(row, K) for row in pi_rows] if K >= 2 else [0.0]
+    if K < 2:
+        ers = [0.0]
+    elif not np.all(np.isfinite(pi_rows)):
+        ers = [float("nan")]
+    else:
+        ers = [entropy_ratio(row, K) for row in pi_rows]
     return {
         "pi_max": float(pi_rows.max(axis=1).mean()),
         "pi_min": float(pi_rows.min(axis=1).mean()),

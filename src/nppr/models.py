@@ -95,7 +95,7 @@ class Classifier:
     def params(self) -> list[Tensor]:
         return [*self.weights, *self.biases]
 
-    def _check_input(self, x: Tensor) -> None:
+    def _check_input(self, x: Tensor | np.ndarray) -> None:
         if x.ndim != 2 or x.shape[1] != self.cfg.input_dim:
             raise ValueError(
                 f"classifier: expected (N, {self.cfg.input_dim}) input, got {x.shape}")
@@ -112,8 +112,19 @@ class Classifier:
         return h
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        out = self.logits(T.constant(np.atleast_2d(x)))
-        return out.data.argmax(axis=1)
+        """Class per row, ties to the lowest index. The same forward as
+        `logits`, bit for bit, in plain numpy on the weights' data: no tape,
+        and the bias add and relu reuse each layer's product array."""
+        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        self._check_input(x)
+        h = x
+        for w, b in zip(self.weights[:-1], self.biases[:-1]):
+            h = h @ w.data
+            h += b.data
+            np.maximum(h, 0.0, out=h)
+        out = h @ self.weights[-1].data
+        out += self.biases[-1].data
+        return out.argmax(axis=1)
 
     def accuracy(self, x: np.ndarray, y: np.ndarray) -> float:
         return float(np.mean(self.predict(x) == np.asarray(y)))

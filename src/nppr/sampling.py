@@ -140,16 +140,20 @@ def sample_perturbations(params: GmmParams, M: int, tau: float,
 def categorical_exact(pi: np.ndarray, rng: np.random.Generator, size: tuple) -> np.ndarray:
     """Exact categorical draws per row of `pi` via inverse CDF.
 
-    At an exact cumulative-mass boundary the lower component index wins.
+    The draw is the number of cumulative masses below u, the index a
+    left-sided search would return, so at an exact cumulative-mass boundary the
+    lower component index wins. The last mass is set to 1 > u, so no draw
+    passes component K - 1.
     """
     B, K = pi.shape
     cum = np.cumsum(pi, axis=1)
     cum[:, -1] = 1.0  # guard against round-off excluding the last bin
     u = rng.random((B, *size))
-    z = np.empty((B, *size), dtype=np.int64)
-    for b in range(B):
-        z[b] = np.searchsorted(cum[b], u[b], side="left")
-    return np.minimum(z, K - 1)
+    z = np.zeros((B, *size), dtype=np.int64)
+    cum = cum.reshape(B, *(1,) * len(size), K)
+    for k in range(K - 1):
+        z += cum[..., k] < u
+    return z
 
 
 def sample_exact(params: GmmParams, M: int, rng: np.random.Generator) -> PerturbationBatch:
@@ -160,7 +164,9 @@ def sample_exact(params: GmmParams, M: int, rng: np.random.Generator) -> Perturb
     stacked side by side, a (D, K*D) matrix; each draw then keeps the D columns
     of its own component. Inputs are taken max(1, _STACKED_ROWS // M) at a
     time, so a product's temporary is at most max(M, _STACKED_ROWS) rows of
-    K*D floats.
+    K*D floats. The means and each draw's columns are picked with `np.take` on
+    a flat row index (component z of input b is row b*K + z), which copies
+    the same floats as a two-array index at a fraction of its cost.
     """
     if M < 1:
         raise ValueError("sample_exact: M must be >= 1")
@@ -172,18 +178,21 @@ def sample_exact(params: GmmParams, M: int, rng: np.random.Generator) -> Perturb
     z = categorical_exact(pi, rng, (M,))                          # (B, M)
     xi = rng.standard_normal((B, M, D))
 
-    latent = params.means.data[np.arange(B)[:, None], z]          # (B, M, D)
+    means = params.means.data.reshape(B * K, D)
+    latent = np.take(means, np.arange(B)[:, None] * K + z, axis=0)  # (B, M, D)
+    # Row (b*M + m)*K + z of a (B*M*K, ...) array belongs to draw m of input b.
+    drawn = np.arange(B * M).reshape(B, M) * K + z
     # Column k*D + d of stacked[b] is row d of L_k, so (xi @ stacked[b])
     # holds L_k xi for every k side by side.
     stacked = np.swapaxes(params.chol.data.reshape(B, K * D, D), 1, 2)  # (B, D, K*D)
     step = max(1, _STACKED_ROWS // M)
     for lo in range(0, B, step):
         part = slice(lo, lo + step)
-        every = (xi[part] @ stacked[part]).reshape(-1, K, D)
-        latent[part] += every[np.arange(len(every)), z[part].ravel()].reshape(-1, M, D)
+        every = (xi[part] @ stacked[part]).reshape(-1, D)               # (n*K, D)
+        latent[part] += np.take(every, drawn[part] - lo * M * K, axis=0)
 
     onehot = np.zeros((B, M, K))
-    np.put_along_axis(onehot, z[..., None], 1.0, axis=2)
+    onehot.reshape(-1)[drawn.ravel()] = 1.0
     return PerturbationBatch(latent=T.constant(latent),
                              relaxed_weights=T.constant(onehot),
                              component_draws=xi)

@@ -13,9 +13,16 @@ product for a frozen weight or a constant input is never formed. The first
 gradient a tensor receives is stored without a copy, so a `.grad` may share
 memory with another tensor's gradient (or be a read-only broadcast view);
 nothing may write into a stored `.grad`.
+
+Under `no_grad()` every op returns a plain tensor that needs no gradient and
+keeps no parents or closure, whatever its operands need. Evaluation runs its
+forwards there, so a Monte-Carlo estimate records no tape that nothing reads;
+the forward values are the same bits either way.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -47,6 +54,22 @@ def reset_numeric_counters() -> None:
 def _bump(counter: str, amount: int) -> None:
     if amount:
         _NUMERIC_COUNTERS[counter] += int(amount)
+
+
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad():
+    """Record no tape inside the block; the previous state comes back on exit,
+    also after an exception, so blocks nest."""
+    global _grad_enabled
+    previous = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
 
 
 class Tensor:
@@ -116,8 +139,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def _node(data: np.ndarray, parents: tuple, bwd, op: str) -> Tensor:
-    requires = any(p.requires_grad for p in parents)
-    if not requires:
+    if not (_grad_enabled and any(p.requires_grad for p in parents)):
         return Tensor(data, requires_grad=False, op=op)
     return Tensor(data, requires_grad=True, op=op, parents=parents, bwd=bwd)
 

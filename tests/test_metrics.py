@@ -155,6 +155,65 @@ class TestPiecewiseEvaluation:
             assert got == expected
 
 
+class TestTapeFreeEvaluation:
+    """The estimators record no tape, and leave training able to record one."""
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        ds = make_blobs(d=3, classes=3, n=60, seed=4, separation=1.5)
+        clf = train_classifier(ds.x, ds.y, epochs=60, seed=0, hidden=(8,),
+                               accuracy_threshold=0.5)
+        return clf, ds.x, ds.y
+
+    @staticmethod
+    def _gen(clf):
+        head = HeadConfig(mode=DependencyMode.JOINT, K=3, latent_dim=2, hidden_dim=8,
+                          label_emb_dim=4)
+        ups = UpsamplerConfig(mode="linear_vector", learnable_premap=True, gamma=1.5)
+        return build_generator(clf, head, ups, seed=2)
+
+    @staticmethod
+    def _step_grads(clf, gen, x, y):
+        """Gradients of one relaxed training step's loss."""
+        batch = gen.perturb_relaxed(gen.gmm_params(x, y), 4, 0.5, np.random.default_rng(5))
+        perturbed = T.reshape(T.add(T.constant(x[:, None, :]), batch.images), (len(x) * 4, 3))
+        margin_loss(clf.logits(perturbed), np.repeat(y, 4)).backward()
+        return {name: p.grad for name, p in gen.named_params().items()}
+
+    def test_nppr_estimate_records_no_tape(self, setup, monkeypatch):
+        clf, x, y = setup
+        gen = self._gen(clf)
+        assert gen.upsampler.weight.requires_grad
+        made = []
+
+        def recorded(method):
+            def wrapper(*args, **kwargs):
+                made.append(method(*args, **kwargs))
+                return made[-1]
+            return wrapper
+
+        for name in ("gmm_params", "images"):
+            monkeypatch.setattr(gen, name, recorded(getattr(gen, name)))
+        nppr_estimate(clf, gen, x, y, 5, np.random.default_rng(8))
+        params, images = made  # 300 rows: one block, one piece
+        for t in (params.pi_logits, params.means, params.chol, images):
+            assert not t.requires_grad and t._parents == ()
+        assert all(p.grad is None for p in gen.params())
+        assert all(p.grad is None for p in gen.upsampler.tensors().values())
+
+    def test_training_step_after_probe_gets_gradients(self, setup):
+        clf, x, y = setup
+        fresh = self._step_grads(clf, self._gen(clf), x, y)
+        gen = self._gen(clf)
+        nppr_estimate(clf, gen, x, y, 5, np.random.default_rng(8))
+        after = self._step_grads(clf, gen, x, y)
+        assert set(after) == set(fresh) and "upsampler.weight" in after
+        for name, grad in after.items():
+            assert grad is not None, name
+            np.testing.assert_array_equal(grad, fresh[name])
+        assert any(np.any(grad != 0.0) for grad in after.values())
+
+
 class TestPrEstimate:
     def test_tiny_gamma_equals_clean_accuracy(self):
         ds = make_blobs(d=2, classes=2, n=120, seed=1, separation=4.0)
@@ -279,6 +338,13 @@ class TestEntropyRatio:
         with pytest.raises(ValueError, match="simplex"):
             entropy_ratio(np.array([0.9, 0.3]), 2)
 
+    @pytest.mark.parametrize("weights", [[np.nan] * 3, [np.nan, 0.5, 0.5],
+                                         [np.inf, 0.0, 0.0], [-np.inf, 1.0, 1.0]],
+                             ids=["all_nan", "one_nan", "inf", "minus_inf"])
+    def test_non_finite_rejected(self, weights):
+        with pytest.raises(ValueError, match="finite"):
+            entropy_ratio(np.array(weights), 3)
+
     def test_logit_shift_invariance(self):
         logits = np.random.default_rng(12).normal(size=5)
         for shift in (0.0, 3.0, -17.5):
@@ -323,3 +389,10 @@ class TestReport:
         assert stats["pi_max"] == pytest.approx(0.75)
         assert stats["pi_min"] == pytest.approx(0.25)
         assert stats["entropy_ratio"] == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("row", [[np.nan] * 3, [np.nan, 0.5, 0.5]],
+                             ids=["all_nan", "one_nan"])
+    def test_mixture_statistics_non_finite_row(self, row):
+        stats = mixture_statistics(np.array([row, [1 / 3] * 3]))
+        assert np.isnan(stats["entropy_ratio"])
+        assert np.isnan(stats["pi_max"])

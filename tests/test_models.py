@@ -64,6 +64,42 @@ class TestClassifier:
             clf.logits(Tensor(np.ones((4, 5))))
 
 
+class TestPredict:
+    """`predict` runs its own numpy forward outside the engine; it must pick
+    exactly the class the engine's logits pick."""
+
+    @staticmethod
+    def _clf(hidden, seed):
+        clf = Classifier(ClassifierConfig(input_dim=4, num_classes=5, hidden=hidden), seed=seed)
+        rng = np.random.default_rng(seed)
+        for b in clf.biases:
+            b.data = rng.normal(size=b.shape)
+        return clf
+
+    @pytest.mark.parametrize("hidden", [(7,), (6, 5)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_engine_logits(self, hidden, seed):
+        clf = self._clf(hidden, seed)
+        x = np.random.default_rng(10 + seed).normal(scale=2.0, size=(500, 4))
+        expected = clf.logits(T.constant(x)).data.argmax(axis=1)
+        assert len(np.unique(expected)) > 1
+        np.testing.assert_array_equal(clf.predict(x), expected)
+
+    @pytest.mark.parametrize("hidden", [(7,), (6, 5)])
+    def test_all_tied_picks_index_zero(self, hidden):
+        clf = self._clf(hidden, 3)
+        clf.weights[-1].data = np.zeros_like(clf.weights[-1].data)
+        clf.biases[-1].data = np.zeros_like(clf.biases[-1].data)
+        x = np.random.default_rng(4).normal(size=(50, 4))
+        assert np.all(clf.logits(T.constant(x)).data.argmax(axis=1) == 0)
+        np.testing.assert_array_equal(clf.predict(x), np.zeros(50, dtype=np.int64))
+
+    def test_wrong_input_width_rejected(self):
+        clf = self._clf((7,), 0)
+        with pytest.raises(ValueError, match="expected"):
+            clf.predict(np.ones((4, 5)))
+
+
 class TestFeatures:
     def test_zero_input_zero_bias_gives_zero(self):
         ds = make_blobs(d=3, classes=2, n=40, seed=0, separation=4.0)

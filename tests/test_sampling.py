@@ -211,6 +211,37 @@ class TestSampleExact:
         z = categorical_exact(pi, FakeRng(), (4,))
         assert np.all(z == 0)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_per_row_search(self, seed):
+        # About half the u values sit exactly on a cumulative-mass boundary
+        # below 1 (rng.random never returns 1), and some weights are zero, so
+        # equal boundaries repeat within a row.
+        rng = np.random.default_rng(40 + seed)
+        B, M, K = 30, 50, 6
+        pi = rng.dirichlet(np.ones(K), size=B)
+        pi[rng.random((B, K)) < 0.3] = 0.0
+        pi[:, 0] += 1.0 - pi.sum(axis=1)
+        cum = np.cumsum(pi, axis=1)
+        cum[:, -1] = 1.0
+        u = rng.random((B, M))
+        edges = cum[np.arange(B)[:, None], rng.integers(0, K - 1, size=(B, M))]
+        on_edge = (rng.random((B, M)) < 0.5) & (edges < 1.0)
+        u[on_edge] = edges[on_edge]
+        u[:, 0] = 0.0
+
+        class FixedRng:
+            def random(self, shape):
+                assert shape == (B, M)
+                return u
+
+        assert on_edge.sum() > B * M // 4
+        expected = np.empty((B, M), dtype=np.int64)  # the per-row search it replaces
+        for b in range(B):
+            expected[b] = np.searchsorted(cum[b], u[b], side="left")
+        z = categorical_exact(pi, FixedRng(), (M,))
+        assert z.dtype == np.int64
+        np.testing.assert_array_equal(z, np.minimum(expected, K - 1))
+
     def test_reproducible(self):
         params = _params(np.zeros((2, 3)), np.zeros((2, 3, 2)), _diag_chol(2, 3, 2))
         a = sample_exact(params, M=7, rng=np.random.default_rng(22))
@@ -262,14 +293,36 @@ def _einsum_reference(params, batch):
         "bmde,bme->bmd", params.chol.data[rows, z], batch.component_draws)
 
 
+def _fancy_index_reference(params, batch, stacked_rows):
+    """The same stacked products, each pick made with a two-array index."""
+    B, K, D = params.batch, params.K, params.latent_dim
+    M = batch.samples_per_input
+    z = batch.relaxed_weights.data.argmax(axis=2)
+    latent = params.means.data[np.arange(B)[:, None], z]
+    stacked = np.swapaxes(params.chol.data.reshape(B, K * D, D), 1, 2)
+    step = max(1, stacked_rows // M)
+    for lo in range(0, B, step):
+        part = slice(lo, lo + step)
+        every = (batch.component_draws[part] @ stacked[part]).reshape(-1, K, D)
+        latent[part] += every[np.arange(len(every)), z[part].ravel()].reshape(-1, M, D)
+    return latent
+
+
 def _check_stacked_parts(params, M, stacked_rows, monkeypatch):
     """Inputs taken a few at a time give the latents of one whole-block
-    product bit for bit, and agree with the per-draw gather to round-off."""
+    product bit for bit, the flat-index picks equal two-array picks bit for
+    bit, and the latents agree with the per-draw gather to round-off."""
     monkeypatch.setattr(nppr.sampling, "_STACKED_ROWS", params.batch * M)
     whole = sample_exact(params, M, rng=np.random.default_rng(24))
     monkeypatch.setattr(nppr.sampling, "_STACKED_ROWS", stacked_rows)
     batch = sample_exact(params, M, rng=np.random.default_rng(24))
+    z = categorical_exact(params.pi(), np.random.default_rng(24), (M,))
+    onehot = np.zeros((params.batch, M, params.K))
+    np.put_along_axis(onehot, z[..., None], 1.0, axis=2)
+    np.testing.assert_array_equal(batch.relaxed_weights.data, onehot)
     np.testing.assert_array_equal(batch.latent.data, whole.latent.data)
+    np.testing.assert_array_equal(batch.latent.data,
+                                  _fancy_index_reference(params, batch, stacked_rows))
     np.testing.assert_allclose(batch.latent.data, _einsum_reference(params, batch),
                                rtol=1e-12, atol=1e-12)
 

@@ -276,6 +276,50 @@ def test_shared_first_gradient_stays_its_own():
     np.testing.assert_array_equal(a.grad, d + c)
 
 
+class TestNoGrad:
+    @staticmethod
+    def _leaves():
+        rng = np.random.default_rng(31)
+        return (Tensor(rng.normal(size=(5, 3)), requires_grad=True),
+                Tensor(rng.normal(size=(3, 4)), requires_grad=True),
+                Tensor(rng.normal(size=4), requires_grad=True))
+
+    @staticmethod
+    def _forward(x, w, b):
+        h = T.affine(x, w, b)
+        return [h, T.tanh(h), T.mul(h, h), T.matmul(x, w), T.reduce_sum(T.relu(h))]
+
+    def test_ops_record_no_tape(self):
+        x, w, b = self._leaves()
+        taped = self._forward(x, w, b)
+        with T.no_grad():
+            free = self._forward(x, w, b)
+        for out, ref in zip(free, taped):
+            assert not out.requires_grad
+            assert out._parents == () and out._bwd is None
+            np.testing.assert_array_equal(out.data, ref.data)
+        free[-1].backward()
+        assert x.grad is None and w.grad is None and b.grad is None
+
+    def test_flag_restored_after_exception(self):
+        x, w, b = self._leaves()
+        with pytest.raises(RuntimeError, match="inside"):
+            with T.no_grad():
+                raise RuntimeError("inside")
+        assert T.affine(x, w, b).requires_grad
+
+    def test_flag_restored_after_nesting(self):
+        x, w, b = self._leaves()
+        with T.no_grad():
+            with T.no_grad():
+                assert not T.affine(x, w, b).requires_grad
+            assert not T.affine(x, w, b).requires_grad
+        out = T.reduce_sum(T.affine(x, w, b))
+        assert out.requires_grad
+        out.backward()
+        assert x.grad is not None and w.grad is not None and b.grad is not None
+
+
 class TestCholApply:
     @staticmethod
     def _matmul_chain(chol, xi):

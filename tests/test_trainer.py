@@ -145,6 +145,7 @@ class TestTraining:
         _, records = train_generator(clf, split, _cfg(epochs=5), gen)
         assert records[-1].train_loss < records[0].train_loss + 1e-9
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in logaddexp:RuntimeWarning")
     def test_nan_loss_aborts_and_restores(self, instance):
         clf, split = instance
         gen = _gen(clf)
@@ -161,6 +162,7 @@ class TestTraining:
         assert all(r.aborted for r in records2)
         assert any("non-finite" in e for e in events2)
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in logaddexp:RuntimeWarning")
     def test_non_finite_mixture_has_no_probe_nppr(self, instance, tmp_path):
         # Poisoned from the start, the restored state is non-finite too: the
         # probe must not report an NPPR for it, nor keep one as the best.
@@ -172,9 +174,23 @@ class TestTraining:
         _, records = train_generator(clf, split, _cfg(epochs=2), gen, out_dir=tmp_path,
                                      events=events)
         assert all(np.isnan(r.nppr_running) for r in records)
+        # Only the means are poisoned: the weights, and so the entropy ratio,
+        # stay finite; a record with non-finite weights has a NaN ratio.
+        for r in records:
+            assert np.isnan(r.entropy_ratio) == np.isnan(r.pi_max)
         assert sum("probe NPPR not estimated" in e for e in events) == 2
         assert not (tmp_path / "ckpt_best.json").exists()
         assert restore_checkpoint(tmp_path / "ckpt_latest.json", clf)[1]["best_nppr"] is None
+
+    def test_probe_of_non_finite_weights_reads_nan(self, instance):
+        clf, split = instance
+        gen = _gen(clf)
+        gen.head._named["head.pi_b"].data = np.full_like(gen.head._named["head.pi_b"].data,
+                                                         np.nan)
+        probe = nppr.trainer._probe_metrics(gen, split.test.x[:16], split.test.y[:16],
+                                            temps_at_epoch(_cfg(), 0), 8,
+                                            np.random.default_rng(0))
+        assert all(np.isnan(probe[k]) for k in ("entropy_ratio", "pi_max", "nppr_running"))
 
     def test_pi_stats_within_bounds(self, instance):
         clf, split = instance
