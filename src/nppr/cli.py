@@ -28,6 +28,7 @@ from .experiment import (evaluate_generator, export_perturbation_samples, fit_cl
                          make_dataset, run_experiment)
 from .metrics import RobustnessReport
 from .oracle import verdict_to_json, verify_propositions
+from .serialize import SnapshotError
 from .trainer import restore_checkpoint
 
 OUTPUT_ROOT_ENV = "NPPR_OUTPUT_ROOT"
@@ -74,11 +75,18 @@ def cmd_train(args) -> int:
     return 0 if verdict["all_pass"] else 1
 
 
+class CheckpointError(Exception):
+    """A checkpoint that is missing, corrupt or does not fit the config."""
+
+
 def _restore(cfg: ExperimentConfig, checkpoint: str):
     """Rebuild the run's split and frozen classifier, then load `checkpoint`."""
     split = stratified_split(make_dataset(cfg.dataset), cfg.train_frac, cfg.seed)
     clf = fit_classifier(cfg, split)
-    generator, _ = restore_checkpoint(checkpoint, clf, expected_mode=cfg.head.mode)
+    try:
+        generator, _ = restore_checkpoint(checkpoint, clf, expected_mode=cfg.head.mode)
+    except (SnapshotError, FileNotFoundError) as err:
+        raise CheckpointError(err) from err
     return split, clf, generator
 
 
@@ -141,10 +149,16 @@ def cmd_export_samples(args) -> int:
     out = _out_dir(args, cfg, f"samples-seed{cfg.seed}")
     out.mkdir(parents=True, exist_ok=True)
     split, _, generator = _restore(cfg, args.checkpoint)
-    per_input = args.per_input or max(cfg.export_samples, 8)
+    per_input = args.per_input if args.per_input is not None else max(cfg.export_samples, 8)
     export_perturbation_samples(generator, split, per_input, out, cfg.seed)
     print(f"wrote {out / 'samples_latent.csv'} and {out / 'samples_input.csv'}")
     return 0
+
+
+def _positive_int(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -173,7 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("export-samples", help="dump perturbation draws to CSV")
     _add_common(p)
     p.add_argument("--checkpoint", type=str, required=True)
-    p.add_argument("--per-input", type=int, default=None)
+    p.add_argument("--per-input", type=_positive_int, default=None,
+                   help="draws per input (default: max(export_samples, 8))")
     p.set_defaults(fn=cmd_export_samples)
     return parser
 
@@ -184,6 +199,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
+        return 2
+    except CheckpointError as err:
+        print(f"checkpoint error: {err}", file=sys.stderr)
         return 2
 
 

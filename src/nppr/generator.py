@@ -75,11 +75,6 @@ class Generator:
         """Evaluation path: exact categorical draws, no relaxation bias."""
         return self._to_images(sample_exact(params, M, rng))
 
-    def exact_draws(self, params: GmmParams, M: int, rng: np.random.Generator) -> np.ndarray:
-        """perturb_exact's latent draws as (input, draw) rows, before the upsampler."""
-        latent = sample_exact(params, M, rng).latent.data
-        return latent.reshape(-1, latent.shape[2])
-
 
 def build_generator(clf: Classifier, head_cfg: HeadConfig, ups_cfg: UpsamplerConfig,
                     seed: int = 0) -> Generator:

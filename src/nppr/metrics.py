@@ -6,10 +6,12 @@ The estimators report the probability of *retaining* the correct label:
   - ar_pgd/ar_cw:  one attacked point per input (fraction still correct)
 All indicator evaluations resolve argmax ties toward the lowest class index.
 
-The Monte-Carlo estimators record no autograd tape: they classify with
-`Classifier.predict`, a plain numpy forward, and `nppr_estimate` runs the
-head and the upsampler under `tensor.no_grad()`. Only the attacks, which need
-input gradients, go through the engine.
+The Monte-Carlo estimators take max(1, _ROWS // M) inputs at a time; no
+draw depends on that tiling (`sample_exact` gives each input its own stream).
+They record no autograd tape: they classify with `Classifier.predict`, a
+plain numpy forward, and `nppr_estimate` runs the head and the upsampler under
+`tensor.no_grad()`. Only the attacks, which need input gradients, go through
+the engine.
 """
 
 from __future__ import annotations
@@ -28,13 +30,16 @@ from .tensor import Tensor
 UNIFORM_BALL = "uniform_ball"
 CLIPPED_GAUSSIAN = "clipped_gaussian"
 
-# Inputs per forward chunk when expanding B x M Monte-Carlo samples.
-_CHUNK = 1 << 16
-# Rows the estimators perturb and classify at a time: 8 MiB per array at
-# d=256, where a whole block of up to _CHUNK rows took 128 MiB per array, and
-# several at once. The draws are still made per block, so the estimates do
-# not depend on _ROWS.
+# (input, draw) rows the estimators draw, perturb and classify at a time
+# (8 MiB per array at d=256); an input with more draws is a piece of its own.
 _ROWS = 1 << 12
+
+
+def _runner_up(logits: Tensor, y: np.ndarray) -> Tensor:
+    """Per row, the largest logit of a class other than y (lowest index on ties)."""
+    mask = np.zeros(logits.shape)
+    mask[np.arange(logits.shape[0]), y] = -1e30
+    return T.row_max(T.add(logits, T.constant(mask)), axis=-1)
 
 
 def margin_loss(logits: Tensor, y: np.ndarray, kappa: float = 1.0) -> Tensor:
@@ -46,11 +51,8 @@ def margin_loss(logits: Tensor, y: np.ndarray, kappa: float = 1.0) -> Tensor:
     if logits.ndim != 2 or logits.shape[1] < 2:
         raise ValueError(f"margin_loss: need (N, C>=2) logits, got {logits.shape}")
     y = np.asarray(y, dtype=np.int64)
-    true_logit = T.gather_row(logits, y)
-    mask = np.zeros(logits.shape)
-    mask[np.arange(logits.shape[0]), y] = -1e30
-    runner_up = T.row_max(T.add(logits, T.constant(mask)), axis=-1)
-    gap = T.add(T.sub(true_logit, runner_up), T.constant(float(kappa)))
+    gap = T.add(T.sub(T.gather_row(logits, y), _runner_up(logits, y)),
+                T.constant(float(kappa)))
     return T.reduce_mean(T.softplus(gap))
 
 
@@ -75,48 +77,42 @@ def mc_half_width(p: float, draws: int) -> float:
     return 3.0 * float(np.sqrt(p * (1.0 - p) / max(draws, 1)))
 
 
-def _hits(clf: Classifier, xb: np.ndarray, yb: np.ndarray, draws: np.ndarray,
-          to_input=None) -> int:
-    """Correct predictions on the (input, draw) rows of a block, classified
-    _ROWS rows at a time: row r perturbs input r // M by draws[r], mapped to
-    input space by `to_input` (a Tensor -> Tensor map) when it is given.
+def _pieces(x: np.ndarray, y: np.ndarray, M: int, name: str):
+    """Checked inputs, then slices of max(1, _ROWS // M) inputs covering them."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    if x.shape[0] == 0:
+        raise ValueError(f"{name}: empty dataset")
+    if M < 1:
+        raise ValueError(f"{name}: M must be >= 1")
+    step = max(1, _ROWS // M)
+    return x, y, [slice(lo, lo + step) for lo in range(0, x.shape[0], step)]
 
-    It records no tape: a caller passing `to_input` runs it under
-    `tensor.no_grad()`, each piece is built in one array (the owners' rows,
-    picked with `np.take`, then the perturbation added in place) and
-    `Classifier.predict` classifies it outside the engine."""
-    M = len(draws) // len(xb)
-    hits = 0
-    for lo in range(0, len(draws), _ROWS):
-        delta = draws[lo:lo + _ROWS]
-        if to_input is not None:
-            delta = to_input(T.constant(delta)).data
-        owner = np.arange(lo, lo + len(delta)) // M
-        rows = np.take(xb, owner, axis=0)
-        rows += delta
-        hits += int(np.sum(clf.predict(rows) == yb[owner]))
-    return hits
+
+def _hits(clf: Classifier, xb: np.ndarray, yb: np.ndarray, delta: np.ndarray) -> int:
+    """Correct predictions on the (input, draw) rows of one piece, M per input:
+    row r perturbs input r // M by delta[r]. The rows are built in one array
+    (the owners' rows, picked with `np.take`, then the perturbation added in
+    place) and `Classifier.predict` classifies it outside the engine."""
+    owner = np.arange(len(delta)) // (len(delta) // len(xb))
+    rows = np.take(xb, owner, axis=0)
+    rows += delta
+    return int(np.sum(clf.predict(rows) == yb[owner]))
 
 
 def nppr_estimate(clf: Classifier, generator: Generator, x: np.ndarray, y: np.ndarray,
                   M: int, rng: np.random.Generator,
                   temps: Temperatures | None = None) -> float:
     """Fraction of (input, draw) pairs classified correctly under the learned
-    distribution; exact sampling, hard 0-1 indicator."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    if x.shape[0] == 0:
-        raise ValueError("nppr_estimate: empty dataset")
-    if M < 1:
-        raise ValueError("nppr_estimate: M must be >= 1")
-    block = max(1, _CHUNK // M)
+    distribution; exact sampling, hard 0-1 indicator. The head runs once over
+    all inputs, then each piece is drawn, mapped to input space and classified."""
+    x, y, pieces = _pieces(x, y, M, "nppr_estimate")
     hits = 0
-    for start in range(0, x.shape[0], block):
-        xb, yb = x[start:start + block], y[start:start + block]
-        with T.no_grad():
-            params = generator.gmm_params(xb, yb, temps=temps)
-            hits += _hits(clf, xb, yb, generator.exact_draws(params, M, rng),
-                          to_input=generator.images)
+    with T.no_grad():
+        params = generator.gmm_params(x, y, temps=temps)
+        for part in pieces:
+            images = generator.perturb_exact(params.rows(part), M, rng).images.data
+            hits += _hits(clf, x[part], y[part], images.reshape(-1, x.shape[1]))
     return hits / (x.shape[0] * M)
 
 
@@ -137,18 +133,12 @@ def pr_estimate(clf: Classifier, x: np.ndarray, y: np.ndarray, dist: str,
     """Monte-Carlo retention probability under a fixed baseline distribution."""
     if gamma <= 0:
         raise ValueError("pr_estimate: gamma must be > 0")
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    if x.shape[0] == 0:
-        raise ValueError("pr_estimate: empty dataset")
-    if M < 1:
-        raise ValueError("pr_estimate: M must be >= 1")
-    block = max(1, _CHUNK // M)
+    x, y, pieces = _pieces(x, y, M, "pr_estimate")
     hits = 0
-    for start in range(0, x.shape[0], block):
-        xb, yb = x[start:start + block], y[start:start + block]
-        noise = baseline_noise(dist, (len(xb), M, x.shape[1]), gamma, rng, sigma)
-        hits += _hits(clf, xb, yb, noise.reshape(-1, x.shape[1]))
+    for part in pieces:
+        xb = x[part]
+        noise = baseline_noise(dist, (len(xb) * M, x.shape[1]), gamma, rng, sigma)
+        hits += _hits(clf, xb, y[part], noise)
     return hits / (x.shape[0] * M)
 
 
@@ -171,10 +161,8 @@ def _attack(clf: Classifier, x: np.ndarray, y: np.ndarray, gamma: float, steps: 
         if objective == "cross_entropy":
             loss = cross_entropy(logits, y)
         else:  # margin: push the runner-up above the true class
-            mask = np.zeros(logits.shape)
-            mask[np.arange(len(y)), y] = -1e30
-            runner_up = T.row_max(T.add(logits, T.constant(mask)), axis=-1)
-            gap = T.add(T.sub(runner_up, T.gather_row(logits, y)), T.constant(kappa))
+            gap = T.add(T.sub(_runner_up(logits, y), T.gather_row(logits, y)),
+                        T.constant(kappa))
             loss = T.reduce_mean(T.softplus(gap))
         loss.backward()
         delta = np.clip(delta + alpha * np.sign(adv.grad), -gamma, gamma)

@@ -251,6 +251,11 @@ class GmmParams:
         e = np.exp(z)
         return e / e.sum(axis=1, keepdims=True)
 
+    def rows(self, part: slice) -> "GmmParams":
+        """The mixtures of the inputs in `part`, as constants."""
+        return GmmParams(*(T.constant(t.data[part])
+                           for t in (self.pi_logits, self.means, self.chol)))
+
     def non_finite(self) -> str | None:
         """Name of the first field holding a NaN or an infinity, else None."""
         for name in ("pi_logits", "means", "chol"):

@@ -3,7 +3,8 @@
 Every source of randomness in a run is a substream keyed by the run seed plus
 a small integer path (purpose code, epoch, batch index, ...). Substreams are
 independent of execution order, which is what makes checkpoint-resume replay
-and thread-count-independent Monte Carlo loops possible.
+possible. `sampling.sample_exact` draws input i under `substream(seed, *path)`
+from `substream(seed, *path, i)`, so no estimate depends on how it tiles inputs.
 """
 
 from __future__ import annotations

@@ -16,9 +16,6 @@ from .models import GmmParams
 from .tensor import Tensor
 
 GUMBEL_FLOOR = 1e-12
-# Draw rows per stacked product in sample_exact: inputs are taken
-# max(1, _STACKED_ROWS // M) at a time.
-_STACKED_ROWS = 1 << 12
 
 
 @dataclass
@@ -85,14 +82,6 @@ class PerturbationBatch:
                                  # (B, M, D) exact (for the drawn component only)
     images: Tensor | None = None  # (B, M, input_dim), inside the budget
 
-    @property
-    def batch(self) -> int:
-        return self.latent.shape[0]
-
-    @property
-    def samples_per_input(self) -> int:
-        return self.latent.shape[1]
-
 
 def gumbel_noise(rng: np.random.Generator, shape: tuple) -> np.ndarray:
     """Gumbel(0,1) via -log(-log U), with U floored away from zero."""
@@ -137,8 +126,8 @@ def sample_perturbations(params: GmmParams, M: int, tau: float,
     return PerturbationBatch(latent=latent, relaxed_weights=z, component_draws=xi)
 
 
-def categorical_exact(pi: np.ndarray, rng: np.random.Generator, size: tuple) -> np.ndarray:
-    """Exact categorical draws per row of `pi` via inverse CDF.
+def categorical_exact(pi: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Exact categorical draws per row of `pi` (B, K) by inverse CDF of `u` (B, ...).
 
     The draw is the number of cumulative masses below u, the index a
     left-sided search would return, so at an exact cumulative-mass boundary the
@@ -148,9 +137,8 @@ def categorical_exact(pi: np.ndarray, rng: np.random.Generator, size: tuple) -> 
     B, K = pi.shape
     cum = np.cumsum(pi, axis=1)
     cum[:, -1] = 1.0  # guard against round-off excluding the last bin
-    u = rng.random((B, *size))
-    z = np.zeros((B, *size), dtype=np.int64)
-    cum = cum.reshape(B, *(1,) * len(size), K)
+    z = np.zeros(u.shape, dtype=np.int64)
+    cum = cum.reshape(B, *(1,) * (u.ndim - 1), K)
     for k in range(K - 1):
         z += cum[..., k] < u
     return z
@@ -159,14 +147,18 @@ def categorical_exact(pi: np.ndarray, rng: np.random.Generator, size: tuple) -> 
 def sample_exact(params: GmmParams, M: int, rng: np.random.Generator) -> PerturbationBatch:
     """Exact (non-relaxed) draws used by every evaluation-time estimator.
 
+    Input b draws its M uniforms, then its (M, D) normals, from child b of
+    `rng.spawn(B)`. The spawn count carries on across calls, so under
+    `substream(seed, *path)` the i-th input of all calls draws from
+    `substream(seed, *path, i)`, and calls over consecutive slices of the
+    inputs give the rows of one call over all.
+
     latent = mu_z + L_z xi for the drawn component z. L_z xi comes from one
-    matrix product per input: its (M, D) noise against all K of its factors
-    stacked side by side, a (D, K*D) matrix; each draw then keeps the D columns
-    of its own component. Inputs are taken max(1, _STACKED_ROWS // M) at a
-    time, so a product's temporary is at most max(M, _STACKED_ROWS) rows of
-    K*D floats. The means and each draw's columns are picked with `np.take` on
-    a flat row index (component z of input b is row b*K + z), which copies
-    the same floats as a two-array index at a fraction of its cost.
+    product: each input's (M, D) noise against its K factors side by side,
+    (D, K*D), of which each draw keeps the D columns of its component. Its
+    temporary is B*M*K*D floats, so callers bound B*M. The picks use `np.take`
+    on a flat row index (component z of input b is row b*K + z): the floats
+    of a two-array index at a fraction of its cost.
     """
     if M < 1:
         raise ValueError("sample_exact: M must be >= 1")
@@ -174,9 +166,12 @@ def sample_exact(params: GmmParams, M: int, rng: np.random.Generator) -> Perturb
     if bad is not None:
         raise ValueError(f"sample_exact: {bad} must be finite")
     B, K, D = params.batch, params.K, params.latent_dim
-    pi = params.pi()
-    z = categorical_exact(pi, rng, (M,))                          # (B, M)
-    xi = rng.standard_normal((B, M, D))
+    u = np.empty((B, M))
+    xi = np.empty((B, M, D))
+    for b, stream in enumerate(rng.spawn(B)):
+        stream.random(out=u[b])
+        stream.standard_normal(out=xi[b])
+    z = categorical_exact(params.pi(), u)                          # (B, M)
 
     means = params.means.data.reshape(B * K, D)
     latent = np.take(means, np.arange(B)[:, None] * K + z, axis=0)  # (B, M, D)
@@ -185,11 +180,7 @@ def sample_exact(params: GmmParams, M: int, rng: np.random.Generator) -> Perturb
     # Column k*D + d of stacked[b] is row d of L_k, so (xi @ stacked[b])
     # holds L_k xi for every k side by side.
     stacked = np.swapaxes(params.chol.data.reshape(B, K * D, D), 1, 2)  # (B, D, K*D)
-    step = max(1, _STACKED_ROWS // M)
-    for lo in range(0, B, step):
-        part = slice(lo, lo + step)
-        every = (xi[part] @ stacked[part]).reshape(-1, D)               # (n*K, D)
-        latent[part] += np.take(every, drawn[part] - lo * M * K, axis=0)
+    latent += np.take((xi @ stacked).reshape(-1, D), drawn, axis=0)
 
     onehot = np.zeros((B, M, K))
     onehot.reshape(-1)[drawn.ravel()] = 1.0

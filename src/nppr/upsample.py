@@ -98,7 +98,8 @@ class UpsamplerConfig:
 
 
 def apply_budget(u: Tensor, gamma: float) -> Tensor:
-    """gamma * tanh(u); every element lands strictly inside (-gamma, gamma)."""
+    """gamma * tanh(u); every element lands in [-gamma, gamma]. The ends are
+    reached: tanh rounds to exactly 1 in float64 from about u = 19 on."""
     if gamma <= 0:
         raise ValueError("apply_budget: gamma must be > 0")
     return T.scale(T.tanh(u), gamma)

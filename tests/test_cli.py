@@ -1,5 +1,6 @@
 """The `nppr` command line, end to end on a tiny config."""
 
+import csv
 import json
 
 import pytest
@@ -21,14 +22,67 @@ def _write(tmp_path, doc) -> str:
     return str(path)
 
 
-def test_evaluate_reproduces_train_report(tmp_path):
-    config = _write(tmp_path, TINY)
-    run, again = tmp_path / "run", tmp_path / "again"
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A config and the directory of one `nppr train` run of it at seed 3."""
+    tmp_path = tmp_path_factory.mktemp("trained")
+    config, run = _write(tmp_path, TINY), tmp_path / "run"
     assert cli.main(["train", "--config", config, "--seed", "3", "--out", str(run)]) == 0
+    return config, run
+
+
+def test_evaluate_reproduces_train_report(trained, tmp_path):
+    config, run = trained
+    again = tmp_path / "again"
     assert cli.main(["evaluate", "--config", config, "--seed", "3", "--out", str(again),
                      "--checkpoint", str(run / "ckpt_latest.json")]) == 0
     assert (again / "report.json").read_bytes() == (run / "report.json").read_bytes()
     assert cli.main(["verify", str(again / "report.json")]) == 0
+
+
+def test_export_samples_writes_every_draw_reproducibly(trained, tmp_path):
+    config, run = trained
+    n = min(json.loads((run / "report.json").read_text())["ar_points"], 64)
+    outs = [tmp_path / "first", tmp_path / "second"]
+    for out in outs:
+        assert cli.main(["export-samples", "--config", config, "--seed", "3", "--out", str(out),
+                         "--checkpoint", str(run / "ckpt_latest.json"),
+                         "--per-input", "3"]) == 0
+    for name in ("samples_latent.csv", "samples_input.csv"):
+        with open(outs[0] / name, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0][:3] == ["input_id", "sample_id", "component_argmax"]
+        assert [(int(r[0]), int(r[1])) for r in rows[1:]] == [
+            (i, j) for i in range(n) for j in range(3)]
+        assert (outs[1] / name).read_bytes() == (outs[0] / name).read_bytes()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "export-samples"])
+@pytest.mark.parametrize("case", ["missing", "corrupt", "other_mode"])
+def test_bad_checkpoint_is_a_checkpoint_error(trained, tmp_path, capsys, command, case):
+    config, run = trained
+    checkpoint = run / "ckpt_latest.json"
+    if case == "missing":
+        checkpoint = tmp_path / "absent.json"
+    elif case == "corrupt":
+        checkpoint = tmp_path / "corrupt.json"
+        checkpoint.write_text("{ not json")
+    else:  # a joint-head checkpoint under an independent-head config
+        config = _write(tmp_path, {**TINY, "dependency": "independent"})
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", config, "--seed", "3", "--out", str(out),
+                     "--checkpoint", str(checkpoint)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("checkpoint error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("per_input", ["0", "-3"])
+def test_per_input_below_one_rejected(tmp_path, capsys, per_input):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["export-samples", "--checkpoint", str(tmp_path / "ckpt.json"),
+                  "--per-input", per_input])
+    assert exit_info.value.code == 2
+    assert "--per-input: must be >= 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("sweep", [{"modes": [2, 0]}, {"modes": ["a"]},

@@ -16,6 +16,7 @@ from nppr.metrics import (CLIPPED_GAUSSIAN, UNIFORM_BALL, RobustnessReport, ar_c
                           mixture_statistics, nppr_estimate, pr_estimate)
 from nppr.models import (CHOL_DIAG_FLOOR, Classifier, ClassifierConfig, DependencyMode,
                          HeadConfig, train_classifier)
+from nppr.rng import EVAL, substream
 from nppr.tensor import Tensor
 from nppr.upsample import UpsamplerConfig
 
@@ -108,8 +109,8 @@ class TestNpprEstimate:
 
 
 class TestPiecewiseEvaluation:
-    """The estimators classify their draws a piece of rows at a time; the
-    pieces must reproduce the whole-block draws and estimates exactly."""
+    """The estimators draw and classify a piece of inputs at a time; the
+    pieces must reproduce the whole-batch draws and estimates exactly."""
 
     @pytest.fixture(scope="class")
     def setup(self):
@@ -125,11 +126,14 @@ class TestPiecewiseEvaluation:
     def test_pieces_equal_whole_batch(self, setup):
         _, gen, x, y = setup
         params = gen.gmm_params(x, y)
-        whole = gen.perturb_exact(params, 5, np.random.default_rng(8)).images.data
-        draws = gen.exact_draws(params, 5, np.random.default_rng(8))
-        assert draws.shape == (300, 2)
+        whole = gen.perturb_exact(params, 5, np.random.default_rng(8))
+        draws = whole.latent.data.reshape(300, 2)
         pieces = [gen.images(T.constant(draws[lo:lo + 7])).data for lo in range(0, 300, 7)]
-        np.testing.assert_array_equal(np.concatenate(pieces), whole.reshape(300, 3))
+        np.testing.assert_array_equal(np.concatenate(pieces), whole.images.data.reshape(300, 3))
+        rng = np.random.default_rng(8)
+        parts = [gen.perturb_exact(params.rows(slice(lo, lo + 7)), 5, rng).images.data
+                 for lo in range(0, 60, 7)]
+        np.testing.assert_array_equal(np.concatenate(parts), whole.images.data)
 
     def test_estimate_independent_of_piece_size(self, setup, monkeypatch):
         clf, gen, x, y = setup
@@ -141,6 +145,19 @@ class TestPiecewiseEvaluation:
         for rows in (1, 7, 300, 1 << 12):
             monkeypatch.setattr(nppr.metrics, "_ROWS", rows)
             assert nppr_estimate(clf, gen, x, y, 5, np.random.default_rng(8)) == expected
+
+    @pytest.mark.parametrize("rows", [1, 7, 300, 1 << 12, 1 << 16])
+    def test_wide_estimate_independent_of_piece_size(self, setup, rows, monkeypatch):
+        # 2048 draws for 60 inputs: every piece size splits the inputs
+        # differently, down to one input per piece.
+        clf, gen, x, y = setup
+        rng = substream(3, EVAL, 0)
+        images = gen.perturb_exact(gen.gmm_params(x, y), 2048, rng).images.data
+        preds = clf.predict((x[:, None, :] + images).reshape(-1, 3)).reshape(60, 2048)
+        expected = float(np.mean(preds == y[:, None]))
+        assert 0.0 < expected < 1.0
+        monkeypatch.setattr(nppr.metrics, "_ROWS", rows)
+        assert nppr_estimate(clf, gen, x, y, 2048, substream(3, EVAL, 0)) == expected
 
     @pytest.mark.parametrize("dist", [UNIFORM_BALL, CLIPPED_GAUSSIAN])
     def test_pr_independent_of_piece_size(self, setup, dist, monkeypatch):
@@ -195,7 +212,7 @@ class TestTapeFreeEvaluation:
         for name in ("gmm_params", "images"):
             monkeypatch.setattr(gen, name, recorded(getattr(gen, name)))
         nppr_estimate(clf, gen, x, y, 5, np.random.default_rng(8))
-        params, images = made  # 300 rows: one block, one piece
+        params, images = made  # 300 rows: one piece
         for t in (params.pi_logits, params.means, params.chol, images):
             assert not t.requires_grad and t._parents == ()
         assert all(p.grad is None for p in gen.params())

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-import nppr.sampling
 from nppr import tensor as T
 from nppr.models import GmmParams
+from nppr.rng import EVAL, substream
 from nppr.sampling import (AnnealSchedule, GumbelConfig, anneal_value, categorical_exact,
                            gumbel_softmax_sample, gumbel_tau, sample_exact,
                            sample_perturbations)
@@ -17,6 +17,10 @@ def _params(pi_logits, means, chol):
     return GmmParams(pi_logits=Tensor(np.asarray(pi_logits, dtype=float)),
                      means=Tensor(np.asarray(means, dtype=float)),
                      chol=Tensor(np.asarray(chol, dtype=float)))
+
+
+def _rows(params, part):
+    return _params(params.pi_logits.data[part], params.means.data[part], params.chol.data[part])
 
 
 def _diag_chol(B, K, D, value=1.0):
@@ -203,12 +207,7 @@ class TestSampleExact:
 
     def test_tie_break_lowest_index(self):
         pi = np.array([[0.25, 0.25, 0.5]])  # boundary between comps 0/1 at 0.25
-
-        class FakeRng:
-            def random(self, shape):
-                return np.full(shape, 0.25)  # lands exactly on the boundary
-
-        z = categorical_exact(pi, FakeRng(), (4,))
+        z = categorical_exact(pi, np.full((1, 4), 0.25))  # exactly on the boundary
         assert np.all(z == 0)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -228,17 +227,11 @@ class TestSampleExact:
         on_edge = (rng.random((B, M)) < 0.5) & (edges < 1.0)
         u[on_edge] = edges[on_edge]
         u[:, 0] = 0.0
-
-        class FixedRng:
-            def random(self, shape):
-                assert shape == (B, M)
-                return u
-
         assert on_edge.sum() > B * M // 4
         expected = np.empty((B, M), dtype=np.int64)  # the per-row search it replaces
         for b in range(B):
             expected[b] = np.searchsorted(cum[b], u[b], side="left")
-        z = categorical_exact(pi, FixedRng(), (M,))
+        z = categorical_exact(pi, u)
         assert z.dtype == np.int64
         np.testing.assert_array_equal(z, np.minimum(expected, K - 1))
 
@@ -248,33 +241,14 @@ class TestSampleExact:
         b = sample_exact(params, M=7, rng=np.random.default_rng(22))
         np.testing.assert_array_equal(a.latent.data, b.latent.data)
 
+    def test_gathered_blocks_equal_one_gather(self):
+        _check_exact_draws(*_shape(_GATHERED))
 
-    @pytest.mark.parametrize("stacked_rows", [1, 7, 1 << 12])
-    def test_gathered_blocks_equal_one_gather(self, stacked_rows, monkeypatch):
-        rng = np.random.default_rng(23)
-        B, K, D, M = 9, 3, 4, 5
-        params = _params(rng.normal(size=(B, K)), rng.normal(size=(B, K, D)),
-                         np.tril(rng.normal(size=(B, K, D, D))))
-        _check_stacked_parts(params, M, stacked_rows, monkeypatch)
+    def test_shared_factors_stacked_parts(self):
+        _check_exact_draws(*_shape(_SHARED))
 
-    @pytest.mark.parametrize("stacked_rows", [1, 7, 1 << 12])
-    def test_shared_factors_stacked_parts(self, stacked_rows, monkeypatch):
-        # Independent and label heads broadcast one set of K factors to every row.
-        rng = np.random.default_rng(25)
-        B, K, D, M = 11, 4, 3, 6
-        means = np.broadcast_to(rng.normal(size=(K, D)), (B, K, D))
-        chol = np.broadcast_to(np.tril(rng.normal(size=(K, D, D))), (B, K, D, D))
-        params = _params(rng.normal(size=(B, K)), means, chol)
-        _check_stacked_parts(params, M, stacked_rows, monkeypatch)
-
-    @pytest.mark.parametrize("stacked_rows", [1, 7, 1 << 12])
-    def test_input_longer_than_a_part(self, stacked_rows, monkeypatch):
-        # M exceeds every part size, so each part holds one input of M rows.
-        rng = np.random.default_rng(26)
-        B, K, D, M = 3, 2, 3, (1 << 12) + 3
-        params = _params(rng.normal(size=(B, K)), rng.normal(size=(B, K, D)),
-                         np.tril(rng.normal(size=(B, K, D, D))))
-        _check_stacked_parts(params, M, stacked_rows, monkeypatch)
+    def test_input_longer_than_a_part(self):
+        _check_exact_draws(*_shape(_LONG))
 
     @pytest.mark.parametrize("field", ["pi_logits", "means", "chol"])
     def test_non_finite_mixture_refused(self, field):
@@ -293,38 +267,88 @@ def _einsum_reference(params, batch):
         "bmde,bme->bmd", params.chol.data[rows, z], batch.component_draws)
 
 
-def _fancy_index_reference(params, batch, stacked_rows):
-    """The same stacked products, each pick made with a two-array index."""
+def _fancy_index_reference(params, batch):
+    """The same stacked product, each pick made with a two-array index."""
     B, K, D = params.batch, params.K, params.latent_dim
-    M = batch.samples_per_input
+    M = batch.latent.shape[1]
     z = batch.relaxed_weights.data.argmax(axis=2)
     latent = params.means.data[np.arange(B)[:, None], z]
     stacked = np.swapaxes(params.chol.data.reshape(B, K * D, D), 1, 2)
-    step = max(1, stacked_rows // M)
-    for lo in range(0, B, step):
-        part = slice(lo, lo + step)
-        every = (batch.component_draws[part] @ stacked[part]).reshape(-1, K, D)
-        latent[part] += every[np.arange(len(every)), z[part].ravel()].reshape(-1, M, D)
-    return latent
+    every = (batch.component_draws @ stacked).reshape(-1, K, D)
+    return latent + every[np.arange(len(every)), z.ravel()].reshape(B, M, D)
 
 
-def _check_stacked_parts(params, M, stacked_rows, monkeypatch):
-    """Inputs taken a few at a time give the latents of one whole-block
-    product bit for bit, the flat-index picks equal two-array picks bit for
-    bit, and the latents agree with the per-draw gather to round-off."""
-    monkeypatch.setattr(nppr.sampling, "_STACKED_ROWS", params.batch * M)
-    whole = sample_exact(params, M, rng=np.random.default_rng(24))
-    monkeypatch.setattr(nppr.sampling, "_STACKED_ROWS", stacked_rows)
+def _check_exact_draws(params, M):
+    """The one-hot rows are the categorical draws of each input's own
+    uniforms, the flat-index picks equal two-array picks bit for bit, and the
+    latents agree with the per-draw gather to round-off."""
     batch = sample_exact(params, M, rng=np.random.default_rng(24))
-    z = categorical_exact(params.pi(), np.random.default_rng(24), (M,))
+    u = np.stack([s.random(M) for s in np.random.default_rng(24).spawn(params.batch)])
     onehot = np.zeros((params.batch, M, params.K))
-    np.put_along_axis(onehot, z[..., None], 1.0, axis=2)
+    np.put_along_axis(onehot, categorical_exact(params.pi(), u)[..., None], 1.0, axis=2)
     np.testing.assert_array_equal(batch.relaxed_weights.data, onehot)
-    np.testing.assert_array_equal(batch.latent.data, whole.latent.data)
-    np.testing.assert_array_equal(batch.latent.data,
-                                  _fancy_index_reference(params, batch, stacked_rows))
+    np.testing.assert_array_equal(batch.latent.data, _fancy_index_reference(params, batch))
     np.testing.assert_allclose(batch.latent.data, _einsum_reference(params, batch),
                                rtol=1e-12, atol=1e-12)
+
+
+# (seed, B, K, D, M, shared): the last broadcasts one set of K means and
+# factors to every row, as the independent and label heads do; _LONG has more
+# draws per input than the estimators' _ROWS, so each of its inputs is a piece.
+_GATHERED = (23, 9, 3, 4, 5, False)
+_SHARED = (25, 11, 4, 3, 6, True)
+_LONG = (26, 3, 2, 3, (1 << 12) + 3, False)
+
+
+def _shape(spec):
+    seed, B, K, D, M, shared = spec
+    rng = np.random.default_rng(seed)
+    if shared:
+        means = np.broadcast_to(rng.normal(size=(K, D)), (B, K, D))
+        chol = np.broadcast_to(np.tril(rng.normal(size=(K, D, D))), (B, K, D, D))
+    else:
+        means, chol = rng.normal(size=(B, K, D)), np.tril(rng.normal(size=(B, K, D, D)))
+    return _params(rng.normal(size=(B, K)), means, chol), M
+
+
+class TestPerInputStreams:
+    """Each input draws from its own child stream, so an input's rows depend
+    only on the caller's stream and the input's position."""
+
+    @pytest.mark.parametrize("spec", [_GATHERED, _SHARED, _LONG])
+    @pytest.mark.parametrize("size", [1, 2, -1])
+    def test_consecutive_slices_equal_one_call(self, spec, size):
+        params, M = _shape(spec)
+        size %= params.batch  # -1: all inputs but the last, then the last
+        whole = sample_exact(params, M, np.random.default_rng(30))
+        rng = np.random.default_rng(30)
+        parts = [sample_exact(_rows(params, slice(lo, lo + size)), M, rng)
+                 for lo in range(0, params.batch, size)]
+        for field in ("latent", "relaxed_weights"):
+            np.testing.assert_array_equal(
+                np.concatenate([getattr(b, field).data for b in parts]),
+                getattr(whole, field).data)
+        np.testing.assert_array_equal(
+            np.concatenate([b.component_draws for b in parts]), whole.component_draws)
+
+    @pytest.mark.parametrize("spec", [_GATHERED, _SHARED, _LONG])
+    def test_prefix_draws_equal_leading_rows(self, spec):
+        params, M = _shape(spec)
+        whole = sample_exact(params, M, np.random.default_rng(31))
+        for n in (1, params.batch - 1):
+            prefix = sample_exact(_rows(params, slice(0, n)), M,
+                                  np.random.default_rng(31))
+            np.testing.assert_array_equal(prefix.latent.data, whole.latent.data[:n])
+            np.testing.assert_array_equal(prefix.component_draws, whole.component_draws[:n])
+
+    def test_input_stream_is_its_substream(self):
+        params, M = _shape(_GATHERED)
+        batch = sample_exact(params, M, substream(5, EVAL, 0))
+        for i in (0, params.batch - 1):
+            own = substream(5, EVAL, 0, i)
+            own.random(M)
+            np.testing.assert_array_equal(batch.component_draws[i],
+                                          own.standard_normal((M, params.latent_dim)))
 
 
 class TestAnnealing:

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from nppr import tensor as T
+from nppr.generator import build_generator
+from nppr.models import Classifier, ClassifierConfig, DependencyMode, HeadConfig
 from nppr.rng import substream
 from nppr.tensor import Tensor
 from nppr.upsample import (MODE_BICUBIC, MODE_LINEAR, MODE_NONE, Upsampler,
@@ -148,3 +150,12 @@ class TestBudget:
     def test_gamma_guard(self):
         with pytest.raises(ValueError, match="gamma"):
             apply_budget(Tensor(1.0), 0.0)
+
+    def test_saturated_latent_reaches_the_bound(self):
+        # tanh(40) rounds to exactly 1, so the images sit on the ball's
+        # boundary, which the generator's post-condition must accept.
+        clf = Classifier(ClassifierConfig(input_dim=2, num_classes=2, hidden=(2,)), seed=0)
+        gen = build_generator(clf, HeadConfig(mode=DependencyMode.INDEPENDENT, K=1, latent_dim=2),
+                              UpsamplerConfig(mode=MODE_NONE, gamma=0.3))
+        images = gen.images(Tensor(np.array([[40.0, -40.0]]))).data
+        np.testing.assert_array_equal(images, [[0.3, -0.3]])
