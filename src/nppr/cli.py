@@ -28,7 +28,7 @@ from .experiment import (evaluate_generator, export_perturbation_samples, fit_cl
                          make_dataset, run_experiment)
 from .metrics import RobustnessReport
 from .oracle import verdict_to_json, verify_propositions
-from .serialize import SnapshotError
+from .serialize import SnapshotError, config_record
 from .trainer import restore_checkpoint
 
 OUTPUT_ROOT_ENV = "NPPR_OUTPUT_ROOT"
@@ -80,21 +80,31 @@ class CheckpointError(Exception):
 
 
 def _restore(cfg: ExperimentConfig, checkpoint: str):
-    """Rebuild the run's split and frozen classifier, then load `checkpoint`."""
+    """Rebuild the run's split and frozen classifier, then load `checkpoint`,
+    whose head and upsampler settings (budget included) must be the config's."""
     split = stratified_split(make_dataset(cfg.dataset), cfg.train_frac, cfg.seed)
     clf = fit_classifier(cfg, split)
     try:
-        generator, _ = restore_checkpoint(checkpoint, clf, expected_mode=cfg.head.mode)
+        generator, _ = restore_checkpoint(checkpoint, clf)
     except (SnapshotError, FileNotFoundError) as err:
         raise CheckpointError(err) from err
+    differ = []
+    for section, stored, given in (("head", generator.head.cfg, cfg.head),
+                                   ("upsampler", generator.upsampler.cfg, cfg.upsampler)):
+        stored, given = config_record(stored), config_record(given)
+        differ += [f"{section}.{k} {stored[k]} != {given[k]}" for k in given
+                   if stored[k] != given[k]]
+    if differ:
+        raise CheckpointError(f"{checkpoint}: checkpoint settings differ from the config "
+                              f"(checkpoint != config): {', '.join(differ)}")
     return split, clf, generator
 
 
 def cmd_evaluate(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args, cfg, f"evaluate-seed{cfg.seed}")
-    out.mkdir(parents=True, exist_ok=True)
     split, clf, generator = _restore(cfg, args.checkpoint)
+    out.mkdir(parents=True, exist_ok=True)
     report = evaluate_generator(cfg, clf, generator, split)
     (out / "report.json").write_text(report.to_json())
     for line in report.summary_lines():
@@ -147,8 +157,8 @@ def cmd_verify(args) -> int:
 def cmd_export_samples(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args, cfg, f"samples-seed{cfg.seed}")
-    out.mkdir(parents=True, exist_ok=True)
     split, _, generator = _restore(cfg, args.checkpoint)
+    out.mkdir(parents=True, exist_ok=True)
     per_input = args.per_input if args.per_input is not None else max(cfg.export_samples, 8)
     export_perturbation_samples(generator, split, per_input, out, cfg.seed)
     print(f"wrote {out / 'samples_latent.csv'} and {out / 'samples_input.csv'}")

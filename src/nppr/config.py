@@ -11,7 +11,9 @@ type and default. The section tables in `_CHECKS` are where a field's check
 lives. What does not map one key to one field is spelled out in
 `parse_config` and `serialize_config`: `dependency` (the head's mode, kept
 outside `gmm`), `budget.epsilon` (the exact budget and the upsampler's
-gamma), the derived `dataset.dim`, and the cross-field upsampler checks.
+gamma) and `dataset.dim`, which the rings and grid-image kinds derive. Whether
+the upsampler fits the head's latent width and the dataset's inputs is
+`upsample.fit_error`'s rule, the same one the `Upsampler` constructor applies.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .models import DependencyMode, HeadConfig
 from .sampling import AnnealSchedule, GumbelConfig
 from .serialize import config_record
 from .trainer import TrainConfig
-from .upsample import MODE_BICUBIC, MODE_LINEAR, MODE_NONE, UpsamplerConfig
+from .upsample import MODE_BICUBIC, MODE_LINEAR, MODE_NONE, UpsamplerConfig, fit_error
 
 log = logging.getLogger(__name__)
 
@@ -291,12 +293,13 @@ def parse_config(text: str | dict, strict: bool = True) -> ExperimentConfig:
         doc = text
     root = _Section(doc, "", strict)
 
-    dataset = _read(root.section("dataset"), DatasetSpec)
-    if dataset.kind == "grid-image":
-        c, h, w = dataset.image_shape
-        dataset.dim = c * h * w
-    elif dataset.kind == "rings":
-        dataset.dim = 2
+    ds = root.section("dataset")
+    dataset = _read(ds, DatasetSpec)
+    width = {"grid-image": math.prod(dataset.image_shape), "rings": 2}.get(dataset.kind)
+    if width is not None:
+        if "dim" in ds.doc and dataset.dim != width:
+            raise ConfigError(f"dataset.dim: {dataset.kind} data has width {width}, got {dataset.dim}")
+        dataset.dim = width
     classifier = _read(root.section("classifier"), ClassifierSpec)
 
     dependency = DependencyMode(root.get("dependency", "joint", str, _one_of(_DEPENDENCIES)))
@@ -307,25 +310,11 @@ def parse_config(text: str | dict, strict: bool = True) -> ExperimentConfig:
     epsilon = _parse_epsilon(budget.get("epsilon", "16/255"), "budget.epsilon")
     budget.finish()
 
-    # Checked before the constructor, which would not name the key.
-    us = root.section("upsampler")
-    if us.doc.get("mode") == MODE_BICUBIC and us.doc.get("latent_grid") is None:
-        raise ConfigError("upsampler.latent_grid: required for bicubic_image mode")
-    upsampler = _read(us, UpsamplerConfig, gamma=float(epsilon))
-    if upsampler.mode == MODE_BICUBIC:
-        c, hl, wl = upsampler.latent_grid
-        ci, hi, wi = dataset.image_shape
-        if dataset.kind != "grid-image":
-            raise ConfigError("upsampler.mode: bicubic_image needs a grid-image dataset")
-        if c != ci or hl > hi or wl > wi:
-            raise ConfigError(f"upsampler.latent_grid: {upsampler.latent_grid} "
-                              f"incompatible with image {dataset.image_shape}")
-        if upsampler.latent_dim_for_grid != head.latent_dim:
-            raise ConfigError(
-                f"gmm.latent_dim: {head.latent_dim} != latent grid size {upsampler.latent_dim_for_grid}")
-    if upsampler.mode == MODE_NONE and head.latent_dim != dataset.dim:
-        raise ConfigError(
-            f"gmm.latent_dim: 'none' upsampler needs latent_dim == input dim ({dataset.dim})")
+    upsampler = _read(root.section("upsampler"), UpsamplerConfig, gamma=float(epsilon))
+    err = fit_error(upsampler, head.latent_dim, dataset.dim,
+                    dataset.image_shape if dataset.kind == "grid-image" else None)
+    if err:
+        raise ConfigError(f"upsampler: {err}")
 
     train = _read(root.section("train"), TrainConfig)
     baselines = _read(root.section("baselines"), BaselineSpec)

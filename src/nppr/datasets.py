@@ -2,7 +2,8 @@
 
 blobs:      Gaussian clusters with class means on a sphere of radius
             separation * sigma (antipodal for two classes, orthogonal axes
-            when the dimension allows, rejection-sampled otherwise).
+            when the dimension allows, rejection-sampled otherwise, and
+            refused when the draws find no such set).
 rings:      concentric annuli in 2-D; the optimal perturbation direction is
             radial and therefore input-dependent.
 grid-image: c x h x w images with a class-specific bump, for exercising the
@@ -45,6 +46,9 @@ class SplitDataset:
     test: LabeledDataset
 
 
+_DRAWS_PER_CLASS = 1000
+
+
 def _blob_means(d: int, classes: int, radius: float, rng: np.random.Generator) -> np.ndarray:
     if classes == 2:
         means = np.zeros((2, d))
@@ -53,15 +57,19 @@ def _blob_means(d: int, classes: int, radius: float, rng: np.random.Generator) -
         return means
     if classes <= d:
         return radius * np.eye(d)[:classes]
-    # More classes than axes: rejection sampling on the sphere.
+    # More classes than axes: rejection sampling on the sphere. The sphere may
+    # not hold `classes` points this far apart, so the draws are bounded.
     means = []
     min_gap = radius * 0.8
-    while len(means) < classes:
+    for _ in range(_DRAWS_PER_CLASS * classes):
         v = rng.normal(size=d)
         v *= radius / np.linalg.norm(v)
         if all(np.linalg.norm(v - m) >= min_gap for m in means):
             means.append(v)
-    return np.stack(means)
+            if len(means) == classes:
+                return np.stack(means)
+    raise ValueError(f"blobs: no {classes} class means at least {min_gap:g} apart on the "
+                     f"sphere in d={d} (found {len(means)} in {_DRAWS_PER_CLASS * classes} draws)")
 
 
 def make_blobs(d: int, classes: int, n: int, seed: int,

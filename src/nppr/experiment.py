@@ -90,7 +90,7 @@ def evaluate_generator(cfg: ExperimentConfig, clf: Classifier, generator: Genera
     return RobustnessReport(
         nppr_test=nppr_test, nppr_train=nppr_train,
         pr_gaussian=pr_g, pr_uniform=pr_u, ar_pgd=ar_p, ar_cw=ar_c,
-        entropy_ratio=stats["entropy_ratio"] if generator.head.cfg.K >= 2 else 0.0,
+        entropy_ratio=stats["entropy_ratio"],
         pi_max=stats["pi_max"], pi_min=stats["pi_min"], pi_std=stats["pi_std"],
         clean_accuracy=clf.accuracy(test.x, test.y),
         model_key=f"mlp-{'-'.join(str(h) for h in cfg.classifier.hidden)}",

@@ -9,7 +9,7 @@ from .models import Classifier, DependencyMode, GmmHead, GmmParams, HeadConfig, 
 from .rng import GENERATOR_INIT, substream
 from .sampling import PerturbationBatch, sample_exact, sample_perturbations
 from .tensor import Tensor
-from .upsample import MODE_BICUBIC, Upsampler, UpsamplerConfig, apply_budget
+from .upsample import Upsampler, UpsamplerConfig, apply_budget
 
 
 class Generator:
@@ -79,12 +79,6 @@ class Generator:
 def build_generator(clf: Classifier, head_cfg: HeadConfig, ups_cfg: UpsamplerConfig,
                     seed: int = 0) -> Generator:
     """Wire a fresh head and upsampler to a frozen classifier."""
-    if ups_cfg.mode == MODE_BICUBIC:
-        expected = ups_cfg.latent_dim_for_grid
-        if expected != head_cfg.latent_dim:
-            raise ValueError(
-                f"latent grid {ups_cfg.latent_grid} implies latent_dim {expected}, "
-                f"head has {head_cfg.latent_dim}")
     feature_dim = clf.cfg.hidden[-1] if head_cfg.mode.conditions_on_features else None
     num_classes = clf.num_classes if head_cfg.mode.conditions_on_labels else None
     head = GmmHead(head_cfg, feature_dim=feature_dim, num_classes=num_classes, seed=seed)

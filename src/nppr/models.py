@@ -142,9 +142,6 @@ class Classifier:
             named[f"clf.b{i}"] = b
         return named
 
-    def state(self) -> dict[str, np.ndarray]:
-        return {name: p.data.copy() for name, p in self.named_params().items()}
-
 
 def cross_entropy(logits: Tensor, y: np.ndarray) -> Tensor:
     logp = T.log_softmax(logits, axis=-1)
@@ -324,9 +321,6 @@ class GmmHead:
             self._named["head.mu_w"], self._named["head.mu_b"] = w, b
             w, b = _zero_linear(hid, chol_bias.size, bias_init=chol_bias.ravel().copy())
             self._named["head.chol_w"], self._named["head.chol_b"] = w, b
-
-    def params(self) -> list[Tensor]:
-        return list(self._named.values())
 
     def named_params(self) -> dict[str, Tensor]:
         return dict(self._named)

@@ -77,19 +77,6 @@ def oracle_pr(clf: Classifier, x: np.ndarray, y: int, dist, grid: GridSpec) -> f
     return float(np.sum(weights * correct) / total)
 
 
-@dataclass
-class InequalityVerdict:
-    name: str
-    lhs: float
-    rhs: float
-    half_width: float
-    passed: bool
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "lhs": self.lhs, "rhs": self.rhs,
-                "half_width": self.half_width, "pass": self.passed}
-
-
 def _hw(p: float, draws: int) -> float:
     return mc_half_width(p, draws) if draws > 0 else 0.0
 
@@ -110,11 +97,11 @@ def verify_propositions(reports: list[RobustnessReport]) -> dict:
                 f"verify_propositions: report keys differ: {key} vs "
                 f"{(r.model_key, r.dataset_key, r.gamma)}")
 
-    verdicts: list[InequalityVerdict] = []
+    verdicts: list[dict] = []
 
     def check(name, lhs, rhs, hw):
-        verdicts.append(InequalityVerdict(name, float(lhs), float(rhs), float(hw),
-                                          bool(lhs <= rhs + hw)))
+        verdicts.append({"name": name, "lhs": float(lhs), "rhs": float(rhs),
+                         "half_width": float(hw), "pass": bool(lhs <= rhs + hw)})
 
     for r in reports:
         tag = r.mode or "generator"
@@ -135,8 +122,8 @@ def verify_propositions(reports: list[RobustnessReport]) -> dict:
 
     return {
         "experiment": {"model_key": key[0], "dataset_key": key[1], "gamma": key[2]},
-        "inequalities": [v.to_dict() for v in verdicts],
-        "all_pass": all(v.passed for v in verdicts),
+        "inequalities": verdicts,
+        "all_pass": all(v["pass"] for v in verdicts),
     }
 
 

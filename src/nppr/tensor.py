@@ -27,11 +27,7 @@ from contextlib import contextmanager
 import numpy as np
 
 
-class TensorError(Exception):
-    """Base error for tensor-engine misuse."""
-
-
-class ShapeError(TensorError):
+class ShapeError(Exception):
     """Raised when operand shapes are invalid for an op."""
 
 
@@ -101,9 +97,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data.reshape(()))
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def backward(self) -> None:
         backward(self)

@@ -142,23 +142,31 @@ def restore_checkpoint(path, clf: Classifier,
     trained against; nothing is loaded before these checks pass. A stored
     upsampler that cannot be built for `clf` at all (a `none` upsampler of
     another width, a bicubic grid that does not fit its image) is refused
-    with SnapshotError too, naming the path and the builder's message. Keys
-    of `extra` that this reader does not use are ignored.
+    with SnapshotError too, naming the path and the builder's message, and
+    so are stored settings that are missing or cannot be read. Keys of
+    `extra` that this reader does not use are ignored.
     """
     named, extra = load_snapshot(path)
     if extra.get("kind") != "generator-checkpoint":
         raise SnapshotError(f"{path}: not a generator checkpoint")
-    head_cfg = HeadConfig(**extra["head_cfg"])
+    try:
+        head_cfg = HeadConfig(**extra["head_cfg"])
+        ups_cfg = UpsamplerConfig(**extra["ups_cfg"])
+        state = {k: extra[k] for k in ("train_cfg", "epoch_next", "best_nppr",
+                                       "initial_loss", "high_loss_streak", "adam_t")}
+    except (KeyError, TypeError, ValueError) as err:
+        raise SnapshotError(
+            f"{path}: stored settings cannot be read: {type(err).__name__}: {err}") from None
     if expected_mode is not None and head_cfg.mode != DependencyMode(expected_mode):
         raise SnapshotError(
             f"{path}: checkpoint mode '{head_cfg.mode.value}' does not match expected "
             f"'{DependencyMode(expected_mode).value}'")
     try:
-        generator = build_generator(clf, head_cfg, UpsamplerConfig(**extra["ups_cfg"]))
+        generator = build_generator(clf, head_cfg, ups_cfg)
     except ValueError as err:
         raise SnapshotError(f"{path}: checkpoint does not fit the classifier: {err}") from None
     expected = {n: t.data.shape for n, t in generator.tensors().items()}
-    if extra["adam_t"] is not None:
+    if state["adam_t"] is not None:
         expected |= {f"adam.{k}.{n}": p.data.shape
                      for k in "mv" for n, p in generator.named_params().items()}
     if set(named) != set(expected):
@@ -172,16 +180,8 @@ def restore_checkpoint(path, clf: Classifier,
         raise SnapshotError(f"{path}: checkpoint tensor shapes do not match the generator "
                             f"(stored != expected): {', '.join(wrong)}")
     _load_params(generator, named)
-    state = {
-        "train_cfg": extra["train_cfg"],
-        "epoch_next": extra["epoch_next"],
-        "best_nppr": extra["best_nppr"],
-        "initial_loss": extra["initial_loss"],
-        "high_loss_streak": extra["high_loss_streak"],
-        "adam_t": extra["adam_t"],
-        "adam_m": [named.get(f"adam.m.{n}") for n in generator.named_params()],
-        "adam_v": [named.get(f"adam.v.{n}") for n in generator.named_params()],
-    }
+    for k in "mv":
+        state[f"adam_{k}"] = [named.get(f"adam.{k}.{n}") for n in generator.named_params()]
     return generator, state
 
 
@@ -349,14 +349,3 @@ def write_epoch_csv(records: list[EpochRecord], path) -> None:
         writer.writerow(EPOCH_CSV_COLUMNS)
         for record in records:
             writer.writerow(record.csv_row())
-
-
-def read_epoch_csv(path) -> list[EpochRecord]:
-    out = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            values = {name: float(row[name]) for name in EPOCH_CSV_COLUMNS}
-            values["epoch"] = int(row["epoch"])
-            out.append(EpochRecord(**values))
-    return out

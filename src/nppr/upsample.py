@@ -89,12 +89,25 @@ class UpsamplerConfig:
             if self.latent_grid is None or len(self.latent_grid) != 3:
                 raise ValueError("bicubic_image mode needs latent_grid (c, h', w')")
 
-    @property
-    def latent_dim_for_grid(self) -> int | None:
-        if self.latent_grid is None:
-            return None
-        c, h, w = self.latent_grid
-        return int(c) * int(h) * int(w)
+
+def fit_error(cfg: UpsamplerConfig, latent_dim: int, input_dim: int,
+              image_shape: tuple | None) -> str | None:
+    """Why an upsampler of `cfg` cannot map `latent_dim` latents onto inputs of
+    width `input_dim` and shape `image_shape` (None when not an image), or None
+    when it can."""
+    if cfg.mode == MODE_NONE and latent_dim != input_dim:
+        return f"upsampler 'none' needs latent_dim == input_dim, got {latent_dim} vs {input_dim}"
+    if cfg.mode != MODE_BICUBIC:
+        return None
+    c, hl, wl = cfg.latent_grid
+    if c * hl * wl != latent_dim:
+        return f"latent_grid {cfg.latent_grid} does not match latent_dim {latent_dim}"
+    if image_shape is None or len(image_shape) != 3:
+        return "bicubic_image mode needs an image-shaped input (c, h, w)"
+    ci, hi, wi = image_shape
+    if ci != c or hi < hl or wi < wl:
+        return f"latent grid {cfg.latent_grid} incompatible with input grid {image_shape}"
+    return None
 
 
 def apply_budget(u: Tensor, gamma: float) -> Tensor:
@@ -114,11 +127,11 @@ class Upsampler:
         self.latent_dim = int(latent_dim)
         self.input_dim = int(input_dim)
         self.image_shape = tuple(image_shape) if image_shape else None
+        err = fit_error(cfg, self.latent_dim, self.input_dim, self.image_shape)
+        if err:
+            raise ValueError(err)
 
         if cfg.mode == MODE_NONE:
-            if self.latent_dim != self.input_dim:
-                raise ValueError(
-                    f"upsampler 'none' needs latent_dim == input_dim, got {latent_dim} vs {input_dim}")
             self.weight = None
             self.bias = None
         elif cfg.mode == MODE_LINEAR:
@@ -127,24 +140,13 @@ class Upsampler:
             self.bias = Tensor(np.zeros(self.input_dim), requires_grad=cfg.learnable_premap)
         else:
             c, hl, wl = (int(v) for v in cfg.latent_grid)
-            if c * hl * wl != self.latent_dim:
-                raise ValueError(
-                    f"latent_grid {cfg.latent_grid} does not match latent_dim {latent_dim}")
-            if self.image_shape is None or len(self.image_shape) != 3:
-                raise ValueError("bicubic_image mode needs an image-shaped input (c, h, w)")
-            ci, hi, wi = self.image_shape
-            if ci != c or hi < hl or wi < wl:
-                raise ValueError(
-                    f"latent grid {cfg.latent_grid} incompatible with input grid {self.image_shape}")
+            _, hi, wi = self.image_shape
             w = rng.normal(0.0, 1.0 / np.sqrt(self.latent_dim), size=(self.latent_dim, self.latent_dim))
             self.weight = Tensor(w, requires_grad=cfg.learnable_premap)
             self.bias = Tensor(np.zeros(self.latent_dim), requires_grad=cfg.learnable_premap)
             self._wh = T.constant(bicubic_weight_matrix(hi, hl))
             self._ww_t = T.constant(bicubic_weight_matrix(wi, wl).T)
             self._grid = (c, hl, wl)
-
-    def params(self) -> list[Tensor]:
-        return list(self.named_params().values())
 
     def tensors(self) -> dict[str, Tensor]:
         """The premap, trainable or not: a frozen random init must survive restore."""

@@ -57,8 +57,20 @@ def test_export_samples_writes_every_draw_reproducibly(trained, tmp_path):
         assert (outs[1] / name).read_bytes() == (outs[0] / name).read_bytes()
 
 
+# What the one-line error says for each bad checkpoint.
+BAD_CHECKPOINTS = {
+    "missing": "No such file or directory",
+    "corrupt": "corrupt snapshot file",
+    "other_mode": "head.mode joint != independent",
+    "other_budget": "upsampler.gamma 0.06274509803921569 != 0.25",
+    "other_K": "head.K 7 != 3",
+    "K_as_text": "stored settings cannot be read: TypeError",
+    "no_upsampler_settings": "stored settings cannot be read: KeyError: 'ups_cfg'",
+}
+
+
 @pytest.mark.parametrize("command", ["evaluate", "export-samples"])
-@pytest.mark.parametrize("case", ["missing", "corrupt", "other_mode"])
+@pytest.mark.parametrize("case", list(BAD_CHECKPOINTS))
 def test_bad_checkpoint_is_a_checkpoint_error(trained, tmp_path, capsys, command, case):
     config, run = trained
     checkpoint = run / "ckpt_latest.json"
@@ -67,13 +79,27 @@ def test_bad_checkpoint_is_a_checkpoint_error(trained, tmp_path, capsys, command
     elif case == "corrupt":
         checkpoint = tmp_path / "corrupt.json"
         checkpoint.write_text("{ not json")
-    else:  # a joint-head checkpoint under an independent-head config
+    elif case == "other_mode":  # a joint-head checkpoint under an independent-head config
         config = _write(tmp_path, {**TINY, "dependency": "independent"})
+    elif case == "other_budget":  # the checkpoint's NPPR was drawn at gamma 16/255
+        config = _write(tmp_path, {**TINY, "budget": {"epsilon": "1/4"}})
+    elif case == "other_K":
+        config = _write(tmp_path, {**TINY, "gmm": {"modes": 3}})
+    else:
+        doc = json.loads(checkpoint.read_text())
+        if case == "K_as_text":
+            doc["extra"]["head_cfg"]["K"] = "7"
+        else:
+            del doc["extra"]["ups_cfg"]
+        checkpoint = tmp_path / "malformed.json"
+        checkpoint.write_text(json.dumps(doc))
     out = tmp_path / "out"
     assert cli.main([command, "--config", config, "--seed", "3", "--out", str(out),
                      "--checkpoint", str(checkpoint)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("checkpoint error: ") and err.count("\n") == 1
+    assert BAD_CHECKPOINTS[case] in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("per_input", ["0", "-3"])

@@ -10,10 +10,12 @@ import logging
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from nppr.config import (_CHECKS, ConfigError, config_to_json, parse_config,
                          serialize_config)
+from nppr.upsample import Upsampler, UpsamplerConfig
 
 GOLDENS = Path(__file__).parent / "goldens" / "config"
 
@@ -104,6 +106,26 @@ UNKNOWN_KEYS = [
     ({"train": {"anneal": {"T_x": [1, 1], "T_y": 2}}},
      "train.anneal: unknown key(s) ['T_x', 'T_y']"),
     ({"sweep": {"mode": [1]}}, "sweep: unknown key(s) ['mode']"),
+]
+
+# Upsampler settings that do not fit the head's latent width or the inputs,
+# with the message `upsample.fit_error` (or UpsamplerConfig) gives for them.
+UPSAMPLER_MISFITS = [
+    ({"dataset": {"kind": "grid-image"}, "upsampler": {"mode": "bicubic_image"}},
+     "upsampler: bicubic_image mode needs latent_grid (c, h', w')"),
+    ({"upsampler": {"mode": "bicubic_image", "latent_grid": [1, 4, 4]}},
+     "upsampler: bicubic_image mode needs an image-shaped input (c, h, w)"),
+    ({"dataset": {"kind": "grid-image"}, "gmm": {"latent_dim": 32},
+      "upsampler": {"mode": "bicubic_image", "latent_grid": [2, 4, 4]}},
+     "upsampler: latent grid (2, 4, 4) incompatible with input grid (1, 8, 8)"),
+    ({"dataset": {"kind": "grid-image"}, "gmm": {"latent_dim": 64},
+      "upsampler": {"mode": "bicubic_image", "latent_grid": [1, 16, 4]}},
+     "upsampler: latent grid (1, 16, 4) incompatible with input grid (1, 8, 8)"),
+    ({"dataset": {"kind": "grid-image"},
+      "upsampler": {"mode": "bicubic_image", "latent_grid": [1, 2, 2]}},
+     "upsampler: latent_grid (1, 2, 2) does not match latent_dim 16"),
+    ({"dataset": {"kind": "rings"}, "upsampler": {"mode": "none"}},
+     "upsampler: upsampler 'none' needs latent_dim == input_dim, got 16 vs 2"),
 ]
 
 INVALID = [
@@ -202,22 +224,8 @@ INVALID = [
     ({"budget": {"epsilon": [1]}}, "budget.epsilon: cannot parse '[1]' as a budget radius"),
     ({"budget": {"epsilon": "0"}}, "budget.epsilon: must be > 0"),
     ({"budget": {"epsilon": -0.5}}, "budget.epsilon: must be > 0"),
-    # cross-field checks
-    ({"dataset": {"kind": "grid-image"}, "upsampler": {"mode": "bicubic_image"}},
-     "upsampler.latent_grid: required for bicubic_image mode"),
-    ({"upsampler": {"mode": "bicubic_image", "latent_grid": [1, 4, 4]}},
-     "upsampler.mode: bicubic_image needs a grid-image dataset"),
-    ({"dataset": {"kind": "grid-image"}, "gmm": {"latent_dim": 32},
-      "upsampler": {"mode": "bicubic_image", "latent_grid": [2, 4, 4]}},
-     "upsampler.latent_grid: (2, 4, 4) incompatible with image (1, 8, 8)"),
-    ({"dataset": {"kind": "grid-image"}, "gmm": {"latent_dim": 64},
-      "upsampler": {"mode": "bicubic_image", "latent_grid": [1, 16, 4]}},
-     "upsampler.latent_grid: (1, 16, 4) incompatible with image (1, 8, 8)"),
-    ({"dataset": {"kind": "grid-image"},
-      "upsampler": {"mode": "bicubic_image", "latent_grid": [1, 2, 2]}},
-     "gmm.latent_dim: 16 != latent grid size 4"),
-    ({"dataset": {"kind": "rings"}, "upsampler": {"mode": "none"}},
-     "gmm.latent_dim: 'none' upsampler needs latent_dim == input dim (2)"),
+    # the upsampler does not fit the head or the inputs
+    *UPSAMPLER_MISFITS,
 ]
 
 # Documents that once parsed, were silently truncated, or failed later with a
@@ -271,6 +279,10 @@ NEWLY_REJECTED = [
      "train.anneal: anneal: T_shared must be a positive (init, final) pair"),
     ('{"train": {"anneal": {"T_pi": [Infinity, 1]}}}',
      "train.anneal: anneal: T_pi must be a positive (init, final) pair"),
+    # a width the kind derives, once silently replaced
+    ({"dataset": {"kind": "rings", "dim": 7}}, "dataset.dim: rings data has width 2, got 7"),
+    ({"dataset": {"kind": "grid-image", "dim": 3}},
+     "dataset.dim: grid-image data has width 64, got 3"),
 ]
 
 
@@ -311,3 +323,17 @@ def test_unknown_key_lax_warns_and_ignores(doc, message, caplog):
 def test_check_tables_name_real_fields():
     for cls, table in _CHECKS.items():
         assert set(table) <= {f.name for f in fields(cls)}, cls.__name__
+
+
+@pytest.mark.parametrize("doc,message", UPSAMPLER_MISFITS)
+def test_parse_and_constructor_refuse_a_misfit_alike(doc, message):
+    """parse_config and the Upsampler constructor state the fit rule once:
+    the ConfigError is the constructor's ValueError behind "upsampler: "."""
+    with pytest.raises(ConfigError) as parsed:
+        parse_config(doc)
+    rest = parse_config({k: v for k, v in doc.items() if k != "upsampler"})
+    image_shape = rest.dataset.image_shape if rest.dataset.kind == "grid-image" else None
+    with pytest.raises(ValueError) as built:
+        Upsampler(UpsamplerConfig(**doc["upsampler"]), rest.head.latent_dim, rest.dataset.dim,
+                  image_shape, np.random.default_rng(0))
+    assert str(parsed.value) == f"upsampler: {built.value}" == message

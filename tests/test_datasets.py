@@ -1,5 +1,7 @@
 """Synthetic datasets and the stratified split: shapes, label range, determinism."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -50,3 +52,14 @@ def test_stratified_split_is_deterministic_and_per_class(train_frac):
         assert 0 < train < total
     rows = np.concatenate([split.train.x, split.test.x])
     np.testing.assert_array_equal(np.unique(rows, axis=0), np.unique(ds.x, axis=0))
+
+
+@pytest.mark.parametrize("d,classes", [(1, 3), (2, 10)])
+def test_blobs_that_do_not_fit_the_sphere_are_refused_promptly(d, classes):
+    # Rejection sampling once looped forever here: the sphere in d dimensions
+    # holds fewer than `classes` points 0.8 * radius apart.
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"no {classes} class means at least 4.8 apart "
+                                         f"on the sphere in d={d}"):
+        make_blobs(d, classes, 20, 0)
+    assert time.perf_counter() - start < 10.0

@@ -45,3 +45,12 @@ def test_failed_stage_recorded_and_raised(tmp_path, monkeypatch):
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["stages"] == {"dataset": "done",
                                   "classifier": "failed: classifier refused"}
+
+
+def test_blobs_that_cannot_be_drawn_fail_the_dataset_stage(tmp_path):
+    cfg = parse_config({**TINY, "dataset": {"dim": 2, "classes": 10, "n": 60}})
+    with pytest.raises(ValueError, match="no 10 class means"):
+        run_experiment(cfg, tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert list(manifest["stages"]) == ["dataset"]
+    assert manifest["stages"]["dataset"].startswith("failed: blobs: no 10 class means")

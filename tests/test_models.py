@@ -39,13 +39,13 @@ class TestClassifier:
 
     def test_frozen_weights_bit_identical_after_grad_flow(self, blob_classifier):
         clf, ds = blob_classifier
-        snapshot = clf.state()
+        snapshot = {name: p.data.copy() for name, p in clf.named_params().items()}
         x = Tensor(ds.x[:8], requires_grad=True)
         loss = T.reduce_mean(clf.logits(x))
         loss.backward()
         assert x.grad is not None  # gradients still flow to inputs
-        for name, arr in clf.state().items():
-            np.testing.assert_array_equal(arr, snapshot[name])
+        for name, p in clf.named_params().items():
+            np.testing.assert_array_equal(p.data, snapshot[name])
         assert all(p.grad is None for p in clf.params())
 
     def test_below_threshold_reported_not_fatal(self, caplog):
@@ -223,7 +223,7 @@ def _perturbed_generator(clf, mode):
     head_cfg = HeadConfig(mode=mode, K=3, latent_dim=2, hidden_dim=8, label_emb_dim=4)
     gen = build_generator(clf, head_cfg, UpsamplerConfig(mode="linear_vector", gamma=1.0), seed=0)
     rng = np.random.default_rng(11)
-    for p in gen.head.params():
+    for p in gen.head.named_params().values():
         p.data = p.data + rng.normal(0.0, 0.5, size=p.data.shape)
     return gen
 
