@@ -204,10 +204,10 @@ class HeadConfig:
     def __post_init__(self):
         if isinstance(self.mode, str):
             self.mode = DependencyMode(self.mode)
-        if self.K < 1:
-            raise ValueError("head: K must be >= 1")
-        if self.latent_dim < 1:
-            raise ValueError("head: latent_dim must be >= 1")
+        for name in ("K", "latent_dim", "hidden_dim", "label_emb_dim"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"head: {name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass

@@ -78,7 +78,7 @@ class PerturbationBatch:
     """M latent draws per input plus (optionally) their input-space images."""
     latent: Tensor            # (B, M, D)
     relaxed_weights: Tensor   # (B, M, K); exact draws store one-hot rows
-    component_draws: np.ndarray  # standard-normal noise: (B, M, K, D) relaxed,
+    component_draws: np.ndarray  # standard-normal noise: (B, M, K, D) relaxed, one per k,
                                  # (B, M, D) exact (for the drawn component only)
     images: Tensor | None = None  # (B, M, input_dim), inside the budget
 
@@ -108,21 +108,17 @@ def sample_perturbations(params: GmmParams, M: int, tau: float,
                          rng: np.random.Generator) -> PerturbationBatch:
     """Draw M relaxed latent perturbations per input.
 
-    latent = sum_k z_k mu_k + sum_k z_k (L_k xi_k) with relaxed weights z,
-    keeping a differentiable path to weights, means and factors.
+    The Gumbel uniforms come first, then xi_k for every draw and component.
+    latent = sum_k z_k (mu_k + L_k xi_k), with relaxed weights z, is one
+    `tensor.mixture_latent` op, differentiable in weights, means and factors.
     """
     if M < 1:
         raise ValueError("sample_perturbations: M must be >= 1")
     B, K, D = params.batch, params.K, params.latent_dim
     pi_b = T.broadcast_to(T.reshape(params.pi_logits, (B, 1, K)), (B, M, K))
     z = gumbel_softmax_sample(pi_b, tau, rng)                     # (B, M, K)
-
     xi = rng.standard_normal((B, M, K, D))
-    lx = T.chol_apply(params.chol, xi)                            # L_k xi_k
-    mu_b = T.reshape(params.means, (B, 1, K, D))
-    comp = T.add(mu_b, lx)                                        # (B, M, K, D)
-    z_col = T.reshape(z, (B, M, K, 1))
-    latent = T.reduce_sum(T.mul(z_col, comp), axis=2)             # (B, M, D)
+    latent = T.mixture_latent(z, params.means, params.chol, xi)   # (B, M, D)
     return PerturbationBatch(latent=latent, relaxed_weights=z, component_draws=xi)
 
 

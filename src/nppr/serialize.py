@@ -37,9 +37,16 @@ def tensors_to_doc(named: dict[str, np.ndarray]) -> dict:
 
 
 def doc_to_tensors(doc: dict) -> dict[str, np.ndarray]:
+    if not isinstance(doc, dict):
+        raise SnapshotError("snapshot tensors are not an object")
     out = {}
     for name, entry in doc.items():
-        shape = tuple(int(s) for s in entry["shape"])
+        # {"shape": [ints >= 0], "data": text}; `type(s) is int` refuses a bool.
+        if not (isinstance(entry, dict) and set(entry) == {"shape", "data"}
+                and isinstance(entry["data"], str) and isinstance(entry["shape"], list)
+                and all(type(s) is int and s >= 0 for s in entry["shape"])):
+            raise SnapshotError(f"snapshot entry '{name}' is not a {{shape, data}} object")
+        shape = tuple(entry["shape"])
         try:
             raw = base64.b64decode(entry["data"], validate=True)
         except (TypeError, ValueError):  # binascii.Error is a ValueError
@@ -71,4 +78,7 @@ def load_snapshot(path) -> tuple[dict[str, np.ndarray], dict]:
         raise SnapshotError(
             f"snapshot file {path}: format_version {doc['format_version']} unsupported "
             f"(expected {FORMAT_VERSION})")
-    return doc_to_tensors(doc.get("tensors", {})), doc.get("extra", {})
+    extra = doc.get("extra", {})
+    if not isinstance(extra, dict):
+        raise SnapshotError(f"snapshot file {path}: extra is not an object")
+    return doc_to_tensors(doc.get("tensors", {})), extra

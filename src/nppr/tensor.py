@@ -287,27 +287,42 @@ def affine(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     return _node(out_data, (x, weight, bias), bwd, "affine")
 
 
-def chol_apply(chol: Tensor, xi: np.ndarray) -> Tensor:
-    """Apply per-component factors to constant noise: out[b,m,k] = chol[b,k] @ xi[b,m,k].
+def mixture_latent(z: Tensor, means: Tensor, chol: Tensor, xi: np.ndarray) -> Tensor:
+    """Mix per-component draws: out[b,m] = sum_k z[b,m,k] (means[b,k] + chol[b,k] @ xi[b,m,k]).
 
-    chol is (B,K,D,D) and xi a constant (B,M,K,D) array. Forward and backward
-    are each one matmul batched over (b,k) against a (B,K,D,M) copy of xi; no
-    (B,M,K,D,D) intermediate is built and no gradient goes to xi.
+    z is (B,M,K), means (B,K,D), chol (B,K,D,D) and xi a constant (B,M,K,D)
+    array that gets no gradient. With input b's factors side by side as
+    S = [L_1 ... L_K], (D, K*D), the forward is z @ means + (z*xi) @ S^T, and
+    each gradient is one product per input: means gets z^T g, chol g^T (z*xi)
+    and z g.mu_k + (S^T g)_k.xi_k. The backward forms z*xi again, not kept.
     """
     xi = np.asarray(xi, dtype=np.float64)
-    if chol.ndim != 4 or xi.ndim != 4 or chol.shape[-1] != chol.shape[-2]:
-        raise ShapeError(f"chol_apply: expected chol (B,K,D,D) and xi (B,M,K,D), "
-                         f"got {chol.shape} and {xi.shape}")
-    B, K, D, _ = chol.shape
-    if (xi.shape[0], xi.shape[2], xi.shape[3]) != (B, K, D):
-        raise ShapeError(f"chol_apply: xi {xi.shape} does not match chol {chol.shape}")
-    xi_t = np.ascontiguousarray(xi.transpose(0, 2, 3, 1))          # (B, K, D, M)
-    out_data = (chol.data @ xi_t).transpose(0, 3, 1, 2)            # (B, M, K, D)
+    B, M, K = z.shape if z.ndim == 3 else (None,) * 3
+    D = means.shape[-1]
+    if means.shape != (B, K, D) or chol.shape != (B, K, D, D) or xi.shape != (B, M, K, D):
+        raise ShapeError(f"mixture_latent: expected z (B,M,K), means (B,K,D), chol (B,K,D,D) "
+                         f"and xi (B,M,K,D), got {z.shape}, {means.shape}, {chol.shape} "
+                         f"and {xi.shape}")
+    stacked = chol.data.transpose(0, 2, 1, 3).reshape(B, D, K * D)  # S per input, a copy
+
+    def weighted():  # z*xi as (B, M, K*D)
+        return (z.data[..., None] * xi).reshape(B, M, K * D)
+
+    out_data = z.data @ means.data
+    out_data += weighted() @ np.swapaxes(stacked, 1, 2)
 
     def bwd(g):
-        _accumulate(chol, g.transpose(0, 2, 3, 1) @ np.swapaxes(xi_t, -1, -2))
+        if means.requires_grad:
+            _accumulate(means, np.swapaxes(z.data, 1, 2) @ g)
+        if chol.requires_grad:
+            gs = np.swapaxes(g, 1, 2) @ weighted()                    # (B, D, K*D)
+            _accumulate(chol, gs.reshape(B, D, K, D).transpose(0, 2, 1, 3))
+        if z.requires_grad:
+            gz = g @ np.swapaxes(means.data, 1, 2)
+            gz += np.einsum("bmke,bmke->bmk", (g @ stacked).reshape(B, M, K, D), xi)
+            _accumulate(z, gz)
 
-    return _node(out_data, (chol,), bwd, "chol_apply")
+    return _node(out_data, (z, means, chol), bwd, "mixture_latent")
 
 
 def tril_factor(packed: Tensor, dim: int, t_sigma: float, floor: float) -> Tensor:

@@ -64,7 +64,11 @@ BAD_CHECKPOINTS = {
     "other_mode": "head.mode joint != independent",
     "other_budget": "upsampler.gamma 0.06274509803921569 != 0.25",
     "other_K": "head.K 7 != 3",
-    "K_as_text": "stored settings cannot be read: TypeError",
+    "K_as_text": "stored settings cannot be read: ValueError: head: K must be an integer >= 1, "
+                 "got '7'",
+    "K_fractional": "stored settings cannot be read: ValueError: head: K must be an integer >= 1, "
+                    "got 2.5",
+    "extra_list": "extra is not an object",
     "no_upsampler_settings": "stored settings cannot be read: KeyError: 'ups_cfg'",
 }
 
@@ -89,6 +93,10 @@ def test_bad_checkpoint_is_a_checkpoint_error(trained, tmp_path, capsys, command
         doc = json.loads(checkpoint.read_text())
         if case == "K_as_text":
             doc["extra"]["head_cfg"]["K"] = "7"
+        elif case == "K_fractional":
+            doc["extra"]["head_cfg"]["K"] = 2.5
+        elif case == "extra_list":
+            doc["extra"] = [doc["extra"]]
         else:
             del doc["extra"]["ups_cfg"]
         checkpoint = tmp_path / "malformed.json"

@@ -217,6 +217,12 @@ class TestHeads:
         with pytest.raises(ValueError, match="K"):
             HeadConfig(mode=DependencyMode.INDEPENDENT, K=0)
 
+    @pytest.mark.parametrize("field", ["K", "latent_dim", "hidden_dim", "label_emb_dim"])
+    @pytest.mark.parametrize("value", [2.5, True, "7", 0])
+    def test_sizes_must_be_positive_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"head: {field} must be an integer >= 1"):
+            HeadConfig(mode=DependencyMode.INDEPENDENT, **{field: value})
+
 
 def _perturbed_generator(clf, mode):
     """A generator whose head weights are moved off the symmetric init."""

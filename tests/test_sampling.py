@@ -5,12 +5,14 @@ import pytest
 from scipy import stats
 
 from nppr import tensor as T
-from nppr.models import GmmParams
+from nppr.generator import build_generator
+from nppr.models import Classifier, ClassifierConfig, DependencyMode, GmmParams, HeadConfig
 from nppr.rng import EVAL, substream
 from nppr.sampling import (AnnealSchedule, GumbelConfig, anneal_value, categorical_exact,
                            gumbel_softmax_sample, gumbel_tau, sample_exact,
                            sample_perturbations)
 from nppr.tensor import Tensor
+from nppr.upsample import UpsamplerConfig
 
 
 def _params(pi_logits, means, chol):
@@ -161,6 +163,57 @@ class TestSamplePerturbations:
     def test_m_default_from_table(self):
         from nppr.trainer import TrainConfig
         assert TrainConfig().samples_per_input == 32
+
+
+def _head_params(mode):
+    """The mixture of a generator head moved off its symmetric init, for 5 inputs."""
+    clf = Classifier(ClassifierConfig(input_dim=3, num_classes=3, hidden=(6,)), seed=0)
+    head_cfg = HeadConfig(mode=mode, K=3, latent_dim=4, hidden_dim=8, label_emb_dim=4)
+    gen = build_generator(clf, head_cfg, UpsamplerConfig(mode="linear_vector", gamma=1.0))
+    rng = np.random.default_rng(17)
+    for p in gen.head.named_params().values():
+        p.data = p.data + rng.normal(0.0, 0.5, size=p.data.shape)
+    return gen.gmm_params(rng.normal(size=(5, 3)), np.array([0, 1, 2, 1, 0]))
+
+
+def _four_op_latent(params, z, xi):
+    """The generic route to sum_k z_k (mu_k + L_k xi_k): factors applied by a
+    batched matmul, then add, mul and reduce_sum over the components."""
+    B, M, K, D = xi.shape
+    chol_b = T.reshape(params.chol, (B, 1, K, D, D))
+    lx = T.reshape(T.matmul(chol_b, T.constant(xi.reshape(B, M, K, D, 1))), (B, M, K, D))
+    comp = T.add(T.reshape(params.means, (B, 1, K, D)), lx)
+    return T.reduce_sum(T.mul(T.reshape(z, (B, M, K, 1)), comp), axis=2)
+
+
+class TestMixtureLatentSampler:
+    def test_draws_follow_the_gumbel_uniforms(self):
+        params = _params(np.zeros((2, 3)), np.zeros((2, 3, 4)), _diag_chol(2, 3, 4))
+        batch = sample_perturbations(params, M=5, tau=0.7, rng=np.random.default_rng(18))
+        twin = np.random.default_rng(18)
+        twin.random((2, 5, 3))
+        np.testing.assert_array_equal(batch.component_draws, twin.standard_normal((2, 5, 3, 4)))
+
+    @pytest.mark.parametrize("mode", [DependencyMode.JOINT, DependencyMode.LABEL],
+                             ids=lambda m: m.value)
+    def test_matches_four_op_chain(self, mode):
+        probe = T.constant(np.random.default_rng(19).normal(size=(5, 6, 4)))
+        results = []
+        for fused in (True, False):
+            params = _head_params(mode)
+            rng = np.random.default_rng(20)
+            if fused:
+                latent = sample_perturbations(params, M=6, tau=0.6, rng=rng).latent
+            else:
+                pi_b = T.broadcast_to(T.reshape(params.pi_logits, (5, 1, 3)), (5, 6, 3))
+                z = gumbel_softmax_sample(pi_b, 0.6, rng)
+                latent = _four_op_latent(params, z, rng.standard_normal((5, 6, 3, 4)))
+            T.reduce_sum(T.mul(latent, probe)).backward()
+            results.append([latent.data, params.pi_logits.grad, params.means.grad,
+                            params.chol.grad])
+        for got, want in zip(*results):
+            assert want is not None
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 class TestSampleExact:

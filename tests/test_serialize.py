@@ -41,6 +41,37 @@ def test_short_payload_rejected(tmp_path):
         load_snapshot(path)
 
 
+_EIGHT_BYTES = base64.b64encode(b"\0" * 8).decode()
+
+
+@pytest.mark.parametrize("entry", [
+    [1.0], {"shape": [1]}, {"shape": [1], "data": _EIGHT_BYTES, "dtype": "f8"},
+    {"shape": 1, "data": _EIGHT_BYTES}, {"shape": [1.5], "data": _EIGHT_BYTES},
+    {"shape": [-1], "data": _EIGHT_BYTES}, {"shape": [True], "data": _EIGHT_BYTES},
+    {"shape": [1], "data": [0.0]},
+], ids=["list", "no_data", "extra_key", "scalar_shape", "float_dim", "negative_dim",
+        "bool_dim", "list_data"])
+def test_malformed_entry_rejected(tmp_path, entry):
+    path = tmp_path / "s.json"
+    _write(path, {"w": entry})
+    with pytest.raises(SnapshotError, match="'w' is not a {shape, data} object"):
+        load_snapshot(path)
+
+
+def test_tensors_not_an_object_rejected(tmp_path):
+    path = tmp_path / "s.json"
+    _write(path, [{"shape": [1], "data": _EIGHT_BYTES}])
+    with pytest.raises(SnapshotError, match="tensors are not an object"):
+        load_snapshot(path)
+
+
+def test_extra_not_an_object_rejected(tmp_path):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"format_version": 2, "tensors": {}, "extra": ["kind"]}))
+    with pytest.raises(SnapshotError, match="extra is not an object"):
+        load_snapshot(path)
+
+
 def test_v1_decimal_document_refused(tmp_path):
     path = tmp_path / "s.json"
     _write(path, {"w": {"shape": [2], "data": [0.5, 1.5]}}, version=1)

@@ -129,10 +129,11 @@ def _rng(seed):
     return np.random.default_rng(seed)
 
 
-def _chol_apply_case(r):
+def _mixture_latent_case(r):
     xi = r.normal(size=(2, 3, 2, 3))  # (B, M, K, D) constant noise, closed over
-    return (lambda ts: T.reduce_mean(T.mul(T.chol_apply(ts[0], xi), ts[1])),
-            [r.uniform(-1, 1, (2, 2, 3, 3)), r.uniform(-2, 2, (2, 3, 2, 3))])
+    return (lambda ts: T.reduce_mean(T.mul(T.mixture_latent(ts[0], ts[1], ts[2], xi), ts[3])),
+            [r.uniform(0, 1, (2, 3, 2)), r.uniform(-1, 1, (2, 2, 3)),
+             r.uniform(-1, 1, (2, 2, 3, 3)), r.uniform(-2, 2, (2, 3, 3))])
 
 
 # Per-op finite-difference checks; inputs are kept away from kinks/ties.
@@ -156,7 +157,7 @@ PER_OP_CASES = {
     "matmul_bcast_batch": lambda r: (lambda ts: T.reduce_mean(T.matmul(ts[0], ts[1])),
                                      [r.uniform(-1, 1, (2, 1, 3, 4)),
                                       r.uniform(-1, 1, (5, 4, 2))]),
-    "chol_apply": _chol_apply_case,
+    "mixture_latent": _mixture_latent_case,
     "tril_factor": lambda r: (lambda ts: T.reduce_mean(T.mul(T.tril_factor(ts[0], 3, 0.7, 1e-6),
                                                              ts[1])),
                               [r.uniform(-2, 2, (2, 6)), r.uniform(-2, 2, (2, 3, 3))]),
@@ -320,39 +321,58 @@ class TestNoGrad:
         assert x.grad is not None and w.grad is not None and b.grad is not None
 
 
-class TestCholApply:
-    @staticmethod
-    def _matmul_chain(chol, xi):
-        """The generic reshape -> constant -> matmul -> reshape route to L_k xi_k."""
-        B, M, K, D = xi.shape
-        chol_b = T.reshape(chol, (B, 1, K, D, D))
-        xi_col = T.constant(xi.reshape(B, M, K, D, 1))
-        return T.reshape(T.matmul(chol_b, xi_col), (B, M, K, D))
-
+class TestMixtureLatent:
     @pytest.mark.parametrize("shared", [False, True], ids=["per_row", "broadcast"])
-    def test_matches_matmul_chain(self, shared):
+    def test_matches_einsum_reference(self, shared):
         # `shared` builds chol by broadcast_to from one (1,K,D,D) factor, as the
         # label head does.
         rng = np.random.default_rng(5)
         B, M, K, D = 4, 6, 3, 5
-        raw = rng.normal(size=(1 if shared else B, K, D, D))
+        z = rng.dirichlet(np.ones(K), size=(B, M))
+        means = rng.normal(size=(B, K, D))
+        raw = np.tril(rng.normal(size=(1 if shared else B, K, D, D)))
         xi = rng.standard_normal((B, M, K, D))
-        probe = T.constant(rng.normal(size=(B, M, K, D)))
-        results = []
-        for apply in (T.chol_apply, self._matmul_chain):
-            leaf = Tensor(raw.copy(), requires_grad=True)
-            chol = T.broadcast_to(leaf, (B, K, D, D)) if shared else leaf
-            out = apply(chol, xi)
-            T.reduce_sum(T.mul(out, probe)).backward()
-            results.append((out.data, leaf.grad))
-        (out_fused, grad_fused), (out_chain, grad_chain) = results
-        np.testing.assert_allclose(out_fused, out_chain, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(grad_fused, grad_chain, rtol=0, atol=1e-12)
+        probe = rng.normal(size=(B, M, D))
+        leaves = [Tensor(a.copy(), requires_grad=True) for a in (z, means, raw)]
+        chol = T.broadcast_to(leaves[2], (B, K, D, D)) if shared else leaves[2]
+        out = T.mixture_latent(leaves[0], leaves[1], chol, xi)
+        T.reduce_sum(T.mul(out, T.constant(probe))).backward()
 
-    def test_shape_guard(self):
+        full = np.broadcast_to(raw, (B, K, D, D))
+        lx = np.einsum("bkde,bmke->bmkd", full, xi)
+        ref = np.einsum("bmk,bmkd->bmd", z, means[:, None] + lx)
+        grad_z = np.einsum("bmd,bmkd->bmk", probe, means[:, None] + lx)
+        grad_means = np.einsum("bmk,bmd->bkd", z, probe)
+        grad_chol = np.einsum("bmd,bmk,bmke->bkde", probe, z, xi)
+        if shared:
+            grad_chol = grad_chol.sum(axis=0, keepdims=True)
+        for got, want in ((out.data, ref), (leaves[0].grad, grad_z),
+                          (leaves[1].grad, grad_means), (leaves[2].grad, grad_chol)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_one_hot_weights_pick_one_component(self):
+        rng = np.random.default_rng(6)
+        B, M, K, D = 3, 8, 4, 3
+        pick = rng.integers(0, K, size=(B, M))
+        z = np.eye(K)[pick]
+        means = rng.normal(size=(B, K, D))
+        chol = np.tril(rng.normal(size=(B, K, D, D)))
+        xi = rng.standard_normal((B, M, K, D))
+        out = T.mixture_latent(Tensor(z), Tensor(means), Tensor(chol), xi).data
+        # The other components enter as exact zeros; only the order in which
+        # the D terms of L_z xi_z are summed may differ from a matrix-vector product.
+        for b, m in np.ndindex(B, M):
+            k = pick[b, m]
+            np.testing.assert_allclose(out[b, m], means[b, k] + chol[b, k] @ xi[b, m, k],
+                                       rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("xi_shape", [(2, 5, 3, 2), (2, 5, 4, 4), (2, 4, 3, 4)])
+    def test_shape_guard(self, xi_shape):
+        z = Tensor(np.zeros((2, 5, 3)), requires_grad=True)
+        means = Tensor(np.zeros((2, 3, 4)))
         chol = Tensor(np.zeros((2, 3, 4, 4)), requires_grad=True)
-        with pytest.raises(ShapeError, match="chol_apply"):
-            T.chol_apply(chol, np.zeros((2, 5, 3, 2)))
+        with pytest.raises(ShapeError, match="mixture_latent"):
+            T.mixture_latent(z, means, chol, np.zeros(xi_shape))
 
 
 class TestTrilFactor:
