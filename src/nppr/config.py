@@ -7,12 +7,14 @@ strict mode: a silently misconfigured robustness run is worse than a failed
 one.
 
 Each document section is read into its dataclass, which gives every key's
-type and default. The section tables in `_CHECKS` are where a field's check
-lives. What does not map one key to one field is spelled out in
-`parse_config` and `serialize_config`: `dependency` (the head's mode, kept
-outside `gmm`), `budget.epsilon` (the exact budget and the upsampler's
-gamma) and `dataset.dim`, which the rings and grid-image kinds derive. Whether
-the upsampler fits the head's latent width and the dataset's inputs is
+type, default and check: a field's rule is stated once, on the field, with
+`serialize.checked`, and the dataclasses that are also built from a
+checkpoint or by library code apply the same rules in their `__post_init__`.
+What does not map one key to one field is spelled out in `parse_config` and
+`serialize_config`: `dependency` (the head's mode, kept outside `gmm`),
+`budget.epsilon` (the exact budget and the upsampler's gamma) and
+`dataset.dim`, which the rings and grid-image kinds derive. Whether the
+upsampler fits the head's latent width and the dataset's inputs is
 `upsample.fit_error`'s rule, the same one the `Upsampler` constructor applies.
 """
 
@@ -25,10 +27,10 @@ from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
 
 from .models import DependencyMode, HeadConfig
-from .sampling import AnnealSchedule, GumbelConfig
-from .serialize import config_record
+from .serialize import (at_least, checked, config_record, field_rule, grid, one_of, positive,
+                        positive_int, value_error)
 from .trainer import TrainConfig
-from .upsample import MODE_BICUBIC, MODE_LINEAR, MODE_NONE, UpsamplerConfig, fit_error
+from .upsample import UpsamplerConfig, fit_error
 
 log = logging.getLogger(__name__)
 
@@ -37,42 +39,57 @@ class ConfigError(Exception):
     """Invalid configuration; the message names the offending key path."""
 
 
+def _sigma_rule(value):
+    if value == "gamma/3":
+        return None
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return "must be 'gamma/3' or a number"
+    return positive(value) if math.isfinite(value) else "must be finite"
+
+
+_DEPENDENCIES = tuple(m.value for m in DependencyMode)
+
+
 @dataclass
 class DatasetSpec:
-    kind: str = "blobs"            # blobs | rings | grid-image
-    dim: int = 16
-    classes: int = 10
-    n: int = 1000
+    kind: str = checked("blobs", one_of({"blobs", "rings", "grid-image"}))
+    dim: int = checked(16, at_least(1))
+    classes: int = checked(10, at_least(2))
+    n: int = checked(1000, at_least(10))
     seed: int = 0
-    separation: float = 6.0
-    sigma: float = 1.0
-    image_shape: tuple = (1, 8, 8)
-    radius_step: float = 2.0
-    noise: float = 0.3
+    separation: float = checked(6.0, positive)
+    sigma: float = checked(1.0, positive)
+    image_shape: tuple = checked((1, 8, 8), grid("[c, h, w]"))
+    radius_step: float = checked(2.0, positive)
+    noise: float = checked(0.3, positive)
 
 
 @dataclass
 class ClassifierSpec:
-    hidden: tuple = (64, 32)
-    epochs: int = 200
-    lr: float = 1e-2
-    batch_size: int | None = None
+    hidden: tuple = checked((64, 32), lambda v: None if v and all(positive_int(h) for h in v)
+                            else "must be a non-empty list of positive ints")
+    epochs: int = checked(200, at_least(1))
+    lr: float = checked(1e-2, positive)
+    batch_size: int | None = checked(None, at_least(1), kind=int)
     accuracy_threshold: float = 0.95
 
 
 @dataclass
 class BaselineSpec:
-    pgd_steps: int = 20
-    cw_steps: int = 20
-    gaussian_sigma_rule: str | float = "gamma/3"   # or a positive sigma
-    eval_samples: int = 512
+    pgd_steps: int = checked(20, at_least(1))
+    cw_steps: int = checked(20, at_least(1))
+    gaussian_sigma_rule: str | float = checked("gamma/3", _sigma_rule, kind=object)
+    eval_samples: int = checked(512, at_least(1))
 
 
 @dataclass
 class SweepSpec:
-    modes: tuple = ()          # mixture counts K
+    # mixture counts K
+    modes: tuple = checked((), lambda v: None if all(positive_int(k) for k in v)
+                           else "entries must be ints >= 1")
     epsilons: tuple = ()       # budget radii, as Fractions
-    dependencies: tuple = ()   # DependencyMode values
+    dependencies: tuple = checked((), lambda v: None if all(d in _DEPENDENCIES for d in v)
+                                  else "entries must be dependency mode names")
 
     def __post_init__(self):
         self.epsilons = tuple(_parse_epsilon(e, "sweep.epsilons") for e in self.epsilons)
@@ -89,9 +106,9 @@ class ExperimentConfig:
     baselines: BaselineSpec = field(default_factory=BaselineSpec)
     epsilon: Fraction = Fraction(16, 255)
     seed: int = 0
-    train_frac: float = 0.8
-    export_samples: int = 0
-    output_dir: str | None = None
+    train_frac: float = checked(0.8, lambda v: None if 0.0 < v < 1.0 else "must be in (0, 1)")
+    export_samples: int = checked(0, at_least(0))
+    output_dir: str | None = checked(None, kind=str)
     sweep: SweepSpec = field(default_factory=SweepSpec)
 
     @property
@@ -131,26 +148,15 @@ class _Section:
         return f"{self.path}.{key}" if self.path else key
 
     def get(self, key: str, default, kind=None, check=None):
+        """`key`'s value, held to the rule (`kind`, `check`), or `default`."""
         self.seen.add(key)
         if key not in self.doc:
             return default
         value = self.doc[key]
-        if kind is not None:
-            if kind is float and isinstance(value, int) and not isinstance(value, bool):
-                value = float(value)
-            if kind is int and isinstance(value, bool):
-                raise ConfigError(f"{self._full(key)}: expected int, got bool")
-            if not isinstance(value, kind):
-                raise ConfigError(
-                    f"{self._full(key)}: expected {getattr(kind, '__name__', kind)}, "
-                    f"got {type(value).__name__}")
-            if kind is float and not math.isfinite(value):
-                raise ConfigError(f"{self._full(key)}: must be finite, got {value}")
-        if check is not None:
-            err = check(value)
-            if err:
-                raise ConfigError(f"{self._full(key)}: {err}")
-        return value
+        err = value_error(value, kind, check)
+        if err:
+            raise ConfigError(f"{self._full(key)}: {err}")
+        return kind(value) if kind in (float, tuple) else value
 
     def section(self, key: str) -> "_Section":
         self.seen.add(key)
@@ -167,97 +173,6 @@ class _Section:
         log.warning("%s (ignored)", msg)
 
 
-def _positive(value):
-    return None if value > 0 else "must be > 0"
-
-
-def _at_least(minimum):
-    return lambda v: None if v >= minimum else f"must be >= {minimum}"
-
-
-def _one_of(options):
-    return lambda v: None if v in options else f"must be one of {sorted(options)}"
-
-
-def _pair(value):
-    return None if (isinstance(value, (list, tuple)) and len(value) == 2) else "must be an (init, final) pair"
-
-
-def _positive_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
-
-
-def _grid(form: str):
-    def check(value):
-        if not (isinstance(value, list) and len(value) == 3):
-            return f"must be {form}"
-        return None if all(_positive_int(v) for v in value) else f"must be {form} of positive ints"
-    return check
-
-
-def _sigma_rule(value):
-    if value == "gamma/3":
-        return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return "must be 'gamma/3' or a number"
-    return _positive(value) if math.isfinite(value) else "must be finite"
-
-
-_DEPENDENCIES = tuple(m.value for m in DependencyMode)
-
-# One table per document section: the check each field's value must pass.
-# A field without a row is only type-checked.
-_CHECKS = {
-    DatasetSpec: {
-        "kind": _one_of({"blobs", "rings", "grid-image"}), "dim": _at_least(1),
-        "classes": _at_least(2), "n": _at_least(10), "separation": _positive,
-        "sigma": _positive, "image_shape": _grid("[c, h, w]"), "radius_step": _positive,
-        "noise": _positive,
-    },
-    ClassifierSpec: {
-        "hidden": lambda v: None if v and all(_positive_int(h) for h in v)
-        else "must be a non-empty list of positive ints",
-        "epochs": _at_least(1), "lr": _positive, "batch_size": _at_least(1),
-    },
-    HeadConfig: {
-        "K": _at_least(1), "latent_dim": _at_least(1), "hidden_dim": _at_least(1),
-        "label_emb_dim": _at_least(1),
-    },
-    UpsamplerConfig: {
-        "mode": _one_of({MODE_BICUBIC, MODE_LINEAR, MODE_NONE}),
-        "latent_grid": lambda v: None if v is None else _grid("[c, h', w']")(v),
-    },
-    TrainConfig: {
-        "epochs": _at_least(1), "lr": _positive, "lr_schedule": _one_of({"constant", "cosine"}),
-        "warmup_epochs": _at_least(0), "lr_min": _positive, "samples_per_input": _at_least(1),
-        "batch_size": _at_least(1), "eval_every": _at_least(1), "probe_size": _at_least(1),
-        "probe_samples": _at_least(1),
-    },
-    GumbelConfig: {"tau_init": _positive, "tau_final": _positive},
-    AnnealSchedule: {
-        "T_pi": _pair, "T_mu": _pair, "T_sigma": _pair, "T_shared": _pair,
-        "warmup_epochs": _at_least(0),
-    },
-    BaselineSpec: {
-        "pgd_steps": _at_least(1), "cw_steps": _at_least(1),
-        "gaussian_sigma_rule": _sigma_rule, "eval_samples": _at_least(1),
-    },
-    SweepSpec: {
-        "modes": lambda v: None if all(_positive_int(k) for k in v)
-        else "entries must be ints >= 1",
-        "dependencies": lambda v: None if all(d in _DEPENDENCIES for d in v)
-        else "entries must be dependency mode names",
-    },
-    ExperimentConfig: {
-        "train_frac": lambda v: None if 0.0 < v < 1.0 else "must be in (0, 1)",
-        "export_samples": _at_least(0),
-    },
-}
-# The JSON type of a field whose default does not give it. Every other field
-# takes the type of its default, a tuple being read from a list. Of the
-# None defaults only latent_grid accepts an explicit null.
-_KIND = {"batch_size": int, "output_dir": str, "latent_grid": object,
-         "gaussian_sigma_rule": object}
 # Document keys that differ from their field's name.
 _KEY = {"K": "modes"}
 
@@ -268,13 +183,9 @@ def _read(sec: _Section, cls, **given):
         if f.name in given:
             continue
         key = _KEY.get(f.name, f.name)
-        if f.default_factory is not MISSING:
-            given[f.name] = _read(sec.section(key), f.default_factory)
-            continue
-        kind = _KIND.get(f.name, type(f.default))
-        value = sec.get(key, f.default, list if kind is tuple else kind,
-                        _CHECKS[cls].get(f.name))
-        given[f.name] = tuple(value) if kind is tuple else value
+        given[f.name] = (_read(sec.section(key), f.default_factory)
+                         if f.default_factory is not MISSING
+                         else sec.get(key, f.default, *field_rule(f)))
     sec.finish()
     try:
         return cls(**given)
@@ -302,7 +213,7 @@ def parse_config(text: str | dict, strict: bool = True) -> ExperimentConfig:
         dataset.dim = width
     classifier = _read(root.section("classifier"), ClassifierSpec)
 
-    dependency = DependencyMode(root.get("dependency", "joint", str, _one_of(_DEPENDENCIES)))
+    dependency = DependencyMode(root.get("dependency", "joint", str, one_of(_DEPENDENCIES)))
     head = _read(root.section("gmm"), HeadConfig, mode=dependency)
 
     # `budget.epsilon` is both the exact budget and the upsampler's gamma.

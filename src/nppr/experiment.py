@@ -100,11 +100,11 @@ def evaluate_generator(cfg: ExperimentConfig, clf: Classifier, generator: Genera
 
 
 def export_perturbation_samples(generator: Generator, split: SplitDataset,
-                                per_input: int, out_dir: Path, seed: int,
-                                max_inputs: int = 64) -> None:
+                                per_input: int, out_dir: Path, seed: int) -> None:
     """CSV rows (input_id, sample_id, component_argmax, values...) for the
-    latent draws and their budget-constrained input-space images."""
-    n = min(split.test.n, max_inputs)
+    latent draws and their budget-constrained input-space images, for the
+    first (up to) 64 test inputs."""
+    n = min(split.test.n, 64)
     x, y = split.test.x[:n], split.test.y[:n]
     params = generator.gmm_params(x, y)
     batch = generator.perturb_exact(params, per_input, substream(seed, EVAL, 9))

@@ -143,16 +143,16 @@ def pr_estimate(clf: Classifier, x: np.ndarray, y: np.ndarray, dist: str,
 
 
 def _attack(clf: Classifier, x: np.ndarray, y: np.ndarray, gamma: float, steps: int,
-            step_size: float | None, rng: np.random.Generator, objective: str,
-            kappa: float = 1.0) -> float:
-    """Shared L-infinity sign-ascent loop for both attack baselines."""
+            rng: np.random.Generator, objective: str, kappa: float = 1.0) -> float:
+    """Shared L-infinity sign-ascent loop for both attack baselines, with
+    step size 2.5 * gamma / steps."""
     if steps < 1:
         raise ValueError("attack: steps must be >= 1")
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if gamma == 0.0:
         return clf.accuracy(x, y)
-    alpha = 2.5 * gamma / steps if step_size is None else step_size
+    alpha = 2.5 * gamma / steps
 
     delta = rng.uniform(-gamma, gamma, size=x.shape)
     for _ in range(steps):
@@ -170,20 +170,19 @@ def _attack(clf: Classifier, x: np.ndarray, y: np.ndarray, gamma: float, steps: 
 
 
 def ar_pgd(clf: Classifier, x: np.ndarray, y: np.ndarray, gamma: float,
-           steps: int = 20, step_size: float | None = None,
-           rng: np.random.Generator | None = None) -> float:
+           steps: int = 20, rng: np.random.Generator | None = None) -> float:
     """Fraction still correct after L-infinity PGD with random start and
     sign-gradient ascent on cross-entropy."""
     rng = rng if rng is not None else substream(0, ATTACK, 0)
-    return _attack(clf, x, y, gamma, steps, step_size, rng, "cross_entropy")
+    return _attack(clf, x, y, gamma, steps, rng, "cross_entropy")
 
 
 def ar_cw(clf: Classifier, x: np.ndarray, y: np.ndarray, gamma: float,
-          steps: int = 20, step_size: float | None = None, kappa: float = 1.0,
+          steps: int = 20, kappa: float = 1.0,
           rng: np.random.Generator | None = None) -> float:
     """Same loop as ar_pgd but ascending the logit-margin objective."""
     rng = rng if rng is not None else substream(0, ATTACK, 1)
-    return _attack(clf, x, y, gamma, steps, step_size, rng, "margin", kappa)
+    return _attack(clf, x, y, gamma, steps, rng, "margin", kappa)
 
 
 @dataclass

@@ -34,6 +34,7 @@ import numpy as np
 from . import tensor as T
 from .optim import Adam
 from .rng import CLASSIFIER, GENERATOR_INIT, substream
+from .serialize import at_least, check_fields, checked
 from .tensor import Tensor
 
 log = logging.getLogger(__name__)
@@ -195,19 +196,16 @@ def train_classifier(x: np.ndarray, y: np.ndarray, epochs: int, seed: int,
 @dataclass
 class HeadConfig:
     mode: DependencyMode
-    K: int = 7
-    latent_dim: int = 16
-    hidden_dim: int = 64
-    label_emb_dim: int = 16
+    K: int = checked(7, at_least(1))
+    latent_dim: int = checked(16, at_least(1))
+    hidden_dim: int = checked(64, at_least(1))
+    label_emb_dim: int = checked(16, at_least(1))
     label_emb_normalized: bool = True
 
     def __post_init__(self):
         if isinstance(self.mode, str):
             self.mode = DependencyMode(self.mode)
-        for name in ("K", "latent_dim", "hidden_dim", "label_emb_dim"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-                raise ValueError(f"head: {name} must be an integer >= 1, got {value!r}")
+        check_fields(self)
 
 
 @dataclass

@@ -19,12 +19,12 @@ class Adam:
     moment update) and counted; training code decides how to react.
     """
 
-    def __init__(self, params: list[Tensor], lr: float = 5e-4,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8):
+    # The moments' decay rates and the denominator's eps, the usual ones.
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: list[Tensor], lr: float = 5e-4):
         self.params = list(params)
         self.lr = float(lr)
-        self.beta1, self.beta2 = betas
-        self.eps = float(eps)
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]

@@ -13,6 +13,7 @@ import numpy as np
 
 from . import tensor as T
 from .models import GmmParams
+from .serialize import at_least, check_fields, checked, positive, value_error
 from .tensor import Tensor
 
 GUMBEL_FLOOR = 1e-12
@@ -21,13 +22,21 @@ GUMBEL_FLOOR = 1e-12
 @dataclass
 class GumbelConfig:
     """Relaxation temperature and its schedule."""
-    tau_init: float = 1.0
-    tau_final: float = 0.1
+    tau_init: float = checked(1.0, positive)
+    tau_final: float = checked(0.1, positive)
     anneal: bool = True
 
     def __post_init__(self):
-        if not (self.tau_init >= self.tau_final > 0):
-            raise ValueError("gumbel: need tau_init >= tau_final > 0")
+        check_fields(self)
+        if self.tau_init < self.tau_final:
+            raise ValueError("tau_init must be >= tau_final")
+
+
+def _positive_pair(value):
+    if len(value) != 2:
+        return "must be an (init, final) pair"
+    if not all(value_error(v, float, positive) is None for v in value):
+        return "must be a positive (init, final) pair"
 
 
 @dataclass
@@ -37,18 +46,16 @@ class AnnealSchedule:
     warmup_epochs == 0 spreads the interpolation over the whole run;
     otherwise values clamp at their final level once the window ends.
     """
-    T_pi: tuple = (3.0, 1.0)
-    T_mu: tuple = (3.0, 1.0)
-    T_sigma: tuple = (1.5, 1.0)
-    T_shared: tuple = (1.5, 1.0)
-    warmup_epochs: int = 0
+    T_pi: tuple = checked((3.0, 1.0), _positive_pair)
+    T_mu: tuple = checked((3.0, 1.0), _positive_pair)
+    T_sigma: tuple = checked((1.5, 1.0), _positive_pair)
+    T_shared: tuple = checked((1.5, 1.0), _positive_pair)
+    warmup_epochs: int = checked(0, at_least(0))
 
     def __post_init__(self):
+        check_fields(self)
         for name in ("T_pi", "T_mu", "T_sigma", "T_shared"):
-            pair = tuple(float(v) for v in getattr(self, name))
-            if len(pair) != 2 or not all(0 < v < np.inf for v in pair):
-                raise ValueError(f"anneal: {name} must be a positive (init, final) pair")
-            setattr(self, name, pair)
+            setattr(self, name, tuple(float(v) for v in getattr(self, name)))
 
 
 def _interp(init: float, final: float, epoch: int, window: int) -> float:

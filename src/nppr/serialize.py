@@ -4,13 +4,19 @@ Format version 2 stores each array as {"shape": [...], "data": "<base64>"},
 where the payload is the array's row-major little-endian float64 bytes, so
 values round-trip bit-exactly and a document is about 10.7 bytes per float.
 Version 1 documents (decimal lists) are refused by the version guard.
+
+Config dataclasses are read from checkpoints as well as documents, so their
+field rules live here: a kind (the default's type unless `checked` names one)
+and an optional check, applied by `value_error` to a document key and by
+`check_fields` in a `__post_init__`.
 """
 
 from __future__ import annotations
 
 import base64
 import json
-from dataclasses import asdict
+import math
+from dataclasses import MISSING, asdict, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +32,73 @@ def config_record(cfg) -> dict:
     """A config dataclass as plain JSON values: tuples become lists, enums
     their values and fractions "n/d" text."""
     return json.loads(json.dumps(asdict(cfg), default=lambda r: f"{r.numerator}/{r.denominator}"))
+
+
+def checked(default, check=None, kind=None):
+    """A dataclass field whose values are of `kind` and pass `check`, which
+    returns the reason a value of that kind fails, or None."""
+    return field(default=default, metadata={"kind": kind, "check": check})
+
+
+def field_rule(f) -> tuple:
+    """(kind, check) of a dataclass field; none for one without a default."""
+    if f.default is MISSING:
+        return None, None
+    return f.metadata.get("kind") or type(f.default), f.metadata.get("check")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def value_error(value, kind=None, check=None) -> str | None:
+    """Why `value` breaks the rule, or None. An int counts as a float, a bool
+    is not an int, a float must be finite and a tuple is given as a list."""
+    if kind is tuple:
+        kind, ok = list, isinstance(value, (list, tuple))
+    elif kind is int:
+        ok = _is_int(value)
+    elif kind is float:
+        ok = _is_int(value) or isinstance(value, float)
+    else:
+        ok = kind is None or isinstance(value, kind)
+    if not ok:
+        return f"expected {kind.__name__}, got {type(value).__name__}"
+    if kind is float and not math.isfinite(value):
+        return f"must be finite, got {value}"
+    return check(value) if check is not None else None
+
+
+def check_fields(cfg) -> None:
+    """Raise ValueError naming the first field of `cfg` that breaks its rule."""
+    for f in fields(cfg):
+        err = value_error(getattr(cfg, f.name), *field_rule(f))
+        if err:
+            raise ValueError(f"{type(cfg).__name__}.{f.name}: {err}")
+
+
+def positive(value):
+    return None if value > 0 else "must be > 0"
+
+
+def at_least(minimum):
+    return lambda v: None if v >= minimum else f"must be >= {minimum}"
+
+
+def one_of(options):
+    return lambda v: None if v in options else f"must be one of {sorted(options)}"
+
+
+def positive_int(value) -> bool:
+    return _is_int(value) and value >= 1
+
+
+def grid(form: str):
+    def check(value):
+        if not (isinstance(value, (list, tuple)) and len(value) == 3):
+            return f"must be {form}"
+        return None if all(positive_int(v) for v in value) else f"must be {form} of positive ints"
+    return check
 
 
 def tensors_to_doc(named: dict[str, np.ndarray]) -> dict:

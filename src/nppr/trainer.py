@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -19,37 +19,32 @@ from .models import Classifier, DependencyMode, HeadConfig, Temperatures
 from .optim import Adam
 from .rng import GUMBEL, PROBE, SHUFFLE, substream
 from .sampling import AnnealSchedule, GumbelConfig, anneal_value, gumbel_tau
-from .serialize import SnapshotError, config_record, load_snapshot, save_snapshot
+from .serialize import (SnapshotError, at_least, check_fields, checked, config_record,
+                        load_snapshot, one_of, positive, save_snapshot)
 from .upsample import UpsamplerConfig
 
 log = logging.getLogger(__name__)
 
-EPOCH_CSV_COLUMNS = ["epoch", "train_loss", "nppr_running", "entropy_ratio",
-                     "pi_max", "pi_min", "pi_std", "tau_gumbel", "T_pi", "T_mu", "T_sigma"]
-
 
 @dataclass
 class TrainConfig:
-    epochs: int = 50
-    lr: float = 5e-4
-    lr_schedule: str = "constant"     # "constant" or "cosine"
-    warmup_epochs: int = 20
-    lr_min: float = 2e-6
-    samples_per_input: int = 32
-    batch_size: int = 128
+    epochs: int = checked(50, at_least(1))
+    lr: float = checked(5e-4, positive)
+    lr_schedule: str = checked("constant", one_of({"constant", "cosine"}))
+    warmup_epochs: int = checked(20, at_least(0))
+    lr_min: float = checked(2e-6, positive)
+    samples_per_input: int = checked(32, at_least(1))
+    batch_size: int = checked(128, at_least(1))
     seed: int = 0
     gumbel: GumbelConfig = field(default_factory=GumbelConfig)
     anneal: AnnealSchedule = field(default_factory=AnnealSchedule)
-    eval_every: int = 5
+    eval_every: int = checked(5, at_least(1))
     kappa: float = 1.0
-    probe_size: int = 64
-    probe_samples: int = 64
+    probe_size: int = checked(64, at_least(1))
+    probe_samples: int = checked(64, at_least(1))
 
     def __post_init__(self):
-        if self.epochs < 1 or self.samples_per_input < 1 or self.lr <= 0:
-            raise ValueError("train config: need epochs >= 1, M >= 1, lr > 0")
-        if self.lr_schedule not in ("constant", "cosine"):
-            raise ValueError(f"train config: unknown lr schedule '{self.lr_schedule}'")
+        check_fields(self)
 
 
 @dataclass
@@ -69,6 +64,9 @@ class EpochRecord:
 
     def csv_row(self) -> list:
         return [getattr(self, name) for name in EPOCH_CSV_COLUMNS]
+
+
+EPOCH_CSV_COLUMNS = [f.name for f in fields(EpochRecord) if f.name != "aborted"]
 
 
 def lr_at_epoch(cfg: TrainConfig, epoch: int) -> float:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .serialize import check_fields, checked, grid, one_of, positive
 from .tensor import Tensor
 
 MODE_BICUBIC = "bicubic_image"
@@ -73,21 +74,18 @@ class UpsamplerConfig:
     gamma: L-infinity budget radius for the tanh squashing.
     """
 
-    mode: str = MODE_LINEAR
+    mode: str = checked(MODE_LINEAR, one_of({MODE_BICUBIC, MODE_LINEAR, MODE_NONE}))
     learnable_premap: bool = True
-    latent_grid: tuple | None = None
-    gamma: float = 16.0 / 255.0
+    latent_grid: tuple | None = checked(
+        None, lambda v: None if v is None else grid("[c, h', w']")(v), kind=object)
+    gamma: float = checked(16.0 / 255.0, positive)
 
     def __post_init__(self):
+        check_fields(self)
         if self.latent_grid is not None:
             self.latent_grid = tuple(self.latent_grid)
-        if self.mode not in (MODE_BICUBIC, MODE_LINEAR, MODE_NONE):
-            raise ValueError(f"upsampler mode '{self.mode}' unknown")
-        if self.gamma <= 0:
-            raise ValueError("upsampler gamma must be > 0")
-        if self.mode == MODE_BICUBIC:
-            if self.latent_grid is None or len(self.latent_grid) != 3:
-                raise ValueError("bicubic_image mode needs latent_grid (c, h', w')")
+        if self.mode == MODE_BICUBIC and self.latent_grid is None:
+            raise ValueError("bicubic_image mode needs latent_grid (c, h', w')")
 
 
 def fit_error(cfg: UpsamplerConfig, latent_dim: int, input_dim: int,

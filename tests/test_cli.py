@@ -64,10 +64,9 @@ BAD_CHECKPOINTS = {
     "other_mode": "head.mode joint != independent",
     "other_budget": "upsampler.gamma 0.06274509803921569 != 0.25",
     "other_K": "head.K 7 != 3",
-    "K_as_text": "stored settings cannot be read: ValueError: head: K must be an integer >= 1, "
-                 "got '7'",
-    "K_fractional": "stored settings cannot be read: ValueError: head: K must be an integer >= 1, "
-                    "got 2.5",
+    "K_as_text": "stored settings cannot be read: ValueError: HeadConfig.K: expected int, got str",
+    "K_fractional": "stored settings cannot be read: ValueError: HeadConfig.K: expected int, "
+                    "got float",
     "extra_list": "extra is not an object",
     "no_upsampler_settings": "stored settings cannot be read: KeyError: 'ups_cfg'",
 }

@@ -7,14 +7,16 @@ in strict and in lax mode.
 
 import json
 import logging
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nppr.config import (_CHECKS, ConfigError, config_to_json, parse_config,
-                         serialize_config)
+from nppr.config import _KEY, ConfigError, config_to_json, parse_config, serialize_config
+from nppr.models import HeadConfig
+from nppr.sampling import AnnealSchedule, GumbelConfig
+from nppr.trainer import TrainConfig
 from nppr.upsample import Upsampler, UpsamplerConfig
 
 GOLDENS = Path(__file__).parent / "goldens" / "config"
@@ -204,9 +206,9 @@ INVALID = [
      "train.anneal.T_shared: must be an (init, final) pair"),
     ({"train": {"anneal": {"warmup_epochs": -1}}}, "train.anneal.warmup_epochs: must be >= 0"),
     ({"train": {"anneal": {"T_pi": [0, 1]}}},
-     "train.anneal: anneal: T_pi must be a positive (init, final) pair"),
+     "train.anneal.T_pi: must be a positive (init, final) pair"),
     ({"train": {"anneal": {"T_mu": ["a", 1]}}},
-     "train.anneal: could not convert string to float: 'a'"),
+     "train.anneal.T_mu: must be a positive (init, final) pair"),
     ({"baselines": {"pgd_steps": 0}}, "baselines.pgd_steps: must be >= 1"),
     ({"baselines": {"cw_steps": 0}}, "baselines.cw_steps: must be >= 1"),
     ({"baselines": {"eval_samples": 0}}, "baselines.eval_samples: must be >= 1"),
@@ -252,9 +254,9 @@ NEWLY_REJECTED = [
       "upsampler": {"mode": "bicubic_image", "latent_grid": [1, 4.5, 4]}},
      "upsampler.latent_grid: must be [c, h', w'] of positive ints"),
     ({"train": {"gumbel": {"tau_init": 0.1, "tau_final": 0.5}}},
-     "train.gumbel: gumbel: need tau_init >= tau_final > 0"),
+     "train.gumbel: tau_init must be >= tau_final"),
     ({"train": {"anneal": {"T_pi": [None, 1]}}},
-     "train.anneal: float() argument must be a string or a real number, not 'NoneType'"),
+     "train.anneal.T_pi: must be a positive (init, final) pair"),
     ('{"budget": {"epsilon": Infinity}}',
      "budget.epsilon: cannot parse 'inf' as a budget radius"),
     # a JSON true once read as the number 1
@@ -276,9 +278,9 @@ NEWLY_REJECTED = [
     ('{"baselines": {"gaussian_sigma_rule": NaN}}',
      "baselines.gaussian_sigma_rule: must be finite"),
     ('{"train": {"anneal": {"T_shared": [NaN, 1]}}}',
-     "train.anneal: anneal: T_shared must be a positive (init, final) pair"),
+     "train.anneal.T_shared: must be a positive (init, final) pair"),
     ('{"train": {"anneal": {"T_pi": [Infinity, 1]}}}',
-     "train.anneal: anneal: T_pi must be a positive (init, final) pair"),
+     "train.anneal.T_pi: must be a positive (init, final) pair"),
     # a width the kind derives, once silently replaced
     ({"dataset": {"kind": "rings", "dim": 7}}, "dataset.dim: rings data has width 2, got 7"),
     ({"dataset": {"kind": "grid-image", "dim": 3}},
@@ -320,9 +322,52 @@ def test_unknown_key_lax_warns_and_ignores(doc, message, caplog):
     assert cfg == parse_config("{}")
 
 
-def test_check_tables_name_real_fields():
-    for cls, table in _CHECKS.items():
-        assert set(table) <= {f.name for f in fields(cls)}, cls.__name__
+# The dataclasses that are also built from a checkpoint or by library code,
+# where each sits in a document, and bad values of every field a document
+# sets: one of the wrong type, and one out of range where the field has a
+# range. The upsampler's gamma is `budget.epsilon`, not a key of its own.
+PARITY = {
+    HeadConfig: ("gmm", {"K": ["7", 0], "latent_dim": [2.5, 0], "hidden_dim": [True, 0],
+                         "label_emb_dim": [None, 0], "label_emb_normalized": [1]}),
+    UpsamplerConfig: ("upsampler", {"mode": [1, "nearest"], "learnable_premap": ["yes"],
+                                    "latent_grid": ["1x4x4", [1, "a", 4]]}),
+    TrainConfig: ("train", {
+        "epochs": [1.0, 0], "lr": ["1", 0], "lr_schedule": [None, "step"],
+        "warmup_epochs": [True, -3], "lr_min": [[1], -1e-6], "samples_per_input": [2.5, 0],
+        "batch_size": ["8", 0], "seed": [1.5], "eval_every": [None, 0],
+        "kappa": ["1", float("nan")], "probe_size": [False, 0], "probe_samples": [[], 0]}),
+    GumbelConfig: ("train.gumbel", {"tau_init": [True, 0], "tau_final": [None, float("inf")],
+                                    "anneal": [0]}),
+    AnnealSchedule: ("train.anneal", {
+        "T_pi": [3, [0, 1]], "T_mu": ["ab", ["a", 1]], "T_sigma": [None, [1]],
+        "T_shared": [{}, [1, float("nan")]], "warmup_epochs": [0.5, -1]}),
+}
+
+
+def test_parity_covers_every_field():
+    for cls, (_, bad) in PARITY.items():
+        plain = {f.name for f in fields(cls) if f.default is not MISSING} - {"gamma"}
+        assert set(bad) == plain, cls.__name__
+
+
+@pytest.mark.parametrize("cls,name,value", [
+    pytest.param(cls, name, value, id=f"{cls.__name__}.{name}={value!r}")
+    for cls, (_, bad) in PARITY.items() for name, values in bad.items() for value in values])
+def test_parse_and_constructor_give_one_reason(cls, name, value):
+    """A field's rule is stated once: a document and the constructor refuse a
+    bad value with the same reason, behind "<path>.<key>: " and
+    "<Class>.<field>: "."""
+    path, _ = PARITY[cls]
+    doc = {_KEY.get(name, name): value}
+    for part in reversed(path.split(".")):
+        doc = {part: doc}
+    with pytest.raises(ConfigError) as parsed:
+        parse_config(doc)
+    with pytest.raises(ValueError) as built:
+        cls(**{name: value}, **({"mode": "joint"} if cls is HeadConfig else {}))
+    prefix = f"{path}.{_KEY.get(name, name)}: "
+    assert str(parsed.value).startswith(prefix)
+    assert str(built.value) == f"{cls.__name__}.{name}: {str(parsed.value)[len(prefix):]}"
 
 
 @pytest.mark.parametrize("doc,message", UPSAMPLER_MISFITS)

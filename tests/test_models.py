@@ -218,10 +218,15 @@ class TestHeads:
             HeadConfig(mode=DependencyMode.INDEPENDENT, K=0)
 
     @pytest.mark.parametrize("field", ["K", "latent_dim", "hidden_dim", "label_emb_dim"])
-    @pytest.mark.parametrize("value", [2.5, True, "7", 0])
-    def test_sizes_must_be_positive_integers(self, field, value):
-        with pytest.raises(ValueError, match=f"head: {field} must be an integer >= 1"):
+    @pytest.mark.parametrize("value,reason", [(2.5, "expected int, got float"),
+                                              (True, "expected int, got bool"),
+                                              ("7", "expected int, got str"),
+                                              (0, "must be >= 1")],
+                             ids=["2.5", "True", "7", "0"])
+    def test_sizes_must_be_positive_integers(self, field, value, reason):
+        with pytest.raises(ValueError) as info:
             HeadConfig(mode=DependencyMode.INDEPENDENT, **{field: value})
+        assert str(info.value) == f"HeadConfig.{field}: {reason}"
 
 
 def _perturbed_generator(clf, mode):

@@ -67,6 +67,16 @@ def _train_until_killed(monkeypatch, clf, split, cfg, out, epoch_next):
     return restore_checkpoint(out / "ckpt_latest.json", clf, expected_mode=DependencyMode.JOINT)
 
 
+@pytest.mark.parametrize("field,value,reason", [
+    ("batch_size", 0, "must be >= 1"), ("probe_size", 0, "must be >= 1"),
+    ("eval_every", 0, "must be >= 1"), ("kappa", float("nan"), "must be finite, got nan"),
+    ("warmup_epochs", -3, "must be >= 0")])
+def test_train_config_refuses_bad_values(field, value, reason):
+    with pytest.raises(ValueError) as info:
+        TrainConfig(**{field: value})
+    assert str(info.value) == f"TrainConfig.{field}: {reason}"
+
+
 class TestSchedules:
     def test_constant(self):
         cfg = _cfg(lr=3e-3, lr_schedule="constant")
@@ -436,6 +446,23 @@ class TestCheckpoints:
             np.testing.assert_array_equal(old.tensors()[name].data, t.data)
         _, records = train_generator(clf, split, cfg, old, resume_state=old_state)
         assert [r.epoch for r in records] == [1]
+
+    @pytest.mark.parametrize("field,value,reason", [
+        ("gamma", float("nan"), "must be finite, got nan"),
+        ("learnable_premap", "yes", "expected bool, got str"),
+        ("latent_grid", [1, "a", 4], "must be [c, h', w'] of positive ints")])
+    def test_restore_refuses_bad_upsampler_settings(self, instance, tmp_path, field, value,
+                                                    reason):
+        clf, _ = instance
+        path = tmp_path / "ck.json"
+        save_checkpoint(_gen(clf), path)
+        doc = json.loads(path.read_text())
+        doc["extra"]["ups_cfg"][field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SnapshotError) as info:
+            restore_checkpoint(path, clf)
+        assert str(info.value) == (f"{path}: stored settings cannot be read: "
+                                   f"ValueError: UpsamplerConfig.{field}: {reason}")
 
     def test_frozen_premap_survives_restore(self, instance, tmp_path):
         clf, split = instance
