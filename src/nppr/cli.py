@@ -140,10 +140,17 @@ def cmd_sweep(args) -> int:
     return worst
 
 
+class ReportError(Exception):
+    """A report file that is missing, not JSON or not a report."""
+
+
 def cmd_verify(args) -> int:
     reports = []
     for path in args.reports:
-        reports.append(RobustnessReport.from_dict(json.loads(Path(path).read_text())))
+        try:
+            reports.append(RobustnessReport.from_dict(json.loads(Path(path).read_text())))
+        except (OSError, TypeError, ValueError) as err:  # JSONDecodeError is a ValueError
+            raise ReportError(f"{path}: {err}") from err
     verdict = verify_propositions(reports)
     text = verdict_to_json(verdict)
     if args.out is not None:
@@ -212,6 +219,9 @@ def main(argv=None) -> int:
         return 2
     except CheckpointError as err:
         print(f"checkpoint error: {err}", file=sys.stderr)
+        return 2
+    except ReportError as err:
+        print(f"report error: {err}", file=sys.stderr)
         return 2
 
 

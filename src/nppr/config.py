@@ -27,8 +27,8 @@ from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
 
 from .models import DependencyMode, HeadConfig
-from .serialize import (at_least, checked, config_record, field_rule, grid, one_of, positive,
-                        positive_int, value_error)
+from .serialize import (at_least, checked, config_record, field_rule, finite, grid, one_of,
+                        positive, positive_int, value_error)
 from .trainer import TrainConfig
 from .upsample import UpsamplerConfig, fit_error
 
@@ -44,7 +44,7 @@ def _sigma_rule(value):
         return None
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return "must be 'gamma/3' or a number"
-    return positive(value) if math.isfinite(value) else "must be finite"
+    return positive(value) if finite(value) else "must be finite"
 
 
 _DEPENDENCIES = tuple(m.value for m in DependencyMode)
@@ -130,6 +130,8 @@ def _parse_epsilon(value, path: str) -> Fraction:
         raise ConfigError(f"{path}: cannot parse '{value}' as a budget radius") from None
     if epsilon <= 0:
         raise ConfigError(f"{path}: must be > 0")
+    if not finite(epsilon):
+        raise ConfigError(f"{path}: must fit in a float")
     return epsilon
 
 

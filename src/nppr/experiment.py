@@ -7,9 +7,12 @@ Artifacts per run directory:
   verdict.json      metric-ordering checks for this run's report
   manifest.json     stages completed / failure point
   ckpt_latest.json / ckpt_best.json
-                    generator checkpoints (format v2, tensors as base64 float64):
-                    the generator's tensors and Adam moments, its head and
-                    upsampler configs, the TrainConfig and the loop state
+                    generator checkpoints (format v2, tensors as base64 float64),
+                    each a resume point: the generator's tensors and Adam
+                    moments, Adam's step count, its head and upsampler configs,
+                    the run's loop state (`trainer.RunState`, TrainConfig
+                    included) and the sha256 fingerprint of the classifier
+                    it was trained against
   samples_latent.csv / samples_input.csv (optional)
 """
 

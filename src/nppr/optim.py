@@ -56,23 +56,3 @@ class Adam:
             v += (1.0 - self.beta2) * (g * g)
             p.data = p.data - self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
         return True
-
-    def state_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "m": [m.copy() for m in self.m],
-            "v": [v.copy() for v in self.v],
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        if len(state["m"]) != len(self.params) or len(state["v"]) != len(self.params):
-            raise ValueError("adam: state does not match parameter count")
-        m = [np.array(x, dtype=np.float64) for x in state["m"]]
-        v = [np.array(x, dtype=np.float64) for x in state["v"]]
-        for kind, moments in (("m", m), ("v", v)):
-            for i, (x, p) in enumerate(zip(moments, self.params)):
-                if x.shape != p.data.shape:
-                    raise ValueError(f"adam: moment {kind}[{i}] shape {x.shape} "
-                                     f"does not match param {p.data.shape}")
-        self.t = int(state["t"])
-        self.m, self.v = m, v

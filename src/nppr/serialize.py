@@ -53,7 +53,8 @@ def _is_int(value) -> bool:
 
 def value_error(value, kind=None, check=None) -> str | None:
     """Why `value` breaks the rule, or None. An int counts as a float, a bool
-    is not an int, a float must be finite and a tuple is given as a list."""
+    is not an int, a float must be finite (an int, fit in a float) and a
+    tuple is given as a list."""
     if kind is tuple:
         kind, ok = list, isinstance(value, (list, tuple))
     elif kind is int:
@@ -64,9 +65,17 @@ def value_error(value, kind=None, check=None) -> str | None:
         ok = kind is None or isinstance(value, kind)
     if not ok:
         return f"expected {kind.__name__}, got {type(value).__name__}"
-    if kind is float and not math.isfinite(value):
-        return f"must be finite, got {value}"
+    if kind is float and not finite(value):
+        return f"must be finite, got {value}" if isinstance(value, float) else "must fit in a float"
     return check(value) if check is not None else None
+
+
+def finite(value) -> bool:
+    """Whether a number is finite as a float; an int beyond its range is not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def check_fields(cfg) -> None:

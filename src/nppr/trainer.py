@@ -1,12 +1,14 @@
 """End-to-end generator training: relaxed sampling, margin loss through the
 frozen classifier, Adam on the head/upsampler parameters, temperature
-annealing, per-epoch probe metrics, and checkpointing."""
+annealing, per-epoch probe metrics, and checkpoints: each one a resume point
+that carries the fingerprint of the classifier it was trained against."""
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import logging
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -90,59 +92,69 @@ def temps_at_epoch(cfg: TrainConfig, epoch: int) -> Temperatures:
     )
 
 
-def _snapshot_params(generator: Generator) -> dict[str, np.ndarray]:
-    return {name: t.data.copy() for name, t in generator.tensors().items()}
+@dataclass
+class RunState:
+    """A run's loop state beside its tensors and Adam's: its TrainConfig (as a
+    record), the next epoch, the best probe NPPR and the divergence reference."""
+    train_cfg: dict
+    epoch_next: int = 0
+    best_nppr: float | None = None
+    initial_loss: float | None = None
+    high_loss_streak: int = 0
 
 
-def _load_params(generator: Generator, named: dict[str, np.ndarray]) -> None:
-    for name, t in generator.tensors().items():
-        t.data = np.asarray(named[name], dtype=np.float64).copy()
+def _state(generator: Generator, opt: Adam) -> dict[str, np.ndarray]:
+    """Copies of the generator's tensors and of Adam's moments of each parameter."""
+    named = {name: t.data.copy() for name, t in generator.tensors().items()}
+    for name, m, v in zip(generator.named_params(), opt.m, opt.v):
+        named[f"adam.m.{name}"], named[f"adam.v.{name}"] = m.copy(), v.copy()
+    return named
 
 
-def save_checkpoint(generator: Generator, path, *, opt: Adam | None = None,
-                    train_cfg: TrainConfig | None = None, epoch_next: int = 0,
-                    best_nppr: float | None = None, initial_loss: float | None = None,
-                    high_loss_streak: int = 0) -> None:
-    """Write the generator's tensors, their Adam moments when `opt` is given,
-    and in `extra` the head and upsampler configs and the loop state. The
-    mode, the budget and the shapes follow from the configs and the
-    classifier, so they are not written."""
-    named = _snapshot_params(generator)
-    if opt is not None:
-        for name, m, v in zip(generator.named_params(), opt.m, opt.v):
-            named[f"adam.m.{name}"] = m.copy()
-            named[f"adam.v.{name}"] = v.copy()
-    extra = {
-        "kind": "generator-checkpoint",
-        "train_cfg": config_record(train_cfg) if train_cfg is not None else None,
-        "epoch_next": int(epoch_next),
-        "adam_t": int(opt.t) if opt is not None else None,
-        "best_nppr": best_nppr,
-        "initial_loss": initial_loss,
-        "high_loss_streak": int(high_loss_streak),
-        "head_cfg": config_record(generator.head.cfg),
-        "ups_cfg": config_record(generator.upsampler.cfg),
-    }
-    save_snapshot(path, named, extra=extra)
+def _load_state(generator: Generator, opt: Adam, named: dict[str, np.ndarray], t: int) -> None:
+    """Put back a `_state` capture and Adam's step count `t`."""
+    for name, tensor in generator.tensors().items():
+        tensor.data = named[name].copy()
+    opt.m = [named[f"adam.m.{name}"].copy() for name in generator.named_params()]
+    opt.v = [named[f"adam.v.{name}"].copy() for name in generator.named_params()]
+    opt.t = t
 
 
-def restore_checkpoint(path, clf: Classifier,
-                       expected_mode: DependencyMode | None = None) -> tuple[Generator, dict]:
-    """Rebuild a generator (and optimizer state) from a checkpoint file.
+def _fingerprint(clf: Classifier) -> str:
+    """sha256 of the classifier's float64 weights, then biases (`params()` order)."""
+    data = b"".join(np.asarray(p.data, "<f8").tobytes() for p in clf.params())
+    return hashlib.sha256(data).hexdigest()
+
+
+def save_checkpoint(generator: Generator, path, opt: Adam, run: RunState) -> None:
+    """Write a resume point: the generator's tensors and their Adam moments,
+    and in `extra` the RunState, Adam's step count, the head and upsampler
+    configs and the fingerprint of the classifier the generator is trained
+    against. The mode, the budget and the shapes follow from the configs and
+    the classifier, so they are not written."""
+    extra = {"kind": "generator-checkpoint", **asdict(run), "adam_t": opt.t,
+             "head_cfg": config_record(generator.head.cfg),
+             "ups_cfg": config_record(generator.upsampler.cfg),
+             "classifier_sha256": _fingerprint(generator.clf)}
+    save_snapshot(path, _state(generator, opt), extra=extra)
+
+
+def restore_checkpoint(path, clf: Classifier, expected_mode: DependencyMode | None = None
+                       ) -> tuple[Generator, tuple[RunState, dict[str, np.ndarray], int]]:
+    """Rebuild a generator from a checkpoint; the second value, (RunState,
+    tensors, Adam step count), is `train_generator`'s `resume_state`.
 
     The generator is built by `build_generator` from the stored head and
-    upsampler configs and `clf`. The stored tensors must be exactly its
-    `tensors()` and, when `adam_t` is set, the Adam moments of every
-    parameter, each in the shape the generator gives it. Otherwise
-    SnapshotError names the missing and the unexpected tensors, or every
-    tensor whose shape differs together with both shapes, as when `clf` has
-    another input or feature width than the classifier the checkpoint was
-    trained against; nothing is loaded before these checks pass. A stored
-    upsampler that cannot be built for `clf` at all (a `none` upsampler of
-    another width, a bicubic grid that does not fit its image) is refused
-    with SnapshotError too, naming the path and the builder's message, and
-    so are stored settings that are missing or cannot be read. Keys of
-    `extra` that this reader does not use are ignored.
+    upsampler configs and `clf`. The stored tensors must be exactly what
+    `_state` captures of it and a fresh Adam, in the same shapes, and the
+    stored fingerprint must be `clf`'s. Otherwise SnapshotError names the
+    missing and the unexpected tensors, every tensor whose shape differs with
+    both shapes (as when `clf` has another input or feature width), or both
+    fingerprints; nothing is loaded before these checks pass. A stored
+    upsampler that cannot be built for `clf` (a `none` upsampler of another
+    width, a bicubic grid that does not fit its image) and stored settings
+    that are missing or cannot be read are refused with SnapshotError too.
+    Keys of `extra` that this reader does not use are ignored.
     """
     named, extra = load_snapshot(path)
     if extra.get("kind") != "generator-checkpoint":
@@ -150,8 +162,8 @@ def restore_checkpoint(path, clf: Classifier,
     try:
         head_cfg = HeadConfig(**extra["head_cfg"])
         ups_cfg = UpsamplerConfig(**extra["ups_cfg"])
-        state = {k: extra[k] for k in ("train_cfg", "epoch_next", "best_nppr",
-                                       "initial_loss", "high_loss_streak", "adam_t")}
+        run = RunState(**{f.name: extra[f.name] for f in fields(RunState)})
+        stored, adam_t = extra["classifier_sha256"], int(extra["adam_t"])
     except (KeyError, TypeError, ValueError) as err:
         raise SnapshotError(
             f"{path}: stored settings cannot be read: {type(err).__name__}: {err}") from None
@@ -163,10 +175,8 @@ def restore_checkpoint(path, clf: Classifier,
         generator = build_generator(clf, head_cfg, ups_cfg)
     except ValueError as err:
         raise SnapshotError(f"{path}: checkpoint does not fit the classifier: {err}") from None
-    expected = {n: t.data.shape for n, t in generator.tensors().items()}
-    if state["adam_t"] is not None:
-        expected |= {f"adam.{k}.{n}": p.data.shape
-                     for k in "mv" for n, p in generator.named_params().items()}
+    opt = Adam(generator.params())
+    expected = {n: a.shape for n, a in _state(generator, opt).items()}
     if set(named) != set(expected):
         raise SnapshotError(
             f"{path}: checkpoint tensors do not match the generator: "
@@ -177,28 +187,24 @@ def restore_checkpoint(path, clf: Classifier,
     if wrong:
         raise SnapshotError(f"{path}: checkpoint tensor shapes do not match the generator "
                             f"(stored != expected): {', '.join(wrong)}")
-    _load_params(generator, named)
-    for k in "mv":
-        state[f"adam_{k}"] = [named.get(f"adam.{k}.{n}") for n in generator.named_params()]
-    return generator, state
+    if stored != (given := _fingerprint(clf)):
+        raise SnapshotError(f"{path}: checkpoint was trained against another classifier "
+                            f"(classifier_sha256 {stored} != {given})")
+    _load_state(generator, opt, named, adam_t)
+    return generator, (run, named, adam_t)
 
 
-def _check_resume_config(written: dict | None, cfg: TrainConfig) -> None:
-    """Refuse to resume a checkpoint under a TrainConfig other than its own.
-
-    `written` is None for a parameter-only checkpoint, which records no run.
-    """
-    if written is None:
-        return
+def _check_resume_config(written: dict, cfg: TrainConfig) -> None:
+    """Refuse to resume a checkpoint under a TrainConfig other than its own."""
     current = config_record(cfg)
-    fields = [k for k in current if written.get(k) != current[k]]
-    if not fields:
+    differ = [k for k in current if written.get(k) != current[k]]
+    if not differ:
         return
     length = (f"checkpoint was written by a {written['epochs']}-epoch run "
-              f"but cfg.epochs is {cfg.epochs}; " if "epochs" in fields else "")
+              f"but cfg.epochs is {cfg.epochs}; " if "epochs" in differ else "")
     raise ValueError(
         f"train_generator: {length}the checkpoint's TrainConfig differs in "
-        f"{', '.join(fields)}; every schedule and random stream depends on it, "
+        f"{', '.join(differ)}; every schedule and random stream depends on it, "
         f"so resume with the same TrainConfig")
 
 
@@ -215,7 +221,7 @@ def _probe_metrics(generator: Generator, probe_x: np.ndarray, probe_y: np.ndarra
 
 
 def train_generator(clf: Classifier, split: SplitDataset, cfg: TrainConfig,
-                    generator: Generator, *, out_dir=None, resume_state: dict | None = None,
+                    generator: Generator, *, out_dir=None, resume_state: tuple | None = None,
                     events: list | None = None) -> tuple[Generator, list[EpochRecord]]:
     """Minimize the empirical relaxed objective over the generator parameters.
 
@@ -225,14 +231,13 @@ def train_generator(clf: Classifier, split: SplitDataset, cfg: TrainConfig,
     the last good state. Randomness is keyed by (seed, purpose, epoch, batch),
     so a restored run replays exactly like an uninterrupted one.
 
-    A checkpoint carries the whole loop state: parameters, Adam state
-    (moments and step count), `epoch_next`, `best_nppr`, the divergence
-    reference (`initial_loss`, `high_loss_streak`), and the run's whole
-    TrainConfig. `ckpt_best.json` is written before `ckpt_latest.json`, the
-    resume point. Schedules anneal over `cfg.epochs` and random streams are
-    keyed by `cfg.seed`, so a resume must use the same TrainConfig as the run
-    that wrote `resume_state`; any differing field is refused with ValueError
-    naming the fields.
+    Every checkpoint is a resume point: `_state` (parameters, frozen tensors
+    and Adam's moments), Adam's step count, the RunState and the fingerprint
+    of `clf`. `ckpt_best.json` is written before `ckpt_latest.json`.
+    Schedules anneal over `cfg.epochs` and random streams are keyed by
+    `cfg.seed`, so a resume must use the same TrainConfig as the run that
+    wrote `resume_state` (as `restore_checkpoint` returns it); any differing
+    field is refused with ValueError naming the fields.
     """
     if not clf.frozen:
         raise ValueError("train_generator: classifier must be frozen first")
@@ -243,34 +248,26 @@ def train_generator(clf: Classifier, split: SplitDataset, cfg: TrainConfig,
     M = cfg.samples_per_input
 
     opt = Adam(generator.params(), lr=cfg.lr)
-    start_epoch = 0
-    best_nppr = None
-    initial_loss = None
-    high_loss_streak = 0
+    run = RunState(config_record(cfg))
     if resume_state is not None:
-        _check_resume_config(resume_state["train_cfg"], cfg)
-        start_epoch = int(resume_state["epoch_next"])
-        best_nppr = resume_state["best_nppr"]
-        initial_loss = resume_state["initial_loss"]
-        high_loss_streak = int(resume_state["high_loss_streak"])
-        if resume_state["adam_t"] is not None:
-            opt.load_state_dict({"t": resume_state["adam_t"],
-                                 "m": resume_state["adam_m"],
-                                 "v": resume_state["adam_v"]})
+        run, named, t = resume_state
+        _check_resume_config(run.train_cfg, cfg)
+        _load_state(generator, opt, named, t)
+        run = replace(run)  # the loop advances its own copy
 
     probe_rng = substream(cfg.seed, PROBE)
     probe_n = min(cfg.probe_size, test.n)
     probe_idx = probe_rng.choice(test.n, size=probe_n, replace=False)
     probe_x, probe_y = test.x[probe_idx], test.y[probe_idx]
 
-    last_good = (_snapshot_params(generator), opt.state_dict())
+    last_good = (_state(generator, opt), opt.t)
     records: list[EpochRecord] = []
 
     out_dir = Path(out_dir) if out_dir is not None else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
 
-    for epoch in range(start_epoch, cfg.epochs):
+    for epoch in range(run.epoch_next, cfg.epochs):
         temps = temps_at_epoch(cfg, epoch)
         tau = gumbel_tau(cfg.gumbel, epoch, cfg.epochs)
         opt.lr = lr_at_epoch(cfg, epoch)
@@ -291,8 +288,7 @@ def train_generator(clf: Classifier, split: SplitDataset, cfg: TrainConfig,
             if not np.isfinite(loss.item()):
                 events.append(f"epoch {epoch}: non-finite loss, epoch aborted and state restored")
                 log.warning(events[-1])
-                _load_params(generator, last_good[0])
-                opt.load_state_dict(last_good[1])
+                _load_state(generator, opt, *last_good)
                 aborted = True
                 break
 
@@ -304,17 +300,17 @@ def train_generator(clf: Classifier, split: SplitDataset, cfg: TrainConfig,
 
         epoch_loss = total_loss / total_rows if total_rows else float("nan")
         if not aborted:
-            last_good = (_snapshot_params(generator), opt.state_dict())
-            if initial_loss is None:
-                initial_loss = epoch_loss
-            if initial_loss > 0 and epoch_loss > 10.0 * initial_loss:
-                high_loss_streak += 1
-                if high_loss_streak == 5:
+            last_good = (_state(generator, opt), opt.t)
+            if run.initial_loss is None:
+                run.initial_loss = epoch_loss
+            if run.initial_loss > 0 and epoch_loss > 10.0 * run.initial_loss:
+                run.high_loss_streak += 1
+                if run.high_loss_streak == 5:
                     events.append(f"epoch {epoch}: divergence flagged "
                                   f"(loss > 10x initial for 5 epochs)")
                     log.warning(events[-1])
             else:
-                high_loss_streak = 0
+                run.high_loss_streak = 0
 
         probe = _probe_metrics(generator, probe_x, probe_y, temps,
                                cfg.probe_samples, substream(cfg.seed, PROBE, epoch, 1))
@@ -326,17 +322,15 @@ def train_generator(clf: Classifier, split: SplitDataset, cfg: TrainConfig,
         if np.isnan(running):
             events.append(f"epoch {epoch}: non-finite mixture, probe NPPR not estimated")
             log.warning(events[-1])
-        improved = not np.isnan(running) and (best_nppr is None or running < best_nppr)
+        improved = not np.isnan(running) and (run.best_nppr is None or running < run.best_nppr)
         if improved:
-            best_nppr = running
+            run.best_nppr = running
+        run.epoch_next = epoch + 1
         if out_dir is not None:
-            loop_state = dict(opt=opt, train_cfg=cfg, epoch_next=epoch + 1,
-                              best_nppr=best_nppr, initial_loss=initial_loss,
-                              high_loss_streak=high_loss_streak)
             if improved:
-                save_checkpoint(generator, out_dir / "ckpt_best.json", **loop_state)
-            if (epoch + 1) % max(cfg.eval_every, 1) == 0 or epoch == cfg.epochs - 1:
-                save_checkpoint(generator, out_dir / "ckpt_latest.json", **loop_state)
+                save_checkpoint(generator, out_dir / "ckpt_best.json", opt, run)
+            if (epoch + 1) % cfg.eval_every == 0 or epoch == cfg.epochs - 1:
+                save_checkpoint(generator, out_dir / "ckpt_latest.json", opt, run)
 
     return generator, records
 

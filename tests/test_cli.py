@@ -69,6 +69,8 @@ BAD_CHECKPOINTS = {
                     "got float",
     "extra_list": "extra is not an object",
     "no_upsampler_settings": "stored settings cannot be read: KeyError: 'ups_cfg'",
+    "no_fingerprint": "stored settings cannot be read: KeyError: 'classifier_sha256'",
+    "other_classifier": "checkpoint was trained against another classifier (classifier_sha256 ",
 }
 
 
@@ -88,6 +90,8 @@ def test_bad_checkpoint_is_a_checkpoint_error(trained, tmp_path, capsys, command
         config = _write(tmp_path, {**TINY, "budget": {"epsilon": "1/4"}})
     elif case == "other_K":
         config = _write(tmp_path, {**TINY, "gmm": {"modes": 3}})
+    elif case == "other_classifier":  # same widths, refit to other weights
+        config = _write(tmp_path, {**TINY, "classifier": {"lr": 0.05, "epochs": 3}})
     else:
         doc = json.loads(checkpoint.read_text())
         if case == "K_as_text":
@@ -96,6 +100,8 @@ def test_bad_checkpoint_is_a_checkpoint_error(trained, tmp_path, capsys, command
             doc["extra"]["head_cfg"]["K"] = 2.5
         elif case == "extra_list":
             doc["extra"] = [doc["extra"]]
+        elif case == "no_fingerprint":  # as written before checkpoints carried one
+            del doc["extra"]["classifier_sha256"]
         else:
             del doc["extra"]["ups_cfg"]
         checkpoint = tmp_path / "malformed.json"
@@ -107,6 +113,35 @@ def test_bad_checkpoint_is_a_checkpoint_error(trained, tmp_path, capsys, command
     assert err.startswith("checkpoint error: ") and err.count("\n") == 1
     assert BAD_CHECKPOINTS[case] in err
     assert not out.exists()
+
+
+# What the one-line error says for each unreadable report.
+BAD_REPORTS = {
+    "missing": "No such file or directory",
+    "not_json": "Expecting value: line 1 column 1",
+    "missing_field": "missing 1 required positional argument: 'nppr_test'",
+    "extra_field": "unexpected keyword argument 'classifier_sha256'",
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_REPORTS))
+def test_unreadable_report_is_a_report_error(trained, tmp_path, capsys, case):
+    # Exit 1 means an ordering failed; input that is not a report exits 2.
+    _, run = trained
+    doc = json.loads((run / "report.json").read_text())
+    report = tmp_path / "report.json"
+    if case == "not_json":
+        report.write_text("not json")
+    elif case == "missing_field":
+        del doc["nppr_test"]
+        report.write_text(json.dumps(doc))
+    elif case == "extra_field":
+        report.write_text(json.dumps({**doc, "classifier_sha256": "0" * 64}))
+    assert cli.main(["verify", str(run / "report.json"), str(report)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"report error: {report}: ") and err.count("\n") == 1
+    assert BAD_REPORTS[case] in err
 
 
 @pytest.mark.parametrize("per_input", ["0", "-3"])

@@ -226,6 +226,13 @@ INVALID = [
     ({"budget": {"epsilon": [1]}}, "budget.epsilon: cannot parse '[1]' as a budget radius"),
     ({"budget": {"epsilon": "0"}}, "budget.epsilon: must be > 0"),
     ({"budget": {"epsilon": -0.5}}, "budget.epsilon: must be > 0"),
+    # an int beyond the float range, once a bare OverflowError
+    ({"train": {"lr": 10 ** 400}}, "train.lr: must fit in a float"),
+    ({"train": {"anneal": {"T_pi": [10 ** 400, 1]}}},
+     "train.anneal.T_pi: must be a positive (init, final) pair"),
+    ({"baselines": {"gaussian_sigma_rule": 10 ** 400}},
+     "baselines.gaussian_sigma_rule: must be finite"),
+    ({"budget": {"epsilon": 10 ** 400}}, "budget.epsilon: must fit in a float"),
     # the upsampler does not fit the head or the inputs
     *UPSAMPLER_MISFITS,
 ]

@@ -9,8 +9,8 @@ import pytest
 from nppr.generator import build_generator
 from nppr.models import Classifier, ClassifierConfig, DependencyMode, HeadConfig
 from nppr.optim import Adam
-from nppr.serialize import SnapshotError, load_snapshot, save_snapshot
-from nppr.trainer import save_checkpoint
+from nppr.serialize import SnapshotError, config_record, load_snapshot, save_snapshot
+from nppr.trainer import RunState, TrainConfig, save_checkpoint
 from nppr.upsample import UpsamplerConfig
 
 
@@ -91,7 +91,7 @@ def test_desk_checkpoint_stays_binary(tmp_path):
         p.grad = rng.normal(size=p.data.shape)
     opt.step()
     path = tmp_path / "ckpt_latest.json"
-    save_checkpoint(gen, path, opt=opt)
+    save_checkpoint(gen, path, opt, RunState(config_record(TrainConfig())))
     named, _ = load_snapshot(path)
     floats = sum(arr.size for arr in named.values())
     assert floats > 100_000

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -17,8 +18,8 @@ from nppr.models import (Classifier, ClassifierConfig, DependencyMode, HeadConfi
 from nppr.optim import Adam
 from nppr.rng import substream
 from nppr.sampling import AnnealSchedule, GumbelConfig
-from nppr.serialize import SnapshotError, doc_to_tensors, tensors_to_doc
-from nppr.trainer import (EPOCH_CSV_COLUMNS, TrainConfig, lr_at_epoch,
+from nppr.serialize import SnapshotError, config_record, doc_to_tensors, tensors_to_doc
+from nppr.trainer import (EPOCH_CSV_COLUMNS, RunState, TrainConfig, lr_at_epoch,
                           restore_checkpoint, save_checkpoint, temps_at_epoch,
                           train_generator, write_epoch_csv)
 from nppr.upsample import UpsamplerConfig
@@ -47,6 +48,11 @@ def _gen(clf, gamma=1.25, mode=DependencyMode.JOINT, seed=0, ups_mode="linear_ve
     return build_generator(clf, head_cfg, ups_cfg, seed=seed)
 
 
+def _save(gen, path):
+    """Checkpoint `gen` as the start of a run under `_cfg()`, with fresh moments."""
+    save_checkpoint(gen, path, Adam(gen.params()), RunState(config_record(_cfg())))
+
+
 class _Killed(Exception):
     """Stands for the training process dying right after a checkpoint write."""
 
@@ -56,9 +62,9 @@ def _train_until_killed(monkeypatch, clf, split, cfg, out, epoch_next):
     ckpt_latest.json holds `epoch_next`; return the restored (generator, state)."""
     real_save = nppr.trainer.save_checkpoint
 
-    def save_then_die(generator, path, **kw):
-        real_save(generator, path, **kw)
-        if Path(path).name == "ckpt_latest.json" and kw["epoch_next"] == epoch_next:
+    def save_then_die(generator, path, opt, run):
+        real_save(generator, path, opt, run)
+        if Path(path).name == "ckpt_latest.json" and run.epoch_next == epoch_next:
             raise _Killed
 
     monkeypatch.setattr(nppr.trainer, "save_checkpoint", save_then_die)
@@ -191,7 +197,8 @@ class TestTraining:
             assert np.isnan(r.entropy_ratio) == np.isnan(r.pi_max)
         assert sum("probe NPPR not estimated" in e for e in events) == 2
         assert not (tmp_path / "ckpt_best.json").exists()
-        assert restore_checkpoint(tmp_path / "ckpt_latest.json", clf)[1]["best_nppr"] is None
+        run, _, _ = restore_checkpoint(tmp_path / "ckpt_latest.json", clf)[1]
+        assert run.best_nppr is None
 
     def test_probe_of_non_finite_weights_reads_nan(self, instance):
         clf, split = instance
@@ -213,21 +220,24 @@ class TestTraining:
 
 
 class TestCheckpoints:
-    def test_roundtrip_byte_identical(self, instance, tmp_path):
+    def test_roundtrip_byte_identical(self, instance, tmp_path, monkeypatch):
+        # A mid-run resume point, with Adam's moments, written again as read.
         clf, split = instance
-        gen, _ = train_generator(clf, split, _cfg(epochs=2), _gen(clf))
-        p1 = tmp_path / "a.json"
-        p2 = tmp_path / "b.json"
-        save_checkpoint(gen, p1)
-        restored = restore_checkpoint(p1, clf)[0]
-        save_checkpoint(restored, p2)
-        assert p1.read_bytes() == p2.read_bytes()
+        out = tmp_path / "run"
+        restored, (run, named, t) = _train_until_killed(
+            monkeypatch, clf, split, _cfg(epochs=4, eval_every=1), out, 2)
+        assert run.epoch_next == 2 and t > 0
+        assert any(np.any(named[k] != 0) for k in named if k.startswith("adam.v."))
+        opt = Adam(restored.params())
+        nppr.trainer._load_state(restored, opt, named, t)
+        save_checkpoint(restored, tmp_path / "again.json", opt, run)
+        assert (tmp_path / "again.json").read_bytes() == (out / "ckpt_latest.json").read_bytes()
 
     def test_restore_checks_mode(self, instance, tmp_path):
         clf, split = instance
         gen, _ = train_generator(clf, split, _cfg(epochs=1), _gen(clf))
         path = tmp_path / "ck.json"
-        save_checkpoint(gen, path)
+        _save(gen, path)
         with pytest.raises(SnapshotError, match="mode"):
             restore_checkpoint(path, clf, expected_mode=DependencyMode.INDEPENDENT)
 
@@ -272,6 +282,32 @@ class TestCheckpoints:
         with pytest.raises(SnapshotError, match=rf"missing \['{name}'\], unexpected \[\]"):
             restore_checkpoint(path, clf)
 
+    def test_restore_refuses_checkpoint_without_moments(self, instance, tmp_path):
+        # Every checkpoint is a resume point: one without Adam's moments, as
+        # the parameter-only form was, does not restore.
+        clf, split = instance
+        train_generator(clf, split, _cfg(epochs=1), _gen(clf), out_dir=tmp_path)
+        path = tmp_path / "ckpt_latest.json"
+        self._rewrite_tensors(path, lambda t: [t.pop(k) for k in list(t) if k.startswith("adam.")])
+        moments = sorted(f"adam.{k}.{n}" for k in "mv" for n in _gen(clf).named_params())
+        with pytest.raises(SnapshotError, match=re.escape(f"missing {moments}, unexpected []")):
+            restore_checkpoint(path, clf)
+
+    def test_restore_refuses_other_classifier_weights(self, instance, tmp_path):
+        # Same widths, other weights: the checkpoint was scored against
+        # another classifier, so NPPR would be read off the wrong model.
+        clf, split = instance
+        train_generator(clf, split, _cfg(epochs=1), _gen(clf), out_dir=tmp_path)
+        path = tmp_path / "ckpt_latest.json"
+        stored = json.loads(path.read_text())["extra"]["classifier_sha256"]
+        other = Classifier(ClassifierConfig(input_dim=2, num_classes=2, hidden=(16,)), seed=1)
+        given = nppr.trainer._fingerprint(other)
+        assert stored == nppr.trainer._fingerprint(clf) != given
+        with pytest.raises(SnapshotError) as info:
+            restore_checkpoint(path, other)
+        assert str(info.value) == (f"{path}: checkpoint was trained against another classifier "
+                                   f"(classifier_sha256 {stored} != {given})")
+
     def test_restore_refuses_misshapen_adam_moment(self, instance, tmp_path):
         # Loaded as is, these moments would turn head.mu_b into a (2, 6) array
         # at the first Adam step of the resumed run.
@@ -296,7 +332,7 @@ class TestCheckpoints:
         head_cfg = HeadConfig(mode=DependencyMode.JOINT, K=7, latent_dim=16)
         gen = build_generator(clf, head_cfg, UpsamplerConfig(mode="linear_vector"), seed=0)
         path = tmp_path / "ckpt_latest.json"
-        save_checkpoint(gen, path, opt=Adam(gen.params()))
+        _save(gen, path)
         rows, cols = np.tril_indices(16)
 
         def unpack(t):
@@ -322,7 +358,7 @@ class TestCheckpoints:
         # The interrupted run's records die with it; by determinism they are rec_full[:3].
         out = tmp_path / "half"
         restored, state = _train_until_killed(monkeypatch, clf, split, cfg, out, 3)
-        assert state["epoch_next"] == 3
+        assert state[0].epoch_next == 3
         restored, rec_b = train_generator(clf, split, cfg, restored,
                                           resume_state=state, out_dir=out)
         assert rec_b == rec_full[3:]
@@ -389,7 +425,7 @@ class TestCheckpoints:
         out = tmp_path / "seed0"
         train_generator(clf, split, _cfg(epochs=2), _gen(clf), out_dir=out)
         restored, state = restore_checkpoint(out / "ckpt_latest.json", clf)
-        assert state["train_cfg"]["seed"] == 0
+        assert state[0].train_cfg["seed"] == 0
         with pytest.raises(ValueError, match=r"differs in lr, seed;"):
             train_generator(clf, split, _cfg(epochs=2, seed=7, lr=0.5), restored,
                             resume_state=state)
@@ -423,7 +459,7 @@ class TestCheckpoints:
                               label_emb_dim=4)
         ups_cfg = UpsamplerConfig(mode="bicubic_image", latent_grid=(1, 3, 3), gamma=0.5)
         path = tmp_path / "bicubic.json"
-        save_checkpoint(build_generator(image_clf(4), head_cfg, ups_cfg), path)
+        _save(build_generator(image_clf(4), head_cfg, ups_cfg), path)
         with pytest.raises(SnapshotError, match=r"bicubic\.json: .*latent grid \(1, 3, 3\) "
                                                 r"incompatible with input grid \(1, 2, 2\)"):
             restore_checkpoint(path, image_clf(2))
@@ -455,7 +491,7 @@ class TestCheckpoints:
                                                     reason):
         clf, _ = instance
         path = tmp_path / "ck.json"
-        save_checkpoint(_gen(clf), path)
+        _save(_gen(clf), path)
         doc = json.loads(path.read_text())
         doc["extra"]["ups_cfg"][field] = value
         path.write_text(json.dumps(doc))
@@ -472,7 +508,7 @@ class TestCheckpoints:
         gen = build_generator(clf, head_cfg, ups_cfg, seed=3)
         frozen_w = gen.upsampler.weight.data.copy()
         path = tmp_path / "frozen.json"
-        save_checkpoint(gen, path)
+        _save(gen, path)
         restored = restore_checkpoint(path, clf)[0]
         np.testing.assert_array_equal(restored.upsampler.weight.data, frozen_w)
         assert restored.upsampler.named_params() == {}
