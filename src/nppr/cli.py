@@ -58,7 +58,7 @@ def _out_dir(args, cfg: ExperimentConfig, run_name: str) -> Path:
 
 def _add_common(sub) -> None:
     sub.add_argument("--config", type=str, default=None, help="path to a JSON config")
-    sub.add_argument("--seed", type=int, default=None, help="override every seed in the config")
+    sub.add_argument("--seed", type=_int_at_least(0), help="override every seed in the config")
     sub.add_argument("--out", type=str, default=None, help="output directory")
     sub.add_argument("--strict", action=argparse.BooleanOptionalAction, default=True,
                      help="reject unknown config keys (default: on)")
@@ -141,7 +141,7 @@ def cmd_sweep(args) -> int:
 
 
 class ReportError(Exception):
-    """A report file that is missing, not JSON or not a report."""
+    """An unreadable report, or reports from different experiments."""
 
 
 def cmd_verify(args) -> int:
@@ -151,7 +151,10 @@ def cmd_verify(args) -> int:
             reports.append(RobustnessReport.from_dict(json.loads(Path(path).read_text())))
         except (OSError, TypeError, ValueError) as err:  # JSONDecodeError is a ValueError
             raise ReportError(f"{path}: {err}") from err
-    verdict = verify_propositions(reports)
+    try:
+        verdict = verify_propositions(reports)
+    except ValueError as err:  # the reports' experiment keys differ
+        raise ReportError(err) from err
     text = verdict_to_json(verdict)
     if args.out is not None:
         out = Path(args.out)
@@ -172,10 +175,12 @@ def cmd_export_samples(args) -> int:
     return 0
 
 
-def _positive_int(text: str) -> int:
-    if int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
-    return int(text)
+def _int_at_least(minimum: int):
+    def integer(text: str) -> int:
+        if int(text) < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {text}")
+        return int(text)
+    return integer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -204,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("export-samples", help="dump perturbation draws to CSV")
     _add_common(p)
     p.add_argument("--checkpoint", type=str, required=True)
-    p.add_argument("--per-input", type=_positive_int, default=None,
+    p.add_argument("--per-input", type=_int_at_least(1), default=None,
                    help="draws per input (default: max(export_samples, 8))")
     p.set_defaults(fn=cmd_export_samples)
     return parser

@@ -56,7 +56,7 @@ class DatasetSpec:
     dim: int = checked(16, at_least(1))
     classes: int = checked(10, at_least(2))
     n: int = checked(1000, at_least(10))
-    seed: int = 0
+    seed: int = checked(0, at_least(0))
     separation: float = checked(6.0, positive)
     sigma: float = checked(1.0, positive)
     image_shape: tuple = checked((1, 8, 8), grid("[c, h, w]"))
@@ -105,7 +105,7 @@ class ExperimentConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     baselines: BaselineSpec = field(default_factory=BaselineSpec)
     epsilon: Fraction = Fraction(16, 255)
-    seed: int = 0
+    seed: int = checked(0, at_least(0))
     train_frac: float = checked(0.8, lambda v: None if 0.0 < v < 1.0 else "must be in (0, 1)")
     export_samples: int = checked(0, at_least(0))
     output_dir: str | None = checked(None, kind=str)

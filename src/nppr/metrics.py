@@ -23,8 +23,9 @@ import numpy as np
 
 from . import tensor as T
 from .generator import Generator
-from .models import Classifier, Temperatures, cross_entropy
+from .models import Classifier, DependencyMode, Temperatures, cross_entropy
 from .rng import ATTACK, substream
+from .serialize import at_least, check_fields, checked, one_of
 from .tensor import Tensor
 
 UNIFORM_BALL = "uniform_ball"
@@ -185,37 +186,37 @@ def ar_cw(clf: Classifier, x: np.ndarray, y: np.ndarray, gamma: float,
     return _attack(clf, x, y, gamma, steps, rng, "margin", kappa)
 
 
+def _rate(value):
+    return None if -1e-9 <= value <= 1.0 + 1e-9 else f"{value} outside [0, 1]"
+
+
 @dataclass
 class RobustnessReport:
     """Final metrics for one trained generator on one model/dataset/budget."""
-    nppr_test: float
-    nppr_train: float
-    pr_gaussian: float
-    pr_uniform: float
-    ar_pgd: float
-    ar_cw: float
-    entropy_ratio: float
-    pi_max: float
-    pi_min: float
-    pi_std: float
-    clean_accuracy: float
+    nppr_test: float = checked(check=_rate, kind=float)
+    nppr_train: float = checked(check=_rate, kind=float)
+    pr_gaussian: float = checked(check=_rate, kind=float)
+    pr_uniform: float = checked(check=_rate, kind=float)
+    ar_pgd: float = checked(check=_rate, kind=float)
+    ar_cw: float = checked(check=_rate, kind=float)
+    entropy_ratio: float = checked(check=_rate, kind=float)
+    pi_max: float = checked(kind=float)
+    pi_min: float = checked(kind=float)
+    pi_std: float = checked(kind=float)
+    clean_accuracy: float = checked(check=_rate, kind=float)
     # Experiment key + draw counts for half-width bookkeeping.
     model_key: str = ""
     dataset_key: str = ""
-    mode: str = ""
-    gamma: float = 0.0
-    mixture_components: int = 0
-    seed: int = 0
-    nppr_draws: int = 0
-    pr_draws: int = 0
-    ar_points: int = 0
+    mode: str = checked("", one_of({""} | {m.value for m in DependencyMode}))
+    gamma: float = checked(0.0, at_least(0))
+    mixture_components: int = checked(0, at_least(0))
+    seed: int = checked(0, at_least(0))
+    nppr_draws: int = checked(0, at_least(0))
+    pr_draws: int = checked(0, at_least(0))
+    ar_points: int = checked(0, at_least(0))
 
     def __post_init__(self):
-        for name in ("nppr_test", "nppr_train", "pr_gaussian", "pr_uniform",
-                     "ar_pgd", "ar_cw", "entropy_ratio", "clean_accuracy"):
-            v = getattr(self, name)
-            if not (-1e-9 <= v <= 1.0 + 1e-9):
-                raise ValueError(f"report: {name}={v} outside [0, 1]")
+        check_fields(self)
 
     def to_dict(self) -> dict:
         return asdict(self)

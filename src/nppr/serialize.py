@@ -5,10 +5,10 @@ where the payload is the array's row-major little-endian float64 bytes, so
 values round-trip bit-exactly and a document is about 10.7 bytes per float.
 Version 1 documents (decimal lists) are refused by the version guard.
 
-Config dataclasses are read from checkpoints as well as documents, so their
-field rules live here: a kind (the default's type unless `checked` names one)
-and an optional check, applied by `value_error` to a document key and by
-`check_fields` in a `__post_init__`.
+Every record read from disk (the configs, `RobustnessReport`, `RunState`) is
+held to field rules that live here: a kind (the default's type unless
+`checked` names one) and an optional check, applied by `value_error` to a
+document key and by `check_fields` in a `__post_init__`.
 """
 
 from __future__ import annotations
@@ -34,17 +34,18 @@ def config_record(cfg) -> dict:
     return json.loads(json.dumps(asdict(cfg), default=lambda r: f"{r.numerator}/{r.denominator}"))
 
 
-def checked(default, check=None, kind=None):
-    """A dataclass field whose values are of `kind` and pass `check`, which
-    returns the reason a value of that kind fails, or None."""
+def checked(default=MISSING, check=None, kind=None):
+    """A dataclass field of `kind` (named if it has no default) whose values
+    pass `check`, which returns the reason a value of that kind fails, or None."""
     return field(default=default, metadata={"kind": kind, "check": check})
 
 
 def field_rule(f) -> tuple:
-    """(kind, check) of a dataclass field; none for one without a default."""
-    if f.default is MISSING:
-        return None, None
-    return f.metadata.get("kind") or type(f.default), f.metadata.get("check")
+    """(kind, check) of a dataclass field; one whose default is None also accepts None."""
+    kind, check = f.metadata.get("kind"), f.metadata.get("check")
+    if f.default is None:
+        return None, lambda v: None if v is None else value_error(v, kind, check)
+    return kind or (None if f.default is MISSING else type(f.default)), check
 
 
 def _is_int(value) -> bool:

@@ -37,7 +37,7 @@ class TrainConfig:
     lr_min: float = checked(2e-6, positive)
     samples_per_input: int = checked(32, at_least(1))
     batch_size: int = checked(128, at_least(1))
-    seed: int = 0
+    seed: int = checked(0, at_least(0))
     gumbel: GumbelConfig = field(default_factory=GumbelConfig)
     anneal: AnnealSchedule = field(default_factory=AnnealSchedule)
     eval_every: int = checked(5, at_least(1))
@@ -94,13 +94,17 @@ def temps_at_epoch(cfg: TrainConfig, epoch: int) -> Temperatures:
 
 @dataclass
 class RunState:
-    """A run's loop state beside its tensors and Adam's: its TrainConfig (as a
-    record), the next epoch, the best probe NPPR and the divergence reference."""
-    train_cfg: dict
-    epoch_next: int = 0
-    best_nppr: float | None = None
-    initial_loss: float | None = None
-    high_loss_streak: int = 0
+    """A run's loop state; with its tensors, the two-part resume state. It holds the
+    TrainConfig record, next epoch, best probe NPPR, divergence state and Adam's step count."""
+    train_cfg: dict = checked(kind=dict)
+    epoch_next: int = checked(0, at_least(0))
+    best_nppr: float | None = checked(None, kind=float)
+    initial_loss: float | None = checked(None, kind=float)
+    high_loss_streak: int = checked(0, at_least(0))
+    adam_t: int = checked(0, at_least(0))
+
+    def __post_init__(self):
+        check_fields(self)
 
 
 def _state(generator: Generator, opt: Adam) -> dict[str, np.ndarray]:
@@ -128,11 +132,11 @@ def _fingerprint(clf: Classifier) -> str:
 
 def save_checkpoint(generator: Generator, path, opt: Adam, run: RunState) -> None:
     """Write a resume point: the generator's tensors and their Adam moments,
-    and in `extra` the RunState, Adam's step count, the head and upsampler
+    and in `extra` the RunState with Adam's step count, the head and upsampler
     configs and the fingerprint of the classifier the generator is trained
     against. The mode, the budget and the shapes follow from the configs and
     the classifier, so they are not written."""
-    extra = {"kind": "generator-checkpoint", **asdict(run), "adam_t": opt.t,
+    extra = {"kind": "generator-checkpoint", **asdict(replace(run, adam_t=opt.t)),
              "head_cfg": config_record(generator.head.cfg),
              "ups_cfg": config_record(generator.upsampler.cfg),
              "classifier_sha256": _fingerprint(generator.clf)}
@@ -140,9 +144,9 @@ def save_checkpoint(generator: Generator, path, opt: Adam, run: RunState) -> Non
 
 
 def restore_checkpoint(path, clf: Classifier, expected_mode: DependencyMode | None = None
-                       ) -> tuple[Generator, tuple[RunState, dict[str, np.ndarray], int]]:
+                       ) -> tuple[Generator, tuple[RunState, dict[str, np.ndarray]]]:
     """Rebuild a generator from a checkpoint; the second value, (RunState,
-    tensors, Adam step count), is `train_generator`'s `resume_state`.
+    tensors), is `train_generator`'s two-part `resume_state`.
 
     The generator is built by `build_generator` from the stored head and
     upsampler configs and `clf`. The stored tensors must be exactly what
@@ -153,7 +157,7 @@ def restore_checkpoint(path, clf: Classifier, expected_mode: DependencyMode | No
     fingerprints; nothing is loaded before these checks pass. A stored
     upsampler that cannot be built for `clf` (a `none` upsampler of another
     width, a bicubic grid that does not fit its image) and stored settings
-    that are missing or cannot be read are refused with SnapshotError too.
+    that are missing or break their field rules are refused with SnapshotError too.
     Keys of `extra` that this reader does not use are ignored.
     """
     named, extra = load_snapshot(path)
@@ -163,7 +167,7 @@ def restore_checkpoint(path, clf: Classifier, expected_mode: DependencyMode | No
         head_cfg = HeadConfig(**extra["head_cfg"])
         ups_cfg = UpsamplerConfig(**extra["ups_cfg"])
         run = RunState(**{f.name: extra[f.name] for f in fields(RunState)})
-        stored, adam_t = extra["classifier_sha256"], int(extra["adam_t"])
+        stored = extra["classifier_sha256"]
     except (KeyError, TypeError, ValueError) as err:
         raise SnapshotError(
             f"{path}: stored settings cannot be read: {type(err).__name__}: {err}") from None
@@ -190,8 +194,8 @@ def restore_checkpoint(path, clf: Classifier, expected_mode: DependencyMode | No
     if stored != (given := _fingerprint(clf)):
         raise SnapshotError(f"{path}: checkpoint was trained against another classifier "
                             f"(classifier_sha256 {stored} != {given})")
-    _load_state(generator, opt, named, adam_t)
-    return generator, (run, named, adam_t)
+    _load_state(generator, opt, named, run.adam_t)
+    return generator, (run, named)
 
 
 def _check_resume_config(written: dict, cfg: TrainConfig) -> None:
@@ -232,12 +236,12 @@ def train_generator(clf: Classifier, split: SplitDataset, cfg: TrainConfig,
     so a restored run replays exactly like an uninterrupted one.
 
     Every checkpoint is a resume point: `_state` (parameters, frozen tensors
-    and Adam's moments), Adam's step count, the RunState and the fingerprint
-    of `clf`. `ckpt_best.json` is written before `ckpt_latest.json`.
-    Schedules anneal over `cfg.epochs` and random streams are keyed by
-    `cfg.seed`, so a resume must use the same TrainConfig as the run that
-    wrote `resume_state` (as `restore_checkpoint` returns it); any differing
-    field is refused with ValueError naming the fields.
+    and Adam's moments), the RunState and the fingerprint of `clf`; `ckpt_best.json`
+    is written before `ckpt_latest.json`. `resume_state` is (RunState, tensors) as
+    `restore_checkpoint` returns it: the run goes on at `epoch_next`, Adam at step
+    `adam_t`. Schedules anneal over `cfg.epochs` and random streams are keyed by
+    `cfg.seed`, so a resume must use the same TrainConfig as the run that wrote it;
+    any differing field is refused with ValueError naming the fields.
     """
     if not clf.frozen:
         raise ValueError("train_generator: classifier must be frozen first")
@@ -250,9 +254,9 @@ def train_generator(clf: Classifier, split: SplitDataset, cfg: TrainConfig,
     opt = Adam(generator.params(), lr=cfg.lr)
     run = RunState(config_record(cfg))
     if resume_state is not None:
-        run, named, t = resume_state
+        run, named = resume_state
         _check_resume_config(run.train_cfg, cfg)
-        _load_state(generator, opt, named, t)
+        _load_state(generator, opt, named, run.adam_t)
         run = replace(run)  # the loop advances its own copy
 
     probe_rng = substream(cfg.seed, PROBE)

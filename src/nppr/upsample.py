@@ -76,8 +76,7 @@ class UpsamplerConfig:
 
     mode: str = checked(MODE_LINEAR, one_of({MODE_BICUBIC, MODE_LINEAR, MODE_NONE}))
     learnable_premap: bool = True
-    latent_grid: tuple | None = checked(
-        None, lambda v: None if v is None else grid("[c, h', w']")(v), kind=object)
+    latent_grid: tuple | None = checked(None, grid("[c, h', w']"))
     gamma: float = checked(16.0 / 255.0, positive)
 
     def __post_init__(self):

@@ -121,7 +121,20 @@ BAD_REPORTS = {
     "not_json": "Expecting value: line 1 column 1",
     "missing_field": "missing 1 required positional argument: 'nppr_test'",
     "extra_field": "unexpected keyword argument 'classifier_sha256'",
+    "gamma_text": "RobustnessReport.gamma: expected float, got str",
+    "rate_bool": "RobustnessReport.nppr_test: expected float, got bool",
+    "draws_text": "RobustnessReport.nppr_draws: expected int, got str",
+    "draws_negative": "RobustnessReport.nppr_draws: must be >= 0",
+    "pi_nan": "RobustnessReport.pi_max: must be finite, got nan",
+    "mode_typo": "RobustnessReport.mode: must be one of ['', 'independent', 'input', 'joint', "
+                 "'label']",
 }
+
+# The value one field of a good report is given in each case above that
+# edits one; each once passed with exit 0 or ended in a traceback.
+REPORT_EDITS = {"gamma_text": ("gamma", "x"), "rate_bool": ("nppr_test", True),
+                "draws_text": ("nppr_draws", "many"), "draws_negative": ("nppr_draws", -5),
+                "pi_nan": ("pi_max", float("nan")), "mode_typo": ("mode", "jiont")}
 
 
 @pytest.mark.parametrize("case", list(BAD_REPORTS))
@@ -137,11 +150,45 @@ def test_unreadable_report_is_a_report_error(trained, tmp_path, capsys, case):
         report.write_text(json.dumps(doc))
     elif case == "extra_field":
         report.write_text(json.dumps({**doc, "classifier_sha256": "0" * 64}))
+    elif case in REPORT_EDITS:
+        name, value = REPORT_EDITS[case]
+        report.write_text(json.dumps({**doc, name: value}))
     assert cli.main(["verify", str(run / "report.json"), str(report)]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith(f"report error: {report}: ") and err.count("\n") == 1
     assert BAD_REPORTS[case] in err
+
+
+def test_reports_of_different_experiments_are_a_report_error(trained, tmp_path, capsys):
+    # Once a traceback with exit 1, the code of a failed ordering.
+    _, run = trained
+    other = tmp_path / "report.json"
+    other.write_text(json.dumps({**json.loads((run / "report.json").read_text()),
+                                 "model_key": "mlp-8"}))
+    assert cli.main(["verify", str(run / "report.json"), str(other)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("report error: verify_propositions: report keys differ: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("form", ["config", "flag"])
+def test_negative_seed_is_refused_before_the_run(tmp_path, capsys, form):
+    # Once parsed and written to config.json and manifest.json, then a
+    # traceback from the seed sequence.
+    out = tmp_path / "run"
+    doc = {**TINY, "seed": -2} if form == "config" else TINY
+    args = ["train", "--config", _write(tmp_path, doc), "--out", str(out)]
+    if form == "config":
+        assert cli.main(args) == 2
+        assert capsys.readouterr().err == "config error: seed: must be >= 0\n"
+    else:
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(args + ["--seed", "-1"])
+        assert exit_info.value.code == 2
+        assert "--seed: must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("per_input", ["0", "-3"])

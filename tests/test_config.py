@@ -141,7 +141,6 @@ INVALID = [
     ({"classifier": {"lr": "0.1"}}, "classifier.lr: expected float, got str"),
     ({"classifier": {"hidden": 64}}, "classifier.hidden: expected list, got int"),
     ({"classifier": {"batch_size": 1.5}}, "classifier.batch_size: expected int, got float"),
-    ({"classifier": {"batch_size": None}}, "classifier.batch_size: expected int, got NoneType"),
     ({"gmm": {"label_emb_normalized": 1}}, "gmm.label_emb_normalized: expected bool, got int"),
     ({"dependency": 1}, "dependency: expected str, got int"),
     ({"upsampler": {"learnable_premap": "yes"}},
@@ -150,7 +149,6 @@ INVALID = [
     ({"train": {"anneal": {"T_pi": 3}}}, "train.anneal.T_pi: expected list, got int"),
     ({"sweep": {"modes": 3}}, "sweep.modes: expected list, got int"),
     ({"output_dir": 5}, "output_dir: expected str, got int"),
-    ({"output_dir": None}, "output_dir: expected str, got NoneType"),
     # bool given for an int
     ({"dataset": {"n": True}}, "dataset.n: expected int, got bool"),
     ({"train": {"epochs": False}}, "train.epochs: expected int, got bool"),
@@ -217,6 +215,7 @@ INVALID = [
     ({"train_frac": 1.0}, "train_frac: must be in (0, 1)"),
     ({"train_frac": 0}, "train_frac: must be in (0, 1)"),
     ({"export_samples": -1}, "export_samples: must be >= 0"),
+    ({"seed": -1}, "seed: must be >= 0"),
     ({"sweep": {"dependencies": ["joint", "x"]}},
      "sweep.dependencies: entries must be dependency mode names"),
     ({"sweep": {"epsilons": ["x"]}}, "sweep.epsilons: cannot parse 'x' as a budget radius"),
@@ -307,6 +306,13 @@ def test_invalid_document_message(doc, message, strict):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("doc", [{"classifier": {"batch_size": None}}, {"output_dir": None},
+                                 {"upsampler": {"latent_grid": None}}])
+def test_null_for_a_field_whose_default_is_null_is_the_default(doc):
+    # A field whose default is None accepts None; any other value is held to its rule.
+    assert parse_config(doc) == parse_config({})
+
+
 @pytest.mark.parametrize("strict", [True, False], ids=["strict", "lax"])
 def test_invalid_json(strict):
     with pytest.raises(ConfigError) as info:
@@ -341,7 +347,7 @@ PARITY = {
     TrainConfig: ("train", {
         "epochs": [1.0, 0], "lr": ["1", 0], "lr_schedule": [None, "step"],
         "warmup_epochs": [True, -3], "lr_min": [[1], -1e-6], "samples_per_input": [2.5, 0],
-        "batch_size": ["8", 0], "seed": [1.5], "eval_every": [None, 0],
+        "batch_size": ["8", 0], "seed": [1.5, -1], "eval_every": [None, 0],
         "kappa": ["1", float("nan")], "probe_size": [False, 0], "probe_samples": [[], 0]}),
     GumbelConfig: ("train.gumbel", {"tau_init": [True, 0], "tau_final": [None, float("inf")],
                                     "anneal": [0]}),

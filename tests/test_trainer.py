@@ -197,7 +197,7 @@ class TestTraining:
             assert np.isnan(r.entropy_ratio) == np.isnan(r.pi_max)
         assert sum("probe NPPR not estimated" in e for e in events) == 2
         assert not (tmp_path / "ckpt_best.json").exists()
-        run, _, _ = restore_checkpoint(tmp_path / "ckpt_latest.json", clf)[1]
+        run, _ = restore_checkpoint(tmp_path / "ckpt_latest.json", clf)[1]
         assert run.best_nppr is None
 
     def test_probe_of_non_finite_weights_reads_nan(self, instance):
@@ -224,12 +224,12 @@ class TestCheckpoints:
         # A mid-run resume point, with Adam's moments, written again as read.
         clf, split = instance
         out = tmp_path / "run"
-        restored, (run, named, t) = _train_until_killed(
+        restored, (run, named) = _train_until_killed(
             monkeypatch, clf, split, _cfg(epochs=4, eval_every=1), out, 2)
-        assert run.epoch_next == 2 and t > 0
+        assert run.epoch_next == 2 and run.adam_t > 0
         assert any(np.any(named[k] != 0) for k in named if k.startswith("adam.v."))
         opt = Adam(restored.params())
-        nppr.trainer._load_state(restored, opt, named, t)
+        nppr.trainer._load_state(restored, opt, named, run.adam_t)
         save_checkpoint(restored, tmp_path / "again.json", opt, run)
         assert (tmp_path / "again.json").read_bytes() == (out / "ckpt_latest.json").read_bytes()
 
@@ -499,6 +499,26 @@ class TestCheckpoints:
             restore_checkpoint(path, clf)
         assert str(info.value) == (f"{path}: stored settings cannot be read: "
                                    f"ValueError: UpsamplerConfig.{field}: {reason}")
+
+    @pytest.mark.parametrize("field,value,reason", [
+        ("epoch_next", "1", "expected int, got str"),
+        ("adam_t", 2.5, "expected int, got float"),
+        ("adam_t", True, "expected int, got bool"),
+        ("train_cfg", "x", "expected dict, got str"),
+        ("high_loss_streak", -1, "must be >= 0")])
+    def test_restore_refuses_bad_run_state(self, instance, tmp_path, field, value, reason):
+        # Each was once restored as is: resuming then failed with a bare
+        # TypeError or AttributeError, or `int()` truncated Adam's step count.
+        clf, _ = instance
+        path = tmp_path / "ck.json"
+        _save(_gen(clf), path)
+        doc = json.loads(path.read_text())
+        doc["extra"][field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SnapshotError) as info:
+            restore_checkpoint(path, clf)
+        assert str(info.value) == (f"{path}: stored settings cannot be read: "
+                                   f"ValueError: RunState.{field}: {reason}")
 
     def test_frozen_premap_survives_restore(self, instance, tmp_path):
         clf, split = instance
