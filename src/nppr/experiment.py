@@ -23,6 +23,7 @@ import json
 import logging
 from pathlib import Path
 
+from . import tensor as T
 from .config import ExperimentConfig, config_to_json, resolve_sigma
 from .datasets import (LabeledDataset, SplitDataset, make_blobs, make_grid_image,
                        make_rings, stratified_split)
@@ -87,7 +88,8 @@ def evaluate_generator(cfg: ExperimentConfig, clf: Classifier, generator: Genera
     ar_c = ar_cw(clf, test.x, test.y, gamma, steps=cfg.baselines.cw_steps,
                  kappa=cfg.train.kappa, rng=substream(cfg.seed, ATTACK, 1))
 
-    params = generator.gmm_params(test.x, test.y)
+    with T.no_grad():
+        params = generator.gmm_params(test.x, test.y)
     stats = mixture_statistics(params.pi())
 
     return RobustnessReport(
@@ -109,8 +111,9 @@ def export_perturbation_samples(generator: Generator, split: SplitDataset,
     first (up to) 64 test inputs."""
     n = min(split.test.n, 64)
     x, y = split.test.x[:n], split.test.y[:n]
-    params = generator.gmm_params(x, y)
-    batch = generator.perturb_exact(params, per_input, substream(seed, EVAL, 9))
+    with T.no_grad():
+        params = generator.gmm_params(x, y)
+        batch = generator.perturb_exact(params, per_input, substream(seed, EVAL, 9))
     comp = batch.relaxed_weights.data.argmax(axis=2)
 
     for name, values in (("samples_latent.csv", batch.latent.data),

@@ -6,6 +6,9 @@ The estimators report the probability of *retaining* the correct label:
   - ar_pgd/ar_cw:  one attacked point per input (fraction still correct)
 All indicator evaluations resolve argmax ties toward the lowest class index.
 
+The training loss (`margin_loss`) and the CW attack's objective are one logit
+margin with opposite signs, and both are the engine op `tensor.margin`.
+
 The Monte-Carlo estimators take max(1, _ROWS // M) inputs at a time; no
 draw depends on that tiling (`sample_exact` gives each input its own stream).
 They record no autograd tape: they classify with `Classifier.predict`, a
@@ -25,7 +28,7 @@ from . import tensor as T
 from .generator import Generator
 from .models import Classifier, DependencyMode, Temperatures, cross_entropy
 from .rng import ATTACK, substream
-from .serialize import at_least, check_fields, checked, one_of
+from .serialize import at_least, check_fields, checked, one_of, rate
 from .tensor import Tensor
 
 UNIFORM_BALL = "uniform_ball"
@@ -36,13 +39,6 @@ CLIPPED_GAUSSIAN = "clipped_gaussian"
 _ROWS = 1 << 12
 
 
-def _runner_up(logits: Tensor, y: np.ndarray) -> Tensor:
-    """Per row, the largest logit of a class other than y (lowest index on ties)."""
-    mask = np.zeros(logits.shape)
-    mask[np.arange(logits.shape[0]), y] = -1e30
-    return T.row_max(T.add(logits, T.constant(mask)), axis=-1)
-
-
 def margin_loss(logits: Tensor, y: np.ndarray, kappa: float = 1.0) -> Tensor:
     """softplus(h_y - max_{j!=y} h_j + kappa), averaged over all rows.
 
@@ -51,10 +47,7 @@ def margin_loss(logits: Tensor, y: np.ndarray, kappa: float = 1.0) -> Tensor:
     """
     if logits.ndim != 2 or logits.shape[1] < 2:
         raise ValueError(f"margin_loss: need (N, C>=2) logits, got {logits.shape}")
-    y = np.asarray(y, dtype=np.int64)
-    gap = T.add(T.sub(T.gather_row(logits, y), _runner_up(logits, y)),
-                T.constant(float(kappa)))
-    return T.reduce_mean(T.softplus(gap))
+    return T.margin(logits, y, kappa, 1)
 
 
 def entropy_ratio(pi: np.ndarray, K: int) -> float:
@@ -73,9 +66,12 @@ def entropy_ratio(pi: np.ndarray, K: int) -> float:
 
 
 def mc_half_width(p: float, draws: int) -> float:
-    """3-sigma binomial half-width for an indicator mean from `draws` samples."""
+    """3-sigma binomial half-width for an indicator mean from `draws` samples;
+    0.0 when there are none."""
+    if draws <= 0:
+        return 0.0
     p = min(max(p, 0.0), 1.0)
-    return 3.0 * float(np.sqrt(p * (1.0 - p) / max(draws, 1)))
+    return 3.0 * float(np.sqrt(p * (1.0 - p) / draws))
 
 
 def _pieces(x: np.ndarray, y: np.ndarray, M: int, name: str):
@@ -162,9 +158,7 @@ def _attack(clf: Classifier, x: np.ndarray, y: np.ndarray, gamma: float, steps: 
         if objective == "cross_entropy":
             loss = cross_entropy(logits, y)
         else:  # margin: push the runner-up above the true class
-            gap = T.add(T.sub(_runner_up(logits, y), T.gather_row(logits, y)),
-                        T.constant(kappa))
-            loss = T.reduce_mean(T.softplus(gap))
+            loss = T.margin(logits, y, kappa, -1)
         loss.backward()
         delta = np.clip(delta + alpha * np.sign(adv.grad), -gamma, gamma)
     return _hits(clf, x, y, delta) / len(x)
@@ -186,24 +180,20 @@ def ar_cw(clf: Classifier, x: np.ndarray, y: np.ndarray, gamma: float,
     return _attack(clf, x, y, gamma, steps, rng, "margin", kappa)
 
 
-def _rate(value):
-    return None if -1e-9 <= value <= 1.0 + 1e-9 else f"{value} outside [0, 1]"
-
-
 @dataclass
 class RobustnessReport:
     """Final metrics for one trained generator on one model/dataset/budget."""
-    nppr_test: float = checked(check=_rate, kind=float)
-    nppr_train: float = checked(check=_rate, kind=float)
-    pr_gaussian: float = checked(check=_rate, kind=float)
-    pr_uniform: float = checked(check=_rate, kind=float)
-    ar_pgd: float = checked(check=_rate, kind=float)
-    ar_cw: float = checked(check=_rate, kind=float)
-    entropy_ratio: float = checked(check=_rate, kind=float)
+    nppr_test: float = checked(check=rate, kind=float)
+    nppr_train: float = checked(check=rate, kind=float)
+    pr_gaussian: float = checked(check=rate, kind=float)
+    pr_uniform: float = checked(check=rate, kind=float)
+    ar_pgd: float = checked(check=rate, kind=float)
+    ar_cw: float = checked(check=rate, kind=float)
+    entropy_ratio: float = checked(check=rate, kind=float)
     pi_max: float = checked(kind=float)
     pi_min: float = checked(kind=float)
     pi_std: float = checked(kind=float)
-    clean_accuracy: float = checked(check=_rate, kind=float)
+    clean_accuracy: float = checked(check=rate, kind=float)
     # Experiment key + draw counts for half-width bookkeeping.
     model_key: str = ""
     dataset_key: str = ""

@@ -77,10 +77,6 @@ def oracle_pr(clf: Classifier, x: np.ndarray, y: int, dist, grid: GridSpec) -> f
     return float(np.sum(weights * correct) / total)
 
 
-def _hw(p: float, draws: int) -> float:
-    return mc_half_width(p, draws) if draws > 0 else 0.0
-
-
 def verify_propositions(reports: list[RobustnessReport]) -> dict:
     """Check the metric orderings over a set of reports from one experiment.
 
@@ -105,10 +101,10 @@ def verify_propositions(reports: list[RobustnessReport]) -> dict:
 
     for r in reports:
         tag = r.mode or "generator"
-        hw_nppr = _hw(r.nppr_test, r.nppr_draws)
-        hw_pr = _hw(r.pr_uniform, r.pr_draws)
-        hw_prg = _hw(r.pr_gaussian, r.pr_draws)
-        hw_ar = _hw(r.ar_pgd, r.ar_points)
+        hw_nppr = mc_half_width(r.nppr_test, r.nppr_draws)
+        hw_pr = mc_half_width(r.pr_uniform, r.pr_draws)
+        hw_prg = mc_half_width(r.pr_gaussian, r.pr_draws)
+        hw_ar = mc_half_width(r.ar_pgd, r.ar_points)
         check(f"ar_pgd<=nppr[{tag}]", r.ar_pgd, r.nppr_test, hw_ar + hw_nppr)
         check(f"nppr<=pr_uniform[{tag}]", r.nppr_test, r.pr_uniform, hw_nppr + hw_pr)
         check(f"nppr<=pr_gaussian[{tag}]", r.nppr_test, r.pr_gaussian, hw_nppr + hw_prg)
@@ -117,7 +113,8 @@ def verify_propositions(reports: list[RobustnessReport]) -> dict:
     conditionals = [r for r in reports if r.mode and r.mode != DependencyMode.INDEPENDENT.value]
     for cond in conditionals:
         for indep in independents:
-            hw = _hw(cond.nppr_test, cond.nppr_draws) + _hw(indep.nppr_test, indep.nppr_draws)
+            hw = (mc_half_width(cond.nppr_test, cond.nppr_draws)
+                  + mc_half_width(indep.nppr_test, indep.nppr_draws))
             check(f"nppr[{cond.mode}]<=nppr[independent]", cond.nppr_test, indep.nppr_test, hw)
 
     return {

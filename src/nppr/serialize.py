@@ -95,6 +95,11 @@ def at_least(minimum):
     return lambda v: None if v >= minimum else f"must be >= {minimum}"
 
 
+def rate(value):
+    """A probability, up to 1e-9 of round-off."""
+    return None if -1e-9 <= value <= 1.0 + 1e-9 else f"{value} outside [0, 1]"
+
+
 def one_of(options):
     return lambda v: None if v in options else f"must be one of {sorted(options)}"
 

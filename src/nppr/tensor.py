@@ -8,6 +8,13 @@ backward root visits nodes in a correct reverse order.
 All values are 64-bit floats. Ops are plain numpy calls in a fixed order, so
 forward values are bit-stable for fixed inputs.
 
+Three special-purpose ops with hand-written backwards replace chains of
+generic ops that were longer and slower: `mixture_latent` mixes the relaxed
+per-component draws without copying a factor per draw, `tril_factor` unpacks
+lower triangles into Cholesky factors with a positive diagonal, and `margin`
+is the softplus logit margin that training minimises and the CW attack
+ascends, whose gradient reaches only each row's true class and runner-up.
+
 A backward computes gradients only for operands that require them: the
 product for a frozen weight or a constant input is never formed. The first
 gradient a tensor receives is stored without a copy, so a `.grad` may share
@@ -193,19 +200,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _node(out_data, (a, b), bwd, "add")
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _require_broadcastable(a, b, "sub")
-    out_data = a.data - b.data
-
-    def bwd(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(-g, b.shape))
-
-    return _node(out_data, (a, b), bwd, "sub")
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _require_broadcastable(a, b, "mul")
     out_data = a.data * b.data
@@ -353,6 +347,34 @@ def tril_factor(packed: Tensor, dim: int, t_sigma: float, floor: float) -> Tenso
     return _node(out_data, (packed,), bwd, "tril_factor")
 
 
+def margin(logits: Tensor, y: np.ndarray, kappa: float, sign: int) -> Tensor:
+    """Row mean of softplus(sign * (h_y - r) + kappa) for (N, C) logits, sign 1 or -1:
+    h_y is the logit of class y, r the largest other one (lowest index on ties),
+    read from the logits plus -1e30 at y. The gradient reaches only y and r."""
+    y = np.asarray(y, dtype=np.int64)
+    if logits.ndim != 2 or y.shape != (logits.shape[0],):
+        raise ShapeError(f"margin: expected (N, C) logits and (N,) labels, "
+                         f"got {logits.shape} and {y.shape}")
+    rows = np.arange(len(y))
+    mask = np.zeros(logits.shape)
+    mask[rows, y] = -1e30
+    masked = logits.data + mask
+    arg = masked.argmax(axis=1)
+    h_y, r = logits.data[rows, y], masked[rows, arg]
+    gap = (h_y - r if sign == 1 else r - h_y) + float(kappa)
+    out_data = np.logaddexp(0.0, gap).mean()
+
+    def bwd(g):
+        s = (g / len(rows)) * _sigmoid(gap)
+        up, down = (y, arg) if sign == 1 else (arg, y)
+        full = np.zeros_like(logits.data)
+        full[rows, up] += s
+        full[rows, down] -= s
+        _accumulate(logits, full)
+
+    return _node(out_data, (logits,), bwd, "margin")
+
+
 # ---------------------------------------------------------------------------
 # Nonlinearities
 
@@ -373,15 +395,6 @@ def tanh(a: Tensor) -> Tensor:
         _accumulate(a, g * (1.0 - out_data * out_data))
 
     return _node(out_data, (a,), bwd, "tanh")
-
-
-def exp(a: Tensor) -> Tensor:
-    out_data = np.exp(a.data)
-
-    def bwd(g):
-        _accumulate(a, g * out_data)
-
-    return _node(out_data, (a,), bwd, "exp")
 
 
 def log(a: Tensor) -> Tensor:
@@ -493,20 +506,6 @@ def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         _accumulate(a, np.broadcast_to(g, a.shape))
 
     return _node(out_data, (a,), bwd, "reduce_mean")
-
-
-def row_max(a: Tensor, axis: int = -1) -> Tensor:
-    """Max along `axis`; gradient routes to the first (lowest-index) argmax."""
-    ax = axis % a.ndim
-    out_data = a.data.max(axis=ax)
-    arg = a.data.argmax(axis=ax)
-
-    def bwd(g):
-        full = np.zeros_like(a.data)
-        np.put_along_axis(full, np.expand_dims(arg, ax), np.expand_dims(g, ax), axis=ax)
-        _accumulate(a, full)
-
-    return _node(out_data, (a,), bwd, "row_max")
 
 
 def gather_row(a: Tensor, index: np.ndarray) -> Tensor:

@@ -22,7 +22,7 @@ from .optim import Adam
 from .rng import GUMBEL, PROBE, SHUFFLE, substream
 from .sampling import AnnealSchedule, GumbelConfig, anneal_value, gumbel_tau
 from .serialize import (SnapshotError, at_least, check_fields, checked, config_record,
-                        load_snapshot, one_of, positive, save_snapshot)
+                        load_snapshot, one_of, positive, rate, save_snapshot)
 from .upsample import UpsamplerConfig
 
 log = logging.getLogger(__name__)
@@ -98,8 +98,8 @@ class RunState:
     TrainConfig record, next epoch, best probe NPPR, divergence state and Adam's step count."""
     train_cfg: dict = checked(kind=dict)
     epoch_next: int = checked(0, at_least(0))
-    best_nppr: float | None = checked(None, kind=float)
-    initial_loss: float | None = checked(None, kind=float)
+    best_nppr: float | None = checked(None, rate, kind=float)
+    initial_loss: float | None = checked(None, at_least(0), kind=float)
     high_loss_streak: int = checked(0, at_least(0))
     adam_t: int = checked(0, at_least(0))
 
@@ -215,8 +215,9 @@ def _check_resume_config(written: dict, cfg: TrainConfig) -> None:
 def _probe_metrics(generator: Generator, probe_x: np.ndarray, probe_y: np.ndarray,
                    temps: Temperatures, M: int, rng: np.random.Generator) -> dict:
     """Weight statistics and the running NPPR; a non-finite mixture has no
-    NPPR, so it reads NaN there."""
-    params = generator.gmm_params(probe_x, probe_y, temps=temps)
+    NPPR, so it reads NaN there. The head forward records no tape."""
+    with T.no_grad():
+        params = generator.gmm_params(probe_x, probe_y, temps=temps)
     stats = mixture_statistics(params.pi())
     stats["nppr_running"] = (
         nppr_estimate(generator.clf, generator, probe_x, probe_y, M, rng, temps=temps)

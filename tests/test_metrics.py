@@ -9,13 +9,16 @@ from hypothesis import strategies as st
 
 from nppr import tensor as T
 import nppr.metrics
-from nppr.datasets import make_blobs
+import nppr.trainer
+from nppr.config import parse_config
+from nppr.datasets import make_blobs, stratified_split
+from nppr.experiment import evaluate_generator
 from nppr.generator import build_generator
 from nppr.metrics import (CLIPPED_GAUSSIAN, UNIFORM_BALL, RobustnessReport, ar_cw,
                           ar_pgd, baseline_noise, entropy_ratio, margin_loss, mc_half_width,
                           mixture_statistics, nppr_estimate, pr_estimate)
 from nppr.models import (CHOL_DIAG_FLOOR, Classifier, ClassifierConfig, DependencyMode,
-                         HeadConfig, train_classifier)
+                         HeadConfig, Temperatures, train_classifier)
 from nppr.rng import EVAL, substream
 from nppr.tensor import Tensor
 from nppr.upsample import UpsamplerConfig
@@ -56,13 +59,23 @@ class TestMarginLoss:
         with pytest.raises(ValueError, match="C>=2"):
             margin_loss(Tensor(np.ones((3, 1))), np.zeros(3, dtype=int))
 
-    def test_runner_up_tie_lowest_index(self):
+    @pytest.mark.parametrize("sign", [1, -1], ids=["loss", "cw"])
+    def test_runner_up_tie_lowest_index(self, sign):
         logits = Tensor(np.array([[2.0, 5.0, 5.0, 1.0]]), requires_grad=True)
-        loss = margin_loss(logits, np.array([0]), kappa=0.0)
-        loss.backward()
+        T.margin(logits, np.array([0]), 0.0, sign).backward()
         # Gradient of the runner-up term lands on column 1, not column 2.
         assert logits.grad[0, 1] != 0.0
         assert logits.grad[0, 2] == 0.0
+
+    @pytest.mark.parametrize("sign", [1, -1], ids=["loss", "cw"])
+    def test_largest_true_logit_is_not_runner_up(self, sign):
+        logits = Tensor(np.array([[5.0, 2.0, 3.0, 1.0]]), requires_grad=True)
+        loss = T.margin(logits, np.array([0]), 1.0, sign)
+        loss.backward()
+        assert loss.item() == pytest.approx(np.logaddexp(0.0, sign * 2.0 + 1.0), rel=1e-15)
+        assert logits.grad[0, 0] == -logits.grad[0, 2] != 0.0
+        assert np.sign(logits.grad[0, 0]) == sign
+        assert logits.grad[0, 1] == logits.grad[0, 3] == 0.0
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 3), st.floats(0.05, 3.0), st.integers(0, 10**6))
@@ -197,10 +210,9 @@ class TestTapeFreeEvaluation:
         margin_loss(clf.logits(perturbed), np.repeat(y, 4)).backward()
         return {name: p.grad for name, p in gen.named_params().items()}
 
-    def test_nppr_estimate_records_no_tape(self, setup, monkeypatch):
-        clf, x, y = setup
-        gen = self._gen(clf)
-        assert gen.upsampler.weight.requires_grad
+    @staticmethod
+    def _recorded(gen, names, monkeypatch) -> list:
+        """Wrap the named methods of `gen`; the list gets every value they return."""
         made = []
 
         def recorded(method):
@@ -209,14 +221,45 @@ class TestTapeFreeEvaluation:
                 return made[-1]
             return wrapper
 
-        for name in ("gmm_params", "images"):
+        for name in names:
             monkeypatch.setattr(gen, name, recorded(getattr(gen, name)))
-        nppr_estimate(clf, gen, x, y, 5, np.random.default_rng(8))
-        params, images = made  # 300 rows: one piece
-        for t in (params.pi_logits, params.means, params.chol, images):
+        return made
+
+    @staticmethod
+    def _assert_no_tape(gen, tensors):
+        for t in tensors:
             assert not t.requires_grad and t._parents == ()
         assert all(p.grad is None for p in gen.params())
         assert all(p.grad is None for p in gen.upsampler.tensors().values())
+
+    def test_nppr_estimate_records_no_tape(self, setup, monkeypatch):
+        clf, x, y = setup
+        gen = self._gen(clf)
+        assert gen.upsampler.weight.requires_grad
+        made = self._recorded(gen, ("gmm_params", "images"), monkeypatch)
+        nppr_estimate(clf, gen, x, y, 5, np.random.default_rng(8))
+        params, images = made  # 300 rows: one piece
+        self._assert_no_tape(gen, (params.pi_logits, params.means, params.chol, images))
+
+    def test_probe_records_no_tape(self, setup, monkeypatch):
+        clf, x, y = setup
+        gen = self._gen(clf)
+        made = self._recorded(gen, ("gmm_params",), monkeypatch)
+        nppr.trainer._probe_metrics(gen, x, y, Temperatures(), 5, np.random.default_rng(8))
+        assert len(made) == 2  # the weight statistics' forward, then the estimate's
+        self._assert_no_tape(gen, [t for p in made for t in (p.pi_logits, p.means, p.chol)])
+
+    def test_evaluate_generator_records_no_tape(self, setup, monkeypatch):
+        clf, _, _ = setup
+        gen = self._gen(clf)
+        made = self._recorded(gen, ("gmm_params",), monkeypatch)
+        cfg = parse_config({"dataset": {"dim": 3, "classes": 3, "n": 60, "seed": 4},
+                            "baselines": {"eval_samples": 4, "pgd_steps": 2, "cw_steps": 2}})
+        split = stratified_split(make_blobs(d=3, classes=3, n=60, seed=4, separation=1.5),
+                                 cfg.train_frac, 0)
+        evaluate_generator(cfg, clf, gen, split)
+        assert len(made) == 3  # NPPR on test and train, then the weight statistics
+        self._assert_no_tape(gen, [t for p in made for t in (p.pi_logits, p.means, p.chol)])
 
     def test_training_step_after_probe_gets_gradients(self, setup):
         clf, x, y = setup

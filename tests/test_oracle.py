@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from nppr.metrics import UNIFORM_BALL, RobustnessReport, pr_estimate
+from nppr.metrics import UNIFORM_BALL, RobustnessReport, mc_half_width, pr_estimate
 from nppr.oracle import GridSpec, oracle_pr, verify_propositions
 
 from test_metrics import linear_clf
@@ -181,3 +181,6 @@ class TestVerifyPropositions:
         verdict = verify_propositions([_report()])
         for entry in verdict["inequalities"]:
             assert set(entry) == {"name", "lhs", "rhs", "half_width", "pass"}
+        # A count of zero draws adds no margin.
+        zero = verify_propositions([_report(draws=0)])["inequalities"]
+        assert [v["half_width"] for v in zero] == [mc_half_width(0.2, 1000), 0.0, 0.0]

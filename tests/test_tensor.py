@@ -136,14 +136,22 @@ def _mixture_latent_case(r):
              r.uniform(-1, 1, (2, 2, 3, 3)), r.uniform(-2, 2, (2, 3, 3))])
 
 
+def _margin_case(sign):
+    """Logits whose entries differ by >= 0.2 within a row, so that no step of
+    the finite differences changes a row's runner-up."""
+    def case(r):
+        logits = r.permuted(np.cumsum(r.uniform(0.2, 1.0, (4, 5)), axis=1) - 2.5, axis=1)
+        y = r.integers(0, 5, 4)
+        return (lambda ts: T.margin(ts[0], y, 0.5, sign)), [logits]
+    return case
+
+
 # Per-op finite-difference checks; inputs are kept away from kinks/ties.
 PER_OP_CASES = {
     "add": lambda r: (lambda ts: T.reduce_mean(T.add(ts[0], ts[1])),
                       [r.uniform(-2, 2, (3, 4)), r.uniform(-2, 2, (3, 4))]),
     "add_broadcast": lambda r: (lambda ts: T.reduce_mean(T.add(ts[0], ts[1])),
                                 [r.uniform(-2, 2, (3, 4)), r.uniform(-2, 2, (4,))]),
-    "sub": lambda r: (lambda ts: T.reduce_mean(T.sub(ts[0], ts[1])),
-                      [r.uniform(-2, 2, (2, 5)), r.uniform(-2, 2, (2, 5))]),
     "mul": lambda r: (lambda ts: T.reduce_mean(T.mul(ts[0], ts[1])),
                       [r.uniform(-2, 2, (3, 4)), r.uniform(-2, 2, (3, 1))]),
     "div": lambda r: (lambda ts: T.reduce_mean(T.div(ts[0], ts[1])),
@@ -167,9 +175,10 @@ PER_OP_CASES = {
     "relu": lambda r: (lambda ts: T.reduce_mean(T.relu(ts[0])),
                        [np.where(np.abs(v := r.uniform(-2, 2, (3, 4))) < 0.1, 0.5, v)]),
     "tanh": lambda r: (lambda ts: T.reduce_mean(T.tanh(ts[0])), [r.uniform(-2, 2, (6,))]),
-    "exp": lambda r: (lambda ts: T.reduce_mean(T.exp(ts[0])), [r.uniform(-2, 2, (6,))]),
     "log": lambda r: (lambda ts: T.reduce_mean(T.log(ts[0])), [r.uniform(0.1, 2, (6,))]),
     "sqrt": lambda r: (lambda ts: T.reduce_mean(T.sqrt(ts[0])), [r.uniform(0.1, 2, (6,))]),
+    "margin": _margin_case(1),
+    "margin_cw": _margin_case(-1),
     "softplus": lambda r: (lambda ts: T.reduce_mean(T.softplus(ts[0])),
                            [r.uniform(-2, 2, (2, 3))]),
     "softmax": lambda r: (lambda ts: T.reduce_mean(T.mul(T.softmax(ts[0]), ts[1])),
@@ -180,8 +189,6 @@ PER_OP_CASES = {
                                   [r.uniform(-2, 2, (3, 4))]),
     "reduce_mean_keep": lambda r: (lambda ts: T.reduce_sum(T.reduce_mean(ts[0], axis=0, keepdims=True)),
                                    [r.uniform(-2, 2, (3, 4))]),
-    "row_max": lambda r: (lambda ts: T.reduce_mean(T.row_max(ts[0])),
-                          [np.cumsum(r.uniform(0.2, 1.0, (3, 4)), axis=1) * r.choice([-1, 1], (3, 1))]),
     "gather_row": lambda r: (lambda ts: T.reduce_mean(T.gather_row(ts[0], np.array([0, 2, 1]))),
                              [r.uniform(-2, 2, (3, 4))]),
     "take_rows": lambda r: (lambda ts: T.reduce_mean(T.take_rows(ts[0], np.array([0, 2, 2, 1]))),
@@ -201,7 +208,7 @@ def test_per_op_finite_difference(name, seed):
 
 
 # Multi-operand ops whose backward guards each operand by requires_grad.
-GUARDED_CASES = ["add", "add_broadcast", "sub", "mul", "div", "matmul", "matmul_batched",
+GUARDED_CASES = ["add", "add_broadcast", "mul", "div", "matmul", "matmul_batched",
                  "matmul_bcast_batch", "affine"]
 
 
@@ -415,12 +422,42 @@ class TestTrilFactor:
             T.tril_factor(packed, 4, 1.0, CHOL_DIAG_FLOOR)
 
 
+class TestMargin:
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_matches_numpy_reference(self, sign):
+        # Whole-number logits, so rows hold ties, also between y and others.
+        rng = np.random.default_rng(12)
+        logits = rng.integers(-3, 4, (50, 6)).astype(float)
+        y = rng.integers(0, 6, 50)
+        leaf = Tensor(logits.copy(), requires_grad=True)
+        out = T.margin(leaf, y, 0.75, sign)
+        out.backward()
+
+        rows = np.arange(50)
+        others = logits.copy()
+        others[rows, y] = -np.inf
+        r_idx = others.argmax(axis=1)  # lowest index on ties
+        gap = sign * (logits[rows, y] - others[rows, r_idx]) + 0.75
+        s = 1.0 / (1.0 + np.exp(-gap)) / 50
+        grad = np.zeros_like(logits)
+        grad[rows, y] += sign * s
+        grad[rows, r_idx] -= sign * s
+        np.testing.assert_allclose(out.item(), np.log1p(np.exp(gap)).mean(), rtol=1e-15)
+        np.testing.assert_allclose(leaf.grad, grad, rtol=1e-15, atol=0)
+
+    def test_shape_guard(self):
+        with pytest.raises(ShapeError, match="margin"):
+            T.margin(Tensor(np.zeros((3, 4))), np.zeros(2, dtype=int), 1.0, 1)
+        with pytest.raises(ShapeError, match="margin"):
+            T.margin(Tensor(np.zeros(4)), np.zeros(4, dtype=int), 1.0, 1)
+
+
 def _random_graph(rng):
     """A small random composition of smooth ops over three (3,4) leaves."""
     leaves = [rng.uniform(-2, 2, (3, 4)) for _ in range(3)]
     ops_unary = [T.tanh, T.softplus, lambda t: T.scale(t, 0.7),
-                 lambda t: T.softmax(t, axis=-1), lambda t: T.exp(T.tanh(t))]
-    ops_binary = [T.add, T.sub, T.mul]
+                 lambda t: T.softmax(t, axis=-1), lambda t: T.softplus(T.tanh(t))]
+    ops_binary = [T.add, lambda a, b: T.add(a, T.scale(b, -1)), T.mul]
     n_ops = rng.integers(4, 8)
 
     def build(ts):

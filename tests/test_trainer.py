@@ -505,10 +505,14 @@ class TestCheckpoints:
         ("adam_t", 2.5, "expected int, got float"),
         ("adam_t", True, "expected int, got bool"),
         ("train_cfg", "x", "expected dict, got str"),
-        ("high_loss_streak", -1, "must be >= 0")])
+        ("high_loss_streak", -1, "must be >= 0"),
+        ("best_nppr", -1.0, "-1.0 outside [0, 1]"),
+        ("best_nppr", 1.5, "1.5 outside [0, 1]"),
+        ("initial_loss", -1.0, "must be >= 0")])
     def test_restore_refuses_bad_run_state(self, instance, tmp_path, field, value, reason):
         # Each was once restored as is: resuming then failed with a bare
-        # TypeError or AttributeError, or `int()` truncated Adam's step count.
+        # TypeError or AttributeError, `int()` truncated Adam's step count, or
+        # (a best NPPR below 0) no later epoch ever wrote ckpt_best.json again.
         clf, _ = instance
         path = tmp_path / "ck.json"
         _save(_gen(clf), path)
