@@ -38,7 +38,10 @@ def _load_config(args) -> ExperimentConfig:
     if args.config is None:
         doc = "{}"
     else:
-        doc = Path(args.config).read_text()
+        try:
+            doc = Path(args.config).read_text()
+        except (OSError, UnicodeDecodeError) as err:
+            raise ConfigError(f"{args.config}: {err}") from err
     cfg = parse_config(doc, strict=args.strict)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
@@ -86,7 +89,7 @@ def _restore(cfg: ExperimentConfig, checkpoint: str):
     clf = fit_classifier(cfg, split)
     try:
         generator, _ = restore_checkpoint(checkpoint, clf)
-    except (SnapshotError, FileNotFoundError) as err:
+    except (SnapshotError, OSError) as err:
         raise CheckpointError(err) from err
     differ = []
     for section, stored, given in (("head", generator.head.cfg, cfg.head),

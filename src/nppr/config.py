@@ -26,7 +26,7 @@ import math
 from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
 
-from .models import DependencyMode, HeadConfig
+from .models import ClassifierSpec, DependencyMode, HeadConfig
 from .serialize import (at_least, checked, config_record, field_rule, finite, grid, one_of,
                         positive, positive_int, value_error)
 from .trainer import TrainConfig
@@ -62,16 +62,6 @@ class DatasetSpec:
     image_shape: tuple = checked((1, 8, 8), grid("[c, h, w]"))
     radius_step: float = checked(2.0, positive)
     noise: float = checked(0.3, positive)
-
-
-@dataclass
-class ClassifierSpec:
-    hidden: tuple = checked((64, 32), lambda v: None if v and all(positive_int(h) for h in v)
-                            else "must be a non-empty list of positive ints")
-    epochs: int = checked(200, at_least(1))
-    lr: float = checked(1e-2, positive)
-    batch_size: int | None = checked(None, at_least(1), kind=int)
-    accuracy_threshold: float = 0.95
 
 
 @dataclass

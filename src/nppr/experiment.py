@@ -59,12 +59,8 @@ def dataset_key(spec) -> str:
 
 
 def fit_classifier(cfg: ExperimentConfig, split: SplitDataset) -> Classifier:
-    spec = cfg.classifier
-    clf = train_classifier(
-        split.train.x, split.train.y, epochs=spec.epochs, seed=cfg.seed,
-        hidden=spec.hidden, lr=spec.lr, batch_size=spec.batch_size,
-        accuracy_threshold=spec.accuracy_threshold, image_shape=split.train.image_shape)
-    return clf
+    return train_classifier(split.train.x, split.train.y, cfg.classifier, cfg.seed,
+                            split.train.image_shape)
 
 
 def evaluate_generator(cfg: ExperimentConfig, clf: Classifier, generator: Generator,

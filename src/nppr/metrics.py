@@ -7,7 +7,8 @@ The estimators report the probability of *retaining* the correct label:
 All indicator evaluations resolve argmax ties toward the lowest class index.
 
 The training loss (`margin_loss`) and the CW attack's objective are one logit
-margin with opposite signs, and both are the engine op `tensor.margin`.
+margin with opposite signs, and both are the engine op `tensor.margin`. PGD
+ascends the engine op `tensor.cross_entropy`, the loss the classifier is fit on.
 
 The Monte-Carlo estimators take max(1, _ROWS // M) inputs at a time; no
 draw depends on that tiling (`sample_exact` gives each input its own stream).
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import tensor as T
 from .generator import Generator
-from .models import Classifier, DependencyMode, Temperatures, cross_entropy
+from .models import Classifier, DependencyMode, Temperatures
 from .rng import ATTACK, substream
 from .serialize import at_least, check_fields, checked, one_of, rate
 from .tensor import Tensor
@@ -140,9 +141,9 @@ def pr_estimate(clf: Classifier, x: np.ndarray, y: np.ndarray, dist: str,
 
 
 def _attack(clf: Classifier, x: np.ndarray, y: np.ndarray, gamma: float, steps: int,
-            rng: np.random.Generator, objective: str, kappa: float = 1.0) -> float:
+            rng: np.random.Generator, loss) -> float:
     """Shared L-infinity sign-ascent loop for both attack baselines, with
-    step size 2.5 * gamma / steps."""
+    step size 2.5 * gamma / steps, ascending `loss` of the logits."""
     if steps < 1:
         raise ValueError("attack: steps must be >= 1")
     x = np.asarray(x, dtype=np.float64)
@@ -154,12 +155,7 @@ def _attack(clf: Classifier, x: np.ndarray, y: np.ndarray, gamma: float, steps: 
     delta = rng.uniform(-gamma, gamma, size=x.shape)
     for _ in range(steps):
         adv = Tensor(x + delta, requires_grad=True)
-        logits = clf.logits(adv)
-        if objective == "cross_entropy":
-            loss = cross_entropy(logits, y)
-        else:  # margin: push the runner-up above the true class
-            loss = T.margin(logits, y, kappa, -1)
-        loss.backward()
+        loss(clf.logits(adv)).backward()
         delta = np.clip(delta + alpha * np.sign(adv.grad), -gamma, gamma)
     return _hits(clf, x, y, delta) / len(x)
 
@@ -169,7 +165,7 @@ def ar_pgd(clf: Classifier, x: np.ndarray, y: np.ndarray, gamma: float,
     """Fraction still correct after L-infinity PGD with random start and
     sign-gradient ascent on cross-entropy."""
     rng = rng if rng is not None else substream(0, ATTACK, 0)
-    return _attack(clf, x, y, gamma, steps, rng, "cross_entropy")
+    return _attack(clf, x, y, gamma, steps, rng, lambda h: T.cross_entropy(h, y))
 
 
 def ar_cw(clf: Classifier, x: np.ndarray, y: np.ndarray, gamma: float,
@@ -177,7 +173,7 @@ def ar_cw(clf: Classifier, x: np.ndarray, y: np.ndarray, gamma: float,
           rng: np.random.Generator | None = None) -> float:
     """Same loop as ar_pgd but ascending the logit-margin objective."""
     rng = rng if rng is not None else substream(0, ATTACK, 1)
-    return _attack(clf, x, y, gamma, steps, rng, "margin", kappa)
+    return _attack(clf, x, y, gamma, steps, rng, lambda h: T.margin(h, y, kappa, -1))
 
 
 @dataclass

@@ -34,7 +34,7 @@ import numpy as np
 from . import tensor as T
 from .optim import Adam
 from .rng import CLASSIFIER, GENERATOR_INIT, substream
-from .serialize import at_least, check_fields, checked
+from .serialize import at_least, check_fields, checked, positive, positive_int
 from .tensor import Tensor
 
 log = logging.getLogger(__name__)
@@ -144,21 +144,23 @@ class Classifier:
         return named
 
 
-def cross_entropy(logits: Tensor, y: np.ndarray) -> Tensor:
-    logp = T.log_softmax(logits, axis=-1)
-    picked = T.gather_row(logp, np.asarray(y, dtype=np.int64))
-    return T.scale(T.reduce_mean(picked), -1.0)
+@dataclass
+class ClassifierSpec:
+    """How the target classifier is fit: its hidden widths and the Adam run."""
+    hidden: tuple = checked((64, 32), lambda v: None if v and all(positive_int(h) for h in v)
+                            else "must be a non-empty list of positive ints")
+    epochs: int = checked(200, at_least(1))
+    lr: float = checked(1e-2, positive)
+    batch_size: int | None = checked(None, at_least(1), kind=int)
+    accuracy_threshold: float = 0.95
 
 
-def train_classifier(x: np.ndarray, y: np.ndarray, epochs: int, seed: int,
-                     hidden: tuple = (32,), lr: float = 1e-2,
-                     batch_size: int | None = None,
-                     accuracy_threshold: float = 0.95,
+def train_classifier(x: np.ndarray, y: np.ndarray, spec: ClassifierSpec, seed: int,
                      image_shape: tuple | None = None) -> Classifier:
-    """Fit an MLP on (x, y) and freeze it.
+    """Fit an MLP on (x, y) as `spec` says, with cross-entropy, and freeze it.
 
-    Falling short of `accuracy_threshold` is reported, not fatal; the final
-    accuracy is stored on the returned classifier either way.
+    Falling short of `spec.accuracy_threshold` is reported, not fatal; the
+    final accuracy is stored on the returned classifier either way.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -168,23 +170,23 @@ def train_classifier(x: np.ndarray, y: np.ndarray, epochs: int, seed: int,
     if np.any(y < 0):
         raise ValueError("train_classifier: labels must be in [0, C)")
     cfg = ClassifierConfig(input_dim=x.shape[1], num_classes=max(num_classes, 2),
-                           hidden=tuple(hidden), image_shape=image_shape)
+                           hidden=tuple(spec.hidden), image_shape=image_shape)
     clf = Classifier(cfg, seed=seed)
-    opt = Adam(clf.params(), lr=lr)
+    opt = Adam(clf.params(), lr=spec.lr)
     n = x.shape[0]
-    bs = n if batch_size is None else min(batch_size, n)
-    for epoch in range(epochs):
+    bs = n if spec.batch_size is None else min(spec.batch_size, n)
+    for epoch in range(spec.epochs):
         order = substream(seed, CLASSIFIER, 1, epoch).permutation(n)
         for start in range(0, n, bs):
             idx = order[start:start + bs]
             opt.zero_grad()
-            loss = cross_entropy(clf.logits(T.constant(x[idx])), y[idx])
+            loss = T.cross_entropy(clf.logits(T.constant(x[idx])), y[idx])
             loss.backward()
             opt.step()
     clf.train_accuracy = clf.accuracy(x, y)
-    if clf.train_accuracy < accuracy_threshold:
+    if clf.train_accuracy < spec.accuracy_threshold:
         log.warning("classifier train accuracy %.4f below threshold %.4f",
-                    clf.train_accuracy, accuracy_threshold)
+                    clf.train_accuracy, spec.accuracy_threshold)
     clf.freeze()
     return clf
 

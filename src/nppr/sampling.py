@@ -99,16 +99,14 @@ def gumbel_noise(rng: np.random.Generator, shape: tuple) -> np.ndarray:
 def gumbel_softmax_sample(pi_logits: Tensor, tau: float, rng: np.random.Generator) -> Tensor:
     """Relaxed one-hot draws: softmax((log softmax(pi_logits) + g) / tau).
 
-    One Gumbel vector is drawn per row of `pi_logits` (last axis = components);
-    the result is differentiable w.r.t. the logits.
+    One Gumbel vector is drawn per row of `pi_logits` (last axis = components)
+    and fed to the engine op `tensor.gumbel_softmax`, differentiable in the logits.
     """
     if tau <= 0:
         raise ValueError("gumbel_softmax_sample: tau must be > 0")
     if not np.all(np.isfinite(pi_logits.data)):
         raise ValueError("gumbel_softmax_sample: logits must be finite")
-    g = T.constant(gumbel_noise(rng, pi_logits.shape))
-    log_pi = T.log_softmax(pi_logits, axis=-1)
-    return T.softmax(T.scale(T.add(log_pi, g), 1.0 / tau), axis=-1)
+    return T.gumbel_softmax(pi_logits, gumbel_noise(rng, pi_logits.shape), tau)
 
 
 def sample_perturbations(params: GmmParams, M: int, tau: float,

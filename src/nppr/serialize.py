@@ -158,7 +158,7 @@ def save_snapshot(path, named: dict[str, np.ndarray], extra: dict | None = None)
 def load_snapshot(path) -> tuple[dict[str, np.ndarray], dict]:
     try:
         doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
         raise SnapshotError(f"corrupt snapshot file {path}: {err}") from None
     if not isinstance(doc, dict) or "format_version" not in doc:
         raise SnapshotError(f"snapshot file {path} has no format_version field")

@@ -8,12 +8,15 @@ backward root visits nodes in a correct reverse order.
 All values are 64-bit floats. Ops are plain numpy calls in a fixed order, so
 forward values are bit-stable for fixed inputs.
 
-Three special-purpose ops with hand-written backwards replace chains of
+Five special-purpose ops with hand-written backwards replace chains of
 generic ops that were longer and slower: `mixture_latent` mixes the relaxed
 per-component draws without copying a factor per draw, `tril_factor` unpacks
-lower triangles into Cholesky factors with a positive diagonal, and `margin`
-is the softplus logit margin that training minimises and the CW attack
-ascends, whose gradient reaches only each row's true class and runner-up.
+lower triangles into Cholesky factors with a positive diagonal, `margin` is
+the softplus logit margin that training minimises and the CW attack ascends,
+whose gradient reaches only each row's true class and runner-up,
+`cross_entropy` is the loss the classifier is fit on and PGD ascends, and
+`gumbel_softmax` is the relaxation that carries gradients to the mixture
+weights; these two take the only softmaxes on the tape.
 
 A backward computes gradients only for operands that require them: the
 product for a frozen weight or a constant input is never formed. The first
@@ -375,6 +378,55 @@ def margin(logits: Tensor, y: np.ndarray, kappa: float, sign: int) -> Tensor:
     return _node(out_data, (logits,), bwd, "margin")
 
 
+def _log_softmax(h: np.ndarray) -> np.ndarray:
+    """log softmax along the last axis, shifted by each row's maximum."""
+    shifted = h - h.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+def _log_softmax_grad(logp: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The gradient reaching h from g on logp = _log_softmax(h)."""
+    return g - np.exp(logp) * g.sum(axis=-1, keepdims=True)
+
+
+def cross_entropy(logits: Tensor, y: np.ndarray) -> Tensor:
+    """Row mean of -log softmax(h)[y] for (N, C) logits h and (N,) labels y."""
+    y = np.asarray(y, dtype=np.int64)
+    if logits.ndim != 2 or y.shape != (logits.shape[0],):
+        raise ShapeError(f"cross_entropy: expected (N, C) logits and (N,) labels, "
+                         f"got {logits.shape} and {y.shape}")
+    rows = np.arange(len(y))
+    logp = _log_softmax(logits.data)
+    out_data = logp[rows, y].mean() * -1.0
+
+    def bwd(g):
+        full = np.zeros_like(logp)
+        full[rows, y] = (g * -1.0) / len(rows)
+        _accumulate(logits, _log_softmax_grad(logp, full))
+
+    return _node(out_data, (logits,), bwd, "cross_entropy")
+
+
+def gumbel_softmax(logits: Tensor, noise: np.ndarray, tau: float) -> Tensor:
+    """softmax((log softmax(logits) + noise) / tau) along the last axis, for a
+    constant `noise` of the logits' shape that gets no gradient."""
+    noise = np.asarray(noise, dtype=np.float64)
+    if noise.shape != logits.shape:
+        raise ShapeError(f"gumbel_softmax: noise shape {noise.shape} is not the "
+                         f"logits' {logits.shape}")
+    c = 1.0 / float(tau)
+    log_pi = _log_softmax(logits.data)
+    s = (log_pi + noise) * c
+    e = np.exp(s - s.max(axis=-1, keepdims=True))
+    out_data = e / e.sum(axis=-1, keepdims=True)
+
+    def bwd(g):
+        gs = out_data * (g - (g * out_data).sum(axis=-1, keepdims=True)) * c
+        _accumulate(logits, _log_softmax_grad(log_pi, gs))
+
+    return _node(out_data, (logits,), bwd, "gumbel_softmax")
+
+
 # ---------------------------------------------------------------------------
 # Nonlinearities
 
@@ -436,31 +488,6 @@ def softplus(a: Tensor) -> Tensor:
     return _node(out_data, (a,), bwd, "softplus")
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    """Softmax along `axis` with log-sum-exp stabilization."""
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=axis, keepdims=True)
-
-    def bwd(g):
-        dot = (g * out_data).sum(axis=axis, keepdims=True)
-        _accumulate(a, out_data * (g - dot))
-
-    return _node(out_data, (a,), bwd, "softmax")
-
-
-def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out_data = shifted - lse
-    soft = np.exp(out_data)
-
-    def bwd(g):
-        _accumulate(a, g - soft * g.sum(axis=axis, keepdims=True))
-
-    return _node(out_data, (a,), bwd, "log_softmax")
-
-
 # ---------------------------------------------------------------------------
 # Reductions and indexing
 
@@ -486,44 +513,6 @@ def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         _accumulate(a, np.broadcast_to(g, a.shape))
 
     return _node(out_data, (a,), bwd, "reduce_sum")
-
-
-def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    axis_n = _normalize_axis(axis, a.ndim)
-    if axis_n is None:
-        count = a.size
-    else:
-        count = int(np.prod([a.shape[i] for i in axis_n]))
-    out_data = a.data.mean(axis=axis_n, keepdims=keepdims)
-
-    def bwd(g):
-        g = np.asarray(g) / count
-        if axis_n is None:
-            _accumulate(a, np.full(a.shape, g))
-            return
-        if not keepdims:
-            g = np.expand_dims(g, axis_n)
-        _accumulate(a, np.broadcast_to(g, a.shape))
-
-    return _node(out_data, (a,), bwd, "reduce_mean")
-
-
-def gather_row(a: Tensor, index: np.ndarray) -> Tensor:
-    """Pick one column per row: out[i] = a[i, index[i]] for a 2-D tensor."""
-    if a.ndim != 2:
-        raise ShapeError(f"gather_row: expected 2-D input, got {a.shape}")
-    idx = np.asarray(index, dtype=np.int64)
-    if idx.shape != (a.shape[0],):
-        raise ShapeError(f"gather_row: index shape {idx.shape} does not match rows {a.shape[0]}")
-    rows = np.arange(a.shape[0])
-    out_data = a.data[rows, idx]
-
-    def bwd(g):
-        full = np.zeros_like(a.data)
-        np.add.at(full, (rows, idx), g)
-        _accumulate(a, full)
-
-    return _node(out_data, (a,), bwd, "gather_row")
 
 
 def take_rows(a: Tensor, index: np.ndarray) -> Tensor:

@@ -61,6 +61,8 @@ def test_export_samples_writes_every_draw_reproducibly(trained, tmp_path):
 BAD_CHECKPOINTS = {
     "missing": "No such file or directory",
     "corrupt": "corrupt snapshot file",
+    "directory": "Is a directory",
+    "not_utf8": "corrupt snapshot file",
     "other_mode": "head.mode joint != independent",
     "other_budget": "upsampler.gamma 0.06274509803921569 != 0.25",
     "other_K": "head.K 7 != 3",
@@ -84,6 +86,11 @@ def test_bad_checkpoint_is_a_checkpoint_error(trained, tmp_path, capsys, command
     elif case == "corrupt":
         checkpoint = tmp_path / "corrupt.json"
         checkpoint.write_text("{ not json")
+    elif case == "directory":
+        checkpoint = tmp_path
+    elif case == "not_utf8":
+        checkpoint = tmp_path / "binary.json"
+        checkpoint.write_bytes(b"\xff\xfe{}")
     elif case == "other_mode":  # a joint-head checkpoint under an independent-head config
         config = _write(tmp_path, {**TINY, "dependency": "independent"})
     elif case == "other_budget":  # the checkpoint's NPPR was drawn at gamma 16/255
@@ -191,6 +198,24 @@ def test_negative_seed_is_refused_before_the_run(tmp_path, capsys, form):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("case, message", [("missing", "No such file or directory"),
+                                           ("directory", "Is a directory"),
+                                           ("not_utf8", "can't decode byte 0xff")])
+def test_unreadable_config_is_a_config_error(tmp_path, capsys, case, message):
+    # Each once a traceback with exit 1.
+    config = tmp_path / "config.json"
+    if case == "directory":
+        config.mkdir()
+    elif case == "not_utf8":
+        config.write_bytes(b"\xff\xfe{}")
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {config}: ") and err.count("\n") == 1
+    assert message in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("per_input", ["0", "-3"])
 def test_per_input_below_one_rejected(tmp_path, capsys, per_input):
     with pytest.raises(SystemExit) as exit_info:
@@ -198,6 +223,20 @@ def test_per_input_below_one_rejected(tmp_path, capsys, per_input):
                   "--per-input", per_input])
     assert exit_info.value.code == 2
     assert "--per-input: must be >= 1" in capsys.readouterr().err
+
+
+def test_sweep_runs_each_dependency_with_its_own_seed(tmp_path):
+    config = _write(tmp_path, {**TINY, "sweep": {"dependencies": ["independent", "joint"]}})
+    out = tmp_path / "sweep"
+    rc = cli.main(["sweep", "--config", config, "--seed", "3", "--out", str(out)])
+    names = ["independent-K7-eps16_255", "joint-K7-eps16_255"]
+    assert sorted(p.name for p in out.iterdir()) == names
+    passed = []
+    for index, name in enumerate(names):
+        report = json.loads((out / name / "report.json").read_text())
+        assert (report["mode"], report["seed"]) == (name.split("-")[0], 3 + index)
+        passed.append(json.loads((out / name / "verdict.json").read_text())["all_pass"])
+    assert rc == (0 if all(passed) else 1)
 
 
 @pytest.mark.parametrize("sweep", [{"modes": [2, 0]}, {"modes": ["a"]},

@@ -17,8 +17,8 @@ from nppr.generator import build_generator
 from nppr.metrics import (CLIPPED_GAUSSIAN, UNIFORM_BALL, RobustnessReport, ar_cw,
                           ar_pgd, baseline_noise, entropy_ratio, margin_loss, mc_half_width,
                           mixture_statistics, nppr_estimate, pr_estimate)
-from nppr.models import (CHOL_DIAG_FLOOR, Classifier, ClassifierConfig, DependencyMode,
-                         HeadConfig, Temperatures, train_classifier)
+from nppr.models import (CHOL_DIAG_FLOOR, Classifier, ClassifierConfig, ClassifierSpec,
+                         DependencyMode, HeadConfig, Temperatures, train_classifier)
 from nppr.rng import EVAL, substream
 from nppr.tensor import Tensor
 from nppr.upsample import UpsamplerConfig
@@ -128,8 +128,8 @@ class TestPiecewiseEvaluation:
     @pytest.fixture(scope="class")
     def setup(self):
         ds = make_blobs(d=3, classes=3, n=60, seed=4, separation=1.5)
-        clf = train_classifier(ds.x, ds.y, epochs=60, seed=0, hidden=(8,),
-                               accuracy_threshold=0.5)
+        spec = ClassifierSpec(hidden=(8,), epochs=60, accuracy_threshold=0.5)
+        clf = train_classifier(ds.x, ds.y, spec, seed=0)
         head = HeadConfig(mode=DependencyMode.JOINT, K=3, latent_dim=2, hidden_dim=8,
                           label_emb_dim=4)
         gen = build_generator(clf, head, UpsamplerConfig(mode="linear_vector", gamma=1.5),
@@ -191,8 +191,8 @@ class TestTapeFreeEvaluation:
     @pytest.fixture(scope="class")
     def setup(self):
         ds = make_blobs(d=3, classes=3, n=60, seed=4, separation=1.5)
-        clf = train_classifier(ds.x, ds.y, epochs=60, seed=0, hidden=(8,),
-                               accuracy_threshold=0.5)
+        spec = ClassifierSpec(hidden=(8,), epochs=60, accuracy_threshold=0.5)
+        clf = train_classifier(ds.x, ds.y, spec, seed=0)
         return clf, ds.x, ds.y
 
     @staticmethod
@@ -277,7 +277,7 @@ class TestTapeFreeEvaluation:
 class TestPrEstimate:
     def test_tiny_gamma_equals_clean_accuracy(self):
         ds = make_blobs(d=2, classes=2, n=120, seed=1, separation=4.0)
-        clf = train_classifier(ds.x, ds.y, epochs=120, seed=0, hidden=(8,))
+        clf = train_classifier(ds.x, ds.y, ClassifierSpec(hidden=(8,), epochs=120), seed=0)
         clean = clf.accuracy(ds.x, ds.y)
         for dist in (UNIFORM_BALL, CLIPPED_GAUSSIAN):
             val = pr_estimate(clf, ds.x, ds.y, dist, gamma=1e-9, M=64,
@@ -343,7 +343,7 @@ def _random_linear_instance(rng, d):
 class TestAttacks:
     def test_zero_gamma_is_clean_accuracy(self):
         ds = make_blobs(d=2, classes=2, n=60, seed=4, separation=4.0)
-        clf = train_classifier(ds.x, ds.y, epochs=100, seed=0, hidden=(8,))
+        clf = train_classifier(ds.x, ds.y, ClassifierSpec(hidden=(8,), epochs=100), seed=0)
         clean = clf.accuracy(ds.x, ds.y)
         assert ar_pgd(clf, ds.x, ds.y, gamma=0.0) == clean
         assert ar_cw(clf, ds.x, ds.y, gamma=0.0) == clean
@@ -372,7 +372,7 @@ class TestAttacks:
 
     def test_cw_close_to_pgd_on_trained_model(self):
         ds = make_blobs(d=4, classes=3, n=240, seed=5, separation=3.0)
-        clf = train_classifier(ds.x, ds.y, epochs=150, seed=0, hidden=(16,))
+        clf = train_classifier(ds.x, ds.y, ClassifierSpec(hidden=(16,), epochs=150), seed=0)
         gamma = 0.8
         p = ar_pgd(clf, ds.x, ds.y, gamma, rng=np.random.default_rng(1))
         c = ar_cw(clf, ds.x, ds.y, gamma, rng=np.random.default_rng(2))

@@ -7,8 +7,8 @@ from nppr import tensor as T
 from nppr.datasets import make_blobs
 from nppr.generator import build_generator
 from nppr.metrics import margin_loss
-from nppr.models import (Classifier, ClassifierConfig, DependencyMode, GmmHead, HeadConfig,
-                         Temperatures, train_classifier)
+from nppr.models import (Classifier, ClassifierConfig, ClassifierSpec, DependencyMode, GmmHead,
+                         HeadConfig, Temperatures, train_classifier)
 from nppr.tensor import Tensor
 from nppr.upsample import UpsamplerConfig
 
@@ -16,7 +16,7 @@ from nppr.upsample import UpsamplerConfig
 @pytest.fixture(scope="module")
 def blob_classifier():
     ds = make_blobs(d=2, classes=2, n=200, seed=0, separation=4.0)
-    clf = train_classifier(ds.x, ds.y, epochs=200, seed=0, hidden=(16,), lr=1e-2)
+    clf = train_classifier(ds.x, ds.y, ClassifierSpec(hidden=(16,), epochs=200), seed=0)
     return clf, ds
 
 
@@ -29,19 +29,19 @@ class TestClassifier:
         rng = np.random.default_rng(1)
         x = rng.normal(size=(50, 3))
         y = np.zeros(50, dtype=int)
-        clf = train_classifier(x, y, epochs=20, seed=0, hidden=(8,))
+        clf = train_classifier(x, y, ClassifierSpec(hidden=(8,), epochs=20), seed=0)
         assert clf.accuracy(x, y) == 1.0
 
     def test_ten_class_blobs(self):
         ds = make_blobs(d=16, classes=10, n=600, seed=3, separation=6.0)
-        clf = train_classifier(ds.x, ds.y, epochs=150, seed=1, hidden=(32,), lr=1e-2)
+        clf = train_classifier(ds.x, ds.y, ClassifierSpec(hidden=(32,), epochs=150), seed=1)
         assert clf.train_accuracy >= 0.95
 
     def test_frozen_weights_bit_identical_after_grad_flow(self, blob_classifier):
         clf, ds = blob_classifier
         snapshot = {name: p.data.copy() for name, p in clf.named_params().items()}
         x = Tensor(ds.x[:8], requires_grad=True)
-        loss = T.reduce_mean(clf.logits(x))
+        loss = T.reduce_sum(clf.logits(x))
         loss.backward()
         assert x.grad is not None  # gradients still flow to inputs
         for name, p in clf.named_params().items():
@@ -53,8 +53,8 @@ class TestClassifier:
         x = rng.normal(size=(80, 2))
         y = rng.integers(0, 2, size=80)  # unlearnable noise labels
         with caplog.at_level("WARNING"):
-            clf = train_classifier(x, y, epochs=2, seed=0, hidden=(4,),
-                                   accuracy_threshold=0.999)
+            spec = ClassifierSpec(hidden=(4,), epochs=2, accuracy_threshold=0.999)
+            clf = train_classifier(x, y, spec, seed=0)
         assert clf.train_accuracy is not None
         assert any("below threshold" in r.message for r in caplog.records)
 
@@ -103,7 +103,7 @@ class TestPredict:
 class TestFeatures:
     def test_zero_input_zero_bias_gives_zero(self):
         ds = make_blobs(d=3, classes=2, n=40, seed=0, separation=4.0)
-        clf = train_classifier(ds.x, ds.y, epochs=1, seed=0, hidden=(6,))
+        clf = train_classifier(ds.x, ds.y, ClassifierSpec(hidden=(6,), epochs=1), seed=0)
         for b in clf.biases:
             b.data = np.zeros_like(b.data)
         feats = clf.features(Tensor(np.zeros((2, 3))))

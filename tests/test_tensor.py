@@ -68,8 +68,8 @@ class TestForwardExamples:
 
     def test_forward_bit_stable(self):
         x = np.linspace(-2, 2, 7)
-        a = T.softmax(Tensor(x)).data
-        b = T.softmax(Tensor(x)).data
+        a = T.gumbel_softmax(Tensor(x), np.zeros(7), 1.0).data
+        b = T.gumbel_softmax(Tensor(x), np.zeros(7), 1.0).data
         np.testing.assert_array_equal(a, b)
 
     def test_log_clamps_and_counts(self):
@@ -131,7 +131,7 @@ def _rng(seed):
 
 def _mixture_latent_case(r):
     xi = r.normal(size=(2, 3, 2, 3))  # (B, M, K, D) constant noise, closed over
-    return (lambda ts: T.reduce_mean(T.mul(T.mixture_latent(ts[0], ts[1], ts[2], xi), ts[3])),
+    return (lambda ts: T.reduce_sum(T.mul(T.mixture_latent(ts[0], ts[1], ts[2], xi), ts[3])),
             [r.uniform(0, 1, (2, 3, 2)), r.uniform(-1, 1, (2, 2, 3)),
              r.uniform(-1, 1, (2, 2, 3, 3)), r.uniform(-2, 2, (2, 3, 3))])
 
@@ -146,56 +146,60 @@ def _margin_case(sign):
     return case
 
 
+def _gumbel_softmax_case(r):
+    noise = r.gumbel(size=(2, 3, 4))  # constant, closed over
+    return (lambda ts: T.reduce_sum(T.mul(T.gumbel_softmax(ts[0], noise, 0.6), ts[1])),
+            [r.uniform(-2, 2, (2, 3, 4)), r.uniform(-2, 2, (2, 3, 4))])
+
+
 # Per-op finite-difference checks; inputs are kept away from kinks/ties.
 PER_OP_CASES = {
-    "add": lambda r: (lambda ts: T.reduce_mean(T.add(ts[0], ts[1])),
+    "add": lambda r: (lambda ts: T.reduce_sum(T.add(ts[0], ts[1])),
                       [r.uniform(-2, 2, (3, 4)), r.uniform(-2, 2, (3, 4))]),
-    "add_broadcast": lambda r: (lambda ts: T.reduce_mean(T.add(ts[0], ts[1])),
+    "add_broadcast": lambda r: (lambda ts: T.reduce_sum(T.add(ts[0], ts[1])),
                                 [r.uniform(-2, 2, (3, 4)), r.uniform(-2, 2, (4,))]),
-    "mul": lambda r: (lambda ts: T.reduce_mean(T.mul(ts[0], ts[1])),
+    "mul": lambda r: (lambda ts: T.reduce_sum(T.mul(ts[0], ts[1])),
                       [r.uniform(-2, 2, (3, 4)), r.uniform(-2, 2, (3, 1))]),
-    "div": lambda r: (lambda ts: T.reduce_mean(T.div(ts[0], ts[1])),
+    "div": lambda r: (lambda ts: T.reduce_sum(T.div(ts[0], ts[1])),
                       [r.uniform(-2, 2, (3, 3)), r.uniform(0.5, 2, (3, 3))]),
-    "scale": lambda r: (lambda ts: T.reduce_mean(T.scale(ts[0], -1.7)),
+    "scale": lambda r: (lambda ts: T.reduce_sum(T.scale(ts[0], -1.7)),
                         [r.uniform(-2, 2, (4,))]),
-    "matmul": lambda r: (lambda ts: T.reduce_mean(T.matmul(ts[0], ts[1])),
+    "matmul": lambda r: (lambda ts: T.reduce_sum(T.matmul(ts[0], ts[1])),
                          [r.uniform(-2, 2, (3, 4)), r.uniform(-2, 2, (4, 2))]),
-    "matmul_batched": lambda r: (lambda ts: T.reduce_mean(T.matmul(ts[0], ts[1])),
+    "matmul_batched": lambda r: (lambda ts: T.reduce_sum(T.matmul(ts[0], ts[1])),
                                  [r.uniform(-2, 2, (2, 3, 4)), r.uniform(-2, 2, (4, 2))]),
-    "matmul_bcast_batch": lambda r: (lambda ts: T.reduce_mean(T.matmul(ts[0], ts[1])),
+    "matmul_bcast_batch": lambda r: (lambda ts: T.reduce_sum(T.matmul(ts[0], ts[1])),
                                      [r.uniform(-1, 1, (2, 1, 3, 4)),
                                       r.uniform(-1, 1, (5, 4, 2))]),
     "mixture_latent": _mixture_latent_case,
-    "tril_factor": lambda r: (lambda ts: T.reduce_mean(T.mul(T.tril_factor(ts[0], 3, 0.7, 1e-6),
+    "tril_factor": lambda r: (lambda ts: T.reduce_sum(T.mul(T.tril_factor(ts[0], 3, 0.7, 1e-6),
                                                              ts[1])),
                               [r.uniform(-2, 2, (2, 6)), r.uniform(-2, 2, (2, 3, 3))]),
-    "affine": lambda r: (lambda ts: T.reduce_mean(T.affine(ts[0], ts[1], ts[2])),
+    "affine": lambda r: (lambda ts: T.reduce_sum(T.affine(ts[0], ts[1], ts[2])),
                          [r.uniform(-2, 2, (3, 4)), r.uniform(-2, 2, (4, 2)),
                           r.uniform(-2, 2, (2,))]),
-    "relu": lambda r: (lambda ts: T.reduce_mean(T.relu(ts[0])),
+    "relu": lambda r: (lambda ts: T.reduce_sum(T.relu(ts[0])),
                        [np.where(np.abs(v := r.uniform(-2, 2, (3, 4))) < 0.1, 0.5, v)]),
-    "tanh": lambda r: (lambda ts: T.reduce_mean(T.tanh(ts[0])), [r.uniform(-2, 2, (6,))]),
-    "log": lambda r: (lambda ts: T.reduce_mean(T.log(ts[0])), [r.uniform(0.1, 2, (6,))]),
-    "sqrt": lambda r: (lambda ts: T.reduce_mean(T.sqrt(ts[0])), [r.uniform(0.1, 2, (6,))]),
+    "tanh": lambda r: (lambda ts: T.reduce_sum(T.tanh(ts[0])), [r.uniform(-2, 2, (6,))]),
+    "log": lambda r: (lambda ts: T.reduce_sum(T.log(ts[0])), [r.uniform(0.1, 2, (6,))]),
+    "sqrt": lambda r: (lambda ts: T.reduce_sum(T.sqrt(ts[0])), [r.uniform(0.1, 2, (6,))]),
+    "cross_entropy": lambda r: (lambda ts: T.cross_entropy(ts[0], np.array([0, 3, 1])),
+                                [r.uniform(-2, 2, (3, 4))]),
+    "gumbel_softmax": _gumbel_softmax_case,
     "margin": _margin_case(1),
     "margin_cw": _margin_case(-1),
-    "softplus": lambda r: (lambda ts: T.reduce_mean(T.softplus(ts[0])),
+    "softplus": lambda r: (lambda ts: T.reduce_sum(T.softplus(ts[0])),
                            [r.uniform(-2, 2, (2, 3))]),
-    "softmax": lambda r: (lambda ts: T.reduce_mean(T.mul(T.softmax(ts[0]), ts[1])),
-                          [r.uniform(-2, 2, (3, 4)), r.uniform(-2, 2, (3, 4))]),
-    "log_softmax": lambda r: (lambda ts: T.reduce_mean(T.mul(T.log_softmax(ts[0]), ts[1])),
-                              [r.uniform(-2, 2, (3, 4)), r.uniform(-2, 2, (3, 4))]),
-    "reduce_sum_axis": lambda r: (lambda ts: T.reduce_mean(T.reduce_sum(ts[0], axis=1)),
+    "reduce_sum_axis": lambda r: (lambda ts: T.reduce_sum(T.reduce_sum(ts[0], axis=1)),
                                   [r.uniform(-2, 2, (3, 4))]),
-    "reduce_mean_keep": lambda r: (lambda ts: T.reduce_sum(T.reduce_mean(ts[0], axis=0, keepdims=True)),
-                                   [r.uniform(-2, 2, (3, 4))]),
-    "gather_row": lambda r: (lambda ts: T.reduce_mean(T.gather_row(ts[0], np.array([0, 2, 1]))),
-                             [r.uniform(-2, 2, (3, 4))]),
-    "take_rows": lambda r: (lambda ts: T.reduce_mean(T.take_rows(ts[0], np.array([0, 2, 2, 1]))),
+    "reduce_sum_keep": lambda r: (lambda ts: T.reduce_sum(T.mul(T.reduce_sum(ts[0], axis=0,
+                                                                          keepdims=True), ts[1])),
+                                  [r.uniform(-2, 2, (3, 4)), r.uniform(-2, 2, (1, 4))]),
+    "take_rows": lambda r: (lambda ts: T.reduce_sum(T.take_rows(ts[0], np.array([0, 2, 2, 1]))),
                             [r.uniform(-2, 2, (3, 4))]),
-    "reshape": lambda r: (lambda ts: T.reduce_mean(T.mul(T.reshape(ts[0], (2, 6)), ts[1])),
+    "reshape": lambda r: (lambda ts: T.reduce_sum(T.mul(T.reshape(ts[0], (2, 6)), ts[1])),
                           [r.uniform(-2, 2, (3, 4)), r.uniform(-2, 2, (2, 6))]),
-    "broadcast_to": lambda r: (lambda ts: T.reduce_mean(T.mul(T.broadcast_to(ts[0], (4, 3)), ts[1])),
+    "broadcast_to": lambda r: (lambda ts: T.reduce_sum(T.mul(T.broadcast_to(ts[0], (4, 3)), ts[1])),
                                [r.uniform(-2, 2, (1, 3)), r.uniform(-2, 2, (4, 3))]),
 }
 
@@ -452,11 +456,71 @@ class TestMargin:
             T.margin(Tensor(np.zeros(4)), np.zeros(4, dtype=int), 1.0, 1)
 
 
+def _np_log_softmax(h):
+    shifted = h - h.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+class TestCrossEntropy:
+    def test_matches_numpy_reference(self):
+        rng = np.random.default_rng(13)
+        logits = rng.uniform(-3, 3, (40, 6))
+        y = rng.integers(0, 6, 40)
+        leaf = Tensor(logits.copy(), requires_grad=True)
+        out = T.cross_entropy(leaf, y)
+        out.backward()
+
+        rows = np.arange(40)
+        p = np.exp(_np_log_softmax(logits))
+        grad = (p - np.eye(6)[y]) / 40  # d/dh of -log p_y, averaged over rows
+        assert out.item() == -_np_log_softmax(logits)[rows, y].mean()
+        np.testing.assert_allclose(leaf.grad, grad, rtol=1e-12, atol=0)
+
+    def test_shape_guard(self):
+        with pytest.raises(ShapeError, match="cross_entropy"):
+            T.cross_entropy(Tensor(np.zeros((3, 4))), np.zeros(2, dtype=int))
+        with pytest.raises(ShapeError, match="cross_entropy"):
+            T.cross_entropy(Tensor(np.zeros(4)), np.zeros(4, dtype=int))
+
+
+class TestGumbelSoftmax:
+    @pytest.mark.parametrize("tau", [1.0, 0.3])
+    def test_matches_numpy_reference(self, tau):
+        rng = np.random.default_rng(14)
+        logits = rng.normal(size=(3, 5, 4))
+        noise = rng.gumbel(size=logits.shape)
+        probe = rng.normal(size=logits.shape)
+        leaf = Tensor(logits.copy(), requires_grad=True)
+        out = T.gumbel_softmax(leaf, noise, tau)
+        T.reduce_sum(T.mul(out, T.constant(probe))).backward()
+
+        s = (_np_log_softmax(logits) + noise) * (1.0 / tau)
+        e = np.exp(s - s.max(axis=-1, keepdims=True))
+        z = e / e.sum(axis=-1, keepdims=True)
+        # Chain rule through explicit per-row Jacobians: z = softmax(s) and
+        # log_pi = log softmax(h), with s = (log_pi + noise) / tau.
+        p = np.exp(_np_log_softmax(logits))
+        eye = np.eye(4)
+        d_z = z[..., :, None] * (eye - z[..., None, :])                 # dz_i/ds_j
+        d_logpi = eye - p[..., None, :]                                 # dlogpi_i/dh_j
+        g_s = np.einsum("...i,...ij->...j", probe, d_z)
+        grad = np.einsum("...i,...ij->...j", g_s / tau, d_logpi)
+        np.testing.assert_array_equal(out.data, z)
+        # A gradient entry far below its row's largest is a difference of
+        # larger terms; it keeps their round-off (~1e-17), not its own.
+        np.testing.assert_allclose(leaf.grad, grad, rtol=1e-12, atol=1e-15)
+
+    def test_shape_guard(self):
+        with pytest.raises(ShapeError, match="gumbel_softmax"):
+            T.gumbel_softmax(Tensor(np.zeros((3, 4))), np.zeros(4), 1.0)
+
+
 def _random_graph(rng):
     """A small random composition of smooth ops over three (3,4) leaves."""
     leaves = [rng.uniform(-2, 2, (3, 4)) for _ in range(3)]
     ops_unary = [T.tanh, T.softplus, lambda t: T.scale(t, 0.7),
-                 lambda t: T.softmax(t, axis=-1), lambda t: T.softplus(T.tanh(t))]
+                 lambda t: T.gumbel_softmax(t, np.zeros(t.shape), 1.0),
+                 lambda t: T.softplus(T.tanh(t))]
     ops_binary = [T.add, lambda a, b: T.add(a, T.scale(b, -1)), T.mul]
     n_ops = rng.integers(4, 8)
 
@@ -475,7 +539,7 @@ def _random_graph(rng):
         total = pool[0]
         for t in pool[1:]:
             total = T.add(total, t)
-        return T.reduce_mean(total)
+        return T.reduce_sum(total)
 
     # Freeze the op choices so build() is deterministic across FD re-evaluations.
     rng_choice = np.random.default_rng(int(rng.integers(0, 2**32)))
@@ -497,7 +561,8 @@ def test_random_graph_finite_difference(seed):
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.floats(-30, 30), min_size=2, max_size=8))
 def test_softmax_rows_on_simplex(logits):
-    out = T.softmax(Tensor(np.array(logits)[None, :])).data
+    row = np.array(logits)[None, :]
+    out = T.gumbel_softmax(Tensor(row), np.zeros(row.shape), 1.0).data
     assert np.all(out >= 0.0)
     assert abs(out.sum() - 1.0) <= 1e-12
 

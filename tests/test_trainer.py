@@ -13,8 +13,8 @@ from nppr import tensor as T
 from nppr.datasets import make_blobs, stratified_split
 from nppr.generator import build_generator
 from nppr.metrics import nppr_estimate
-from nppr.models import (Classifier, ClassifierConfig, DependencyMode, HeadConfig,
-                         train_classifier)
+from nppr.models import (Classifier, ClassifierConfig, ClassifierSpec, DependencyMode,
+                         HeadConfig, train_classifier)
 from nppr.optim import Adam
 from nppr.rng import substream
 from nppr.sampling import AnnealSchedule, GumbelConfig
@@ -29,8 +29,9 @@ from nppr.upsample import UpsamplerConfig
 def instance():
     ds = make_blobs(d=2, classes=2, n=240, seed=0, separation=1.5)
     split = stratified_split(ds, 0.8, seed=0)
-    clf = train_classifier(split.train.x, split.train.y, epochs=150, seed=0,
-                           hidden=(16,), lr=1e-2, accuracy_threshold=0.85)
+    clf = train_classifier(split.train.x, split.train.y,
+                           ClassifierSpec(hidden=(16,), epochs=150, accuracy_threshold=0.85),
+                           seed=0)
     return clf, split
 
 
