@@ -29,7 +29,7 @@ from .experiment import (evaluate_generator, export_perturbation_samples, fit_cl
 from .metrics import RobustnessReport
 from .oracle import verdict_to_json, verify_propositions
 from .serialize import SnapshotError, config_record
-from .trainer import restore_checkpoint
+from .trainer import build_from_checkpoint, read_checkpoint
 
 OUTPUT_ROOT_ENV = "NPPR_OUTPUT_ROOT"
 
@@ -83,23 +83,29 @@ class CheckpointError(Exception):
 
 
 def _restore(cfg: ExperimentConfig, checkpoint: str):
-    """Rebuild the run's split and frozen classifier, then load `checkpoint`,
-    whose head and upsampler settings (budget included) must be the config's."""
-    split = stratified_split(make_dataset(cfg.dataset), cfg.train_frac, cfg.seed)
-    clf = fit_classifier(cfg, split)
+    """Read `checkpoint`, whose head and upsampler settings (budget included)
+    must be the config's, then rebuild the run's split and frozen classifier
+    and the checkpoint's generator against them. A checkpoint that cannot be
+    read, or that does not match the config, is refused before the fit."""
     try:
-        generator, _ = restore_checkpoint(checkpoint, clf)
+        stored = read_checkpoint(checkpoint)
     except (SnapshotError, OSError) as err:
         raise CheckpointError(err) from err
     differ = []
-    for section, stored, given in (("head", generator.head.cfg, cfg.head),
-                                   ("upsampler", generator.upsampler.cfg, cfg.upsampler)):
-        stored, given = config_record(stored), config_record(given)
-        differ += [f"{section}.{k} {stored[k]} != {given[k]}" for k in given
-                   if stored[k] != given[k]]
+    for section, written, given in (("head", stored.head_cfg, cfg.head),
+                                    ("upsampler", stored.ups_cfg, cfg.upsampler)):
+        written, given = config_record(written), config_record(given)
+        differ += [f"{section}.{k} {written[k]} != {given[k]}" for k in given
+                   if written[k] != given[k]]
     if differ:
         raise CheckpointError(f"{checkpoint}: checkpoint settings differ from the config "
                               f"(checkpoint != config): {', '.join(differ)}")
+    split = stratified_split(make_dataset(cfg.dataset), cfg.train_frac, cfg.seed)
+    clf = fit_classifier(cfg, split)
+    try:
+        generator, _ = build_from_checkpoint(stored, clf)
+    except SnapshotError as err:
+        raise CheckpointError(err) from err
     return split, clf, generator
 
 

@@ -53,7 +53,7 @@ class Generator:
 
     def images(self, latent: Tensor) -> Tensor:
         """(N, latent_dim) latent rows -> (N, input_dim) perturbations inside the budget."""
-        bounded = apply_budget(self.upsampler(latent), self.gamma)
+        bounded = apply_budget(self.upsampler.forward(latent), self.gamma)
         # Budget post-condition; NaN propagation is handled by the trainer's
         # non-finite-loss path, so only real values are bounded here.
         assert not np.any(np.abs(bounded.data) > self.gamma)

@@ -12,10 +12,10 @@ ascends the engine op `tensor.cross_entropy`, the loss the classifier is fit on.
 
 The Monte-Carlo estimators take max(1, _ROWS // M) inputs at a time; no
 draw depends on that tiling (`sample_exact` gives each input its own stream).
-They record no autograd tape: they classify with `Classifier.predict`, a
-plain numpy forward, and `nppr_estimate` runs the head and the upsampler under
-`tensor.no_grad()`. Only the attacks, which need input gradients, go through
-the engine.
+They record no autograd tape: they classify with `Classifier.predict`,
+the classifier's `tensor.dense` forward under `tensor.no_grad()`, and
+`nppr_estimate` runs the head and the upsampler there too. Only the attacks,
+which need input gradients, record a tape.
 """
 
 from __future__ import annotations
@@ -91,7 +91,7 @@ def _hits(clf: Classifier, xb: np.ndarray, yb: np.ndarray, delta: np.ndarray) ->
     """Correct predictions on the (input, draw) rows of one piece, M per input:
     row r perturbs input r // M by delta[r]. The rows are built in one array
     (the owners' rows, picked with `np.take`, then the perturbation added in
-    place) and `Classifier.predict` classifies it outside the engine."""
+    place) and `Classifier.predict` classifies it without a tape."""
     owner = np.arange(len(delta)) // (len(delta) // len(xb))
     rows = np.take(xb, owner, axis=0)
     rows += delta

@@ -1,14 +1,14 @@
 """Frozen target classifiers and the heads that emit mixture parameters.
 
-The classifier is a plain affine+relu stack trained on synthetic data and
-frozen before any generator training; gradients still flow through it to the
-perturbed inputs. Heads map nothing / labels / features / both to mixture
-parameters, mirroring the four dependency structures:
+The classifier is a dense+relu stack, one `tensor.dense` op, trained on
+synthetic data and frozen before any generator training; gradients still flow
+through it to the perturbed inputs. Heads map nothing / labels / features /
+both to mixture parameters, mirroring the four dependency structures:
 
   independent: free global parameters broadcast over the batch
   label:       label embedding drives mixture weights; means and Cholesky
                factors stay global
-  input:       shared trunk (affine -> divide by T_shared -> relu) feeding
+  input:       shared trunk (dense -> divide by T_shared -> relu) feeding
                three separate output layers for weights, means and factors
   joint:       mixture weights from the label embedding, means/factors from
                the feature trunk
@@ -34,7 +34,7 @@ import numpy as np
 from . import tensor as T
 from .optim import Adam
 from .rng import CLASSIFIER, GENERATOR_INIT, substream
-from .serialize import at_least, check_fields, checked, positive, positive_int
+from .serialize import at_least, check_fields, checked, positive, positive_int, rate
 from .tensor import Tensor
 
 log = logging.getLogger(__name__)
@@ -74,7 +74,7 @@ class ClassifierConfig:
 
 
 class Classifier:
-    """Affine+relu stack ending in C logits; freezable."""
+    """Dense layers with relus between them, ending in C logits; freezable."""
 
     def __init__(self, cfg: ClassifierConfig, seed: int = 0):
         self.cfg = cfg
@@ -102,30 +102,21 @@ class Classifier:
                 f"classifier: expected (N, {self.cfg.input_dim}) input, got {x.shape}")
 
     def logits(self, x: Tensor) -> Tensor:
-        return T.affine(self.features(x), self.weights[-1], self.biases[-1])
+        self._check_input(x)
+        return T.dense(x, *zip(self.weights, self.biases))
 
     def features(self, x: Tensor) -> Tensor:
         """Penultimate activations (post-relu of the last hidden layer)."""
         self._check_input(x)
-        h = x
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            h = T.relu(T.affine(h, w, b))
-        return h
+        return T.relu(T.dense(x, *zip(self.weights[:-1], self.biases[:-1])))
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        """Class per row, ties to the lowest index. The same forward as
-        `logits`, bit for bit, in plain numpy on the weights' data: no tape,
-        and the bias add and relu reuse each layer's product array."""
+        """Class per row, ties to the lowest index: the argmax of the logits'
+        `T.dense` forward, run under `no_grad`, so no tape is recorded."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         self._check_input(x)
-        h = x
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            h = h @ w.data
-            h += b.data
-            np.maximum(h, 0.0, out=h)
-        out = h @ self.weights[-1].data
-        out += self.biases[-1].data
-        return out.argmax(axis=1)
+        with T.no_grad():
+            return T.dense(T.constant(x), *zip(self.weights, self.biases)).data.argmax(axis=1)
 
     def accuracy(self, x: np.ndarray, y: np.ndarray) -> float:
         return float(np.mean(self.predict(x) == np.asarray(y)))
@@ -136,13 +127,6 @@ class Classifier:
             p.grad = None
         self.frozen = True
 
-    def named_params(self) -> dict[str, Tensor]:
-        named = {}
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            named[f"clf.w{i}"] = w
-            named[f"clf.b{i}"] = b
-        return named
-
 
 @dataclass
 class ClassifierSpec:
@@ -152,7 +136,10 @@ class ClassifierSpec:
     epochs: int = checked(200, at_least(1))
     lr: float = checked(1e-2, positive)
     batch_size: int | None = checked(None, at_least(1), kind=int)
-    accuracy_threshold: float = 0.95
+    accuracy_threshold: float = checked(0.95, rate)
+
+    def __post_init__(self):
+        check_fields(self)
 
 
 def train_classifier(x: np.ndarray, y: np.ndarray, spec: ClassifierSpec, seed: int,
@@ -283,8 +270,6 @@ class GmmHead:
     def __init__(self, cfg: HeadConfig, feature_dim: int | None = None,
                  num_classes: int | None = None, seed: int = 0):
         self.cfg = cfg
-        self.feature_dim = feature_dim
-        self.num_classes = num_classes
         mode = cfg.mode
         if mode.conditions_on_features and feature_dim is None:
             raise ValueError(f"head mode '{mode.value}' needs feature_dim")
@@ -333,9 +318,9 @@ class GmmHead:
         return T.div(emb, T.sqrt(sq))
 
     def _trunk(self, features: Tensor, temps: Temperatures) -> Tensor:
-        """relu(affine(features) / T_shared): T_shared divides the trunk's
+        """relu(dense(features) / T_shared): T_shared divides the trunk's
         pre-activations, so it scales every trunk-driven output."""
-        pre = T.affine(features, self._named["head.trunk_w"], self._named["head.trunk_b"])
+        pre = T.dense(features, (self._named["head.trunk_w"], self._named["head.trunk_b"]))
         return T.relu(T.scale(pre, 1.0 / temps.T_shared))
 
     def forward(self, features: Tensor | None = None, labels: np.ndarray | None = None,
@@ -367,15 +352,15 @@ class GmmHead:
         if pi_in is None:
             pi_logits = rows(T.scale(p["head.pi0"], 1.0 / temps.T_pi))
         else:
-            pi_logits = T.scale(T.affine(pi_in, p["head.pi_w"], p["head.pi_b"]), 1.0 / temps.T_pi)
+            pi_logits = T.scale(T.dense(pi_in, (p["head.pi_w"], p["head.pi_b"])), 1.0 / temps.T_pi)
 
         if trunk is None:
             means = rows(T.scale(p["head.mu0"], 1.0 / temps.T_mu))
             chol = rows(T.tril_factor(p["head.chol0"], D, temps.T_sigma, CHOL_DIAG_FLOOR))
         else:
-            mu_flat = T.affine(trunk, p["head.mu_w"], p["head.mu_b"])
+            mu_flat = T.dense(trunk, (p["head.mu_w"], p["head.mu_b"]))
             means = T.reshape(T.scale(mu_flat, 1.0 / temps.T_mu), (B, K, D))
-            chol_raw = T.affine(trunk, p["head.chol_w"], p["head.chol_b"])
+            chol_raw = T.dense(trunk, (p["head.chol_w"], p["head.chol_b"]))
             chol = T.tril_factor(T.reshape(chol_raw, (B, K, -1)), D, temps.T_sigma,
                                  CHOL_DIAG_FLOOR)
         return GmmParams(pi_logits, means, chol)

@@ -8,15 +8,16 @@ backward root visits nodes in a correct reverse order.
 All values are 64-bit floats. Ops are plain numpy calls in a fixed order, so
 forward values are bit-stable for fixed inputs.
 
-Five special-purpose ops with hand-written backwards replace chains of
-generic ops that were longer and slower: `mixture_latent` mixes the relaxed
-per-component draws without copying a factor per draw, `tril_factor` unpacks
-lower triangles into Cholesky factors with a positive diagonal, `margin` is
-the softplus logit margin that training minimises and the CW attack ascends,
-whose gradient reaches only each row's true class and runner-up,
-`cross_entropy` is the loss the classifier is fit on and PGD ascends, and
-`gumbel_softmax` is the relaxation that carries gradients to the mixture
-weights; these two take the only softmaxes on the tape.
+Six special-purpose ops with hand-written backwards replace chains of generic
+ops that were longer and slower: `dense` is the classifier's relu-separated
+dense layers, or one layer of the head or upsampler, `mixture_latent` mixes
+the relaxed per-component draws without copying a factor per draw,
+`tril_factor` unpacks lower triangles into Cholesky factors with a positive
+diagonal, `margin` is the softplus logit margin that training minimises and
+the CW attack ascends, whose gradient reaches only each row's true class and
+runner-up, `cross_entropy` is the loss the classifier is fit on and PGD
+ascends, and `gumbel_softmax` is the relaxation that carries gradients to the
+mixture weights; these two take the only softmaxes on the tape.
 
 A backward computes gradients only for operands that require them: the
 product for a frozen weight or a constant input is never formed. The first
@@ -264,24 +265,41 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _node(out_data, (a, b), bwd, "matmul")
 
 
-def affine(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """x @ weight + bias for x:(B,in), weight:(in,out), bias:(out,)."""
-    if x.ndim != 2 or weight.ndim != 2 or bias.ndim != 1:
-        raise ShapeError(
-            f"affine: expected x 2-D, weight 2-D, bias 1-D; got {x.shape}, {weight.shape}, {bias.shape}")
-    if x.shape[1] != weight.shape[0] or weight.shape[1] != bias.shape[0]:
-        raise ShapeError(f"affine: incompatible shapes {x.shape}, {weight.shape}, {bias.shape}")
-    out_data = x.data @ weight.data + bias.data
+def dense(x: Tensor, *layers: tuple[Tensor, Tensor]) -> Tensor:
+    """Dense layers a @ weight + bias per (weight, bias) pair, a relu between
+    layers and none after the last: x (B, in), weight (in, out), bias (out,).
+    The backward keeps each layer's post-relu input (> 0 exactly where its
+    pre-activation is) and stops below the last operand needing a gradient."""
+    width = x.shape[1] if x.ndim == 2 else None
+    for w, b in layers:
+        width = w.shape[1] if (w.ndim, w.shape[:1], b.shape) == (2, (width,), w.shape[1:]) else None
+    if not layers or width is None:
+        raise ShapeError(f"dense: expected x (B, in) and chained (weight (in, out), bias (out,)) "
+                         f"layers, got {x.shape} and {[(w.shape, b.shape) for w, b in layers]}")
+    params = [p for layer in layers for p in layer]
+    inputs, h = [], x.data
+    for i, (w, b) in enumerate(layers):
+        if i:
+            np.maximum(h, 0.0, out=h)
+        inputs.append(h)
+        h = h @ w.data
+        h += b.data
 
     def bwd(g):
-        if x.requires_grad:
-            _accumulate(x, g @ weight.data.T)
-        if weight.requires_grad:
-            _accumulate(weight, x.data.T @ g)
-        if bias.requires_grad:
-            _accumulate(bias, g.sum(axis=0))
+        for i in reversed(range(len(layers))):
+            (w, b), a = layers[i], inputs[i]
+            if w.requires_grad:
+                _accumulate(w, a.T @ g)
+            if b.requires_grad:
+                _accumulate(b, g.sum(axis=0))
+            if not (x.requires_grad or any(p.requires_grad for p in params[:2 * i])):
+                return
+            g = g @ w.data.T
+            if i:
+                g *= a > 0.0
+        _accumulate(x, g)
 
-    return _node(out_data, (x, weight, bias), bwd, "affine")
+    return _node(h, (x, *params), bwd, "dense")
 
 
 def mixture_latent(z: Tensor, means: Tensor, chol: Tensor, xi: np.ndarray) -> Tensor:

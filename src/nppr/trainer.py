@@ -143,10 +143,44 @@ def save_checkpoint(generator: Generator, path, opt: Adam, run: RunState) -> Non
     save_snapshot(path, _state(generator, opt), extra=extra)
 
 
-def restore_checkpoint(path, clf: Classifier, expected_mode: DependencyMode | None = None
-                       ) -> tuple[Generator, tuple[RunState, dict[str, np.ndarray]]]:
-    """Rebuild a generator from a checkpoint; the second value, (RunState,
-    tensors), is `train_generator`'s two-part `resume_state`.
+@dataclass
+class StoredCheckpoint:
+    """A checkpoint as read from disk, before it meets a classifier."""
+    path: str
+    head_cfg: HeadConfig
+    ups_cfg: UpsamplerConfig
+    run: RunState
+    classifier_sha256: str
+    tensors: dict[str, np.ndarray]
+
+
+def read_checkpoint(path, expected_mode: DependencyMode | None = None) -> StoredCheckpoint:
+    """Load a checkpoint and read its kind and stored settings, without building
+    anything. Settings that are missing or break their field rules, and a head
+    of another mode than `expected_mode`, are refused with SnapshotError; keys
+    of `extra` that this reader does not use are ignored."""
+    named, extra = load_snapshot(path)
+    if extra.get("kind") != "generator-checkpoint":
+        raise SnapshotError(f"{path}: not a generator checkpoint")
+    try:
+        stored = StoredCheckpoint(
+            str(path), HeadConfig(**extra["head_cfg"]), UpsamplerConfig(**extra["ups_cfg"]),
+            RunState(**{f.name: extra[f.name] for f in fields(RunState)}),
+            extra["classifier_sha256"], named)
+    except (KeyError, TypeError, ValueError) as err:
+        raise SnapshotError(
+            f"{path}: stored settings cannot be read: {type(err).__name__}: {err}") from None
+    if expected_mode is not None and stored.head_cfg.mode != DependencyMode(expected_mode):
+        raise SnapshotError(
+            f"{path}: checkpoint mode '{stored.head_cfg.mode.value}' does not match expected "
+            f"'{DependencyMode(expected_mode).value}'")
+    return stored
+
+
+def build_from_checkpoint(stored: StoredCheckpoint, clf: Classifier
+                          ) -> tuple[Generator, tuple[RunState, dict[str, np.ndarray]]]:
+    """Rebuild the generator of a read checkpoint against `clf`; the second
+    value, (RunState, tensors), is `train_generator`'s two-part `resume_state`.
 
     The generator is built by `build_generator` from the stored head and
     upsampler configs and `clf`. The stored tensors must be exactly what
@@ -156,27 +190,12 @@ def restore_checkpoint(path, clf: Classifier, expected_mode: DependencyMode | No
     both shapes (as when `clf` has another input or feature width), or both
     fingerprints; nothing is loaded before these checks pass. A stored
     upsampler that cannot be built for `clf` (a `none` upsampler of another
-    width, a bicubic grid that does not fit its image) and stored settings
-    that are missing or break their field rules are refused with SnapshotError too.
-    Keys of `extra` that this reader does not use are ignored.
+    width, a bicubic grid that does not fit its image) is refused with
+    SnapshotError too.
     """
-    named, extra = load_snapshot(path)
-    if extra.get("kind") != "generator-checkpoint":
-        raise SnapshotError(f"{path}: not a generator checkpoint")
+    path, named = stored.path, stored.tensors
     try:
-        head_cfg = HeadConfig(**extra["head_cfg"])
-        ups_cfg = UpsamplerConfig(**extra["ups_cfg"])
-        run = RunState(**{f.name: extra[f.name] for f in fields(RunState)})
-        stored = extra["classifier_sha256"]
-    except (KeyError, TypeError, ValueError) as err:
-        raise SnapshotError(
-            f"{path}: stored settings cannot be read: {type(err).__name__}: {err}") from None
-    if expected_mode is not None and head_cfg.mode != DependencyMode(expected_mode):
-        raise SnapshotError(
-            f"{path}: checkpoint mode '{head_cfg.mode.value}' does not match expected "
-            f"'{DependencyMode(expected_mode).value}'")
-    try:
-        generator = build_generator(clf, head_cfg, ups_cfg)
+        generator = build_generator(clf, stored.head_cfg, stored.ups_cfg)
     except ValueError as err:
         raise SnapshotError(f"{path}: checkpoint does not fit the classifier: {err}") from None
     opt = Adam(generator.params())
@@ -191,11 +210,17 @@ def restore_checkpoint(path, clf: Classifier, expected_mode: DependencyMode | No
     if wrong:
         raise SnapshotError(f"{path}: checkpoint tensor shapes do not match the generator "
                             f"(stored != expected): {', '.join(wrong)}")
-    if stored != (given := _fingerprint(clf)):
+    if stored.classifier_sha256 != (given := _fingerprint(clf)):
         raise SnapshotError(f"{path}: checkpoint was trained against another classifier "
-                            f"(classifier_sha256 {stored} != {given})")
-    _load_state(generator, opt, named, run.adam_t)
-    return generator, (run, named)
+                            f"(classifier_sha256 {stored.classifier_sha256} != {given})")
+    _load_state(generator, opt, named, stored.run.adam_t)
+    return generator, (stored.run, named)
+
+
+def restore_checkpoint(path, clf: Classifier, expected_mode: DependencyMode | None = None
+                       ) -> tuple[Generator, tuple[RunState, dict[str, np.ndarray]]]:
+    """`read_checkpoint`, then `build_from_checkpoint` against `clf`: one load."""
+    return build_from_checkpoint(read_checkpoint(path, expected_mode), clf)
 
 
 def _check_resume_config(written: dict, cfg: TrainConfig) -> None:

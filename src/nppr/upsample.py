@@ -161,14 +161,11 @@ class Upsampler:
                 f"upsampler: expected (N, {self.latent_dim}) latent, got {latent.shape}")
         if self.cfg.mode == MODE_NONE:
             return latent
+        pre = T.dense(latent, (self.weight, self.bias))
         if self.cfg.mode == MODE_LINEAR:
-            return T.affine(latent, self.weight, self.bias)
-        pre = T.affine(latent, self.weight, self.bias)
+            return pre
         c, hl, wl = self._grid
         grid = T.reshape(pre, (latent.shape[0], c, hl, wl))
         rows = T.matmul(self._wh, grid)          # (N, c, h, w')
         full = T.matmul(rows, self._ww_t)        # (N, c, h, w)
         return T.reshape(full, (latent.shape[0], self.input_dim))
-
-    def __call__(self, latent: Tensor) -> Tensor:
-        return self.forward(latent)

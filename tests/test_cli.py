@@ -76,9 +76,8 @@ BAD_CHECKPOINTS = {
 }
 
 
-@pytest.mark.parametrize("command", ["evaluate", "export-samples"])
-@pytest.mark.parametrize("case", list(BAD_CHECKPOINTS))
-def test_bad_checkpoint_is_a_checkpoint_error(trained, tmp_path, capsys, command, case):
+def _bad_checkpoint(trained, tmp_path, case):
+    """The config and the checkpoint of one BAD_CHECKPOINTS case."""
     config, run = trained
     checkpoint = run / "ckpt_latest.json"
     if case == "missing":
@@ -113,12 +112,38 @@ def test_bad_checkpoint_is_a_checkpoint_error(trained, tmp_path, capsys, command
             del doc["extra"]["ups_cfg"]
         checkpoint = tmp_path / "malformed.json"
         checkpoint.write_text(json.dumps(doc))
+    return config, checkpoint
+
+
+@pytest.mark.parametrize("command", ["evaluate", "export-samples"])
+@pytest.mark.parametrize("case", list(BAD_CHECKPOINTS))
+def test_bad_checkpoint_is_a_checkpoint_error(trained, tmp_path, capsys, command, case):
+    config, checkpoint = _bad_checkpoint(trained, tmp_path, case)
     out = tmp_path / "out"
     assert cli.main([command, "--config", config, "--seed", "3", "--out", str(out),
                      "--checkpoint", str(checkpoint)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("checkpoint error: ") and err.count("\n") == 1
     assert BAD_CHECKPOINTS[case] in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "export-samples"])
+@pytest.mark.parametrize("case", [c for c in BAD_CHECKPOINTS if c != "other_classifier"])
+def test_bad_checkpoint_is_refused_before_the_classifier_fit(trained, tmp_path, capsys,
+                                                             monkeypatch, command, case):
+    # Only the fingerprint needs the refit classifier; every other fault is
+    # found in the checkpoint or against the config first.
+    def no_fit(*args):
+        raise AssertionError("the classifier was fit")
+
+    monkeypatch.setattr(cli, "fit_classifier", no_fit)
+    config, checkpoint = _bad_checkpoint(trained, tmp_path, case)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", config, "--seed", "3", "--out", str(out),
+                     "--checkpoint", str(checkpoint)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("checkpoint error: ") and BAD_CHECKPOINTS[case] in err
     assert not out.exists()
 
 

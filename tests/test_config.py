@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from nppr.config import _KEY, ConfigError, config_to_json, parse_config, serialize_config
-from nppr.models import HeadConfig
+from nppr.models import ClassifierSpec, HeadConfig
 from nppr.sampling import AnnealSchedule, GumbelConfig
 from nppr.trainer import TrainConfig
 from nppr.upsample import Upsampler, UpsamplerConfig
@@ -340,6 +340,8 @@ def test_unknown_key_lax_warns_and_ignores(doc, message, caplog):
 # sets: one of the wrong type, and one out of range where the field has a
 # range. The upsampler's gamma is `budget.epsilon`, not a key of its own.
 PARITY = {
+    ClassifierSpec: ("classifier", {"hidden": ["64", [0]], "epochs": [1.5, 0], "lr": ["1", 0],
+                                    "batch_size": [True, 0], "accuracy_threshold": [None, 7.0]}),
     HeadConfig: ("gmm", {"K": ["7", 0], "latent_dim": [2.5, 0], "hidden_dim": [True, 0],
                          "label_emb_dim": [None, 0], "label_emb_normalized": [1]}),
     UpsamplerConfig: ("upsampler", {"mode": [1, "nearest"], "learnable_premap": ["yes"],

@@ -39,13 +39,13 @@ class TestClassifier:
 
     def test_frozen_weights_bit_identical_after_grad_flow(self, blob_classifier):
         clf, ds = blob_classifier
-        snapshot = {name: p.data.copy() for name, p in clf.named_params().items()}
+        snapshot = [p.data.copy() for p in clf.params()]
         x = Tensor(ds.x[:8], requires_grad=True)
         loss = T.reduce_sum(clf.logits(x))
         loss.backward()
         assert x.grad is not None  # gradients still flow to inputs
-        for name, p in clf.named_params().items():
-            np.testing.assert_array_equal(p.data, snapshot[name])
+        for p, data in zip(clf.params(), snapshot):
+            np.testing.assert_array_equal(p.data, data)
         assert all(p.grad is None for p in clf.params())
 
     def test_below_threshold_reported_not_fatal(self, caplog):
@@ -58,6 +58,13 @@ class TestClassifier:
         assert clf.train_accuracy is not None
         assert any("below threshold" in r.message for r in caplog.records)
 
+    def test_spec_rules_hold_for_library_callers(self):
+        # The config reader is not the only way in: a spec built in code is
+        # refused before the fit, not inside it.
+        x, y = np.zeros((8, 2)), np.arange(8) % 2
+        with pytest.raises(ValueError, match=r"^ClassifierSpec\.batch_size: must be >= 1$"):
+            train_classifier(x, y, ClassifierSpec(hidden=(4,), batch_size=0), seed=0)
+
     def test_wrong_input_shape_rejected(self, blob_classifier):
         clf, _ = blob_classifier
         with pytest.raises(ValueError, match="expected"):
@@ -65,8 +72,8 @@ class TestClassifier:
 
 
 class TestPredict:
-    """`predict` runs its own numpy forward outside the engine; it must pick
-    exactly the class the engine's logits pick."""
+    """`predict` is the argmax of the logits' `T.dense` forward, run without a
+    tape; it must pick exactly the class the taped logits pick."""
 
     @staticmethod
     def _clf(hidden, seed):

@@ -84,9 +84,18 @@ class TestForwardExamples:
         with pytest.raises(ShapeError, match="add"):
             T.add(Tensor(np.ones((2, 3))), Tensor(np.ones((4,))))
 
-    def test_affine_shape_guard(self):
-        with pytest.raises(ShapeError, match="affine"):
-            T.affine(Tensor(np.ones((2, 3))), Tensor(np.ones((5, 4))), Tensor(np.zeros(4)))
+    @pytest.mark.parametrize("x_shape, layer_shapes", [
+        ((2, 3), [((5, 4), (4,))]),                    # x does not fit the weight
+        ((2, 3), [((3, 4), (5,))]),                    # the bias does not fit the weight
+        ((2, 3), [((3, 4), (1, 4))]),                  # a 2-D bias
+        ((3,), [((3, 4), (4,))]),                      # a 1-D input
+        ((2, 3), [((3, 4), (4,)), ((5, 2), (2,))]),    # the layers do not chain
+        ((2, 3), []),                                  # no layer
+    ])
+    def test_dense_shape_guard(self, x_shape, layer_shapes):
+        layers = [(Tensor(np.ones(w)), Tensor(np.zeros(b))) for w, b in layer_shapes]
+        with pytest.raises(ShapeError, match="dense"):
+            T.dense(Tensor(np.ones(x_shape)), *layers)
 
 
 class TestBackwardBasics:
@@ -146,6 +155,18 @@ def _margin_case(sign):
     return case
 
 
+def _dense_case(widths):
+    """Layers of the given widths, with a constant probe on the output."""
+    def case(r):
+        probe = r.uniform(-2, 2, (3, widths[-1]))  # constant, closed over
+        leaves = [r.uniform(-2, 2, (3, widths[0]))]
+        for fan_in, fan_out in zip(widths[:-1], widths[1:]):
+            leaves += [r.uniform(-1, 1, (fan_in, fan_out)), r.uniform(-1, 1, fan_out)]
+        return (lambda ts: T.reduce_sum(T.mul(T.dense(ts[0], *zip(ts[1::2], ts[2::2])),
+                                              T.constant(probe))), leaves)
+    return case
+
+
 def _gumbel_softmax_case(r):
     noise = r.gumbel(size=(2, 3, 4))  # constant, closed over
     return (lambda ts: T.reduce_sum(T.mul(T.gumbel_softmax(ts[0], noise, 0.6), ts[1])),
@@ -175,9 +196,11 @@ PER_OP_CASES = {
     "tril_factor": lambda r: (lambda ts: T.reduce_sum(T.mul(T.tril_factor(ts[0], 3, 0.7, 1e-6),
                                                              ts[1])),
                               [r.uniform(-2, 2, (2, 6)), r.uniform(-2, 2, (2, 3, 3))]),
-    "affine": lambda r: (lambda ts: T.reduce_sum(T.affine(ts[0], ts[1], ts[2])),
-                         [r.uniform(-2, 2, (3, 4)), r.uniform(-2, 2, (4, 2)),
-                          r.uniform(-2, 2, (2,))]),
+    "dense": lambda r: (lambda ts: T.reduce_sum(T.dense(ts[0], (ts[1], ts[2]))),
+                        [r.uniform(-2, 2, (3, 4)), r.uniform(-2, 2, (4, 2)),
+                         r.uniform(-2, 2, (2,))]),
+    "dense_2": _dense_case((4, 5, 2)),
+    "dense_3": _dense_case((4, 5, 3, 2)),
     "relu": lambda r: (lambda ts: T.reduce_sum(T.relu(ts[0])),
                        [np.where(np.abs(v := r.uniform(-2, 2, (3, 4))) < 0.1, 0.5, v)]),
     "tanh": lambda r: (lambda ts: T.reduce_sum(T.tanh(ts[0])), [r.uniform(-2, 2, (6,))]),
@@ -213,15 +236,21 @@ def test_per_op_finite_difference(name, seed):
 
 # Multi-operand ops whose backward guards each operand by requires_grad.
 GUARDED_CASES = ["add", "add_broadcast", "mul", "div", "matmul", "matmul_batched",
-                 "matmul_bcast_batch", "affine"]
+                 "matmul_bcast_batch", "dense"]
 
 
 def _proper_subsets(n):
     return [s for r in range(1, n) for s in itertools.combinations(range(n), r)]
 
 
+# Stacked layers are frozen as the package uses them: every weight and bias,
+# with an input gradient (generator training and the attacks), or the input
+# alone, with trainable weights (the classifier fit). In the last case only
+# the first bias trains, so the gradient must still pass the frozen layer above it.
 FROZEN_SUBSETS = [(name, frozen) for name in GUARDED_CASES
-                  for frozen in _proper_subsets(3 if name == "affine" else 2)]
+                  for frozen in _proper_subsets(3 if name == "dense" else 2)] + [
+    (f"dense_{n}", frozen) for n in (2, 3) for frozen in (tuple(range(1, 2 * n + 1)), (0,))] + [
+    ("dense_2", (0, 1, 3, 4))]
 
 
 @pytest.mark.parametrize("name, frozen", FROZEN_SUBSETS,
@@ -257,7 +286,7 @@ def _log_matmuls(t: Tensor) -> list:
     return calls
 
 
-@pytest.mark.parametrize("op", ["affine", "matmul"])
+@pytest.mark.parametrize("op", ["dense", "matmul"])
 @pytest.mark.parametrize("frozen", [0, 1])
 def test_frozen_operand_product_is_skipped(op, frozen):
     # The frozen operand's gradient is the only backward product that reads
@@ -266,13 +295,67 @@ def test_frozen_operand_product_is_skipped(op, frozen):
     ts = [Tensor(r.normal(size=shape), requires_grad=i != frozen)
           for i, shape in enumerate([(5, 4), (4, 3), (3,)])]
     calls = _log_matmuls(ts[1 - frozen])
-    out = T.affine(*ts) if op == "affine" else T.matmul(ts[0], ts[1])
+    out = T.dense(ts[0], (ts[1], ts[2])) if op == "dense" else T.matmul(ts[0], ts[1])
     root = T.reduce_sum(out)
     assert calls == ["__call__"]  # the forward product
     calls.clear()
     root.backward()
     assert calls == []
     assert ts[frozen].grad is None and ts[1 - frozen].grad is not None
+
+
+@pytest.mark.parametrize("layers", [2, 3])
+@pytest.mark.parametrize("constant_input", [True, False], ids=["constant_input", "frozen_layers"])
+def test_stacked_dense_skips_unread_products(layers, constant_input):
+    # A constant input needs no gradient, so the first weight sees no backward
+    # product; frozen layers need none, so neither does the input.
+    build, leaves = PER_OP_CASES[f"dense_{layers}"](_rng(5))
+    ts = [Tensor(leaf, requires_grad=(i > 0) == constant_input) for i, leaf in enumerate(leaves)]
+    calls = _log_matmuls(ts[1] if constant_input else ts[0])
+    root = build(ts)
+    assert calls == ["__call__"]  # the forward product
+    calls.clear()
+    root.backward()
+    assert calls == []
+    assert all((t.grad is None) == (not t.requires_grad) for t in ts)
+
+
+class TestDense:
+    @staticmethod
+    def _chain(x, layers, probe):
+        """The affine + relu chain, op by op in numpy, and its gradients for
+        the output weighted by `probe`."""
+        inputs, pres, h = [], [], x
+        for i, (w, b) in enumerate(layers):
+            if i:
+                pres.append(h)
+                h = np.maximum(h, 0.0)
+            inputs.append(h)
+            h = h @ w + b
+        grads, g = [], probe
+        for i in reversed(range(len(layers))):
+            w, _ = layers[i]
+            grads = [inputs[i].T @ g, g.sum(axis=0)] + grads
+            g = g @ w.T
+            if i:
+                g = g * (pres[i - 1] > 0.0)
+        return h, [g] + grads
+
+    @pytest.mark.parametrize("widths", [(5, 3), (5, 6, 3), (5, 6, 4, 3)])
+    def test_matches_affine_relu_chain_bit_for_bit(self, widths):
+        rng = np.random.default_rng(17)
+        x = rng.normal(size=(40, widths[0]))
+        layers = [(rng.normal(size=(m, n)), rng.normal(size=n))
+                  for m, n in zip(widths[:-1], widths[1:])]
+        probe = rng.normal(size=(40, widths[-1]))
+        leaves = [Tensor(a.copy(), requires_grad=True)
+                  for a in (x, *(a for layer in layers for a in layer))]
+        out = T.dense(leaves[0], *zip(leaves[1::2], leaves[2::2]))
+        T.reduce_sum(T.mul(out, T.constant(probe))).backward()
+        want, grads = self._chain(x, layers, probe)
+        np.testing.assert_array_equal(out.data, want)
+        for leaf, grad in zip(leaves, grads):
+            np.testing.assert_array_equal(leaf.grad, grad)
 
 
 def test_shared_first_gradient_stays_its_own():
@@ -298,8 +381,9 @@ class TestNoGrad:
 
     @staticmethod
     def _forward(x, w, b):
-        h = T.affine(x, w, b)
-        return [h, T.tanh(h), T.mul(h, h), T.matmul(x, w), T.reduce_sum(T.relu(h))]
+        h = T.dense(x, (w, b))
+        return [h, T.tanh(h), T.mul(h, h), T.matmul(x, w),
+                T.dense(x, (w, b), (T.constant(np.eye(4)), b)), T.reduce_sum(T.relu(h))]
 
     def test_ops_record_no_tape(self):
         x, w, b = self._leaves()
@@ -318,15 +402,15 @@ class TestNoGrad:
         with pytest.raises(RuntimeError, match="inside"):
             with T.no_grad():
                 raise RuntimeError("inside")
-        assert T.affine(x, w, b).requires_grad
+        assert T.dense(x, (w, b)).requires_grad
 
     def test_flag_restored_after_nesting(self):
         x, w, b = self._leaves()
         with T.no_grad():
             with T.no_grad():
-                assert not T.affine(x, w, b).requires_grad
-            assert not T.affine(x, w, b).requires_grad
-        out = T.reduce_sum(T.affine(x, w, b))
+                assert not T.dense(x, (w, b)).requires_grad
+            assert not T.dense(x, (w, b)).requires_grad
+        out = T.reduce_sum(T.dense(x, (w, b)))
         assert out.requires_grad
         out.backward()
         assert x.grad is not None and w.grad is not None and b.grad is not None

@@ -20,7 +20,7 @@ from nppr.rng import substream
 from nppr.sampling import AnnealSchedule, GumbelConfig
 from nppr.serialize import SnapshotError, config_record, doc_to_tensors, tensors_to_doc
 from nppr.trainer import (EPOCH_CSV_COLUMNS, RunState, TrainConfig, lr_at_epoch,
-                          restore_checkpoint, save_checkpoint, temps_at_epoch,
+                          read_checkpoint, restore_checkpoint, save_checkpoint, temps_at_epoch,
                           train_generator, write_epoch_csv)
 from nppr.upsample import UpsamplerConfig
 
@@ -151,10 +151,10 @@ class TestTraining:
 
     def test_classifier_untouched(self, instance):
         clf, split = instance
-        before = {name: p.data.copy() for name, p in clf.named_params().items()}
+        before = [p.data.copy() for p in clf.params()]
         train_generator(clf, split, _cfg(epochs=3), _gen(clf))
-        for name, p in clf.named_params().items():
-            np.testing.assert_array_equal(p.data, before[name])
+        for p, data in zip(clf.params(), before):
+            np.testing.assert_array_equal(p.data, data)
         assert all(p.grad is None for p in clf.params())
 
     def test_none_upsampler_trains(self, instance):
@@ -241,6 +241,28 @@ class TestCheckpoints:
         _save(gen, path)
         with pytest.raises(SnapshotError, match="mode"):
             restore_checkpoint(path, clf, expected_mode=DependencyMode.INDEPENDENT)
+
+    def test_read_builds_nothing_and_restore_loads_once(self, instance, tmp_path,
+                                                        monkeypatch):
+        # `nppr evaluate` reads a checkpoint before it fits the classifier; the
+        # benchmark counts each `load_snapshot` call as one load.
+        clf, _ = instance
+        gen = _gen(clf)
+        path = tmp_path / "ck.json"
+        _save(gen, path)
+        loads = []
+        real_load = nppr.trainer.load_snapshot
+        monkeypatch.setattr(nppr.trainer, "load_snapshot",
+                            lambda p: loads.append(p) or real_load(p))
+        real_build = nppr.trainer.build_generator
+        monkeypatch.setattr(nppr.trainer, "build_generator", None)
+        stored = read_checkpoint(path, expected_mode=DependencyMode.JOINT)
+        assert (stored.head_cfg, stored.ups_cfg) == (gen.head.cfg, gen.upsampler.cfg)
+        monkeypatch.setattr(nppr.trainer, "build_generator", real_build)
+        loads.clear()
+        restored, _ = restore_checkpoint(path, clf)
+        assert loads == [path]
+        assert restored.tensors().keys() == gen.tensors().keys()
 
     def test_corrupt_file_rejected(self, tmp_path, instance):
         clf, _ = instance

@@ -83,14 +83,14 @@ class TestUpsampler:
         # Bypass the premap by feeding a constant through identity weights.
         ups.weight.data = np.eye(16)
         ups.bias.data = np.zeros(16)
-        out = ups(Tensor(np.full((2, 16), 1.7)))
+        out = ups.forward(Tensor(np.full((2, 16), 1.7)))
         np.testing.assert_allclose(out.data, 1.7, atol=1e-9)
 
     def test_vector_mode_shapes(self):
         cfg = UpsamplerConfig(mode=MODE_LINEAR, gamma=0.1)
         ups = Upsampler(cfg, latent_dim=3, input_dim=7, image_shape=None,
                         rng=substream(0, 99))
-        out = ups(Tensor(np.ones((5, 3))))
+        out = ups.forward(Tensor(np.ones((5, 3))))
         assert out.shape == (5, 7)
 
     def test_none_mode_identity(self):
@@ -98,7 +98,7 @@ class TestUpsampler:
         ups = Upsampler(cfg, latent_dim=4, input_dim=4, image_shape=None,
                         rng=substream(0, 99))
         x = np.random.default_rng(3).normal(size=(2, 4))
-        np.testing.assert_array_equal(ups(Tensor(x)).data, x)
+        np.testing.assert_array_equal(ups.forward(Tensor(x)).data, x)
 
     def test_none_mode_dim_guard(self):
         cfg = UpsamplerConfig(mode=MODE_NONE, gamma=0.1)
@@ -110,7 +110,7 @@ class TestUpsampler:
         ups = _image_upsampler(learnable=False)
         assert ups.named_params() == {}
         before = ups.weight.data.copy()
-        out = T.reduce_sum(ups(Tensor(np.ones((2, 16)), requires_grad=True)))
+        out = T.reduce_sum(ups.forward(Tensor(np.ones((2, 16)), requires_grad=True)))
         out.backward()
         np.testing.assert_array_equal(ups.weight.data, before)
         assert ups.weight.grad is None
@@ -120,14 +120,14 @@ class TestUpsampler:
         probe = np.random.default_rng(5).normal(size=(3, 64))
 
         def build(ts):
-            return T.reduce_sum(T.mul(ups(ts[0]), T.constant(probe)))
+            return T.reduce_sum(T.mul(ups.forward(ts[0]), T.constant(probe)))
 
         check_grads(build, [np.random.default_rng(6).normal(size=(3, 16))], tol=1e-5)
 
     def test_shape_guard(self):
         ups = _image_upsampler()
         with pytest.raises(ValueError, match="expected"):
-            ups(Tensor(np.ones((2, 9))))
+            ups.forward(Tensor(np.ones((2, 9))))
 
 
 class TestBudget:
