@@ -30,10 +30,10 @@ from .datasets import (LabeledDataset, SplitDataset, make_blobs, make_grid_image
 from .generator import Generator, build_generator
 from .metrics import (CLIPPED_GAUSSIAN, UNIFORM_BALL, RobustnessReport, ar_cw, ar_pgd,
                       mixture_statistics, nppr_estimate, pr_estimate)
-from .models import Classifier, train_classifier
+from .models import Classifier, Temperatures, train_classifier
 from .oracle import verdict_to_json, verify_propositions
 from .rng import ATTACK, EVAL, substream
-from .trainer import train_generator, write_epoch_csv
+from .trainer import temps_at_epoch, train_generator, write_epoch_csv
 
 log = logging.getLogger(__name__)
 
@@ -65,16 +65,18 @@ def fit_classifier(cfg: ExperimentConfig, split: SplitDataset) -> Classifier:
 
 def evaluate_generator(cfg: ExperimentConfig, clf: Classifier, generator: Generator,
                        split: SplitDataset) -> RobustnessReport:
-    """Final metrics on both splits, all with exact sampling."""
+    """Final metrics on both splits, all with exact sampling, of the mixture at
+    the temperatures of the run's last epoch."""
     gamma = cfg.gamma
+    temps = temps_at_epoch(cfg.train, cfg.train.epochs - 1)
     M = cfg.baselines.eval_samples
     test, train = split.test, split.train
     sigma = resolve_sigma(cfg.baselines.gaussian_sigma_rule, gamma)
 
     nppr_test = nppr_estimate(clf, generator, test.x, test.y, M,
-                              substream(cfg.seed, EVAL, 0))
+                              substream(cfg.seed, EVAL, 0), temps=temps)
     nppr_train = nppr_estimate(clf, generator, train.x, train.y, M,
-                               substream(cfg.seed, EVAL, 1))
+                               substream(cfg.seed, EVAL, 1), temps=temps)
     pr_u = pr_estimate(clf, test.x, test.y, UNIFORM_BALL, gamma, M,
                        substream(cfg.seed, EVAL, 2))
     pr_g = pr_estimate(clf, test.x, test.y, CLIPPED_GAUSSIAN, gamma, M,
@@ -85,7 +87,7 @@ def evaluate_generator(cfg: ExperimentConfig, clf: Classifier, generator: Genera
                  kappa=cfg.train.kappa, rng=substream(cfg.seed, ATTACK, 1))
 
     with T.no_grad():
-        params = generator.gmm_params(test.x, test.y)
+        params = generator.gmm_params(test.x, test.y, temps=temps)
     stats = mixture_statistics(params.pi())
 
     return RobustnessReport(
@@ -100,15 +102,15 @@ def evaluate_generator(cfg: ExperimentConfig, clf: Classifier, generator: Genera
         seed=cfg.seed, nppr_draws=test.n * M, pr_draws=test.n * M, ar_points=test.n)
 
 
-def export_perturbation_samples(generator: Generator, split: SplitDataset,
-                                per_input: int, out_dir: Path, seed: int) -> None:
+def export_perturbation_samples(generator: Generator, split: SplitDataset, per_input: int,
+                                out_dir: Path, seed: int, temps: Temperatures) -> None:
     """CSV rows (input_id, sample_id, component_argmax, values...) for the
-    latent draws and their budget-constrained input-space images, for the
-    first (up to) 64 test inputs."""
+    latent draws at `temps` and their budget-constrained input-space images,
+    for the first (up to) 64 test inputs."""
     n = min(split.test.n, 64)
     x, y = split.test.x[:n], split.test.y[:n]
     with T.no_grad():
-        params = generator.gmm_params(x, y)
+        params = generator.gmm_params(x, y, temps=temps)
         batch = generator.perturb_exact(params, per_input, substream(seed, EVAL, 9))
     comp = batch.relaxed_weights.data.argmax(axis=2)
 
@@ -121,7 +123,7 @@ def export_perturbation_samples(generator: Generator, split: SplitDataset,
                             + [f"value_{i}" for i in range(dim)])
             for i in range(n):
                 for j in range(per_input):
-                    writer.writerow([i, j, int(comp[i, j])] + [repr(v) for v in values[i, j]])
+                    writer.writerow([i, j, int(comp[i, j])] + [repr(v) for v in values[i, j].tolist()])
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir) -> tuple[RobustnessReport, dict]:
@@ -169,8 +171,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> tuple[RobustnessReport, di
 
         if cfg.export_samples > 0:
             stage("export_samples")
-            export_perturbation_samples(generator, split, cfg.export_samples,
-                                        out_dir, cfg.seed)
+            export_perturbation_samples(generator, split, cfg.export_samples, out_dir,
+                                        cfg.seed, temps_at_epoch(cfg.train, cfg.train.epochs - 1))
             done("export_samples")
 
         stage("verify")

@@ -139,7 +139,7 @@ def doc_to_tensors(doc: dict) -> dict[str, np.ndarray]:
             raw = base64.b64decode(entry["data"], validate=True)
         except (TypeError, ValueError):  # binascii.Error is a ValueError
             raise SnapshotError(f"snapshot entry '{name}': data is not valid base64") from None
-        expected = int(np.prod(shape)) if shape else 1
+        expected = math.prod(shape)
         if len(raw) != 8 * expected:
             raise SnapshotError(
                 f"snapshot entry '{name}': {len(raw)} bytes for shape {shape} "

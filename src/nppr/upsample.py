@@ -1,10 +1,11 @@
 """Latent-to-input-space mapping and the hard perturbation budget.
 
 Image-mode latents pass through an optional learnable linear premap and then
-separable bicubic interpolation (Catmull-Rom kernel) up to the input grid.
-Vector-mode latents use a learnable affine map instead. The scaled-tanh
-budget mapping is applied last so the L-infinity bound holds exactly in
-input space.
+bicubic interpolation (Catmull-Rom kernel) up to the input grid: with fixed
+taps that is linear, one constant factor per channel, the Kronecker product of
+the two axes' weight matrices. Vector-mode latents use a learnable affine map
+instead. The scaled-tanh budget mapping is applied last so the L-infinity
+bound holds exactly in input space.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ def bicubic_weight_matrix(n_out: int, n_in: int) -> np.ndarray:
 class UpsamplerConfig:
     """How latent perturbations reach input space.
 
-    mode: bicubic_image (premap + separable bicubic on a latent grid),
+    mode: bicubic_image (premap, then a constant bicubic factor per channel),
           linear_vector (affine map latent_dim -> input_dim), or
           none (identity; latent_dim must equal input_dim).
     learnable_premap: when False the map is frozen at its random init.
@@ -136,14 +137,14 @@ class Upsampler:
             self.weight = Tensor(w, requires_grad=cfg.learnable_premap)
             self.bias = Tensor(np.zeros(self.input_dim), requires_grad=cfg.learnable_premap)
         else:
-            c, hl, wl = (int(v) for v in cfg.latent_grid)
+            _, hl, wl = (int(v) for v in cfg.latent_grid)
             _, hi, wi = self.image_shape
             w = rng.normal(0.0, 1.0 / np.sqrt(self.latent_dim), size=(self.latent_dim, self.latent_dim))
             self.weight = Tensor(w, requires_grad=cfg.learnable_premap)
             self.bias = Tensor(np.zeros(self.latent_dim), requires_grad=cfg.learnable_premap)
-            self._wh = T.constant(bicubic_weight_matrix(hi, hl))
-            self._ww_t = T.constant(bicubic_weight_matrix(wi, wl).T)
-            self._grid = (c, hl, wl)
+            # (h'*w', h*w): row-major latent cells of one channel to its image pixels.
+            self._factor = T.constant(np.kron(bicubic_weight_matrix(hi, hl),
+                                              bicubic_weight_matrix(wi, wl)).T)
 
     def tensors(self) -> dict[str, Tensor]:
         """The premap, trainable or not: a frozen random init must survive restore."""
@@ -164,8 +165,5 @@ class Upsampler:
         pre = T.dense(latent, (self.weight, self.bias))
         if self.cfg.mode == MODE_LINEAR:
             return pre
-        c, hl, wl = self._grid
-        grid = T.reshape(pre, (latent.shape[0], c, hl, wl))
-        rows = T.matmul(self._wh, grid)          # (N, c, h, w')
-        full = T.matmul(rows, self._ww_t)        # (N, c, h, w)
-        return T.reshape(full, (latent.shape[0], self.input_dim))
+        channels = T.reshape(pre, (-1, self._factor.shape[0]))   # (N*c, h'*w')
+        return T.reshape(T.matmul(channels, self._factor), (latent.shape[0], self.input_dim))

@@ -55,6 +55,9 @@ def test_export_samples_writes_every_draw_reproducibly(trained, tmp_path):
         assert [(int(r[0]), int(r[1])) for r in rows[1:]] == [
             (i, j) for i in range(n) for j in range(3)]
         assert (outs[1] / name).read_bytes() == (outs[0] / name).read_bytes()
+        values = [float(v) for r in rows[1:] for v in r[3:]]
+        if name == "samples_input.csv":  # TINY's budget is the default 16/255
+            assert max(abs(v) for v in values) <= 16 / 255
 
 
 # What the one-line error says for each bad checkpoint.
@@ -73,6 +76,7 @@ BAD_CHECKPOINTS = {
     "no_upsampler_settings": "stored settings cannot be read: KeyError: 'ups_cfg'",
     "no_fingerprint": "stored settings cannot be read: KeyError: 'classifier_sha256'",
     "other_classifier": "checkpoint was trained against another classifier (classifier_sha256 ",
+    "shape_overflow": "bytes for shape (4294967296, 4294967296)",
 }
 
 
@@ -108,6 +112,8 @@ def _bad_checkpoint(trained, tmp_path, case):
             doc["extra"] = [doc["extra"]]
         elif case == "no_fingerprint":  # as written before checkpoints carried one
             del doc["extra"]["classifier_sha256"]
+        elif case == "shape_overflow":  # its element count wraps to 0 in int64
+            next(iter(doc["tensors"].values())).update(shape=[2 ** 32, 2 ** 32], data="")
         else:
             del doc["extra"]["ups_cfg"]
         checkpoint = tmp_path / "malformed.json"

@@ -5,10 +5,16 @@ import json
 import pytest
 
 import nppr.experiment
+from nppr import tensor as T
 from nppr.config import parse_config
 from nppr.datasets import stratified_split
 from nppr.experiment import evaluate_generator, fit_classifier, make_dataset, run_experiment
 from nppr.generator import build_generator
+from nppr.metrics import mixture_statistics, nppr_estimate
+from nppr.rng import EVAL, substream
+from nppr.trainer import build_from_checkpoint, read_checkpoint, temps_at_epoch
+
+import test_cli
 
 TINY = {
     "dataset": {"dim": 4, "classes": 3, "n": 60, "seed": 2},
@@ -33,6 +39,31 @@ def test_evaluate_generator_bookkeeping():
     assert report.mode == "label"
     assert report.gamma == 0.25
     assert report.mixture_components == 3
+
+
+def test_report_reads_the_mixture_at_the_final_temperatures(tmp_path):
+    # The probe and ckpt_best.json read the mixture at the schedule's last
+    # temperatures; the report must estimate that mixture, not the one at T = 1.
+    anneal = {name: [1, 2] for name in ("T_pi", "T_mu", "T_sigma", "T_shared")}
+    cfg = parse_config({**test_cli.TINY, "budget": {"epsilon": 1},
+                        "train": {**test_cli.TINY["train"], "anneal": anneal}})
+    run_experiment(cfg, tmp_path)
+    report = json.loads((tmp_path / "report.json").read_text())
+    split = stratified_split(make_dataset(cfg.dataset), cfg.train_frac, cfg.seed)
+    clf = fit_classifier(cfg, split)
+    generator, _ = build_from_checkpoint(read_checkpoint(tmp_path / "ckpt_latest.json"), clf)
+    test = split.test
+
+    def nppr_test(temps):
+        return nppr_estimate(clf, generator, test.x, test.y, cfg.baselines.eval_samples,
+                             substream(cfg.seed, EVAL, 0), temps=temps)
+
+    final = temps_at_epoch(cfg.train, cfg.train.epochs - 1)
+    assert final.T_pi == final.T_mu == final.T_sigma == final.T_shared == 2.0
+    assert report["nppr_test"] == nppr_test(final) != nppr_test(None)
+    with T.no_grad():
+        pi = generator.gmm_params(test.x, test.y, temps=final).pi()
+    assert report["pi_std"] == mixture_statistics(pi)["pi_std"]
 
 
 def test_failed_stage_recorded_and_raised(tmp_path, monkeypatch):

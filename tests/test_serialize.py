@@ -41,6 +41,14 @@ def test_short_payload_rejected(tmp_path):
         load_snapshot(path)
 
 
+def test_overflowing_shape_rejected(tmp_path):
+    # 2**32 * 2**32 wraps to 0 in int64, which an empty payload would match.
+    path = tmp_path / "s.json"
+    _write(path, {"w": {"shape": [2 ** 32, 2 ** 32], "data": ""}})
+    with pytest.raises(SnapshotError, match="'w': 0 bytes for shape"):
+        load_snapshot(path)
+
+
 _EIGHT_BYTES = base64.b64encode(b"\0" * 8).decode()
 
 

@@ -1,4 +1,5 @@
-"""Bicubic kernel exactness, interpolation properties, and the tanh budget."""
+"""Bicubic kernel exactness, interpolation properties, the upsampler's constant
+per-channel factor against a separable reference, and the tanh budget."""
 
 import numpy as np
 import pytest
@@ -124,6 +125,28 @@ class TestUpsampler:
 
         check_grads(build, [np.random.default_rng(6).normal(size=(3, 16))], tol=1e-5)
 
+    def test_two_channel_non_square_matches_separable_reference(self):
+        # Square single-channel grids cannot tell kron(W_h, W_w) from kron(W_w, W_h).
+        cfg = UpsamplerConfig(mode=MODE_BICUBIC, latent_grid=(2, 3, 5), gamma=0.1)
+        ups = Upsampler(cfg, latent_dim=30, input_dim=154, image_shape=(2, 7, 11),
+                        rng=substream(0, 99))
+        rng = np.random.default_rng(7)
+        ups.bias.data = rng.normal(size=30)
+        latent = rng.normal(size=(4, 30))
+        pre = (latent @ ups.weight.data + ups.bias.data).reshape(4, 2, 3, 5)
+        ref = np.einsum("ip,ncpq,jq->ncij", bicubic_weight_matrix(7, 3), pre,
+                        bicubic_weight_matrix(11, 5))
+        np.testing.assert_allclose(ups.forward(Tensor(latent)).data, ref.reshape(4, 154),
+                                   rtol=0, atol=1e-14)
+
+        probe = rng.normal(size=(4, 154))
+
+        def build(ts):
+            ups.weight, ups.bias = ts[1], ts[2]
+            return T.reduce_sum(T.mul(ups.forward(ts[0]), T.constant(probe)))
+
+        check_grads(build, [latent, ups.weight.data, ups.bias.data], tol=1e-5)
+
     def test_shape_guard(self):
         ups = _image_upsampler()
         with pytest.raises(ValueError, match="expected"):
@@ -146,13 +169,18 @@ class TestBudget:
         out = apply_budget(Tensor(u), 0.3).data
         assert np.max(np.abs(out)) <= 0.3
 
+    def test_saturated_inputs_land_exactly_on_the_bound(self):
+        # tanh rounds to exactly +-1 here, so the images reach +-gamma and no further.
+        u = np.array([40.0, -40.0, 1e308, -1e308, np.inf, -np.inf])
+        out = apply_budget(Tensor(u), 16 / 255).data
+        np.testing.assert_array_equal(out, np.sign(u) * (16 / 255))
+
     def test_gamma_guard(self):
         with pytest.raises(ValueError, match="gamma"):
             apply_budget(Tensor(1.0), 0.0)
 
     def test_saturated_latent_reaches_the_bound(self):
-        # tanh(40) rounds to exactly 1, so the images sit on the ball's
-        # boundary, which the generator's post-condition must accept.
+        # tanh(40) rounds to exactly 1, so the images sit on the ball's boundary.
         clf = Classifier(ClassifierConfig(input_dim=2, num_classes=2, hidden=(2,)), seed=0)
         gen = build_generator(clf, HeadConfig(mode=DependencyMode.INDEPENDENT, K=1, latent_dim=2),
                               UpsamplerConfig(mode=MODE_NONE, gamma=0.3))
