@@ -29,7 +29,7 @@ from .experiment import (evaluate_generator, export_perturbation_samples, fit_cl
 from .metrics import RobustnessReport
 from .oracle import verdict_to_json, verify_propositions
 from .serialize import SnapshotError, config_record
-from .trainer import build_from_checkpoint, read_checkpoint, temps_at_epoch
+from .trainer import build_from_checkpoint, read_checkpoint
 
 OUTPUT_ROOT_ENV = "NPPR_OUTPUT_ROOT"
 
@@ -179,8 +179,7 @@ def cmd_export_samples(args) -> int:
     split, _, generator = _restore(cfg, args.checkpoint)
     out.mkdir(parents=True, exist_ok=True)
     per_input = args.per_input if args.per_input is not None else max(cfg.export_samples, 8)
-    export_perturbation_samples(generator, split, per_input, out, cfg.seed,
-                                temps_at_epoch(cfg.train, cfg.train.epochs - 1))
+    export_perturbation_samples(generator, split, per_input, out, cfg.seed)
     print(f"wrote {out / 'samples_latent.csv'} and {out / 'samples_input.csv'}")
     return 0
 

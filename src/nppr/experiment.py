@@ -12,7 +12,8 @@ Artifacts per run directory:
                     moments, Adam's step count, its head and upsampler configs,
                     the run's loop state (`trainer.RunState`, TrainConfig
                     included) and the sha256 fingerprint of the classifier
-                    it was trained against
+                    it was trained against; its temperatures are not
+                    written, as they follow from its TrainConfig and epoch
   samples_latent.csv / samples_input.csv (optional)
 """
 
@@ -21,6 +22,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+from contextlib import ExitStack
 from pathlib import Path
 
 from . import tensor as T
@@ -28,12 +30,12 @@ from .config import ExperimentConfig, config_to_json, resolve_sigma
 from .datasets import (LabeledDataset, SplitDataset, make_blobs, make_grid_image,
                        make_rings, stratified_split)
 from .generator import Generator, build_generator
-from .metrics import (CLIPPED_GAUSSIAN, UNIFORM_BALL, RobustnessReport, ar_cw, ar_pgd,
-                      mixture_statistics, nppr_estimate, pr_estimate)
-from .models import Classifier, Temperatures, train_classifier
+from .metrics import (CLIPPED_GAUSSIAN, UNIFORM_BALL, RobustnessReport, _pieces, ar_cw,
+                      ar_pgd, mixture_statistics, nppr_estimate, pr_estimate)
+from .models import Classifier, train_classifier
 from .oracle import verdict_to_json, verify_propositions
 from .rng import ATTACK, EVAL, substream
-from .trainer import temps_at_epoch, train_generator, write_epoch_csv
+from .trainer import train_generator, write_epoch_csv
 
 log = logging.getLogger(__name__)
 
@@ -66,17 +68,14 @@ def fit_classifier(cfg: ExperimentConfig, split: SplitDataset) -> Classifier:
 def evaluate_generator(cfg: ExperimentConfig, clf: Classifier, generator: Generator,
                        split: SplitDataset) -> RobustnessReport:
     """Final metrics on both splits, all with exact sampling, of the mixture at
-    the temperatures of the run's last epoch."""
+    the generator's temperatures."""
     gamma = cfg.gamma
-    temps = temps_at_epoch(cfg.train, cfg.train.epochs - 1)
     M = cfg.baselines.eval_samples
     test, train = split.test, split.train
     sigma = resolve_sigma(cfg.baselines.gaussian_sigma_rule, gamma)
 
-    nppr_test = nppr_estimate(clf, generator, test.x, test.y, M,
-                              substream(cfg.seed, EVAL, 0), temps=temps)
-    nppr_train = nppr_estimate(clf, generator, train.x, train.y, M,
-                               substream(cfg.seed, EVAL, 1), temps=temps)
+    nppr_test = nppr_estimate(clf, generator, test.x, test.y, M, substream(cfg.seed, EVAL, 0))
+    nppr_train = nppr_estimate(clf, generator, train.x, train.y, M, substream(cfg.seed, EVAL, 1))
     pr_u = pr_estimate(clf, test.x, test.y, UNIFORM_BALL, gamma, M,
                        substream(cfg.seed, EVAL, 2))
     pr_g = pr_estimate(clf, test.x, test.y, CLIPPED_GAUSSIAN, gamma, M,
@@ -87,7 +86,7 @@ def evaluate_generator(cfg: ExperimentConfig, clf: Classifier, generator: Genera
                  kappa=cfg.train.kappa, rng=substream(cfg.seed, ATTACK, 1))
 
     with T.no_grad():
-        params = generator.gmm_params(test.x, test.y, temps=temps)
+        params = generator.gmm_params(test.x, test.y)
     stats = mixture_statistics(params.pi())
 
     return RobustnessReport(
@@ -103,27 +102,30 @@ def evaluate_generator(cfg: ExperimentConfig, clf: Classifier, generator: Genera
 
 
 def export_perturbation_samples(generator: Generator, split: SplitDataset, per_input: int,
-                                out_dir: Path, seed: int, temps: Temperatures) -> None:
-    """CSV rows (input_id, sample_id, component_argmax, values...) for the
-    latent draws at `temps` and their budget-constrained input-space images,
-    for the first (up to) 64 test inputs."""
+                                out_dir: Path, seed: int) -> None:
+    """CSV rows (input_id, sample_id, component_argmax, values...) for exact
+    latent draws at the generator's temperatures and their budget-constrained
+    input-space images, for the first (up to) 64 test inputs, drawn and
+    written in the estimators' pieces (no row depends on the tiling)."""
     n = min(split.test.n, 64)
-    x, y = split.test.x[:n], split.test.y[:n]
-    with T.no_grad():
-        params = generator.gmm_params(x, y, temps=temps)
-        batch = generator.perturb_exact(params, per_input, substream(seed, EVAL, 9))
-    comp = batch.relaxed_weights.data.argmax(axis=2)
-
-    for name, values in (("samples_latent.csv", batch.latent.data),
-                         ("samples_input.csv", batch.images.data)):
-        with open(out_dir / name, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            dim = values.shape[2]
+    x, y, pieces = _pieces(split.test.x[:n], split.test.y[:n], per_input, "export_samples")
+    rng = substream(seed, EVAL, 9)
+    dims = {"samples_latent.csv": generator.head.cfg.latent_dim,
+            "samples_input.csv": generator.upsampler.input_dim}
+    with ExitStack() as files, T.no_grad():
+        writers = [csv.writer(files.enter_context(open(out_dir / name, "w", newline="")))
+                   for name in dims]
+        for writer, dim in zip(writers, dims.values()):
             writer.writerow(["input_id", "sample_id", "component_argmax"]
                             + [f"value_{i}" for i in range(dim)])
-            for i in range(n):
-                for j in range(per_input):
-                    writer.writerow([i, j, int(comp[i, j])] + [repr(v) for v in values[i, j].tolist()])
+        params = generator.gmm_params(x, y)
+        for part in pieces:
+            batch = generator.perturb_exact(params.rows(part), per_input, rng)
+            comp = batch.relaxed_weights.data.argmax(axis=2)
+            for writer, values in zip(writers, (batch.latent.data, batch.images.data)):
+                writer.writerows([part.start + i, j, int(comp[i, j])]
+                                 + [repr(v) for v in values[i, j].tolist()]
+                                 for i in range(len(comp)) for j in range(per_input))
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir) -> tuple[RobustnessReport, dict]:
@@ -171,8 +173,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> tuple[RobustnessReport, di
 
         if cfg.export_samples > 0:
             stage("export_samples")
-            export_perturbation_samples(generator, split, cfg.export_samples, out_dir,
-                                        cfg.seed, temps_at_epoch(cfg.train, cfg.train.epochs - 1))
+            export_perturbation_samples(generator, split, cfg.export_samples, out_dir, cfg.seed)
             done("export_samples")
 
         stage("verify")

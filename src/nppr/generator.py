@@ -16,7 +16,9 @@ class Generator:
     """Bundles the mixture head and the upsampler behind one sampling surface.
 
     Conditioning features always come from the clean inputs through the frozen
-    classifier, so they act as constants for the generator's graph.
+    classifier, so they act as constants for the generator's graph. The head
+    is read at `temps`: T = 1 when fresh, each epoch's once `train_generator`
+    starts it, and a restored checkpoint's last epoch's (`build_from_checkpoint`).
     """
 
     def __init__(self, head: GmmHead, upsampler: Upsampler, clf: Classifier):
@@ -27,6 +29,7 @@ class Generator:
         self.upsampler = upsampler
         self.clf = clf
         self.gamma = float(upsampler.cfg.gamma)
+        self.temps = Temperatures()
 
     @property
     def mode(self) -> DependencyMode:
@@ -42,14 +45,11 @@ class Generator:
         """Every tensor of the generator's state, trainable or frozen."""
         return {**self.head.named_params(), **self.upsampler.tensors()}
 
-    def gmm_params(self, x: np.ndarray, y: np.ndarray | None,
-                   temps: Temperatures | None = None) -> GmmParams:
-        """Head forward for a batch of clean inputs/labels."""
-        features = None
-        if self.mode.conditions_on_features:
-            features = self.clf.features(T.constant(np.atleast_2d(x)))
-        batch = np.atleast_2d(x).shape[0]
-        return self.head.forward(features=features, labels=y, temps=temps, batch_size=batch)
+    def gmm_params(self, x: np.ndarray, y: np.ndarray | None) -> GmmParams:
+        """Head forward at `self.temps` for a batch of clean inputs/labels."""
+        x = np.atleast_2d(x)
+        features = self.clf.features(T.constant(x)) if self.mode.conditions_on_features else None
+        return self.head.forward(features=features, labels=y, temps=self.temps, batch_size=len(x))
 
     def images(self, latent: Tensor) -> Tensor:
         """(N, latent_dim) latent rows -> (N, input_dim) perturbations inside the

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import tensor as T
 from .generator import Generator
-from .models import Classifier, DependencyMode, Temperatures
+from .models import Classifier, DependencyMode
 from .rng import ATTACK, substream
 from .serialize import at_least, check_fields, checked, one_of, rate
 from .tensor import Tensor
@@ -99,15 +99,15 @@ def _hits(clf: Classifier, xb: np.ndarray, yb: np.ndarray, delta: np.ndarray) ->
 
 
 def nppr_estimate(clf: Classifier, generator: Generator, x: np.ndarray, y: np.ndarray,
-                  M: int, rng: np.random.Generator,
-                  temps: Temperatures | None = None) -> float:
+                  M: int, rng: np.random.Generator) -> float:
     """Fraction of (input, draw) pairs classified correctly under the learned
-    distribution; exact sampling, hard 0-1 indicator. The head runs once over
-    all inputs, then each piece is drawn, mapped to input space and classified."""
+    distribution, the head read at the generator's temperatures; exact
+    sampling, hard 0-1 indicator. The head runs once over all inputs, then
+    each piece is drawn, mapped to input space and classified."""
     x, y, pieces = _pieces(x, y, M, "nppr_estimate")
     hits = 0
     with T.no_grad():
-        params = generator.gmm_params(x, y, temps=temps)
+        params = generator.gmm_params(x, y)
         for part in pieces:
             images = generator.perturb_exact(params.rows(part), M, rng).images.data
             hits += _hits(clf, x[part], y[part], images.reshape(-1, x.shape[1]))

@@ -7,12 +7,12 @@ no relaxation bias enters the numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import tensor as T
-from .models import GmmParams
+from .models import GmmParams, Temperatures
 from .serialize import at_least, check_fields, checked, positive, value_error
 from .tensor import Tensor
 
@@ -57,12 +57,10 @@ class AnnealSchedule:
         for name in ("T_pi", "T_mu", "T_sigma", "T_shared"):
             setattr(self, name, tuple(float(v) for v in getattr(self, name)))
 
-
-def _interp(init: float, final: float, epoch: int, window: int) -> float:
-    if window <= 1:
-        return float(final)
-    t = min(epoch, window - 1) / (window - 1)
-    return float(init + t * (final - init))
+    def at(self, epoch: int, total_epochs: int) -> Temperatures:
+        """The four divisors of `epoch` in a run of `total_epochs` epochs."""
+        return Temperatures(*(anneal_value(getattr(self, f.name), epoch, total_epochs,
+                                           self.warmup_epochs) for f in fields(Temperatures)))
 
 
 def anneal_value(pair: tuple, epoch: int, total_epochs: int, warmup_epochs: int = 0) -> float:
@@ -71,7 +69,10 @@ def anneal_value(pair: tuple, epoch: int, total_epochs: int, warmup_epochs: int 
     if not (0 <= epoch < total_epochs):
         raise ValueError(f"anneal_value: epoch {epoch} outside [0, {total_epochs})")
     window = warmup_epochs if warmup_epochs > 0 else total_epochs
-    return _interp(pair[0], pair[1], epoch, window)
+    if window <= 1:
+        return float(pair[1])
+    t = min(epoch, window - 1) / (window - 1)
+    return float(pair[0] + t * (pair[1] - pair[0]))
 
 
 def gumbel_tau(cfg: GumbelConfig, epoch: int, total_epochs: int) -> float:

@@ -20,7 +20,7 @@ from .metrics import margin_loss, mixture_statistics, nppr_estimate
 from .models import Classifier, DependencyMode, HeadConfig, Temperatures
 from .optim import Adam
 from .rng import GUMBEL, PROBE, SHUFFLE, substream
-from .sampling import AnnealSchedule, GumbelConfig, anneal_value, gumbel_tau
+from .sampling import AnnealSchedule, GumbelConfig, gumbel_tau
 from .serialize import (SnapshotError, at_least, check_fields, checked, config_record,
                         load_snapshot, one_of, positive, rate, save_snapshot)
 from .upsample import UpsamplerConfig
@@ -80,16 +80,6 @@ def lr_at_epoch(cfg: TrainConfig, epoch: int) -> float:
     span = max(cfg.epochs - warm, 1)
     t = (epoch - warm) / span
     return cfg.lr_min + 0.5 * (cfg.lr - cfg.lr_min) * (1.0 + np.cos(np.pi * t))
-
-
-def temps_at_epoch(cfg: TrainConfig, epoch: int) -> Temperatures:
-    sched = cfg.anneal
-    return Temperatures(
-        T_pi=anneal_value(sched.T_pi, epoch, cfg.epochs, sched.warmup_epochs),
-        T_mu=anneal_value(sched.T_mu, epoch, cfg.epochs, sched.warmup_epochs),
-        T_sigma=anneal_value(sched.T_sigma, epoch, cfg.epochs, sched.warmup_epochs),
-        T_shared=anneal_value(sched.T_shared, epoch, cfg.epochs, sched.warmup_epochs),
-    )
 
 
 @dataclass
@@ -152,21 +142,26 @@ class StoredCheckpoint:
     run: RunState
     classifier_sha256: str
     tensors: dict[str, np.ndarray]
+    temps: Temperatures  # those of the last epoch it completed
 
 
 def read_checkpoint(path, expected_mode: DependencyMode | None = None) -> StoredCheckpoint:
     """Load a checkpoint and read its kind and stored settings, without building
     anything. Settings that are missing or break their field rules, and a head
     of another mode than `expected_mode`, are refused with SnapshotError; keys
-    of `extra` that this reader does not use are ignored."""
+    of `extra` that this reader does not use are ignored. The temperatures are
+    the stored TrainConfig's at the last epoch the checkpoint completed
+    (`epoch_next - 1`, or 0), and a record that cannot give them is refused."""
     named, extra = load_snapshot(path)
     if extra.get("kind") != "generator-checkpoint":
         raise SnapshotError(f"{path}: not a generator checkpoint")
     try:
+        run = RunState(**{f.name: extra[f.name] for f in fields(RunState)})
+        temps = AnnealSchedule(**run.train_cfg["anneal"]).at(
+            max(run.epoch_next - 1, 0), run.train_cfg["epochs"])
         stored = StoredCheckpoint(
             str(path), HeadConfig(**extra["head_cfg"]), UpsamplerConfig(**extra["ups_cfg"]),
-            RunState(**{f.name: extra[f.name] for f in fields(RunState)}),
-            extra["classifier_sha256"], named)
+            run, extra["classifier_sha256"], named, temps)
     except (KeyError, TypeError, ValueError) as err:
         raise SnapshotError(
             f"{path}: stored settings cannot be read: {type(err).__name__}: {err}") from None
@@ -183,15 +178,15 @@ def build_from_checkpoint(stored: StoredCheckpoint, clf: Classifier
     value, (RunState, tensors), is `train_generator`'s two-part `resume_state`.
 
     The generator is built by `build_generator` from the stored head and
-    upsampler configs and `clf`. The stored tensors must be exactly what
-    `_state` captures of it and a fresh Adam, in the same shapes, and the
-    stored fingerprint must be `clf`'s. Otherwise SnapshotError names the
-    missing and the unexpected tensors, every tensor whose shape differs with
-    both shapes (as when `clf` has another input or feature width), or both
-    fingerprints; nothing is loaded before these checks pass. A stored
-    upsampler that cannot be built for `clf` (a `none` upsampler of another
-    width, a bicubic grid that does not fit its image) is refused with
-    SnapshotError too.
+    upsampler configs and `clf`, and holds the stored temperatures. The stored
+    tensors must be exactly what `_state` captures of it and a fresh Adam, in
+    the same shapes, and the stored fingerprint must be `clf`'s. Otherwise
+    SnapshotError names the missing and the unexpected tensors, every tensor
+    whose shape differs with both shapes (as when `clf` has another input or
+    feature width), or both fingerprints; nothing is loaded before these
+    checks pass. A stored upsampler that cannot be built for `clf` (a `none`
+    upsampler of another width, a bicubic grid that does not fit its image) is
+    refused with SnapshotError too.
     """
     path, named = stored.path, stored.tensors
     try:
@@ -214,6 +209,7 @@ def build_from_checkpoint(stored: StoredCheckpoint, clf: Classifier
         raise SnapshotError(f"{path}: checkpoint was trained against another classifier "
                             f"(classifier_sha256 {stored.classifier_sha256} != {given})")
     _load_state(generator, opt, named, stored.run.adam_t)
+    generator.temps = stored.temps
     return generator, (stored.run, named)
 
 
@@ -238,14 +234,14 @@ def _check_resume_config(written: dict, cfg: TrainConfig) -> None:
 
 
 def _probe_metrics(generator: Generator, probe_x: np.ndarray, probe_y: np.ndarray,
-                   temps: Temperatures, M: int, rng: np.random.Generator) -> dict:
+                   M: int, rng: np.random.Generator) -> dict:
     """Weight statistics and the running NPPR; a non-finite mixture has no
     NPPR, so it reads NaN there. The head forward records no tape."""
     with T.no_grad():
-        params = generator.gmm_params(probe_x, probe_y, temps=temps)
+        params = generator.gmm_params(probe_x, probe_y)
     stats = mixture_statistics(params.pi())
     stats["nppr_running"] = (
-        nppr_estimate(generator.clf, generator, probe_x, probe_y, M, rng, temps=temps)
+        nppr_estimate(generator.clf, generator, probe_x, probe_y, M, rng)
         if params.non_finite() is None else float("nan"))
     return stats
 
@@ -255,11 +251,13 @@ def train_generator(clf: Classifier, split: SplitDataset, cfg: TrainConfig,
                     events: list | None = None) -> tuple[Generator, list[EpochRecord]]:
     """Minimize the empirical relaxed objective over the generator parameters.
 
-    Per epoch: draw M relaxed perturbations per input, average the margin loss
-    over all batch x M samples, step Adam, advance every annealing schedule,
-    and log probe metrics. Non-finite losses abort the epoch and roll back to
-    the last good state. Randomness is keyed by (seed, purpose, epoch, batch),
-    so a restored run replays exactly like an uninterrupted one.
+    Per epoch: set `generator.temps` to the epoch's annealed temperatures,
+    draw M relaxed perturbations per input, average the margin loss over all
+    batch x M samples, step Adam, and log probe metrics; the generator ends at
+    the temperatures of the last epoch it ran. Non-finite losses abort the
+    epoch and roll back to the last good state. Randomness is keyed by (seed,
+    purpose, epoch, batch), so a restored run replays exactly like an
+    uninterrupted one.
 
     Every checkpoint is a resume point: `_state` (parameters, frozen tensors
     and Adam's moments), the RunState and the fingerprint of `clf`; `ckpt_best.json`
@@ -298,7 +296,7 @@ def train_generator(clf: Classifier, split: SplitDataset, cfg: TrainConfig,
         out_dir.mkdir(parents=True, exist_ok=True)
 
     for epoch in range(run.epoch_next, cfg.epochs):
-        temps = temps_at_epoch(cfg, epoch)
+        generator.temps = temps = cfg.anneal.at(epoch, cfg.epochs)
         tau = gumbel_tau(cfg.gumbel, epoch, cfg.epochs)
         opt.lr = lr_at_epoch(cfg, epoch)
 
@@ -309,7 +307,7 @@ def train_generator(clf: Classifier, split: SplitDataset, cfg: TrainConfig,
             xb, yb = train.x[idx], train.y[idx]
             rng = substream(cfg.seed, GUMBEL, epoch, b)
 
-            params = generator.gmm_params(xb, yb, temps=temps)
+            params = generator.gmm_params(xb, yb)
             batch = generator.perturb_relaxed(params, M, tau, rng)
             base = T.constant(xb[:, None, :])
             perturbed = T.reshape(T.add(base, batch.images), (len(xb) * M, train.dim))
@@ -342,8 +340,8 @@ def train_generator(clf: Classifier, split: SplitDataset, cfg: TrainConfig,
             else:
                 run.high_loss_streak = 0
 
-        probe = _probe_metrics(generator, probe_x, probe_y, temps,
-                               cfg.probe_samples, substream(cfg.seed, PROBE, epoch, 1))
+        probe = _probe_metrics(generator, probe_x, probe_y, cfg.probe_samples,
+                               substream(cfg.seed, PROBE, epoch, 1))
         records.append(EpochRecord(
             epoch=epoch, train_loss=epoch_loss, **probe, tau_gumbel=tau,
             T_pi=temps.T_pi, T_mu=temps.T_mu, T_sigma=temps.T_sigma, aborted=aborted))

@@ -75,6 +75,7 @@ BAD_CHECKPOINTS = {
     "extra_list": "extra is not an object",
     "no_upsampler_settings": "stored settings cannot be read: KeyError: 'ups_cfg'",
     "no_fingerprint": "stored settings cannot be read: KeyError: 'classifier_sha256'",
+    "no_anneal": "stored settings cannot be read: KeyError: 'anneal'",
     "other_classifier": "checkpoint was trained against another classifier (classifier_sha256 ",
     "shape_overflow": "bytes for shape (4294967296, 4294967296)",
 }
@@ -112,6 +113,8 @@ def _bad_checkpoint(trained, tmp_path, case):
             doc["extra"] = [doc["extra"]]
         elif case == "no_fingerprint":  # as written before checkpoints carried one
             del doc["extra"]["classifier_sha256"]
+        elif case == "no_anneal":  # its temperatures cannot be derived
+            del doc["extra"]["train_cfg"]["anneal"]
         elif case == "shape_overflow":  # its element count wraps to 0 in int64
             next(iter(doc["tensors"].values())).update(shape=[2 ** 32, 2 ** 32], data="")
         else:

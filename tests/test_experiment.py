@@ -1,18 +1,24 @@
 """Experiment orchestration: report bookkeeping and the failure manifest."""
 
+import csv
+import io
 import json
 
 import pytest
 
 import nppr.experiment
+import nppr.generator
+import nppr.metrics
 from nppr import tensor as T
 from nppr.config import parse_config
 from nppr.datasets import stratified_split
-from nppr.experiment import evaluate_generator, fit_classifier, make_dataset, run_experiment
+from nppr.experiment import (evaluate_generator, export_perturbation_samples, fit_classifier,
+                             make_dataset, run_experiment)
 from nppr.generator import build_generator
 from nppr.metrics import mixture_statistics, nppr_estimate
+from nppr.models import Temperatures
 from nppr.rng import EVAL, substream
-from nppr.trainer import build_from_checkpoint, read_checkpoint, temps_at_epoch
+from nppr.trainer import build_from_checkpoint, read_checkpoint
 
 import test_cli
 
@@ -42,8 +48,9 @@ def test_evaluate_generator_bookkeeping():
 
 
 def test_report_reads_the_mixture_at_the_final_temperatures(tmp_path):
-    # The probe and ckpt_best.json read the mixture at the schedule's last
-    # temperatures; the report must estimate that mixture, not the one at T = 1.
+    # The run's report reads the mixture at the last epoch's temperatures,
+    # the ones ckpt_latest.json (written after that epoch) restores; it must
+    # not estimate the mixture at T = 1.
     anneal = {name: [1, 2] for name in ("T_pi", "T_mu", "T_sigma", "T_shared")}
     cfg = parse_config({**test_cli.TINY, "budget": {"epsilon": 1},
                         "train": {**test_cli.TINY["train"], "anneal": anneal}})
@@ -55,15 +62,54 @@ def test_report_reads_the_mixture_at_the_final_temperatures(tmp_path):
     test = split.test
 
     def nppr_test(temps):
+        generator.temps = temps
         return nppr_estimate(clf, generator, test.x, test.y, cfg.baselines.eval_samples,
-                             substream(cfg.seed, EVAL, 0), temps=temps)
+                             substream(cfg.seed, EVAL, 0))
 
-    final = temps_at_epoch(cfg.train, cfg.train.epochs - 1)
+    final = cfg.train.anneal.at(cfg.train.epochs - 1, cfg.train.epochs)
     assert final.T_pi == final.T_mu == final.T_sigma == final.T_shared == 2.0
-    assert report["nppr_test"] == nppr_test(final) != nppr_test(None)
+    assert report["nppr_test"] == nppr_test(final) != nppr_test(Temperatures())
+    generator.temps = final
     with T.no_grad():
-        pi = generator.gmm_params(test.x, test.y, temps=final).pi()
+        pi = generator.gmm_params(test.x, test.y).pi()
     assert report["pi_std"] == mixture_statistics(pi)["pi_std"]
+
+
+@pytest.mark.parametrize("per_input", [3, 40])
+def test_export_draws_in_pieces(tmp_path, monkeypatch, per_input):
+    # With 16 rows a piece, TINY's 11 test inputs at 3 draws come in pieces of
+    # 5, 5 and 1 inputs, and at 40 draws one input at a time; the CSVs must be
+    # the rows of one draw over all inputs.
+    cfg = parse_config(TINY)
+    split = stratified_split(make_dataset(cfg.dataset), cfg.train_frac, cfg.seed)
+    clf = fit_classifier(cfg, split)
+    generator = build_generator(clf, cfg.head, cfg.upsampler, seed=cfg.seed)
+    generator.temps = Temperatures(T_pi=2.0, T_mu=0.5, T_sigma=1.5)
+    x, y = split.test.x, split.test.y
+    with T.no_grad():
+        whole = generator.perturb_exact(generator.gmm_params(x, y), per_input,
+                                        substream(cfg.seed, EVAL, 9))
+    comp = whole.relaxed_weights.data.argmax(axis=2)
+
+    rows = []
+    real_sample = nppr.generator.sample_exact
+    monkeypatch.setattr(nppr.generator, "sample_exact",
+                        lambda params, M, rng: rows.append(params.batch * M)
+                        or real_sample(params, M, rng))
+    monkeypatch.setattr(nppr.metrics, "_ROWS", 16)
+    export_perturbation_samples(generator, split, per_input, tmp_path, cfg.seed)
+    assert len(rows) > 1 and max(rows) <= max(16, per_input)
+
+    for name, values in (("samples_latent.csv", whole.latent.data),
+                         ("samples_input.csv", whole.images.data)):
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(["input_id", "sample_id", "component_argmax"]
+                        + [f"value_{i}" for i in range(values.shape[2])])
+        for i in range(len(x)):
+            for j in range(per_input):
+                writer.writerow([i, j, int(comp[i, j])] + [repr(v) for v in values[i, j].tolist()])
+        assert (tmp_path / name).read_bytes() == expected.getvalue().encode()
 
 
 def test_failed_stage_recorded_and_raised(tmp_path, monkeypatch):

@@ -18,7 +18,7 @@ from nppr.metrics import (CLIPPED_GAUSSIAN, UNIFORM_BALL, RobustnessReport, ar_c
                           ar_pgd, baseline_noise, entropy_ratio, margin_loss, mc_half_width,
                           mixture_statistics, nppr_estimate, pr_estimate)
 from nppr.models import (CHOL_DIAG_FLOOR, Classifier, ClassifierConfig, ClassifierSpec,
-                         DependencyMode, HeadConfig, Temperatures, train_classifier)
+                         DependencyMode, HeadConfig, train_classifier)
 from nppr.rng import EVAL, substream
 from nppr.tensor import Tensor
 from nppr.upsample import UpsamplerConfig
@@ -245,7 +245,7 @@ class TestTapeFreeEvaluation:
         clf, x, y = setup
         gen = self._gen(clf)
         made = self._recorded(gen, ("gmm_params",), monkeypatch)
-        nppr.trainer._probe_metrics(gen, x, y, Temperatures(), 5, np.random.default_rng(8))
+        nppr.trainer._probe_metrics(gen, x, y, 5, np.random.default_rng(8))
         assert len(made) == 2  # the weight statistics' forward, then the estimate's
         self._assert_no_tape(gen, [t for p in made for t in (p.pi_logits, p.means, p.chol)])
 

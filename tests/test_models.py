@@ -253,10 +253,10 @@ class TestPerRowHeads:
         clf, ds = blob_classifier
         gen = _perturbed_generator(clf, mode)
         x, y = ds.x[:9], ds.y[:9]
-        temps = Temperatures(T_pi=1.3, T_mu=0.7, T_sigma=1.1, T_shared=1.5)
-        whole = gen.gmm_params(x, y, temps=temps)
+        gen.temps = Temperatures(T_pi=1.3, T_mu=0.7, T_sigma=1.1, T_shared=1.5)
+        whole = gen.gmm_params(x, y)
         for i in range(len(x)):
-            alone = gen.gmm_params(x[i:i + 1], y[i:i + 1], temps=temps)
+            alone = gen.gmm_params(x[i:i + 1], y[i:i + 1])
             for name in ("pi_logits", "means", "chol"):
                 np.testing.assert_allclose(getattr(alone, name).data[0],
                                            getattr(whole, name).data[i],
@@ -270,8 +270,10 @@ class TestPerRowHeads:
         clf, ds = blob_classifier
         gen = _perturbed_generator(clf, mode)
         bias = gen.head.named_params()["head.mu_b"].data.reshape(3, 2)
-        one = gen.gmm_params(ds.x[:6], ds.y[:6], temps=Temperatures(T_shared=1.0))
-        two = gen.gmm_params(ds.x[:6], ds.y[:6], temps=Temperatures(T_shared=2.0))
+        gen.temps = Temperatures(T_shared=1.0)
+        one = gen.gmm_params(ds.x[:6], ds.y[:6])
+        gen.temps = Temperatures(T_shared=2.0)
+        two = gen.gmm_params(ds.x[:6], ds.y[:6])
         assert not np.allclose(one.means.data, two.means.data)
         np.testing.assert_allclose(two.means.data - bias, (one.means.data - bias) / 2.0,
                                    rtol=0, atol=1e-12)

@@ -3,6 +3,7 @@
 import csv
 import json
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -10,18 +11,20 @@ import pytest
 
 import nppr.trainer
 from nppr import tensor as T
+from nppr.config import BaselineSpec, ExperimentConfig
 from nppr.datasets import make_blobs, stratified_split
+from nppr.experiment import evaluate_generator
 from nppr.generator import build_generator
 from nppr.metrics import nppr_estimate
 from nppr.models import (Classifier, ClassifierConfig, ClassifierSpec, DependencyMode,
-                         HeadConfig, train_classifier)
+                         HeadConfig, Temperatures, train_classifier)
 from nppr.optim import Adam
-from nppr.rng import substream
+from nppr.rng import EVAL, substream
 from nppr.sampling import AnnealSchedule, GumbelConfig
 from nppr.serialize import SnapshotError, config_record, doc_to_tensors, tensors_to_doc
 from nppr.trainer import (EPOCH_CSV_COLUMNS, RunState, TrainConfig, lr_at_epoch,
-                          read_checkpoint, restore_checkpoint, save_checkpoint, temps_at_epoch,
-                          train_generator, write_epoch_csv)
+                          read_checkpoint, restore_checkpoint, save_checkpoint, train_generator,
+                          write_epoch_csv)
 from nppr.upsample import UpsamplerConfig
 
 
@@ -97,13 +100,17 @@ class TestSchedules:
         assert lr_at_epoch(cfg, 35) < lr_at_epoch(cfg, 25)
 
     def test_temps_interpolate(self):
-        cfg = _cfg(epochs=51, anneal=AnnealSchedule())
-        t0 = temps_at_epoch(cfg, 0)
-        tm = temps_at_epoch(cfg, 25)
-        tf = temps_at_epoch(cfg, 50)
-        assert (t0.T_pi, t0.T_sigma) == (3.0, 1.5)
-        assert tm.T_pi == pytest.approx(2.0)
-        assert (tf.T_pi, tf.T_mu, tf.T_sigma, tf.T_shared) == (1.0, 1.0, 1.0, 1.0)
+        anneal = AnnealSchedule()
+        t0, tm, tf = anneal.at(0, 51), anneal.at(25, 51), anneal.at(50, 51)
+        assert t0 == Temperatures(T_pi=3.0, T_mu=3.0, T_sigma=1.5, T_shared=1.5)
+        assert (tm.T_pi, tm.T_mu, tm.T_sigma, tm.T_shared) == pytest.approx((2.0, 2.0, 1.25, 1.25))
+        assert tf == Temperatures()
+        with pytest.raises(ValueError, match=r"epoch 51 outside \[0, 51\)"):
+            anneal.at(51, 51)
+        # A warmup window anneals over its own length, then holds the finals.
+        warm = AnnealSchedule(T_pi=(5.0, 1.0), T_shared=(1.0, 3.0), warmup_epochs=5)
+        assert warm.at(2, 50) == Temperatures(T_pi=3.0, T_mu=2.0, T_sigma=1.25, T_shared=2.0)
+        assert warm.at(4, 50) == warm.at(49, 50) == Temperatures(T_shared=3.0)
 
 
 class TestTraining:
@@ -206,8 +213,8 @@ class TestTraining:
         gen = _gen(clf)
         gen.head._named["head.pi_b"].data = np.full_like(gen.head._named["head.pi_b"].data,
                                                          np.nan)
-        probe = nppr.trainer._probe_metrics(gen, split.test.x[:16], split.test.y[:16],
-                                            temps_at_epoch(_cfg(), 0), 8,
+        gen.temps = _cfg().anneal.at(0, 8)
+        probe = nppr.trainer._probe_metrics(gen, split.test.x[:16], split.test.y[:16], 8,
                                             np.random.default_rng(0))
         assert all(np.isnan(probe[k]) for k in ("entropy_ratio", "pi_max", "nppr_running"))
 
@@ -409,17 +416,17 @@ class TestCheckpoints:
         clf, split = instance
         cfg = _cfg(epochs=10, eval_every=1)
         current = {}
-        real_temps, real_loss = nppr.trainer.temps_at_epoch, nppr.trainer.margin_loss
+        real_at, real_loss = AnnealSchedule.at, nppr.trainer.margin_loss
 
-        def temps_spy(cfg_, epoch):
+        def at_spy(anneal, epoch, total_epochs):
             current["epoch"] = epoch
-            return real_temps(cfg_, epoch)
+            return real_at(anneal, epoch, total_epochs)
 
         def scaled_loss(logits, y, kappa):
             loss = real_loss(logits, y, kappa)
             return T.scale(loss, 100.0) if current["epoch"] >= 2 else loss
 
-        monkeypatch.setattr(nppr.trainer, "temps_at_epoch", temps_spy)
+        monkeypatch.setattr(AnnealSchedule, "at", at_spy)
         monkeypatch.setattr(nppr.trainer, "margin_loss", scaled_loss)
         events_full = []
         train_generator(clf, split, cfg, _gen(clf), events=events_full)
@@ -559,6 +566,88 @@ class TestCheckpoints:
         restored = restore_checkpoint(path, clf)[0]
         np.testing.assert_array_equal(restored.upsampler.weight.data, frozen_w)
         assert restored.upsampler.named_params() == {}
+
+
+class TestTemperatures:
+    """The generator holds the temperatures its head is read at: T = 1 when
+    fresh, each epoch's while it trains, and a checkpoint's last epoch's
+    once restored."""
+
+    def test_fresh_generator_reads_its_head_at_one(self, instance):
+        clf, split = instance
+        gen = _gen(clf)
+        assert gen.temps == Temperatures()
+        rng = np.random.default_rng(5)
+        for p in gen.head.named_params().values():  # a fresh head's weight logits are all 0
+            p.data = p.data + rng.normal(0.0, 0.5, size=p.data.shape)
+        x, y = split.test.x[:5], split.test.y[:5]
+        features = clf.features(T.constant(x))
+        cold = gen.head.forward(features=features, labels=y, temps=Temperatures())
+        hot = gen.head.forward(features=features, labels=y, temps=Temperatures(T_pi=3.0))
+        params = gen.gmm_params(x, y)
+        np.testing.assert_array_equal(params.pi_logits.data, cold.pi_logits.data)
+        assert not np.array_equal(params.pi_logits.data, hot.pi_logits.data)
+
+    def test_training_leaves_the_last_epochs_temperatures(self, instance):
+        clf, split = instance
+        cfg = _cfg(epochs=3, anneal=AnnealSchedule(T_pi=(3.0, 2.0), T_shared=(1.0, 1.5)))
+        gen, records = train_generator(clf, split, cfg, _gen(clf))
+        assert gen.temps == cfg.anneal.at(cfg.epochs - 1, cfg.epochs) != Temperatures()
+        assert (records[-1].T_pi, records[-1].T_mu, records[-1].T_sigma) == (
+            gen.temps.T_pi, gen.temps.T_mu, gen.temps.T_sigma)
+
+    @pytest.mark.parametrize("epoch", [0, 2])
+    def test_restore_holds_the_last_completed_epochs_temperatures(self, instance, tmp_path,
+                                                                   monkeypatch, epoch):
+        clf, split = instance
+        cfg = _cfg(epochs=6, eval_every=1)
+        restored, (run, _) = _train_until_killed(monkeypatch, clf, split, cfg, tmp_path,
+                                                 epoch + 1)
+        assert run.epoch_next == epoch + 1
+        assert restored.temps == cfg.anneal.at(epoch, 6)
+        assert read_checkpoint(tmp_path / "ckpt_latest.json").temps == restored.temps
+
+    def test_restore_before_any_epoch_holds_the_first_epochs(self, instance, tmp_path):
+        clf, _ = instance
+        path = tmp_path / "ck.json"
+        _save(_gen(clf), path)
+        assert restore_checkpoint(path, clf)[0].temps == _cfg().anneal.at(0, _cfg().epochs)
+
+    def test_evaluate_reads_the_restored_checkpoints_mixture(self, instance, tmp_path,
+                                                             monkeypatch):
+        # A checkpoint of epoch 1 of 6 holds the mixture at epoch 1's
+        # temperatures, not at the run's last ones.
+        clf, split = instance
+        cfg = ExperimentConfig(train=_cfg(epochs=6, eval_every=1), epsilon=Fraction(5, 4),
+                               baselines=BaselineSpec(eval_samples=16, pgd_steps=1, cw_steps=1))
+        gen, _ = _train_until_killed(monkeypatch, clf, split, cfg.train, tmp_path, 2)
+        report = evaluate_generator(cfg, clf, gen, split)
+
+        def nppr_test(temps):
+            gen.temps = temps
+            return nppr_estimate(clf, gen, split.test.x, split.test.y, 16,
+                                 substream(cfg.seed, EVAL, 0))
+
+        assert report.nppr_test == nppr_test(cfg.train.anneal.at(1, 6))
+        assert report.nppr_test != nppr_test(cfg.train.anneal.at(5, 6))
+
+    @pytest.mark.parametrize("edit, reason", [
+        (lambda doc: doc["train_cfg"]["anneal"].update(T_pi=[0.0, 1.0]),
+         "ValueError: AnnealSchedule.T_pi: must be a positive (init, final) pair"),
+        (lambda doc: doc.update(epoch_next=9),
+         "ValueError: anneal_value: epoch 8 outside [0, 8)"),
+    ], ids=["bad_pair", "past_the_run"])
+    def test_read_refuses_a_record_without_temperatures(self, instance, tmp_path, edit,
+                                                         reason):
+        clf, _ = instance
+        path = tmp_path / "ck.json"
+        _save(_gen(clf), path)
+        doc = json.loads(path.read_text())
+        edit(doc["extra"])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SnapshotError) as info:
+            read_checkpoint(path)
+        assert str(info.value) == f"{path}: stored settings cannot be read: {reason}"
 
 
 class TestEpochCsv:
