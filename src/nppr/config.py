@@ -12,10 +12,12 @@ type, default and check: a field's rule is stated once, on the field, with
 checkpoint or by library code apply the same rules in their `__post_init__`.
 What does not map one key to one field is spelled out in `parse_config` and
 `serialize_config`: `dependency` (the head's mode, kept outside `gmm`),
-`budget.epsilon` (the exact budget and the upsampler's gamma) and
-`dataset.dim`, which the rings and grid-image kinds derive. Whether the
-upsampler fits the head's latent width and the dataset's inputs is
-`upsample.fit_error`'s rule, the same one the `Upsampler` constructor applies.
+`budget.epsilon` (the exact budget and the upsampler's gamma), `dataset.dim`,
+which the rings and grid-image kinds derive, and `dataset.classes`, which
+grid-image data caps at `datasets.GRID_IMAGE_CLASSES` and takes as its
+default. Whether the upsampler fits the head's latent width and the dataset's
+inputs is `upsample.fit_error`'s rule, the same one the `Upsampler`
+constructor applies.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import math
 from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
 
+from .datasets import GRID_IMAGE_CLASSES
 from .models import ClassifierSpec, DependencyMode, HeadConfig
 from .serialize import (at_least, checked, config_record, field_rule, finite, grid, one_of,
                         positive, positive_int, value_error)
@@ -203,6 +206,12 @@ def parse_config(text: str | dict, strict: bool = True) -> ExperimentConfig:
         if "dim" in ds.doc and dataset.dim != width:
             raise ConfigError(f"dataset.dim: {dataset.kind} data has width {width}, got {dataset.dim}")
         dataset.dim = width
+    if dataset.kind == "grid-image":
+        if "classes" not in ds.doc:
+            dataset.classes = GRID_IMAGE_CLASSES
+        elif dataset.classes > GRID_IMAGE_CLASSES:
+            raise ConfigError(f"dataset.classes: grid-image data has at most "
+                              f"{GRID_IMAGE_CLASSES} classes, got {dataset.classes}")
     classifier = _read(root.section("classifier"), ClassifierSpec)
 
     dependency = DependencyMode(root.get("dependency", "joint", str, one_of(_DEPENDENCIES)))

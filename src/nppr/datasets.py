@@ -7,7 +7,7 @@ blobs:      Gaussian clusters with class means on a sphere of radius
 rings:      concentric annuli in 2-D; the optimal perturbation direction is
             radial and therefore input-dependent.
 grid-image: c x h x w images with a class-specific bump, for exercising the
-            bicubic path.
+            bicubic path; at most GRID_IMAGE_CLASSES classes.
 """
 
 from __future__ import annotations
@@ -92,13 +92,18 @@ def make_rings(classes: int, n: int, seed: int, radius_step: float = 2.0,
     return LabeledDataset(x=x, y=y)
 
 
+GRID_IMAGE_CLASSES = 4
+
+
 def make_grid_image(image_shape: tuple, classes: int, n: int, seed: int,
                     noise: float = 0.3, amplitude: float = 2.0) -> LabeledDataset:
-    """Images with one smooth bump per class at a class-specific location."""
+    """Images with one smooth bump per class, in quadrant (k % 2, k // 2) for class
+    k; a fifth class would repeat the first one's image, so more are refused."""
+    if classes > GRID_IMAGE_CLASSES:
+        raise ValueError(f"grid-image: at most {GRID_IMAGE_CLASSES} classes, got {classes}")
     c, h, w = image_shape
     rng = substream(seed, DATASET, 2)
-    centers = [(h * (0.25 + 0.5 * (k % 2)), w * (0.25 + 0.5 * ((k // 2) % 2)))
-               for k in range(classes)]
+    centers = [(h * (0.25 + 0.5 * (k % 2)), w * (0.25 + 0.5 * (k // 2))) for k in range(classes)]
     ii, jj = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
     patterns = []
     for k in range(classes):

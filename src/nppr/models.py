@@ -312,10 +312,7 @@ class GmmHead:
 
     def _embedding(self) -> Tensor:
         emb = self._named["head.emb"]
-        if not self.cfg.label_emb_normalized:
-            return emb
-        sq = T.reduce_sum(T.mul(emb, emb), axis=1, keepdims=True)
-        return T.div(emb, T.sqrt(sq))
+        return T.unit_rows(emb) if self.cfg.label_emb_normalized else emb
 
     def _trunk(self, features: Tensor, temps: Temperatures) -> Tensor:
         """relu(dense(features) / T_shared): T_shared divides the trunk's
@@ -341,7 +338,7 @@ class GmmHead:
             raise ValueError("independent head needs an explicit batch_size")
 
         def rows(t: Tensor) -> Tensor:
-            return T.broadcast_to(T.reshape(t, (1, *t.shape)), (B, *t.shape))
+            return T.broadcast_to(t, (B, *t.shape))
 
         p = self._named
         trunk = self._trunk(features, temps) if mode.conditions_on_features else None

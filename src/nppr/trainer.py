@@ -260,12 +260,13 @@ def train_generator(clf: Classifier, split: SplitDataset, cfg: TrainConfig,
     uninterrupted one.
 
     Every checkpoint is a resume point: `_state` (parameters, frozen tensors
-    and Adam's moments), the RunState and the fingerprint of `clf`; `ckpt_best.json`
-    is written before `ckpt_latest.json`. `resume_state` is (RunState, tensors) as
-    `restore_checkpoint` returns it: the run goes on at `epoch_next`, Adam at step
-    `adam_t`. Schedules anneal over `cfg.epochs` and random streams are keyed by
-    `cfg.seed`, so a resume must use the same TrainConfig as the run that wrote it;
-    any differing field is refused with ValueError naming the fields.
+    and Adam's moments), the RunState and the fingerprint of `clf`; `ckpt_best.json`,
+    the latest epoch of lowest probe NPPR, is written before `ckpt_latest.json`.
+    `resume_state` is (RunState, tensors) as `restore_checkpoint` returns it: the
+    run goes on at `epoch_next`, Adam at step `adam_t`. Schedules anneal over
+    `cfg.epochs` and random streams are keyed by `cfg.seed`, so a resume must use
+    the same TrainConfig as the run that wrote it; any differing field is refused
+    with ValueError naming the fields.
     """
     if not clf.frozen:
         raise ValueError("train_generator: classifier must be frozen first")
@@ -350,7 +351,7 @@ def train_generator(clf: Classifier, split: SplitDataset, cfg: TrainConfig,
         if np.isnan(running):
             events.append(f"epoch {epoch}: non-finite mixture, probe NPPR not estimated")
             log.warning(events[-1])
-        improved = not np.isnan(running) and (run.best_nppr is None or running < run.best_nppr)
+        improved = not np.isnan(running) and (run.best_nppr is None or running <= run.best_nppr)
         if improved:
             run.best_nppr = running
         run.epoch_next = epoch + 1

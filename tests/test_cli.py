@@ -60,6 +60,26 @@ def test_export_samples_writes_every_draw_reproducibly(trained, tmp_path):
             assert max(abs(v) for v in values) <= 16 / 255
 
 
+def _best_epoch_next(run) -> int:
+    return json.loads((run / "ckpt_best.json").read_text())["extra"]["epoch_next"]
+
+
+def test_best_checkpoint_keeps_the_later_of_equal_probe_npprs(trained):
+    # Seed 3's probe NPPR reads 1.0 at both epochs.
+    _, run = trained
+    assert _best_epoch_next(run) == 2
+    assert (run / "ckpt_best.json").read_bytes() == (run / "ckpt_latest.json").read_bytes()
+
+
+@pytest.mark.parametrize("seed, epoch_next", [(12, 2), (1, 1)])
+def test_best_checkpoint_at_a_wide_budget(tmp_path, seed, epoch_next):
+    # At epsilon 1 the probe NPPR of seed 12 ties below 1 (0.9765625 at both
+    # epochs), and that of seed 1 rises (0.96875, then 0.98046875).
+    config, run = _write(tmp_path, {**TINY, "budget": {"epsilon": "1"}}), tmp_path / "run"
+    assert cli.main(["train", "--config", config, "--seed", str(seed), "--out", str(run)]) == 0
+    assert _best_epoch_next(run) == epoch_next
+
+
 # What the one-line error says for each bad checkpoint.
 BAD_CHECKPOINTS = {
     "missing": "No such file or directory",
@@ -229,6 +249,15 @@ def test_negative_seed_is_refused_before_the_run(tmp_path, capsys, form):
             cli.main(args + ["--seed", "-1"])
         assert exit_info.value.code == 2
         assert "--seed: must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_grid_image_with_too_many_classes_is_refused_before_the_run(tmp_path, capsys):
+    out = tmp_path / "run"
+    doc = {**TINY, "dataset": {"kind": "grid-image", "classes": 5}}
+    assert cli.main(["train", "--config", _write(tmp_path, doc), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("config error: dataset.classes: grid-image data has "
+                                       "at most 4 classes, got 5\n")
     assert not out.exists()
 
 

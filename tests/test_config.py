@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from nppr.config import _KEY, ConfigError, config_to_json, parse_config, serialize_config
+from nppr.datasets import GRID_IMAGE_CLASSES
 from nppr.models import ClassifierSpec, HeadConfig
 from nppr.sampling import AnnealSchedule, GumbelConfig
 from nppr.trainer import TrainConfig
@@ -291,6 +292,9 @@ NEWLY_REJECTED = [
     ({"dataset": {"kind": "rings", "dim": 7}}, "dataset.dim: rings data has width 2, got 7"),
     ({"dataset": {"kind": "grid-image", "dim": 3}},
      "dataset.dim: grid-image data has width 64, got 3"),
+    # a label count the kind cannot draw, once labels over repeated images
+    ({"dataset": {"kind": "grid-image", "classes": 5}},
+     "dataset.classes: grid-image data has at most 4 classes, got 5"),
 ]
 
 
@@ -304,6 +308,14 @@ def test_invalid_document_message(doc, message, strict):
     with pytest.raises(ConfigError) as info:
         parse_config(_as_text(doc), strict=strict)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("classes", [None, 2, GRID_IMAGE_CLASSES])
+def test_grid_image_classes_default_to_its_cap(classes):
+    # The kind derives the label count as it derives `dim`; the blobs default
+    # of 10 once gave 10 labels over 4 images.
+    doc = {"kind": "grid-image"} if classes is None else {"kind": "grid-image", "classes": classes}
+    assert parse_config({"dataset": doc}).dataset.classes == (classes or GRID_IMAGE_CLASSES)
 
 
 @pytest.mark.parametrize("doc", [{"classifier": {"batch_size": None}}, {"output_dir": None},

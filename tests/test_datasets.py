@@ -5,7 +5,8 @@ import time
 import numpy as np
 import pytest
 
-from nppr.datasets import make_blobs, make_grid_image, make_rings, stratified_split
+from nppr.datasets import (GRID_IMAGE_CLASSES, make_blobs, make_grid_image, make_rings,
+                           stratified_split)
 
 MAKERS = {
     "blobs": (lambda seed: make_blobs(d=3, classes=4, n=60, seed=seed), (60, 3), 4, None),
@@ -63,3 +64,16 @@ def test_blobs_that_do_not_fit_the_sphere_are_refused_promptly(d, classes):
                                          f"on the sphere in d={d}"):
         make_blobs(d, classes, 20, 0)
     assert time.perf_counter() - start < 10.0
+
+
+@pytest.mark.parametrize("classes", range(2, GRID_IMAGE_CLASSES + 1))
+def test_grid_image_classes_have_distinct_images(classes):
+    ds = make_grid_image((1, 8, 8), classes, n=100, seed=0, noise=0.0)
+    assert set(ds.y) == set(range(classes))
+    assert len(np.unique(ds.x, axis=0)) == classes
+
+
+def test_grid_image_refuses_more_classes_than_quadrants():
+    # Class 4's bump once sat in class 0's quadrant.
+    with pytest.raises(ValueError, match=f"at most 4 classes, got {GRID_IMAGE_CLASSES + 1}"):
+        make_grid_image((1, 8, 8), GRID_IMAGE_CLASSES + 1, n=20, seed=0)
