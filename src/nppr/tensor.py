@@ -1,9 +1,9 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-The graph is implicit: every tensor produced by an op keeps references to its
-parents and a closure that routes the incoming gradient to them. Creation
-order is a valid forward order, so a depth-first topological sort from the
-backward root visits nodes in a correct reverse order.
+The graph is implicit: until a backward consumes it, every tensor produced by
+an op keeps references to its parents and a closure that routes the incoming
+gradient to them. Creation order is a valid forward order, so a depth-first
+topological sort from the root visits nodes in a correct reverse order.
 
 All values are 64-bit floats. Ops are plain numpy calls in a fixed order, so
 forward values are bit-stable for fixed inputs.
@@ -28,10 +28,11 @@ key of `numeric_counters()` because the benchmark reads every key, and it
 leaves together with that benchmark metric.
 
 A backward computes gradients only for operands that require them: the
-product for a frozen weight or a constant input is never formed. The first
-gradient a tensor receives is stored without a copy, so a `.grad` may share
-memory with another tensor's gradient (or be a read-only broadcast view);
-nothing may write into a stored `.grad`.
+product for a frozen weight or a constant input is never formed. A tape serves
+one backward: an op's node drops its `.grad`, closure and parents once it has
+routed its gradient, so only leaves keep a `.grad`. A leaf's first gradient is
+stored without a copy and may share memory with another leaf's (or be a
+read-only broadcast view); nothing may write into a stored `.grad`.
 
 Under `no_grad()` every op returns a plain tensor that needs no gradient and
 keeps no parents or closure, whatever its operands need. Evaluation runs its
@@ -41,9 +42,22 @@ the forward values are the same bits either way.
 
 from __future__ import annotations
 
+import ctypes
 from contextlib import contextmanager
 
 import numpy as np
+
+# A backward frees its tape, so each training step frees and then allocates
+# about the same arrays again. glibc would hand the freed heap top back to the
+# kernel for the next step to fault in: keep up to 128 MiB of it. Setting one
+# threshold freezes the other, so pin the mmap one at its adaptive ceiling.
+try:
+    _mallopt = ctypes.CDLL("libc.so.6").mallopt
+    _mallopt.argtypes, _mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    _mallopt(-3, 32 << 20)   # M_MMAP_THRESHOLD
+    _mallopt(-1, 128 << 20)  # M_TRIM_THRESHOLD
+except (OSError, AttributeError):  # not glibc
+    pass
 
 
 class ShapeError(Exception):
@@ -131,6 +145,7 @@ def constant(data) -> Tensor:
     return Tensor(data, requires_grad=False)
 
 
+# A first gradient is kept uncopied; only leaves keep a `.grad`, so only theirs alias.
 def _accumulate(parent: Tensor, grad: np.ndarray) -> None:
     if not parent.requires_grad:
         return
@@ -158,7 +173,7 @@ def _node(data: np.ndarray, parents: tuple, bwd, op: str) -> Tensor:
 
 
 def backward(root: Tensor) -> None:
-    """Populate grads of every requires_grad leaf reachable from a scalar root.
+    """Populate grads of every requires_grad leaf below a scalar root, consuming its tape.
 
     Gradients accumulate additively across multiple uses of the same tensor.
     """
@@ -177,6 +192,8 @@ def backward(root: Tensor) -> None:
             continue
         if id(node) in seen:
             continue
+        if node._bwd is None and node.op != "leaf":
+            raise RuntimeError(f"backward: a {node.op} node's tape was consumed earlier")
         seen.add(id(node))
         stack.append((node, True))
         for parent in node._parents:
@@ -184,9 +201,12 @@ def backward(root: Tensor) -> None:
                 stack.append((parent, False))
 
     root.grad = np.ones_like(root.data)
-    for node in reversed(topo):
-        if node._bwd is not None and node.grad is not None:
-            node._bwd(node.grad)
+    while topo:
+        node = topo.pop()
+        if node._bwd is not None:
+            if node.grad is not None:
+                node._bwd(node.grad)
+            node.grad, node._bwd, node._parents = None, None, ()
 
 
 def _require_broadcastable(a: Tensor, b: Tensor, op: str) -> None:

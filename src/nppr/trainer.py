@@ -246,6 +246,15 @@ def _probe_metrics(generator: Generator, probe_x: np.ndarray, probe_y: np.ndarra
     return stats
 
 
+def _step_loss(clf: Classifier, generator: Generator, cfg: TrainConfig, xb: np.ndarray,
+               yb: np.ndarray, tau: float, rng: np.random.Generator) -> T.Tensor:
+    """One step's relaxed forward; its tape is reachable from the loss alone."""
+    M = cfg.samples_per_input
+    batch = generator.perturb_relaxed(generator.gmm_params(xb, yb), M, tau, rng)
+    perturbed = T.reshape(T.add(T.constant(xb[:, None, :]), batch.images), (len(xb) * M, -1))
+    return margin_loss(clf.logits(perturbed), np.repeat(yb, M), cfg.kappa)
+
+
 def train_generator(clf: Classifier, split: SplitDataset, cfg: TrainConfig,
                     generator: Generator, *, out_dir=None, resume_state: tuple | None = None,
                     events: list | None = None) -> tuple[Generator, list[EpochRecord]]:
@@ -257,7 +266,7 @@ def train_generator(clf: Classifier, split: SplitDataset, cfg: TrainConfig,
     the temperatures of the last epoch it ran. Non-finite losses abort the
     epoch and roll back to the last good state. Randomness is keyed by (seed,
     purpose, epoch, batch), so a restored run replays exactly like an
-    uninterrupted one.
+    uninterrupted one. A step's graph is dropped once its backward has run.
 
     Every checkpoint is a resume point: `_state` (parameters, frozen tensors
     and Adam's moments), the RunState and the fingerprint of `clf`; `ckpt_best.json`,
@@ -274,7 +283,6 @@ def train_generator(clf: Classifier, split: SplitDataset, cfg: TrainConfig,
     train, test = split.train, split.test
     n = train.n
     bs = min(cfg.batch_size, n)
-    M = cfg.samples_per_input
 
     opt = Adam(generator.params(), lr=cfg.lr)
     run = RunState(config_record(cfg))
@@ -308,12 +316,7 @@ def train_generator(clf: Classifier, split: SplitDataset, cfg: TrainConfig,
             xb, yb = train.x[idx], train.y[idx]
             rng = substream(cfg.seed, GUMBEL, epoch, b)
 
-            params = generator.gmm_params(xb, yb)
-            batch = generator.perturb_relaxed(params, M, tau, rng)
-            base = T.constant(xb[:, None, :])
-            perturbed = T.reshape(T.add(base, batch.images), (len(xb) * M, train.dim))
-            loss = margin_loss(clf.logits(perturbed), np.repeat(yb, M), cfg.kappa)
-
+            loss = _step_loss(clf, generator, cfg, xb, yb, tau, rng)
             if not np.isfinite(loss.item()):
                 events.append(f"epoch {epoch}: non-finite loss, epoch aborted and state restored")
                 log.warning(events[-1])

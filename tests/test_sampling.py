@@ -167,14 +167,18 @@ class TestSamplePerturbations:
 
 
 def _head_params(mode):
-    """The mixture of a generator head moved off its symmetric init, for 5 inputs."""
+    """The mixture of a generator head moved off its symmetric init, for 5
+    inputs, as leaves: a backward keeps no gradient on the head's outputs."""
     clf = Classifier(ClassifierConfig(input_dim=3, num_classes=3, hidden=(6,)), seed=0)
     head_cfg = HeadConfig(mode=mode, K=3, latent_dim=4, hidden_dim=8, label_emb_dim=4)
     gen = build_generator(clf, head_cfg, UpsamplerConfig(mode="linear_vector", gamma=1.0))
     rng = np.random.default_rng(17)
     for p in gen.head.named_params().values():
         p.data = p.data + rng.normal(0.0, 0.5, size=p.data.shape)
-    return gen.gmm_params(rng.normal(size=(5, 3)), np.array([0, 1, 2, 1, 0]))
+    with T.no_grad():
+        params = gen.gmm_params(rng.normal(size=(5, 3)), np.array([0, 1, 2, 1, 0]))
+    return GmmParams(*(Tensor(t.data, requires_grad=True)
+                       for t in (params.pi_logits, params.means, params.chol)))
 
 
 def _four_op_latent(params, z, xi):

@@ -354,16 +354,92 @@ class TestDense:
 
 
 def test_shared_first_gradient_stays_its_own():
-    # add hands a and b views of one array; the later second use of a must
+    # add hands a, b and e views of one array; the later second use of a must
     # make a new array for a.grad instead of writing into the shared one.
     a = Tensor(np.array([1.0, -2.0, 0.5]), requires_grad=True)
     b = Tensor(np.array([0.3, 0.4, -1.0]), requires_grad=True)
+    e = Tensor(np.array([0.9, -0.1, 2.0]), requires_grad=True)
     c, d = np.array([2.0, 3.0, 5.0]), np.array([-1.0, 7.0, 0.25])
-    y = T.add(a, b)
+    y = T.add(T.add(a, b), e)
     T.reduce_sum(T.add(T.mul(y, Tensor(d)), T.mul(a, Tensor(c)))).backward()
-    assert np.shares_memory(b.grad, y.grad)
+    assert np.shares_memory(b.grad, e.grad)
     np.testing.assert_array_equal(b.grad, d)
+    np.testing.assert_array_equal(e.grad, d)
     np.testing.assert_array_equal(a.grad, d + c)
+
+
+def _topo(root):
+    """The engine's walk: every node reachable from root, parents first."""
+    topo, seen, stack = [], set(), [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            topo.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for parent in node._parents:
+            if parent.requires_grad and id(parent) not in seen:
+                stack.append((parent, False))
+    return topo
+
+
+def _keeping_backward(root):
+    """The reference backward: the engine's walk and order, with every node
+    keeping its .grad, closure and parents."""
+    topo = _topo(root)
+    root.grad = np.ones_like(root.data)
+    for node in reversed(topo):
+        if node._bwd is not None and node.grad is not None:
+            node._bwd(node.grad)
+    return topo
+
+
+class TestTapeConsumption:
+    @staticmethod
+    def _check(build, leaves):
+        kept = [Tensor(leaf.copy(), requires_grad=True) for leaf in leaves]
+        nodes = _keeping_backward(build(kept))
+        assert all(n.grad is not None for n in nodes)
+        ts = [Tensor(leaf.copy(), requires_grad=True) for leaf in leaves]
+        root = build(ts)
+        ops = [n for n in _topo(root) if n.op != "leaf"]
+        assert ops and all(n._bwd is not None for n in ops)
+        root.backward()
+        for n in ops:
+            assert n.grad is None and n._bwd is None and n._parents == (), n.op
+        for t, want in zip(ts, kept):
+            np.testing.assert_array_equal(t.grad, want.grad)
+
+    @pytest.mark.parametrize("name", sorted(PER_OP_CASES))
+    def test_per_op_tape_is_consumed_and_leaf_grads_keep_their_bits(self, name):
+        self._check(*PER_OP_CASES[name](_rng(3)))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_graph_tape_is_consumed_and_leaf_grads_keep_their_bits(self, seed):
+        self._check(*_random_graph(np.random.default_rng(1000 + seed)))
+
+    def test_second_backward_from_a_consumed_root_raises(self):
+        x = Tensor(np.array([0.5, -1.0]), requires_grad=True)
+        root = T.reduce_sum(T.tanh(x))
+        root.backward()
+        with pytest.raises(RuntimeError, match="reduce_sum node's tape was consumed"):
+            root.backward()
+
+    def test_backward_through_a_consumed_node_raises(self):
+        x = Tensor(np.array([0.5, -1.0]), requires_grad=True)
+        h = T.tanh(x)
+        T.reduce_sum(h).backward()
+        with pytest.raises(RuntimeError, match="tanh node's tape was consumed"):
+            T.reduce_sum(T.scale(h, 2.0)).backward()
+
+    def test_leaves_are_not_tapes(self):
+        x = Tensor(np.array(1.5), requires_grad=True)
+        for _ in range(2):
+            x.backward()
+            assert x.grad == 1.0
 
 
 class TestNoGrad:

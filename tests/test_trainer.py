@@ -3,6 +3,7 @@
 import csv
 import json
 import re
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -217,6 +218,28 @@ class TestTraining:
         probe = nppr.trainer._probe_metrics(gen, split.test.x[:16], split.test.y[:16], 8,
                                             np.random.default_rng(0))
         assert all(np.isnan(probe[k]) for k in ("entropy_ratio", "pi_max", "nppr_running"))
+
+    def test_step_graph_is_dropped_before_the_next_forward(self, instance):
+        # Tensor takes no weak reference, so the ref is to the images' data: a
+        # reshape view that only the images tensor holds.
+        clf, split = instance
+        gen = _gen(clf)
+        refs, alive = [], []
+        perturb_relaxed, gmm_params = gen.perturb_relaxed, gen.gmm_params
+
+        def recording_perturb_relaxed(*args):
+            batch = perturb_relaxed(*args)
+            refs.append(weakref.ref(batch.images.data))
+            return batch
+
+        def checking_gmm_params(*args):
+            alive.append(sum(ref() is not None for ref in refs))
+            return gmm_params(*args)
+
+        gen.perturb_relaxed, gen.gmm_params = recording_perturb_relaxed, checking_gmm_params
+        train_generator(clf, split, _cfg(epochs=2), gen)
+        assert len(refs) == 4  # two steps of 96 rows per epoch
+        assert len(alive) >= len(refs) and not any(alive)
 
     def test_pi_stats_within_bounds(self, instance):
         clf, split = instance
