@@ -28,7 +28,7 @@ from .experiment import (evaluate_generator, export_perturbation_samples, fit_cl
                          make_dataset, run_experiment)
 from .metrics import RobustnessReport
 from .oracle import verdict_to_json, verify_propositions
-from .serialize import SnapshotError, config_record
+from .serialize import SnapshotError
 from .trainer import build_from_checkpoint, read_checkpoint
 
 OUTPUT_ROOT_ENV = "NPPR_OUTPUT_ROOT"
@@ -91,19 +91,13 @@ def _restore(cfg: ExperimentConfig, checkpoint: str):
         stored = read_checkpoint(checkpoint)
     except (SnapshotError, OSError) as err:
         raise CheckpointError(err) from err
-    differ = []
-    for section, written, given in (("head", stored.head_cfg, cfg.head),
-                                    ("upsampler", stored.ups_cfg, cfg.upsampler)):
-        written, given = config_record(written), config_record(given)
-        differ += [f"{section}.{k} {written[k]} != {given[k]}" for k in given
-                   if written[k] != given[k]]
-    if differ:
+    if differ := stored.mismatches(head=cfg.head, upsampler=cfg.upsampler):
         raise CheckpointError(f"{checkpoint}: checkpoint settings differ from the config "
                               f"(checkpoint != config): {', '.join(differ)}")
     split = stratified_split(make_dataset(cfg.dataset), cfg.train_frac, cfg.seed)
     clf = fit_classifier(cfg, split)
     try:
-        generator, _ = build_from_checkpoint(stored, clf)
+        generator = build_from_checkpoint(stored, clf)
     except SnapshotError as err:
         raise CheckpointError(err) from err
     return split, clf, generator

@@ -104,10 +104,6 @@ class ExperimentConfig:
     output_dir: str | None = checked(None, kind=str)
     sweep: SweepSpec = field(default_factory=SweepSpec)
 
-    @property
-    def gamma(self) -> float:
-        return float(self.epsilon)
-
 
 def _parse_epsilon(value, path: str) -> Fraction:
     """A budget radius > 0: exact for text like "16/255", the nearest

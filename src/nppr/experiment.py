@@ -8,11 +8,13 @@ Artifacts per run directory:
   manifest.json     stages completed / failure point
   ckpt_latest.json / ckpt_best.json
                     generator checkpoints (format v2, tensors as base64 float64),
-                    each a resume point: the generator's tensors and Adam
-                    moments, Adam's step count, its head and upsampler configs,
-                    the run's loop state (`trainer.RunState`, TrainConfig
-                    included) and the sha256 fingerprint of the classifier
-                    it was trained against; its temperatures are not
+                    each a resume point: the generator's tensors (the head's
+                    `head.{pi,mu,chol}_b` biases, with the layers, trunk and
+                    embedding its mode gives it, and the upsampler's) and their
+                    Adam moments, Adam's step count, its head and upsampler
+                    configs, the run's loop state (`trainer.RunState`,
+                    TrainConfig included) and the sha256 fingerprint of the
+                    classifier it was trained against; its temperatures are not
                     written, as they follow from its TrainConfig and epoch
   samples_latent.csv / samples_input.csv (optional)
 """
@@ -68,8 +70,9 @@ def fit_classifier(cfg: ExperimentConfig, split: SplitDataset) -> Classifier:
 def evaluate_generator(cfg: ExperimentConfig, clf: Classifier, generator: Generator,
                        split: SplitDataset) -> RobustnessReport:
     """Final metrics on both splits, all with exact sampling, of the mixture at
-    the generator's temperatures."""
-    gamma = cfg.gamma
+    the generator's temperatures. NPPR, PR, the attacks and the report share
+    one budget, the generator's gamma."""
+    gamma = generator.gamma
     M = cfg.baselines.eval_samples
     test, train = split.test, split.train
     sigma = resolve_sigma(cfg.baselines.gaussian_sigma_rule, gamma)

@@ -31,6 +31,7 @@ from .models import Classifier, DependencyMode
 from .rng import ATTACK, substream
 from .serialize import at_least, check_fields, checked, one_of, rate
 from .tensor import Tensor
+from .upsample import check_budget
 
 UNIFORM_BALL = "uniform_ball"
 CLIPPED_GAUSSIAN = "clipped_gaussian"
@@ -129,8 +130,7 @@ def pr_estimate(clf: Classifier, x: np.ndarray, y: np.ndarray, dist: str,
                 gamma: float, M: int, rng: np.random.Generator,
                 sigma: float | None = None) -> float:
     """Monte-Carlo retention probability under a fixed baseline distribution."""
-    if gamma <= 0:
-        raise ValueError("pr_estimate: gamma must be > 0")
+    check_budget(gamma, "pr_estimate")
     x, y, pieces = _pieces(x, y, M, "pr_estimate")
     hits = 0
     for part in pieces:
@@ -141,15 +141,17 @@ def pr_estimate(clf: Classifier, x: np.ndarray, y: np.ndarray, dist: str,
 
 
 def _attack(clf: Classifier, x: np.ndarray, y: np.ndarray, gamma: float, steps: int,
-            rng: np.random.Generator, loss) -> float:
+            rng: np.random.Generator, loss, name: str) -> float:
     """Shared L-infinity sign-ascent loop for both attack baselines, with
-    step size 2.5 * gamma / steps, ascending `loss` of the logits."""
+    step size 2.5 * gamma / steps, ascending `loss` of the logits; at gamma 0
+    it is the clean accuracy."""
     if steps < 1:
-        raise ValueError("attack: steps must be >= 1")
+        raise ValueError(f"{name}: steps must be >= 1")
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if gamma == 0.0:
         return clf.accuracy(x, y)
+    check_budget(gamma, name)
     alpha = 2.5 * gamma / steps
 
     delta = rng.uniform(-gamma, gamma, size=x.shape)
@@ -165,7 +167,7 @@ def ar_pgd(clf: Classifier, x: np.ndarray, y: np.ndarray, gamma: float,
     """Fraction still correct after L-infinity PGD with random start and
     sign-gradient ascent on cross-entropy."""
     rng = rng if rng is not None else substream(0, ATTACK, 0)
-    return _attack(clf, x, y, gamma, steps, rng, lambda h: T.cross_entropy(h, y))
+    return _attack(clf, x, y, gamma, steps, rng, lambda h: T.cross_entropy(h, y), "ar_pgd")
 
 
 def ar_cw(clf: Classifier, x: np.ndarray, y: np.ndarray, gamma: float,
@@ -173,7 +175,7 @@ def ar_cw(clf: Classifier, x: np.ndarray, y: np.ndarray, gamma: float,
           rng: np.random.Generator | None = None) -> float:
     """Same loop as ar_pgd but ascending the logit-margin objective."""
     rng = rng if rng is not None else substream(0, ATTACK, 1)
-    return _attack(clf, x, y, gamma, steps, rng, lambda h: T.margin(h, y, kappa, -1))
+    return _attack(clf, x, y, gamma, steps, rng, lambda h: T.margin(h, y, kappa, -1), "ar_cw")
 
 
 @dataclass

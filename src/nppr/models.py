@@ -2,16 +2,19 @@
 
 The classifier is a dense+relu stack, one `tensor.dense` op, trained on
 synthetic data and frozen before any generator training; gradients still flow
-through it to the perturbed inputs. Heads map nothing / labels / features /
-both to mixture parameters, mirroring the four dependency structures:
+through it to the perturbed inputs. A head's dependency mode picks its
+inputs, mirroring the four dependency structures:
 
-  independent: free global parameters broadcast over the batch
-  label:       label embedding drives mixture weights; means and Cholesky
-               factors stay global
-  input:       shared trunk (dense -> divide by T_shared -> relu) feeding
-               three separate output layers for weights, means and factors
-  joint:       mixture weights from the label embedding, means/factors from
-               the feature trunk
+  independent: none; every output is global, broadcast over the batch
+  label:       the label embedding, which drives the mixture weights; means
+               and Cholesky factors stay global
+  input:       a shared trunk (dense -> divide by T_shared -> relu) feeding
+               the weights, means and factors
+  joint:       both; weights from the label embedding, means and factors
+               from the feature trunk
+
+Each output (weights, means, factors) is a bias plus, where the mode gives it
+an input, a dense layer on that input.
 
 Every head is per-row: the mixture for one input does not depend on the other
 inputs of its batch.
@@ -248,23 +251,21 @@ class GmmParams:
         return None
 
 
-def _zero_linear(in_dim: int, out_dim: int, bias_init: np.ndarray | None = None):
-    w = Tensor(np.zeros((in_dim, out_dim)), requires_grad=True)
-    b = Tensor(bias_init if bias_init is not None else np.zeros(out_dim), requires_grad=True)
-    return w, b
-
-
 class GmmHead:
     """Produces GmmParams for a batch under one dependency mode.
 
-    Factors are parametrised packed: `head.chol0` is (K, D(D+1)/2) and the
-    trunk's `head.chol_w`/`head.chol_b` emit K * D(D+1)/2 columns, each
-    component's lower triangle in row-major order; `tensor.tril_factor`
-    unpacks them.
+    The mode picks the inputs: the label embedding `head.emb` (label, joint)
+    and the feature trunk `head.trunk_w`/`head.trunk_b` (input, joint). Each
+    output o in {pi, mu, chol} is a flat bias `head.o_b` plus, where it has an
+    input, a layer `head.o_w`: on the embedding rows (or else the trunk) for
+    the weights, on the trunk for the means and factors. An output without an
+    input is its bias alone, the same for every row. Factors are packed: K
+    times D(D+1)/2 entries, each component's lower triangle in row-major
+    order, which `tensor.tril_factor` unpacks.
 
-    Initialization is symmetric: zero weight logits (uniform mixture), zero
-    means, and factor diagonals that softplus to 0.5, so the entropy ratio of
-    the mixture weights starts at 1.
+    Initialization is symmetric: zero layers, and biases that give zero weight
+    logits (uniform mixture), zero means and factor diagonals that softplus to
+    0.5, so the entropy ratio of the mixture weights starts at 1.
     """
 
     def __init__(self, cfg: HeadConfig, feature_dim: int | None = None,
@@ -278,34 +279,23 @@ class GmmHead:
 
         rng = substream(seed, GENERATOR_INIT, 0)
         K, D = cfg.K, cfg.latent_dim
-        self._named: dict[str, Tensor] = {}
-
-        rows, cols = np.tril_indices(D)
-        chol_bias = np.tile(np.where(rows == cols, _INV_SOFTPLUS_HALF, 0.0), (K, 1))
-
-        if mode in (DependencyMode.INDEPENDENT, DependencyMode.LABEL):
-            # Global means/factors (label mode conditions only the weights).
-            self._named["head.mu0"] = Tensor(np.zeros((K, D)), requires_grad=True)
-            self._named["head.chol0"] = Tensor(chol_bias.copy(), requires_grad=True)
-        if mode == DependencyMode.INDEPENDENT:
-            self._named["head.pi0"] = Tensor(np.zeros(K), requires_grad=True)
+        named: dict[str, np.ndarray] = {}
         if mode.conditions_on_labels:
-            emb = rng.normal(0.0, 1.0, size=(num_classes, cfg.label_emb_dim))
-            self._named["head.emb"] = Tensor(emb, requires_grad=True)
-            w, b = _zero_linear(cfg.label_emb_dim, K)
-            self._named["head.pi_w"], self._named["head.pi_b"] = w, b
-        if mode.conditions_on_features:
-            hid = cfg.hidden_dim
-            w = rng.normal(0.0, np.sqrt(2.0 / feature_dim), size=(feature_dim, hid))
-            self._named["head.trunk_w"] = Tensor(w, requires_grad=True)
-            self._named["head.trunk_b"] = Tensor(np.zeros(hid), requires_grad=True)
-            if mode == DependencyMode.INPUT:
-                w, b = _zero_linear(hid, K)
-                self._named["head.pi_w"], self._named["head.pi_b"] = w, b
-            w, b = _zero_linear(hid, K * D)
-            self._named["head.mu_w"], self._named["head.mu_b"] = w, b
-            w, b = _zero_linear(hid, chol_bias.size, bias_init=chol_bias.ravel().copy())
-            self._named["head.chol_w"], self._named["head.chol_b"] = w, b
+            named["head.emb"] = rng.normal(0.0, 1.0, size=(num_classes, cfg.label_emb_dim))
+        trunk_dim = cfg.hidden_dim if mode.conditions_on_features else None
+        if trunk_dim is not None:
+            named["head.trunk_w"] = rng.normal(0.0, np.sqrt(2.0 / feature_dim),
+                                               size=(feature_dim, trunk_dim))
+            named["head.trunk_b"] = np.zeros(trunk_dim)
+        pi_dim = cfg.label_emb_dim if mode.conditions_on_labels else trunk_dim
+        rows, cols = np.tril_indices(D)
+        chol_bias = np.tile(np.where(rows == cols, _INV_SOFTPLUS_HALF, 0.0), K)
+        for name, in_dim, bias in (("pi", pi_dim, np.zeros(K)), ("mu", trunk_dim, np.zeros(K * D)),
+                                   ("chol", trunk_dim, chol_bias)):
+            if in_dim is not None:
+                named[f"head.{name}_w"] = np.zeros((in_dim, bias.size))
+            named[f"head.{name}_b"] = bias
+        self._named = {name: Tensor(a, requires_grad=True) for name, a in named.items()}
 
     def named_params(self) -> dict[str, Tensor]:
         return dict(self._named)
@@ -322,9 +312,9 @@ class GmmHead:
 
     def forward(self, features: Tensor | None = None, labels: np.ndarray | None = None,
                 temps: Temperatures | None = None, batch_size: int | None = None) -> GmmParams:
-        """Mixture parameters, one row per input. Weights come from `pi0`, the
-        label embedding or the trunk; means and factors from the global
-        `mu0`/`chol0` (scaled, then broadcast) or the trunk."""
+        """Mixture parameters, one row per input: each output is f(layer(input)),
+        or f(bias) broadcast over the batch when it has no input, where f is
+        its temperature, reshape and (for factors) `tensor.tril_factor`."""
         temps = temps or Temperatures()
         mode, K, D = self.cfg.mode, self.cfg.K, self.cfg.latent_dim
         if mode.conditions_on_features and features is None:
@@ -337,27 +327,21 @@ class GmmHead:
         if B is None:
             raise ValueError("independent head needs an explicit batch_size")
 
-        def rows(t: Tensor) -> Tensor:
-            return T.broadcast_to(t, (B, *t.shape))
-
         p = self._named
         trunk = self._trunk(features, temps) if mode.conditions_on_features else None
-        if mode.conditions_on_labels:
-            pi_in = T.take_rows(self._embedding(), np.asarray(labels, dtype=np.int64))
-        else:
-            pi_in = trunk
-        if pi_in is None:
-            pi_logits = rows(T.scale(p["head.pi0"], 1.0 / temps.T_pi))
-        else:
-            pi_logits = T.scale(T.dense(pi_in, (p["head.pi_w"], p["head.pi_b"])), 1.0 / temps.T_pi)
+        emb = (T.take_rows(self._embedding(), np.asarray(labels, dtype=np.int64))
+               if mode.conditions_on_labels else None)
 
-        if trunk is None:
-            means = rows(T.scale(p["head.mu0"], 1.0 / temps.T_mu))
-            chol = rows(T.tril_factor(p["head.chol0"], D, temps.T_sigma, CHOL_DIAG_FLOOR))
-        else:
-            mu_flat = T.dense(trunk, (p["head.mu_w"], p["head.mu_b"]))
-            means = T.reshape(T.scale(mu_flat, 1.0 / temps.T_mu), (B, K, D))
-            chol_raw = T.dense(trunk, (p["head.chol_w"], p["head.chol_b"]))
-            chol = T.tril_factor(T.reshape(chol_raw, (B, K, -1)), D, temps.T_sigma,
-                                 CHOL_DIAG_FLOOR)
+        def output(name: str, x: Tensor | None, f) -> Tensor:
+            if x is not None:
+                return f(T.dense(x, (p[f"head.{name}_w"], p[f"head.{name}_b"])))
+            out = f(p[f"head.{name}_b"])
+            return T.broadcast_to(out, (B, *out.shape))
+
+        pi_logits = output("pi", trunk if emb is None else emb,
+                           lambda t: T.scale(t, 1.0 / temps.T_pi))
+        means = output("mu", trunk, lambda t: T.reshape(T.scale(t, 1.0 / temps.T_mu),
+                                                        (*t.shape[:-1], K, D)))
+        chol = output("chol", trunk, lambda t: T.tril_factor(
+            T.reshape(t, (*t.shape[:-1], K, -1)), D, temps.T_sigma, CHOL_DIAG_FLOOR))
         return GmmParams(pi_logits, means, chol)

@@ -84,8 +84,8 @@ def lr_at_epoch(cfg: TrainConfig, epoch: int) -> float:
 
 @dataclass
 class RunState:
-    """A run's loop state; with its tensors, the two-part resume state. It holds the
-    TrainConfig record, next epoch, best probe NPPR, divergence state and Adam's step count."""
+    """A run's loop state: the TrainConfig record, next epoch, best probe NPPR,
+    divergence state and Adam's step count."""
     train_cfg: dict = checked(kind=dict)
     epoch_next: int = checked(0, at_least(0))
     best_nppr: float | None = checked(None, rate, kind=float)
@@ -144,6 +144,17 @@ class StoredCheckpoint:
     tensors: dict[str, np.ndarray]
     temps: Temperatures  # those of the last epoch it completed
 
+    def mismatches(self, head: HeadConfig | None = None, upsampler: UpsamplerConfig | None = None,
+                   train: TrainConfig | None = None) -> list[str]:
+        """`section.key stored != given` for each setting of the given configs
+        that the checkpoint stores otherwise; stored keys they lack are ignored."""
+        stored = {"head": config_record(self.head_cfg), "upsampler": config_record(self.ups_cfg),
+                  "train": self.run.train_cfg}
+        given = {"head": head, "upsampler": upsampler, "train": train}
+        return [f"{section}.{k} {stored[section].get(k)} != {v}"
+                for section, cfg in given.items() if cfg is not None
+                for k, v in config_record(cfg).items() if stored[section].get(k) != v]
+
 
 def read_checkpoint(path, expected_mode: DependencyMode | None = None) -> StoredCheckpoint:
     """Load a checkpoint and read its kind and stored settings, without building
@@ -172,10 +183,8 @@ def read_checkpoint(path, expected_mode: DependencyMode | None = None) -> Stored
     return stored
 
 
-def build_from_checkpoint(stored: StoredCheckpoint, clf: Classifier
-                          ) -> tuple[Generator, tuple[RunState, dict[str, np.ndarray]]]:
-    """Rebuild the generator of a read checkpoint against `clf`; the second
-    value, (RunState, tensors), is `train_generator`'s two-part `resume_state`.
+def build_from_checkpoint(stored: StoredCheckpoint, clf: Classifier) -> Generator:
+    """Rebuild the generator of a read checkpoint against `clf`.
 
     The generator is built by `build_generator` from the stored head and
     upsampler configs and `clf`, and holds the stored temperatures. The stored
@@ -210,27 +219,15 @@ def build_from_checkpoint(stored: StoredCheckpoint, clf: Classifier
                             f"(classifier_sha256 {stored.classifier_sha256} != {given})")
     _load_state(generator, opt, named, stored.run.adam_t)
     generator.temps = stored.temps
-    return generator, (stored.run, named)
+    return generator
 
 
 def restore_checkpoint(path, clf: Classifier, expected_mode: DependencyMode | None = None
-                       ) -> tuple[Generator, tuple[RunState, dict[str, np.ndarray]]]:
-    """`read_checkpoint`, then `build_from_checkpoint` against `clf`: one load."""
-    return build_from_checkpoint(read_checkpoint(path, expected_mode), clf)
-
-
-def _check_resume_config(written: dict, cfg: TrainConfig) -> None:
-    """Refuse to resume a checkpoint under a TrainConfig other than its own."""
-    current = config_record(cfg)
-    differ = [k for k in current if written.get(k) != current[k]]
-    if not differ:
-        return
-    length = (f"checkpoint was written by a {written['epochs']}-epoch run "
-              f"but cfg.epochs is {cfg.epochs}; " if "epochs" in differ else "")
-    raise ValueError(
-        f"train_generator: {length}the checkpoint's TrainConfig differs in "
-        f"{', '.join(differ)}; every schedule and random stream depends on it, "
-        f"so resume with the same TrainConfig")
+                       ) -> tuple[Generator, StoredCheckpoint]:
+    """`read_checkpoint`, then `build_from_checkpoint` against `clf`: one load.
+    The stored checkpoint is also `train_generator`'s resume state."""
+    stored = read_checkpoint(path, expected_mode)
+    return build_from_checkpoint(stored, clf), stored
 
 
 def _probe_metrics(generator: Generator, probe_x: np.ndarray, probe_y: np.ndarray,
@@ -256,7 +253,7 @@ def _step_loss(clf: Classifier, generator: Generator, cfg: TrainConfig, xb: np.n
 
 
 def train_generator(clf: Classifier, split: SplitDataset, cfg: TrainConfig,
-                    generator: Generator, *, out_dir=None, resume_state: tuple | None = None,
+                    generator: Generator, *, out_dir=None, resume: StoredCheckpoint | None = None,
                     events: list | None = None) -> tuple[Generator, list[EpochRecord]]:
     """Minimize the empirical relaxed objective over the generator parameters.
 
@@ -271,8 +268,8 @@ def train_generator(clf: Classifier, split: SplitDataset, cfg: TrainConfig,
     Every checkpoint is a resume point: `_state` (parameters, frozen tensors
     and Adam's moments), the RunState and the fingerprint of `clf`; `ckpt_best.json`,
     the latest epoch of lowest probe NPPR, is written before `ckpt_latest.json`.
-    `resume_state` is (RunState, tensors) as `restore_checkpoint` returns it: the
-    run goes on at `epoch_next`, Adam at step `adam_t`. Schedules anneal over
+    `resume` is a stored checkpoint, as `restore_checkpoint` returns it: the
+    run goes on at its `epoch_next`, Adam at step `adam_t`. Schedules anneal over
     `cfg.epochs` and random streams are keyed by `cfg.seed`, so a resume must use
     the same TrainConfig as the run that wrote it; any differing field is refused
     with ValueError naming the fields.
@@ -286,11 +283,14 @@ def train_generator(clf: Classifier, split: SplitDataset, cfg: TrainConfig,
 
     opt = Adam(generator.params(), lr=cfg.lr)
     run = RunState(config_record(cfg))
-    if resume_state is not None:
-        run, named = resume_state
-        _check_resume_config(run.train_cfg, cfg)
-        _load_state(generator, opt, named, run.adam_t)
-        run = replace(run)  # the loop advances its own copy
+    if resume is not None:
+        if differ := resume.mismatches(train=cfg):
+            raise ValueError(
+                f"train_generator: the checkpoint's TrainConfig differs (checkpoint != cfg): "
+                f"{', '.join(differ)}; every schedule and random stream depends on it, "
+                f"so resume with the same TrainConfig")
+        run = replace(resume.run)  # the loop advances its own copy
+        _load_state(generator, opt, resume.tensors, run.adam_t)
 
     probe_rng = substream(cfg.seed, PROBE)
     probe_n = min(cfg.probe_size, test.n)

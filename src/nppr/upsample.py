@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .serialize import check_fields, checked, grid, one_of, positive
+from .serialize import check_fields, checked, finite, grid, one_of, positive
 from .tensor import Tensor
 
 MODE_BICUBIC = "bicubic_image"
@@ -108,11 +108,16 @@ def fit_error(cfg: UpsamplerConfig, latent_dim: int, input_dim: int,
     return None
 
 
+def check_budget(gamma: float, caller: str) -> None:
+    """Refuse, naming `caller`, a budget radius that is not finite and > 0."""
+    if not finite(gamma) or positive(gamma):
+        raise ValueError(f"{caller}: gamma must be finite and > 0, got {gamma}")
+
+
 def apply_budget(u: Tensor, gamma: float) -> Tensor:
     """gamma * tanh(u); every element lands in [-gamma, gamma]. The ends are
     reached: tanh rounds to exactly 1 in float64 from about u = 19 on."""
-    if gamma <= 0:
-        raise ValueError("apply_budget: gamma must be > 0")
+    check_budget(gamma, "apply_budget")
     return T.scale(T.tanh(u), gamma)
 
 

@@ -3,6 +3,8 @@
 import csv
 import io
 import json
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -15,9 +17,9 @@ from nppr.datasets import stratified_split
 from nppr.experiment import (evaluate_generator, export_perturbation_samples, fit_classifier,
                              make_dataset, run_experiment)
 from nppr.generator import build_generator
-from nppr.metrics import mixture_statistics, nppr_estimate
+from nppr.metrics import UNIFORM_BALL, ar_cw, ar_pgd, mixture_statistics, nppr_estimate, pr_estimate
 from nppr.models import Temperatures
-from nppr.rng import EVAL, substream
+from nppr.rng import ATTACK, EVAL, substream
 from nppr.trainer import build_from_checkpoint, read_checkpoint
 
 import test_cli
@@ -47,6 +49,24 @@ def test_evaluate_generator_bookkeeping():
     assert report.mixture_components == 3
 
 
+def test_evaluate_generator_reads_one_budget_from_the_generator():
+    # A config whose epsilon has moved off its upsampler's gamma: the PR
+    # estimates, the attacks and the report all use the generator's budget,
+    # the one its NPPR draws are squashed into.
+    cfg = parse_config(TINY)
+    split = stratified_split(make_dataset(cfg.dataset), cfg.train_frac, cfg.seed)
+    clf = fit_classifier(cfg, split)
+    generator = build_generator(clf, cfg.head, cfg.upsampler, seed=cfg.seed)
+    report = evaluate_generator(replace(cfg, epsilon=Fraction(1)), clf, generator, split)
+    x, y, steps = split.test.x, split.test.y, cfg.baselines.pgd_steps
+    assert report.gamma == generator.gamma == 0.25
+    assert report.pr_uniform == pr_estimate(clf, x, y, UNIFORM_BALL, 0.25,
+                                            cfg.baselines.eval_samples, substream(cfg.seed, EVAL, 2))
+    assert report.ar_pgd == ar_pgd(clf, x, y, 0.25, steps, substream(cfg.seed, ATTACK, 0))
+    assert report.ar_cw == ar_cw(clf, x, y, 0.25, steps, cfg.train.kappa,
+                                 substream(cfg.seed, ATTACK, 1))
+
+
 def test_report_reads_the_mixture_at_the_final_temperatures(tmp_path):
     # The run's report reads the mixture at the last epoch's temperatures,
     # the ones ckpt_latest.json (written after that epoch) restores; it must
@@ -58,7 +78,7 @@ def test_report_reads_the_mixture_at_the_final_temperatures(tmp_path):
     report = json.loads((tmp_path / "report.json").read_text())
     split = stratified_split(make_dataset(cfg.dataset), cfg.train_frac, cfg.seed)
     clf = fit_classifier(cfg, split)
-    generator, _ = build_from_checkpoint(read_checkpoint(tmp_path / "ckpt_latest.json"), clf)
+    generator = build_from_checkpoint(read_checkpoint(tmp_path / "ckpt_latest.json"), clf)
     test = split.test
 
     def nppr_test(temps):

@@ -21,7 +21,7 @@ from nppr.models import (CHOL_DIAG_FLOOR, Classifier, ClassifierConfig, Classifi
                          DependencyMode, HeadConfig, train_classifier)
 from nppr.rng import EVAL, substream
 from nppr.tensor import Tensor
-from nppr.upsample import UpsamplerConfig
+from nppr.upsample import UpsamplerConfig, apply_budget
 
 
 def linear_clf(w, b=0.0):
@@ -377,6 +377,25 @@ class TestAttacks:
         p = ar_pgd(clf, ds.x, ds.y, gamma, rng=np.random.default_rng(1))
         c = ar_cw(clf, ds.x, ds.y, gamma, rng=np.random.default_rng(2))
         assert abs(p - c) <= 0.02 + mc_half_width(p, ds.n) + mc_half_width(c, ds.n)
+
+
+_BUDGET_USERS = {
+    "apply_budget": lambda clf, x, y, gamma: apply_budget(Tensor(x), gamma),
+    "pr_estimate": lambda clf, x, y, gamma: pr_estimate(clf, x, y, UNIFORM_BALL, gamma, 4,
+                                                        np.random.default_rng(0)),
+    "ar_pgd": lambda clf, x, y, gamma: ar_pgd(clf, x, y, gamma, steps=1),
+    "ar_cw": lambda clf, x, y, gamma: ar_cw(clf, x, y, gamma, steps=1),
+}
+
+
+# The attacks read gamma 0 as no attack (clean accuracy, tested above).
+@pytest.mark.parametrize("name, gamma", [
+    *((name, gamma) for name in _BUDGET_USERS for gamma in (np.nan, np.inf, -np.inf, -0.5)),
+    ("apply_budget", 0.0), ("pr_estimate", 0.0)])
+def test_budget_must_be_finite_and_positive(name, gamma):
+    x, y = np.ones((3, 2)), np.array([0, 1, 1])
+    with pytest.raises(ValueError, match=rf"^{name}: gamma must be finite and > 0, got "):
+        _BUDGET_USERS[name](linear_clf([1.0, -1.0]), x, y, gamma)
 
 
 class TestEntropyRatio:

@@ -215,7 +215,7 @@ class TestHeads:
 
     def test_temperature_divisors_change_outputs(self):
         head = _head(DependencyMode.INDEPENDENT, K=2, latent=2)
-        head._named["head.pi0"].data = np.array([2.0, -2.0])
+        head._named["head.pi_b"].data = np.array([2.0, -2.0])
         hot = head.forward(batch_size=1, temps=Temperatures(T_pi=4.0))
         cold = head.forward(batch_size=1, temps=Temperatures(T_pi=1.0))
         np.testing.assert_allclose(hot.pi_logits.data, cold.pi_logits.data / 4.0)
@@ -286,7 +286,7 @@ class TestPackedFactors:
 
     @pytest.mark.parametrize("mode, name, shape",
                              [(DependencyMode.JOINT, "head.chol_w", (64, 7 * 136)),
-                              (DependencyMode.INDEPENDENT, "head.chol0", (7, 136))],
+                              (DependencyMode.INDEPENDENT, "head.chol_b", (7 * 136,))],
                              ids=["joint", "independent"])
     def test_every_factor_entry_gets_gradient(self, mode, name, shape):
         # Desk shapes: 16 inputs, 10 classes, 32 features, K=7, D=16, width 64.
@@ -302,7 +302,7 @@ class TestPackedFactors:
         margin_loss(clf.logits(perturbed), np.repeat(y, M)).backward()
         grad = gen.head.named_params()[name].grad
         assert grad.shape == shape
-        # A trunk weight column is live when some trunk unit moves it; the
-        # global factors have one row per component and every entry must move.
+        # A trunk weight column is live when some trunk unit moves it; every
+        # entry of the global factors' bias must move.
         live = np.any(grad != 0.0, axis=0) if mode == DependencyMode.JOINT else grad != 0.0
         assert np.count_nonzero(~live) == 0

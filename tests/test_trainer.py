@@ -62,9 +62,10 @@ class _Killed(Exception):
     """Stands for the training process dying right after a checkpoint write."""
 
 
-def _train_until_killed(monkeypatch, clf, split, cfg, out, epoch_next):
-    """Train under `cfg` with a checkpoint writer that kills the run once
-    ckpt_latest.json holds `epoch_next`; return the restored (generator, state)."""
+def _train_until_killed(monkeypatch, clf, split, cfg, out, epoch_next,
+                        mode=DependencyMode.JOINT):
+    """Train a `mode` head under `cfg` with a checkpoint writer that kills the run
+    once ckpt_latest.json holds `epoch_next`; return the restored (generator, stored)."""
     real_save = nppr.trainer.save_checkpoint
 
     def save_then_die(generator, path, opt, run):
@@ -74,8 +75,8 @@ def _train_until_killed(monkeypatch, clf, split, cfg, out, epoch_next):
 
     monkeypatch.setattr(nppr.trainer, "save_checkpoint", save_then_die)
     with pytest.raises(_Killed):
-        train_generator(clf, split, cfg, _gen(clf), out_dir=out)
-    return restore_checkpoint(out / "ckpt_latest.json", clf, expected_mode=DependencyMode.JOINT)
+        train_generator(clf, split, cfg, _gen(clf, mode=mode), out_dir=out)
+    return restore_checkpoint(out / "ckpt_latest.json", clf, expected_mode=mode)
 
 
 @pytest.mark.parametrize("field,value,reason", [
@@ -206,8 +207,7 @@ class TestTraining:
             assert np.isnan(r.entropy_ratio) == np.isnan(r.pi_max)
         assert sum("probe NPPR not estimated" in e for e in events) == 2
         assert not (tmp_path / "ckpt_best.json").exists()
-        run, _ = restore_checkpoint(tmp_path / "ckpt_latest.json", clf)[1]
-        assert run.best_nppr is None
+        assert restore_checkpoint(tmp_path / "ckpt_latest.json", clf)[1].run.best_nppr is None
 
     def test_probe_of_non_finite_weights_reads_nan(self, instance):
         clf, split = instance
@@ -251,12 +251,14 @@ class TestTraining:
 
 
 class TestCheckpoints:
-    def test_roundtrip_byte_identical(self, instance, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("mode", list(DependencyMode), ids=lambda m: m.value)
+    def test_roundtrip_byte_identical(self, instance, tmp_path, monkeypatch, mode):
         # A mid-run resume point, with Adam's moments, written again as read.
         clf, split = instance
         out = tmp_path / "run"
-        restored, (run, named) = _train_until_killed(
-            monkeypatch, clf, split, _cfg(epochs=4, eval_every=1), out, 2)
+        restored, stored = _train_until_killed(
+            monkeypatch, clf, split, _cfg(epochs=4, eval_every=1), out, 2, mode)
+        run, named = stored.run, stored.tensors
         assert run.epoch_next == 2 and run.adam_t > 0
         assert any(np.any(named[k] != 0) for k in named if k.startswith("adam.v."))
         opt = Adam(restored.params())
@@ -346,6 +348,25 @@ class TestCheckpoints:
         with pytest.raises(SnapshotError, match=re.escape(f"missing {moments}, unexpected []")):
             restore_checkpoint(path, clf)
 
+    def test_restore_refuses_label_checkpoint_with_global_tensors(self, instance, tmp_path):
+        # Label and independent heads once stored their global means and
+        # factors as head.mu0 (K, D) and head.chol0 (K, D(D+1)/2). They are the
+        # biases head.mu_b and head.chol_b now, so such a file does not restore.
+        clf, _ = instance
+        path = tmp_path / "old.json"
+        _save(_gen(clf, mode=DependencyMode.LABEL), path)
+
+        def rename(t):
+            for prefix in ("", "adam.m.", "adam.v."):
+                for old, new in (("head.mu0", "head.mu_b"), ("head.chol0", "head.chol_b")):
+                    arr = doc_to_tensors({new: t.pop(prefix + new)})[new]
+                    t.update(tensors_to_doc({prefix + old: arr.reshape(3, -1)}))
+
+        self._rewrite_tensors(path, rename)
+        with pytest.raises(SnapshotError, match=r"missing \[.*'head\.chol_b', 'head\.mu_b'\], "
+                                                r"unexpected \[.*'head\.chol0', 'head\.mu0'\]"):
+            restore_checkpoint(path, clf)
+
     def test_restore_refuses_other_classifier_weights(self, instance, tmp_path):
         # Same widths, other weights: the checkpoint was scored against
         # another classifier, so NPPR would be read off the wrong model.
@@ -400,20 +421,21 @@ class TestCheckpoints:
         with pytest.raises(SnapshotError, match=r"head\.chol_w \(64, 1792\) != \(64, 952\)"):
             restore_checkpoint(path, clf)
 
-    def test_resume_replays_uninterrupted_run(self, instance, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("mode", list(DependencyMode), ids=lambda m: m.value)
+    def test_resume_replays_uninterrupted_run(self, instance, tmp_path, monkeypatch, mode):
         clf, split = instance
         cfg = _cfg(epochs=6, eval_every=1)
 
-        gen_full = _gen(clf)
+        gen_full = _gen(clf, mode=mode)
         gen_full, rec_full = train_generator(clf, split, cfg, gen_full,
                                              out_dir=tmp_path / "full")
 
         # The interrupted run's records die with it; by determinism they are rec_full[:3].
         out = tmp_path / "half"
-        restored, state = _train_until_killed(monkeypatch, clf, split, cfg, out, 3)
-        assert state[0].epoch_next == 3
+        restored, state = _train_until_killed(monkeypatch, clf, split, cfg, out, 3, mode)
+        assert state.run.epoch_next == 3
         restored, rec_b = train_generator(clf, split, cfg, restored,
-                                          resume_state=state, out_dir=out)
+                                          resume=state, out_dir=out)
         assert rec_b == rec_full[3:]
         for name, p in gen_full.named_params().items():
             np.testing.assert_array_equal(p.data, restored.named_params()[name].data)
@@ -429,7 +451,7 @@ class TestCheckpoints:
         train_generator(clf, split, cfg, _gen(clf), out_dir=tmp_path / "full")
         out = tmp_path / "half"
         restored, state = _train_until_killed(monkeypatch, clf, split, cfg, out, 1)
-        train_generator(clf, split, cfg, restored, resume_state=state, out_dir=out)
+        train_generator(clf, split, cfg, restored, resume=state, out_dir=out)
         for name in ("ckpt_best.json", "ckpt_latest.json"):
             assert (out / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
 
@@ -458,7 +480,7 @@ class TestCheckpoints:
         restored, state = _train_until_killed(monkeypatch, clf, split, cfg,
                                               tmp_path / "half", 4)
         events_resumed = []
-        train_generator(clf, split, cfg, restored, resume_state=state,
+        train_generator(clf, split, cfg, restored, resume=state,
                         events=events_resumed)
         assert events_resumed == events_full
 
@@ -469,8 +491,8 @@ class TestCheckpoints:
         out = tmp_path / "short"
         train_generator(clf, split, _cfg(epochs=3, eval_every=1), _gen(clf), out_dir=out)
         restored, state = restore_checkpoint(out / "ckpt_latest.json", clf)
-        with pytest.raises(ValueError, match=r"3-epoch.*cfg\.epochs is 6"):
-            train_generator(clf, split, _cfg(epochs=6), restored, resume_state=state)
+        with pytest.raises(ValueError, match=r"\(checkpoint != cfg\): train\.epochs 3 != 6, "):
+            train_generator(clf, split, _cfg(epochs=6), restored, resume=state)
 
     def test_resume_refuses_other_train_config(self, instance, tmp_path):
         # Same length, other seed and learning rate: neither run's continuation.
@@ -478,10 +500,10 @@ class TestCheckpoints:
         out = tmp_path / "seed0"
         train_generator(clf, split, _cfg(epochs=2), _gen(clf), out_dir=out)
         restored, state = restore_checkpoint(out / "ckpt_latest.json", clf)
-        assert state[0].train_cfg["seed"] == 0
-        with pytest.raises(ValueError, match=r"differs in lr, seed;"):
+        assert state.run.train_cfg["seed"] == 0
+        with pytest.raises(ValueError, match=r": train\.lr 0\.01 != 0\.5, train\.seed 0 != 7;"):
             train_generator(clf, split, _cfg(epochs=2, seed=7, lr=0.5), restored,
-                            resume_state=state)
+                            resume=state)
 
     @pytest.mark.parametrize("ups_mode, other, named", [
         ("linear_vector", dict(input_dim=3, hidden=(16,)),
@@ -533,7 +555,7 @@ class TestCheckpoints:
         old, old_state = restore_checkpoint(path, clf, expected_mode=DependencyMode.JOINT)
         for name, t in restored.tensors().items():
             np.testing.assert_array_equal(old.tensors()[name].data, t.data)
-        _, records = train_generator(clf, split, cfg, old, resume_state=old_state)
+        _, records = train_generator(clf, split, cfg, old, resume=old_state)
         assert [r.epoch for r in records] == [1]
 
     @pytest.mark.parametrize("field,value,reason", [
@@ -624,9 +646,8 @@ class TestTemperatures:
                                                                    monkeypatch, epoch):
         clf, split = instance
         cfg = _cfg(epochs=6, eval_every=1)
-        restored, (run, _) = _train_until_killed(monkeypatch, clf, split, cfg, tmp_path,
-                                                 epoch + 1)
-        assert run.epoch_next == epoch + 1
+        restored, stored = _train_until_killed(monkeypatch, clf, split, cfg, tmp_path, epoch + 1)
+        assert stored.run.epoch_next == epoch + 1
         assert restored.temps == cfg.anneal.at(epoch, 6)
         assert read_checkpoint(tmp_path / "ckpt_latest.json").temps == restored.temps
 
