@@ -8,6 +8,8 @@ Subcommands:
                   independent runs with derived seeds
   verify          check metric orderings across one or more report files
   export-samples  dump exact perturbation draws from a checkpoint to CSV
+                  (samples_latent.csv, samples_input.csv); no other command
+                  writes them
 
 The default output root comes from --out, then the config's output_dir, then
 $NPPR_OUTPUT_ROOT, then ./runs.
@@ -172,8 +174,7 @@ def cmd_export_samples(args) -> int:
     out = _out_dir(args, cfg, f"samples-seed{cfg.seed}")
     split, _, generator = _restore(cfg, args.checkpoint)
     out.mkdir(parents=True, exist_ok=True)
-    per_input = args.per_input if args.per_input is not None else max(cfg.export_samples, 8)
-    export_perturbation_samples(generator, split, per_input, out, cfg.seed)
+    export_perturbation_samples(generator, split, args.per_input, out, cfg.seed)
     print(f"wrote {out / 'samples_latent.csv'} and {out / 'samples_input.csv'}")
     return 0
 
@@ -212,8 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("export-samples", help="dump perturbation draws to CSV")
     _add_common(p)
     p.add_argument("--checkpoint", type=str, required=True)
-    p.add_argument("--per-input", type=_int_at_least(1), default=None,
-                   help="draws per input (default: max(export_samples, 8))")
+    p.add_argument("--per-input", type=_int_at_least(1), default=8,
+                   help="draws per input (default: 8)")
     p.set_defaults(fn=cmd_export_samples)
     return parser
 

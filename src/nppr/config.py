@@ -87,6 +87,13 @@ class SweepSpec:
     def __post_init__(self):
         self.epsilons = tuple(_parse_epsilon(e, "sweep.epsilons") for e in self.epsilons)
         self.dependencies = tuple(DependencyMode(d) for d in self.dependencies)
+        # A repeated entry would write its runs into one directory twice.
+        for name in ("modes", "epsilons", "dependencies"):
+            entries = getattr(self, name)
+            for i, entry in enumerate(entries):
+                if entry in entries[:i]:
+                    raise ConfigError(f"sweep.{name}: {getattr(entry, 'value', entry)} "
+                                      f"is repeated")
 
 
 @dataclass
@@ -100,7 +107,6 @@ class ExperimentConfig:
     epsilon: Fraction = Fraction(16, 255)
     seed: int = checked(0, at_least(0))
     train_frac: float = checked(0.8, lambda v: None if 0.0 < v < 1.0 else "must be in (0, 1)")
-    export_samples: int = checked(0, at_least(0))
     output_dir: str | None = checked(None, kind=str)
     sweep: SweepSpec = field(default_factory=SweepSpec)
 

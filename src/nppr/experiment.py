@@ -1,6 +1,7 @@
 """Experiment orchestration: dataset -> classifier -> generator -> report.
 
 Artifacts per run directory:
+  config.json       the run's config, in canonical form (`config_to_json`)
   epochs.csv        per-epoch training dynamics
   report.json       final RobustnessReport (full precision)
   summary.txt       human-readable percentages (2 decimals)
@@ -16,7 +17,8 @@ Artifacts per run directory:
                     TrainConfig included) and the sha256 fingerprint of the
                     classifier it was trained against; its temperatures are not
                     written, as they follow from its TrainConfig and epoch
-  samples_latent.csv / samples_input.csv (optional)
+Draws to CSV (samples_latent.csv, samples_input.csv) come only from
+`nppr export-samples`, which reads a checkpoint.
 """
 
 from __future__ import annotations
@@ -111,7 +113,8 @@ def export_perturbation_samples(generator: Generator, split: SplitDataset, per_i
     input-space images, for the first (up to) 64 test inputs, drawn and
     written in the estimators' pieces (no row depends on the tiling)."""
     n = min(split.test.n, 64)
-    x, y, pieces = _pieces(split.test.x[:n], split.test.y[:n], per_input, "export_samples")
+    x, y, pieces = _pieces(split.test.x[:n], split.test.y[:n], per_input,
+                          "export_perturbation_samples")
     rng = substream(seed, EVAL, 9)
     dims = {"samples_latent.csv": generator.head.cfg.latent_dim,
             "samples_input.csv": generator.upsampler.input_dim}
@@ -173,11 +176,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> tuple[RobustnessReport, di
         (out_dir / "report.json").write_text(report.to_json())
         (out_dir / "summary.txt").write_text("\n".join(report.summary_lines()) + "\n")
         done("evaluate")
-
-        if cfg.export_samples > 0:
-            stage("export_samples")
-            export_perturbation_samples(generator, split, cfg.export_samples, out_dir, cfg.seed)
-            done("export_samples")
 
         stage("verify")
         verdict = verify_propositions([report])

@@ -41,10 +41,6 @@ class Generator:
     def named_params(self) -> dict[str, Tensor]:
         return {**self.head.named_params(), **self.upsampler.named_params()}
 
-    def tensors(self) -> dict[str, Tensor]:
-        """Every tensor of the generator's state, trainable or frozen."""
-        return {**self.head.named_params(), **self.upsampler.tensors()}
-
     def gmm_params(self, x: np.ndarray, y: np.ndarray | None) -> GmmParams:
         """Head forward at `self.temps` for a batch of clean inputs/labels."""
         x = np.atleast_2d(x)

@@ -29,7 +29,7 @@ from . import tensor as T
 from .generator import Generator
 from .models import Classifier, DependencyMode
 from .rng import ATTACK, substream
-from .serialize import at_least, check_fields, checked, one_of, rate
+from .serialize import at_least, check_fields, checked, finite, one_of, positive, rate
 from .tensor import Tensor
 from .upsample import check_budget
 
@@ -129,8 +129,11 @@ def baseline_noise(dist: str, shape: tuple, gamma: float, rng: np.random.Generat
 def pr_estimate(clf: Classifier, x: np.ndarray, y: np.ndarray, dist: str,
                 gamma: float, M: int, rng: np.random.Generator,
                 sigma: float | None = None) -> float:
-    """Monte-Carlo retention probability under a fixed baseline distribution."""
+    """Monte-Carlo retention probability under a fixed baseline distribution;
+    `sigma` (the clipped Gaussian's, gamma / 3 when None) must be finite and > 0."""
     check_budget(gamma, "pr_estimate")
+    if sigma is not None and (not finite(sigma) or positive(sigma)):
+        raise ValueError(f"pr_estimate: sigma must be finite and > 0, got {sigma}")
     x, y, pieces = _pieces(x, y, M, "pr_estimate")
     hits = 0
     for part in pieces:

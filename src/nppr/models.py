@@ -192,7 +192,6 @@ class HeadConfig:
     latent_dim: int = checked(16, at_least(1))
     hidden_dim: int = checked(64, at_least(1))
     label_emb_dim: int = checked(16, at_least(1))
-    label_emb_normalized: bool = True
 
     def __post_init__(self):
         if isinstance(self.mode, str):
@@ -301,8 +300,8 @@ class GmmHead:
         return dict(self._named)
 
     def _embedding(self) -> Tensor:
-        emb = self._named["head.emb"]
-        return T.unit_rows(emb) if self.cfg.label_emb_normalized else emb
+        """The label embedding's rows scaled to unit norm."""
+        return T.unit_rows(self._named["head.emb"])
 
     def _trunk(self, features: Tensor, temps: Temperatures) -> Tensor:
         """relu(dense(features) / T_shared): T_shared divides the trunk's

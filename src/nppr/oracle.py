@@ -1,10 +1,11 @@
 """Quadrature oracle for desk-scale instances and the metric-ordering verdicts.
 
 `oracle_pr` shares nothing with the Monte-Carlo estimators beyond the
-classifier forward pass: it computes a retention probability by quadrature
-over a grid on the budget ball, so a sampled estimate can be checked against
-something that cannot lie about its own assumptions. `verify_propositions`
-checks the orderings AR <= NPPR <= PR across reports.
+classifier forward pass: it computes the retention probability under the
+uniform law on the budget ball by quadrature over a grid on that ball, so a
+sampled estimate can be checked against something that cannot lie about its
+own assumptions. `verify_propositions` checks the orderings AR <= NPPR <= PR
+across reports.
 """
 
 from __future__ import annotations
@@ -42,39 +43,14 @@ class GridSpec:
         return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def uniform_ball_density(grid: GridSpec):
-    """Constant density of the uniform law on the ball."""
-    vol = (2.0 * grid.gamma) ** grid.dims
-
-    def density(points: np.ndarray) -> np.ndarray:
-        return np.full(points.shape[0], 1.0 / vol)
-
-    return density
-
-
-def oracle_pr(clf: Classifier, x: np.ndarray, y: int, dist, grid: GridSpec) -> float:
-    """Quadrature estimate of the retention probability.
-
-    `dist` is either "uniform_ball" or a callable mapping grid offsets to
-    density values. Weights are normalized over the grid, so the estimate
-    converges to the true probability as points_per_dim grows.
-    """
+def oracle_pr(clf: Classifier, x: np.ndarray, y: int, grid: GridSpec) -> float:
+    """Quadrature estimate of the retention probability under the uniform law
+    on the ball: the fraction of grid offsets that keep label `y`, which
+    converges to the true probability as points_per_dim grows."""
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     if x.shape[0] != grid.dims:
         raise ValueError(f"oracle_pr: input dim {x.shape[0]} != grid dims {grid.dims}")
-    if dist == "uniform_ball":
-        density = uniform_ball_density(grid)
-    elif callable(dist):
-        density = dist
-    else:
-        raise ValueError("oracle_pr: dist must be 'uniform_ball' or a density callable")
-    offsets = grid.points()
-    weights = np.asarray(density(offsets), dtype=np.float64)
-    total = weights.sum()
-    if total <= 0:
-        raise ValueError("oracle_pr: density is zero on the whole grid")
-    correct = clf.predict(x[None, :] + offsets) == int(y)
-    return float(np.sum(weights * correct) / total)
+    return float(np.mean(clf.predict(x[None, :] + grid.points()) == int(y)))
 
 
 def verify_propositions(reports: list[RobustnessReport]) -> dict:

@@ -21,10 +21,10 @@ GUMBEL_FLOOR = 1e-12
 
 @dataclass
 class GumbelConfig:
-    """Relaxation temperature and its schedule."""
+    """Relaxation temperature, annealed linearly from tau_init to tau_final
+    over the run; equal ends give a constant tau."""
     tau_init: float = checked(1.0, positive)
     tau_final: float = checked(0.1, positive)
-    anneal: bool = True
 
     def __post_init__(self):
         check_fields(self)
@@ -73,12 +73,6 @@ def anneal_value(pair: tuple, epoch: int, total_epochs: int, warmup_epochs: int 
         return float(pair[1])
     t = min(epoch, window - 1) / (window - 1)
     return float(pair[0] + t * (pair[1] - pair[0]))
-
-
-def gumbel_tau(cfg: GumbelConfig, epoch: int, total_epochs: int) -> float:
-    if not cfg.anneal:
-        return cfg.tau_init
-    return anneal_value((cfg.tau_init, cfg.tau_final), epoch, total_epochs)
 
 
 @dataclass

@@ -20,7 +20,7 @@ from .metrics import margin_loss, mixture_statistics, nppr_estimate
 from .models import Classifier, DependencyMode, HeadConfig, Temperatures
 from .optim import Adam
 from .rng import GUMBEL, PROBE, SHUFFLE, substream
-from .sampling import AnnealSchedule, GumbelConfig, gumbel_tau
+from .sampling import AnnealSchedule, GumbelConfig, anneal_value
 from .serialize import (SnapshotError, at_least, check_fields, checked, config_record,
                         load_snapshot, one_of, positive, rate, save_snapshot)
 from .upsample import UpsamplerConfig
@@ -30,6 +30,9 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class TrainConfig:
+    """How the generator is trained. `warmup_epochs` and `lr_min` are read only
+    by the cosine learning-rate schedule (`lr_at_epoch`); `warmup_epochs` is not
+    `anneal.warmup_epochs`, the window over which the temperatures anneal."""
     epochs: int = checked(50, at_least(1))
     lr: float = checked(5e-4, positive)
     lr_schedule: str = checked("constant", one_of({"constant", "cosine"}))
@@ -98,8 +101,8 @@ class RunState:
 
 
 def _state(generator: Generator, opt: Adam) -> dict[str, np.ndarray]:
-    """Copies of the generator's tensors and of Adam's moments of each parameter."""
-    named = {name: t.data.copy() for name, t in generator.tensors().items()}
+    """Copies of the generator's parameters and of Adam's moments of each."""
+    named = {name: t.data.copy() for name, t in generator.named_params().items()}
     for name, m, v in zip(generator.named_params(), opt.m, opt.v):
         named[f"adam.m.{name}"], named[f"adam.v.{name}"] = m.copy(), v.copy()
     return named
@@ -107,7 +110,7 @@ def _state(generator: Generator, opt: Adam) -> dict[str, np.ndarray]:
 
 def _load_state(generator: Generator, opt: Adam, named: dict[str, np.ndarray], t: int) -> None:
     """Put back a `_state` capture and Adam's step count `t`."""
-    for name, tensor in generator.tensors().items():
+    for name, tensor in generator.named_params().items():
         tensor.data = named[name].copy()
     opt.m = [named[f"adam.m.{name}"].copy() for name in generator.named_params()]
     opt.v = [named[f"adam.v.{name}"].copy() for name in generator.named_params()]
@@ -121,7 +124,7 @@ def _fingerprint(clf: Classifier) -> str:
 
 
 def save_checkpoint(generator: Generator, path, opt: Adam, run: RunState) -> None:
-    """Write a resume point: the generator's tensors and their Adam moments,
+    """Write a resume point: the generator's parameters and their Adam moments,
     and in `extra` the RunState with Adam's step count, the head and upsampler
     configs and the fingerprint of the classifier the generator is trained
     against. The mode, the budget and the shapes follow from the configs and
@@ -265,8 +268,8 @@ def train_generator(clf: Classifier, split: SplitDataset, cfg: TrainConfig,
     purpose, epoch, batch), so a restored run replays exactly like an
     uninterrupted one. A step's graph is dropped once its backward has run.
 
-    Every checkpoint is a resume point: `_state` (parameters, frozen tensors
-    and Adam's moments), the RunState and the fingerprint of `clf`; `ckpt_best.json`,
+    Every checkpoint is a resume point: `_state` (parameters and Adam's
+    moments), the RunState and the fingerprint of `clf`; `ckpt_best.json`,
     the latest epoch of lowest probe NPPR, is written before `ckpt_latest.json`.
     `resume` is a stored checkpoint, as `restore_checkpoint` returns it: the
     run goes on at its `epoch_next`, Adam at step `adam_t`. Schedules anneal over
@@ -306,7 +309,7 @@ def train_generator(clf: Classifier, split: SplitDataset, cfg: TrainConfig,
 
     for epoch in range(run.epoch_next, cfg.epochs):
         generator.temps = temps = cfg.anneal.at(epoch, cfg.epochs)
-        tau = gumbel_tau(cfg.gumbel, epoch, cfg.epochs)
+        tau = anneal_value((cfg.gumbel.tau_init, cfg.gumbel.tau_final), epoch, cfg.epochs)
         opt.lr = lr_at_epoch(cfg, epoch)
 
         order = substream(cfg.seed, SHUFFLE, epoch).permutation(n)

@@ -1,9 +1,9 @@
 """Latent-to-input-space mapping and the hard perturbation budget.
 
-Image-mode latents pass through an optional learnable linear premap and then
+Image-mode latents pass through a linear premap, always trained, and then
 bicubic interpolation (Catmull-Rom kernel) up to the input grid: with fixed
 taps that is linear, one constant factor per channel, the Kronecker product of
-the two axes' weight matrices. Vector-mode latents use a learnable affine map
+the two axes' weight matrices. Vector-mode latents use a trained affine map
 instead. The scaled-tanh budget mapping is applied last so the L-infinity
 bound holds exactly in input space.
 """
@@ -67,16 +67,14 @@ def bicubic_weight_matrix(n_out: int, n_in: int) -> np.ndarray:
 class UpsamplerConfig:
     """How latent perturbations reach input space.
 
-    mode: bicubic_image (premap, then a constant bicubic factor per channel),
-          linear_vector (affine map latent_dim -> input_dim), or
-          none (identity; latent_dim must equal input_dim).
-    learnable_premap: when False the map is frozen at its random init.
+    mode: bicubic_image (trained premap, then a constant bicubic factor per
+          channel), linear_vector (trained affine map latent_dim -> input_dim),
+          or none (identity; latent_dim must equal input_dim).
     latent_grid: (c, h', w') for image mode.
     gamma: L-infinity budget radius for the tanh squashing.
     """
 
     mode: str = checked(MODE_LINEAR, one_of({MODE_BICUBIC, MODE_LINEAR, MODE_NONE}))
-    learnable_premap: bool = True
     latent_grid: tuple | None = checked(None, grid("[c, h', w']"))
     gamma: float = checked(16.0 / 255.0, positive)
 
@@ -139,26 +137,22 @@ class Upsampler:
             self.bias = None
         elif cfg.mode == MODE_LINEAR:
             w = rng.normal(0.0, 1.0 / np.sqrt(self.latent_dim), size=(self.latent_dim, self.input_dim))
-            self.weight = Tensor(w, requires_grad=cfg.learnable_premap)
-            self.bias = Tensor(np.zeros(self.input_dim), requires_grad=cfg.learnable_premap)
+            self.weight = Tensor(w, requires_grad=True)
+            self.bias = Tensor(np.zeros(self.input_dim), requires_grad=True)
         else:
             _, hl, wl = (int(v) for v in cfg.latent_grid)
             _, hi, wi = self.image_shape
             w = rng.normal(0.0, 1.0 / np.sqrt(self.latent_dim), size=(self.latent_dim, self.latent_dim))
-            self.weight = Tensor(w, requires_grad=cfg.learnable_premap)
-            self.bias = Tensor(np.zeros(self.latent_dim), requires_grad=cfg.learnable_premap)
+            self.weight = Tensor(w, requires_grad=True)
+            self.bias = Tensor(np.zeros(self.latent_dim), requires_grad=True)
             # (h'*w', h*w): row-major latent cells of one channel to its image pixels.
             self._factor = T.constant(np.kron(bicubic_weight_matrix(hi, hl),
                                               bicubic_weight_matrix(wi, wl)).T)
 
-    def tensors(self) -> dict[str, Tensor]:
-        """The premap, trainable or not: a frozen random init must survive restore."""
+    def named_params(self) -> dict[str, Tensor]:
         if self.weight is None:
             return {}
         return {"upsampler.weight": self.weight, "upsampler.bias": self.bias}
-
-    def named_params(self) -> dict[str, Tensor]:
-        return self.tensors() if self.cfg.learnable_premap else {}
 
     def forward(self, latent: Tensor) -> Tensor:
         """(N, latent_dim) -> (N, input_dim), pre-budget, differentiable."""

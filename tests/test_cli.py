@@ -2,6 +2,7 @@
 
 import csv
 import json
+import logging
 
 import pytest
 
@@ -58,6 +59,47 @@ def test_export_samples_writes_every_draw_reproducibly(trained, tmp_path):
         values = [float(v) for r in rows[1:] for v in r[3:]]
         if name == "samples_input.csv":  # TINY's budget is the default 16/255
             assert max(abs(v) for v in values) <= 16 / 255
+
+
+def test_export_samples_draws_eight_per_input_by_default(trained, tmp_path):
+    config, run = trained
+    out = tmp_path / "samples"
+    assert cli.main(["export-samples", "--config", config, "--seed", "3", "--out", str(out),
+                     "--checkpoint", str(run / "ckpt_latest.json")]) == 0
+    with open(out / "samples_latent.csv", newline="") as fh:
+        assert sorted({int(r[1]) for r in list(csv.reader(fh))[1:]}) == list(range(8))
+
+
+# The settings every run used at one value, since removed, each in the
+# section it sat in, at the value that differed from what every run used.
+REMOVED = {"export_samples": 4, "gmm": {"label_emb_normalized": False},
+           "upsampler": {"learnable_premap": False},
+           "train": {**TINY["train"], "gumbel": {"anneal": False}}}
+ARTIFACTS = ("config.json", "report.json", "epochs.csv", "verdict.json", "summary.txt",
+             "manifest.json")
+
+
+def test_removed_setting_is_refused_or_ignored(trained, tmp_path, capsys, caplog):
+    # Strict mode refuses an old document that names one; --no-strict warns
+    # once per removed key and runs the document as if it lacked them.
+    _, run = trained
+    config = _write(tmp_path, {**TINY, **REMOVED})
+    out = tmp_path / "strict"
+    assert cli.main(["train", "--config", config, "--seed", "3", "--out", str(out)]) == 2
+    assert "unknown key(s) ['label_emb_normalized']" in capsys.readouterr().err
+    assert not out.exists()
+    out = tmp_path / "lax"
+    with caplog.at_level(logging.WARNING, logger="nppr.config"):
+        assert cli.main(["train", "--config", config, "--seed", "3", "--out", str(out),
+                         "--no-strict"]) == 0
+    assert sorted(r.getMessage() for r in caplog.records if r.name == "nppr.config") == [
+        "<root>: unknown key(s) ['export_samples'] (ignored)",
+        "gmm: unknown key(s) ['label_emb_normalized'] (ignored)",
+        "train.gumbel: unknown key(s) ['anneal'] (ignored)",
+        "upsampler: unknown key(s) ['learnable_premap'] (ignored)"]
+    for name in ARTIFACTS:
+        assert (out / name).read_bytes() == (run / name).read_bytes(), name
+    assert not (out / "samples_latent.csv").exists()
 
 
 def _best_epoch_next(run) -> int:
@@ -303,7 +345,10 @@ def test_sweep_runs_each_dependency_with_its_own_seed(tmp_path):
 
 
 @pytest.mark.parametrize("sweep", [{"modes": [2, 0]}, {"modes": ["a"]},
-                                   {"epsilons": ["0"]}, {"epsilons": [-0.5]}])
+                                   {"epsilons": ["0"]}, {"epsilons": [-0.5]},
+                                   {"modes": [3, 3]}, {"epsilons": ["1/2", "2/4"]},
+                                   {"epsilons": ["1/2", 0.5]},
+                                   {"dependencies": ["joint", "joint"]}])
 def test_sweep_with_bad_entry_is_a_config_error(tmp_path, capsys, sweep):
     config = _write(tmp_path, {**TINY, "sweep": sweep})
     out = tmp_path / "sweep"

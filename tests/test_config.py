@@ -61,22 +61,20 @@ VALID = {
         "dataset": {"seed": 4, "separation": 5, "sigma": 0.5},
         "classifier": {"hidden": [16, 8], "epochs": 30, "lr": 0.05, "batch_size": 32,
                        "accuracy_threshold": 0.5},
-        "gmm": {"modes": 2, "latent_dim": 4, "hidden_dim": 8, "label_emb_dim": 3,
-                "label_emb_normalized": False},
+        "gmm": {"modes": 2, "latent_dim": 4, "hidden_dim": 8, "label_emb_dim": 3},
         "dependency": "independent",
-        "upsampler": {"mode": "linear_vector", "learnable_premap": False, "latent_grid": None},
+        "upsampler": {"mode": "linear_vector", "latent_grid": None},
         "budget": {"epsilon": "8/255"},
         "train": {"epochs": 4, "lr": 1e-3, "lr_schedule": "cosine", "warmup_epochs": 2,
                   "lr_min": 1e-5, "samples_per_input": 4, "batch_size": 16, "seed": 9,
                   "eval_every": 2, "kappa": 0.5, "probe_size": 8, "probe_samples": 8,
-                  "gumbel": {"tau_init": 2, "tau_final": 0.5, "anneal": False},
+                  "gumbel": {"tau_init": 2, "tau_final": 0.5},
                   "anneal": {"T_pi": [2, 1], "T_mu": [1.5, 1.0], "T_sigma": [1, 1],
                              "T_shared": [3.0, 2.0], "warmup_epochs": 1}},
         "baselines": {"pgd_steps": 5, "cw_steps": 6, "gaussian_sigma_rule": 0.1,
                       "eval_samples": 64},
         "seed": 5,
         "train_frac": 0.75,
-        "export_samples": 4,
         "output_dir": "runs/every-option",
         "sweep": {"modes": [1, 3], "epsilons": ["1/255", 0.5],
                   "dependencies": ["label", "joint"]},
@@ -109,6 +107,12 @@ UNKNOWN_KEYS = [
     ({"train": {"anneal": {"T_x": [1, 1], "T_y": 2}}},
      "train.anneal: unknown key(s) ['T_x', 'T_y']"),
     ({"sweep": {"mode": [1]}}, "sweep: unknown key(s) ['mode']"),
+    # Settings that every run used at one value, now removed: an old document
+    # that names one is refused, or under --no-strict read without it.
+    ({"upsampler": {"learnable_premap": True}}, "upsampler: unknown key(s) ['learnable_premap']"),
+    ({"gmm": {"label_emb_normalized": True}}, "gmm: unknown key(s) ['label_emb_normalized']"),
+    ({"train": {"gumbel": {"anneal": False}}}, "train.gumbel: unknown key(s) ['anneal']"),
+    ({"export_samples": 4}, "<root>: unknown key(s) ['export_samples']"),
 ]
 
 # Upsampler settings that do not fit the head's latent width or the inputs,
@@ -142,10 +146,7 @@ INVALID = [
     ({"classifier": {"lr": "0.1"}}, "classifier.lr: expected float, got str"),
     ({"classifier": {"hidden": 64}}, "classifier.hidden: expected list, got int"),
     ({"classifier": {"batch_size": 1.5}}, "classifier.batch_size: expected int, got float"),
-    ({"gmm": {"label_emb_normalized": 1}}, "gmm.label_emb_normalized: expected bool, got int"),
     ({"dependency": 1}, "dependency: expected str, got int"),
-    ({"upsampler": {"learnable_premap": "yes"}},
-     "upsampler.learnable_premap: expected bool, got str"),
     ({"train": {"lr": True}}, "train.lr: expected float, got bool"),
     ({"train": {"anneal": {"T_pi": 3}}}, "train.anneal.T_pi: expected list, got int"),
     ({"sweep": {"modes": 3}}, "sweep.modes: expected list, got int"),
@@ -195,7 +196,6 @@ INVALID = [
     ({"train": {"probe_samples": 0}}, "train.probe_samples: must be >= 1"),
     ({"train": {"gumbel": {"tau_init": 0}}}, "train.gumbel.tau_init: must be > 0"),
     ({"train": {"gumbel": {"tau_final": -0.1}}}, "train.gumbel.tau_final: must be > 0"),
-    ({"train": {"gumbel": {"anneal": 1}}}, "train.gumbel.anneal: expected bool, got int"),
     ({"train": {"anneal": {"T_pi": [1]}}}, "train.anneal.T_pi: must be an (init, final) pair"),
     ({"train": {"anneal": {"T_mu": [1, 2, 3]}}},
      "train.anneal.T_mu: must be an (init, final) pair"),
@@ -215,7 +215,6 @@ INVALID = [
      "baselines.gaussian_sigma_rule: must be 'gamma/3' or a number"),
     ({"train_frac": 1.0}, "train_frac: must be in (0, 1)"),
     ({"train_frac": 0}, "train_frac: must be in (0, 1)"),
-    ({"export_samples": -1}, "export_samples: must be >= 0"),
     ({"seed": -1}, "seed: must be >= 0"),
     ({"sweep": {"dependencies": ["joint", "x"]}},
      "sweep.dependencies: entries must be dependency mode names"),
@@ -270,6 +269,12 @@ NEWLY_REJECTED = [
     ({"budget": {"epsilon": True}}, "budget.epsilon: expected a number or a string, got bool"),
     ({"sweep": {"epsilons": ["1/2", True]}},
      "sweep.epsilons: expected a number or a string, got bool"),
+    # a repeated sweep entry, whose second run once overwrote the first
+    ({"sweep": {"epsilons": ["1/2", "2/4"]}}, "sweep.epsilons: 1/2 is repeated"),
+    ({"sweep": {"epsilons": ["1/4", "1/2", 0.5]}}, "sweep.epsilons: 1/2 is repeated"),
+    ({"sweep": {"modes": [3, 5, 3]}}, "sweep.modes: 3 is repeated"),
+    ({"sweep": {"dependencies": ["joint", "label", "joint"]}},
+     "sweep.dependencies: joint is repeated"),
     ({"classifier": {"hidden": [True]}},
      "classifier.hidden: must be a non-empty list of positive ints"),
     # Infinity and NaN in a float field
@@ -355,16 +360,15 @@ PARITY = {
     ClassifierSpec: ("classifier", {"hidden": ["64", [0]], "epochs": [1.5, 0], "lr": ["1", 0],
                                     "batch_size": [True, 0], "accuracy_threshold": [None, 7.0]}),
     HeadConfig: ("gmm", {"K": ["7", 0], "latent_dim": [2.5, 0], "hidden_dim": [True, 0],
-                         "label_emb_dim": [None, 0], "label_emb_normalized": [1]}),
-    UpsamplerConfig: ("upsampler", {"mode": [1, "nearest"], "learnable_premap": ["yes"],
+                         "label_emb_dim": [None, 0]}),
+    UpsamplerConfig: ("upsampler", {"mode": [1, "nearest"],
                                     "latent_grid": ["1x4x4", [1, "a", 4]]}),
     TrainConfig: ("train", {
         "epochs": [1.0, 0], "lr": ["1", 0], "lr_schedule": [None, "step"],
         "warmup_epochs": [True, -3], "lr_min": [[1], -1e-6], "samples_per_input": [2.5, 0],
         "batch_size": ["8", 0], "seed": [1.5, -1], "eval_every": [None, 0],
         "kappa": ["1", float("nan")], "probe_size": [False, 0], "probe_samples": [[], 0]}),
-    GumbelConfig: ("train.gumbel", {"tau_init": [True, 0], "tau_final": [None, float("inf")],
-                                    "anneal": [0]}),
+    GumbelConfig: ("train.gumbel", {"tau_init": [True, 0], "tau_final": [None, float("inf")]}),
     AnnealSchedule: ("train.anneal", {
         "T_pi": [3, [0, 1]], "T_mu": ["ab", ["a", 1]], "T_sigma": [None, [1]],
         "T_shared": [{}, [1, float("nan")]], "warmup_epochs": [0.5, -1]}),

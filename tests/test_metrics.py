@@ -199,7 +199,7 @@ class TestTapeFreeEvaluation:
     def _gen(clf):
         head = HeadConfig(mode=DependencyMode.JOINT, K=3, latent_dim=2, hidden_dim=8,
                           label_emb_dim=4)
-        ups = UpsamplerConfig(mode="linear_vector", learnable_premap=True, gamma=1.5)
+        ups = UpsamplerConfig(mode="linear_vector", gamma=1.5)
         return build_generator(clf, head, ups, seed=2)
 
     @staticmethod
@@ -230,7 +230,6 @@ class TestTapeFreeEvaluation:
         for t in tensors:
             assert not t.requires_grad and t._parents == ()
         assert all(p.grad is None for p in gen.params())
-        assert all(p.grad is None for p in gen.upsampler.tensors().values())
 
     def test_nppr_estimate_records_no_tape(self, setup, monkeypatch):
         clf, x, y = setup
@@ -396,6 +395,19 @@ def test_budget_must_be_finite_and_positive(name, gamma):
     x, y = np.ones((3, 2)), np.array([0, 1, 1])
     with pytest.raises(ValueError, match=rf"^{name}: gamma must be finite and > 0, got "):
         _BUDGET_USERS[name](linear_clf([1.0, -1.0]), x, y, gamma)
+
+
+@pytest.mark.parametrize("sigma", [np.nan, 0.0, np.inf, -1.0])
+def test_pr_estimate_sigma_must_be_finite_and_positive(sigma):
+    # Each once gave a number or a bare numpy error: NaN rows all read as
+    # class 0 (0.345), sigma 0 added no noise (1.0), inf was clipped to the
+    # corners of the ball (0.99875) and -1 ended in "scale < 0".
+    ds = make_blobs(d=4, classes=3, n=200, seed=0)
+    clf = train_classifier(ds.x, ds.y, ClassifierSpec(hidden=(8,)), seed=0)
+    assert clf.accuracy(ds.x, ds.y) == 1.0
+    with pytest.raises(ValueError, match=r"^pr_estimate: sigma must be finite and > 0, got "):
+        pr_estimate(clf, ds.x, ds.y, CLIPPED_GAUSSIAN, 1.0, 8, np.random.default_rng(0),
+                    sigma=sigma)
 
 
 class TestEntropyRatio:

@@ -186,7 +186,7 @@ class TestHeads:
             _head(DependencyMode.LABEL).forward()
 
     def test_embedding_rows_unit_norm(self):
-        head = _head(DependencyMode.LABEL, label_emb_normalized=True)
+        head = _head(DependencyMode.LABEL)
         emb = head._embedding().data
         np.testing.assert_allclose(np.linalg.norm(emb, axis=1), 1.0, atol=1e-9)
 

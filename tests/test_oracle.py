@@ -32,7 +32,7 @@ class TestOracleAr:
 
     @staticmethod
     def _robust(clf, x, y, grid):
-        return oracle_pr(clf, x, y, "uniform_ball", grid) == 1.0
+        return oracle_pr(clf, x, y, grid) == 1.0
 
     def test_sign_classifier_robust_small_ball(self):
         clf = linear_clf(np.array([1.0]))
@@ -46,7 +46,7 @@ class TestOracleAr:
         # Offsets -1.00, ..., -0.50 flip the label: at -0.50 the logits tie and
         # argmax picks class 0.
         flips = np.sum(grid.points()[:, 0] <= -0.5 + 1e-12)
-        assert oracle_pr(clf, np.array([0.5]), 1, "uniform_ball", grid) == \
+        assert oracle_pr(clf, np.array([0.5]), 1, grid) == \
             pytest.approx(1.0 - flips / 101)
 
     def test_worst_point_is_first_in_index_order(self):
@@ -56,7 +56,7 @@ class TestOracleAr:
         pts = grid.points()
         flips = clf.predict(x[None, :] + pts) != 1
         assert pts[np.argmax(flips)][0] == -1.0  # lexicographically first flipping offset
-        assert oracle_pr(clf, x, 1, "uniform_ball", grid) == pytest.approx(1.0 - flips.mean())
+        assert oracle_pr(clf, x, 1, grid) == pytest.approx(1.0 - flips.mean())
 
     def test_matches_closed_form_on_random_instances(self):
         # Logit gap u = w.x + b; the worst grid offset is a corner of the
@@ -82,21 +82,19 @@ class TestOracleAr:
     def test_dims_mismatch_rejected(self):
         clf = linear_clf(np.array([1.0]))
         with pytest.raises(ValueError, match="dim"):
-            oracle_pr(clf, np.array([0.5, 0.5]), 1, "uniform_ball",
-                      GridSpec(dims=1, points_per_dim=5, gamma=0.1))
+            oracle_pr(clf, np.array([0.5, 0.5]), 1, GridSpec(dims=1, points_per_dim=5, gamma=0.1))
 
 
 class TestOraclePr:
     def test_whole_ball_correct(self):
         clf = linear_clf(np.array([1.0]))
-        val = oracle_pr(clf, np.array([5.0]), 1, "uniform_ball",
-                        GridSpec(dims=1, points_per_dim=101, gamma=0.5))
+        val = oracle_pr(clf, np.array([5.0]), 1, GridSpec(dims=1, points_per_dim=101, gamma=0.5))
         assert val == 1.0
 
     def test_sign_classifier_three_quarters(self):
         clf = linear_clf(np.array([1.0]))
         grid = GridSpec(dims=1, points_per_dim=4001, gamma=1.0)
-        val = oracle_pr(clf, np.array([0.5]), 1, "uniform_ball", grid)
+        val = oracle_pr(clf, np.array([0.5]), 1, grid)
         assert val == pytest.approx(0.75, abs=2.0 / 4000)
 
     def test_quadrature_convergence(self):
@@ -104,8 +102,7 @@ class TestOraclePr:
         x = np.array([0.2, 0.1])
         vals = []
         for p in (11, 21, 41, 81):
-            vals.append(oracle_pr(clf, x, 1, "uniform_ball",
-                                  GridSpec(dims=2, points_per_dim=p, gamma=0.6)))
+            vals.append(oracle_pr(clf, x, 1, GridSpec(dims=2, points_per_dim=p, gamma=0.6)))
         diffs = [abs(a - b) for a, b in zip(vals, vals[1:])]
         assert diffs[-1] <= diffs[0] + 1e-9
 
@@ -118,28 +115,12 @@ class TestOraclePr:
             x = 0.8 * rng.normal(size=2)
             y = int(clf.predict(x[None, :])[0])
             gamma = float(rng.uniform(0.2, 1.0))
-            quad = oracle_pr(clf, x, y, "uniform_ball",
-                             GridSpec(dims=2, points_per_dim=201, gamma=gamma))
+            quad = oracle_pr(clf, x, y, GridSpec(dims=2, points_per_dim=201, gamma=gamma))
             M = 4000
             mc = pr_estimate(clf, x[None, :], np.array([y]), UNIFORM_BALL, gamma, M,
                              rng=np.random.default_rng(100 + trial))
             tol = 3.0 * np.sqrt(max(quad * (1 - quad), 1e-4) / M) + 1.0 / 200
             assert abs(mc - quad) <= tol, f"trial {trial}: mc={mc} quad={quad}"
-
-    def test_custom_density_callable(self):
-        clf = linear_clf(np.array([1.0]))
-        grid = GridSpec(dims=1, points_per_dim=2001, gamma=1.0)
-        # Triangle density peaked at the center.
-        tri = lambda pts: 1.0 - np.abs(pts[:, 0])
-        val = oracle_pr(clf, np.array([0.5]), 1, tri, grid)
-        # P(eps > -0.5) under the triangle law on [-1,1]: 1 - 0.125 = 0.875
-        assert val == pytest.approx(0.875, abs=2e-3)
-
-    def test_bad_dist_rejected(self):
-        clf = linear_clf(np.array([1.0]))
-        with pytest.raises(ValueError, match="dist"):
-            oracle_pr(clf, np.array([0.0]), 0, 42,
-                      GridSpec(dims=1, points_per_dim=5, gamma=0.1))
 
 
 def _report(nppr=0.9, pr_u=0.99, pr_g=0.98, ar=0.2, mode="joint", draws=10**6, **kw):

@@ -9,8 +9,7 @@ from nppr.generator import build_generator
 from nppr.models import Classifier, ClassifierConfig, DependencyMode, GmmParams, HeadConfig
 from nppr.rng import EVAL, substream
 from nppr.sampling import (AnnealSchedule, GumbelConfig, anneal_value, categorical_exact,
-                           gumbel_softmax_sample, gumbel_tau, sample_exact,
-                           sample_perturbations)
+                           gumbel_softmax_sample, sample_exact, sample_perturbations)
 from nppr.tensor import Tensor
 from nppr.upsample import UpsamplerConfig
 
@@ -429,9 +428,9 @@ class TestAnnealing:
 
     def test_gumbel_defaults_match_table(self):
         cfg = GumbelConfig()
-        assert (cfg.tau_init, cfg.tau_final, cfg.anneal) == (1.0, 0.1, True)
-        assert gumbel_tau(cfg, 0, 50) == 1.0
-        assert gumbel_tau(cfg, 49, 50) == pytest.approx(0.1)
+        assert (cfg.tau_init, cfg.tau_final) == (1.0, 0.1)
+        assert anneal_value((cfg.tau_init, cfg.tau_final), 0, 50) == 1.0
+        assert anneal_value((cfg.tau_init, cfg.tau_final), 49, 50) == pytest.approx(0.1)
 
     def test_schedule_defaults_match_table(self):
         s = AnnealSchedule()
@@ -440,9 +439,9 @@ class TestAnnealing:
         assert s.T_sigma == (1.5, 1.0)
         assert s.T_shared == (1.5, 1.0)
 
-    def test_no_anneal_constant(self):
-        cfg = GumbelConfig(tau_init=0.8, tau_final=0.2, anneal=False)
-        assert gumbel_tau(cfg, 25, 50) == 0.8
+    def test_equal_ends_give_a_constant_tau(self):
+        cfg = GumbelConfig(tau_init=0.8, tau_final=0.8)
+        assert {anneal_value((cfg.tau_init, cfg.tau_final), e, 50) for e in range(50)} == {0.8}
 
     def test_invalid_order_rejected(self):
         with pytest.raises(ValueError):

@@ -126,6 +126,15 @@ class TestTraining:
         finally:
             clf.frozen = True
 
+    @pytest.mark.parametrize("taus", [(1.0, 0.1), (0.5, 0.5)])
+    def test_gumbel_tau_anneals_over_the_run(self, instance, taus):
+        # Equal ends are the one way to train at a constant tau.
+        clf, split = instance
+        cfg = _cfg(epochs=3, gumbel=GumbelConfig(*taus))
+        _, records = train_generator(clf, split, cfg, _gen(clf))
+        assert [r.tau_gumbel for r in records] == pytest.approx(
+            [taus[0], sum(taus) / 2, taus[1]], abs=1e-15)
+
     def test_loss_decreases_on_crossing_instance(self, instance):
         clf, split = instance
         gen = _gen(clf)
@@ -294,7 +303,7 @@ class TestCheckpoints:
         loads.clear()
         restored, _ = restore_checkpoint(path, clf)
         assert loads == [path]
-        assert restored.tensors().keys() == gen.tensors().keys()
+        assert restored.named_params().keys() == gen.named_params().keys()
 
     def test_corrupt_file_rejected(self, tmp_path, instance):
         clf, _ = instance
@@ -553,14 +562,13 @@ class TestCheckpoints:
         doc["extra"]["train_cfg"]["mode"] = "joint"
         path.write_text(json.dumps(doc, sort_keys=True))
         old, old_state = restore_checkpoint(path, clf, expected_mode=DependencyMode.JOINT)
-        for name, t in restored.tensors().items():
-            np.testing.assert_array_equal(old.tensors()[name].data, t.data)
+        for name, t in restored.named_params().items():
+            np.testing.assert_array_equal(old.named_params()[name].data, t.data)
         _, records = train_generator(clf, split, cfg, old, resume=old_state)
         assert [r.epoch for r in records] == [1]
 
     @pytest.mark.parametrize("field,value,reason", [
         ("gamma", float("nan"), "must be finite, got nan"),
-        ("learnable_premap", "yes", "expected bool, got str"),
         ("latent_grid", [1, "a", 4], "must be [c, h', w'] of positive ints")])
     def test_restore_refuses_bad_upsampler_settings(self, instance, tmp_path, field, value,
                                                     reason):
@@ -599,18 +607,21 @@ class TestCheckpoints:
         assert str(info.value) == (f"{path}: stored settings cannot be read: "
                                    f"ValueError: RunState.{field}: {reason}")
 
-    def test_frozen_premap_survives_restore(self, instance, tmp_path):
-        clf, split = instance
-        head_cfg = HeadConfig(mode=DependencyMode.JOINT, K=2, latent_dim=2,
-                              hidden_dim=8, label_emb_dim=4)
-        ups_cfg = UpsamplerConfig(mode="linear_vector", learnable_premap=False, gamma=0.5)
-        gen = build_generator(clf, head_cfg, ups_cfg, seed=3)
-        frozen_w = gen.upsampler.weight.data.copy()
-        path = tmp_path / "frozen.json"
-        _save(gen, path)
-        restored = restore_checkpoint(path, clf)[0]
-        np.testing.assert_array_equal(restored.upsampler.weight.data, frozen_w)
-        assert restored.upsampler.named_params() == {}
+    @pytest.mark.parametrize("section,field", [("ups_cfg", "learnable_premap"),
+                                               ("head_cfg", "label_emb_normalized")])
+    def test_restore_refuses_a_removed_setting(self, instance, tmp_path, section, field):
+        # Checkpoints once stored these settings. The premap is now always
+        # trained and the label embedding always has unit rows, so a frozen
+        # premap or raw embeddings could not be rebuilt as they were trained.
+        clf, _ = instance
+        path = tmp_path / "ck.json"
+        _save(_gen(clf), path)
+        doc = json.loads(path.read_text())
+        doc["extra"][section][field] = False
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SnapshotError, match=rf"ck\.json: stored settings cannot be read: "
+                                                rf"TypeError: .*'{field}'"):
+            restore_checkpoint(path, clf)
 
 
 class TestTemperatures:

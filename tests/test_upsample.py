@@ -71,9 +71,8 @@ class TestWeightMatrix:
         np.testing.assert_allclose(out[interior], coords[interior], atol=1e-9)
 
 
-def _image_upsampler(learnable=True, seed=0):
-    cfg = UpsamplerConfig(mode=MODE_BICUBIC, learnable_premap=learnable,
-                          latent_grid=(1, 4, 4), gamma=0.1)
+def _image_upsampler(seed=0):
+    cfg = UpsamplerConfig(mode=MODE_BICUBIC, latent_grid=(1, 4, 4), gamma=0.1)
     return Upsampler(cfg, latent_dim=16, input_dim=64, image_shape=(1, 8, 8),
                      rng=substream(seed, 99))
 
@@ -106,15 +105,6 @@ class TestUpsampler:
         with pytest.raises(ValueError, match="latent_dim == input_dim"):
             Upsampler(cfg, latent_dim=4, input_dim=6, image_shape=None,
                       rng=substream(0, 99))
-
-    def test_frozen_premap_has_no_params(self):
-        ups = _image_upsampler(learnable=False)
-        assert ups.named_params() == {}
-        before = ups.weight.data.copy()
-        out = T.reduce_sum(ups.forward(Tensor(np.ones((2, 16)), requires_grad=True)))
-        out.backward()
-        np.testing.assert_array_equal(ups.weight.data, before)
-        assert ups.weight.grad is None
 
     def test_gradient_matches_finite_difference(self):
         ups = _image_upsampler()
