@@ -4,7 +4,9 @@ A minimal document ({}) yields the documented default experiment (blobs
 d=16/C=10, K=7, M=32, kappa=1, 50 epochs, epsilon 16/255). Budgets written
 as rationals like "16/255" are parsed exactly. Unknown keys are fatal in
 strict mode: a silently misconfigured robustness run is worse than a failed
-one.
+one. So are the keys of removed settings: training and evaluation run one way
+(Adam at `train.lr` throughout, temperatures annealed over the whole run, a
+clipped Gaussian baseline of sd epsilon/3, a full-batch classifier fit).
 
 Each document section is read into its dataclass, which gives every key's
 type, default and check: a field's rule is stated once, on the field, with
@@ -42,14 +44,6 @@ class ConfigError(Exception):
     """Invalid configuration; the message names the offending key path."""
 
 
-def _sigma_rule(value):
-    if value == "gamma/3":
-        return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return "must be 'gamma/3' or a number"
-    return positive(value) if finite(value) else "must be finite"
-
-
 _DEPENDENCIES = tuple(m.value for m in DependencyMode)
 
 
@@ -71,7 +65,6 @@ class DatasetSpec:
 class BaselineSpec:
     pgd_steps: int = checked(20, at_least(1))
     cw_steps: int = checked(20, at_least(1))
-    gaussian_sigma_rule: str | float = checked("gamma/3", _sigma_rule, kind=object)
     eval_samples: int = checked(512, at_least(1))
 
 
@@ -246,17 +239,10 @@ def serialize_config(cfg: ExperimentConfig) -> dict:
     doc["gmm"] = {_KEY.get(k, k): v for k, v in head.items()}
     del doc["upsampler"]["gamma"]
     doc["budget"] = {"epsilon": doc.pop("epsilon")}
-    for section, key in ((doc["classifier"], "batch_size"), (doc, "output_dir")):
-        if section[key] is None:
-            del section[key]
+    if doc["output_dir"] is None:
+        del doc["output_dir"]
     return doc
 
 
 def config_to_json(cfg: ExperimentConfig) -> str:
     return json.dumps(serialize_config(cfg), sort_keys=True, indent=2)
-
-
-def resolve_sigma(rule, gamma: float) -> float:
-    if rule == "gamma/3":
-        return gamma / 3.0
-    return float(rule)

@@ -30,7 +30,7 @@ from contextlib import ExitStack
 from pathlib import Path
 
 from . import tensor as T
-from .config import ExperimentConfig, config_to_json, resolve_sigma
+from .config import ExperimentConfig, config_to_json
 from .datasets import (LabeledDataset, SplitDataset, make_blobs, make_grid_image,
                        make_rings, stratified_split)
 from .generator import Generator, build_generator
@@ -77,14 +77,13 @@ def evaluate_generator(cfg: ExperimentConfig, clf: Classifier, generator: Genera
     gamma = generator.gamma
     M = cfg.baselines.eval_samples
     test, train = split.test, split.train
-    sigma = resolve_sigma(cfg.baselines.gaussian_sigma_rule, gamma)
 
     nppr_test = nppr_estimate(clf, generator, test.x, test.y, M, substream(cfg.seed, EVAL, 0))
     nppr_train = nppr_estimate(clf, generator, train.x, train.y, M, substream(cfg.seed, EVAL, 1))
     pr_u = pr_estimate(clf, test.x, test.y, UNIFORM_BALL, gamma, M,
                        substream(cfg.seed, EVAL, 2))
     pr_g = pr_estimate(clf, test.x, test.y, CLIPPED_GAUSSIAN, gamma, M,
-                       substream(cfg.seed, EVAL, 3), sigma=sigma)
+                       substream(cfg.seed, EVAL, 3))
     ar_p = ar_pgd(clf, test.x, test.y, gamma, steps=cfg.baselines.pgd_steps,
                   rng=substream(cfg.seed, ATTACK, 0))
     ar_c = ar_cw(clf, test.x, test.y, gamma, steps=cfg.baselines.cw_steps,

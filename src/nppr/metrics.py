@@ -29,7 +29,7 @@ from . import tensor as T
 from .generator import Generator
 from .models import Classifier, DependencyMode
 from .rng import ATTACK, substream
-from .serialize import at_least, check_fields, checked, finite, one_of, positive, rate
+from .serialize import at_least, check_fields, checked, one_of, rate
 from .tensor import Tensor
 from .upsample import check_budget
 
@@ -115,30 +115,27 @@ def nppr_estimate(clf: Classifier, generator: Generator, x: np.ndarray, y: np.nd
     return hits / (x.shape[0] * M)
 
 
-def baseline_noise(dist: str, shape: tuple, gamma: float, rng: np.random.Generator,
-                   sigma: float | None = None) -> np.ndarray:
+def baseline_noise(dist: str, shape: tuple, gamma: float, rng: np.random.Generator) -> np.ndarray:
+    """Draws of a fixed baseline: uniform on [-gamma, gamma], or normal with
+    sd gamma / 3 clipped into [-gamma, gamma]."""
     if dist == UNIFORM_BALL:
         return rng.uniform(-gamma, gamma, size=shape)
     if dist == CLIPPED_GAUSSIAN:
-        s = gamma / 3.0 if sigma is None else sigma
-        noise = rng.normal(0.0, s, size=shape)
+        noise = rng.normal(0.0, gamma / 3.0, size=shape)
         return np.clip(noise, -gamma, gamma, out=noise)
     raise ValueError(f"pr_estimate: unknown distribution '{dist}'")
 
 
 def pr_estimate(clf: Classifier, x: np.ndarray, y: np.ndarray, dist: str,
-                gamma: float, M: int, rng: np.random.Generator,
-                sigma: float | None = None) -> float:
-    """Monte-Carlo retention probability under a fixed baseline distribution;
-    `sigma` (the clipped Gaussian's, gamma / 3 when None) must be finite and > 0."""
+                gamma: float, M: int, rng: np.random.Generator) -> float:
+    """Monte-Carlo retention probability under a fixed baseline distribution
+    (`baseline_noise`)."""
     check_budget(gamma, "pr_estimate")
-    if sigma is not None and (not finite(sigma) or positive(sigma)):
-        raise ValueError(f"pr_estimate: sigma must be finite and > 0, got {sigma}")
     x, y, pieces = _pieces(x, y, M, "pr_estimate")
     hits = 0
     for part in pieces:
         xb = x[part]
-        noise = baseline_noise(dist, (len(xb) * M, x.shape[1]), gamma, rng, sigma)
+        noise = baseline_noise(dist, (len(xb) * M, x.shape[1]), gamma, rng)
         hits += _hits(clf, xb, y[part], noise)
     return hits / (x.shape[0] * M)
 

@@ -133,12 +133,12 @@ class Classifier:
 
 @dataclass
 class ClassifierSpec:
-    """How the target classifier is fit: its hidden widths and the Adam run."""
+    """How the target classifier is fit: its hidden widths and the full-batch
+    Adam run, one step per epoch."""
     hidden: tuple = checked((64, 32), lambda v: None if v and all(positive_int(h) for h in v)
                             else "must be a non-empty list of positive ints")
     epochs: int = checked(200, at_least(1))
     lr: float = checked(1e-2, positive)
-    batch_size: int | None = checked(None, at_least(1), kind=int)
     accuracy_threshold: float = checked(0.95, rate)
 
     def __post_init__(self):
@@ -163,16 +163,13 @@ def train_classifier(x: np.ndarray, y: np.ndarray, spec: ClassifierSpec, seed: i
                            hidden=tuple(spec.hidden), image_shape=image_shape)
     clf = Classifier(cfg, seed=seed)
     opt = Adam(clf.params(), lr=spec.lr)
-    n = x.shape[0]
-    bs = n if spec.batch_size is None else min(spec.batch_size, n)
     for epoch in range(spec.epochs):
-        order = substream(seed, CLASSIFIER, 1, epoch).permutation(n)
-        for start in range(0, n, bs):
-            idx = order[start:start + bs]
-            opt.zero_grad()
-            loss = T.cross_entropy(clf.logits(T.constant(x[idx])), y[idx])
-            loss.backward()
-            opt.step()
+        # Every step sees all rows; their shuffled order fixes the loss's summation order.
+        idx = substream(seed, CLASSIFIER, 1, epoch).permutation(x.shape[0])
+        opt.zero_grad()
+        loss = T.cross_entropy(clf.logits(T.constant(x[idx])), y[idx])
+        loss.backward()
+        opt.step()
     clf.train_accuracy = clf.accuracy(x, y)
     if clf.train_accuracy < spec.accuracy_threshold:
         log.warning("classifier train accuracy %.4f below threshold %.4f",

@@ -17,6 +17,7 @@ import numpy as np
 
 from .metrics import RobustnessReport, mc_half_width
 from .models import Classifier, DependencyMode
+from .upsample import check_budget
 
 
 @dataclass
@@ -30,8 +31,7 @@ class GridSpec:
     def __post_init__(self):
         if self.points_per_dim < 3 or self.points_per_dim % 2 == 0:
             raise ValueError("grid: points_per_dim must be odd and >= 3 (includes the center)")
-        if self.gamma <= 0:
-            raise ValueError("grid: gamma must be > 0")
+        check_budget(self.gamma, "grid")
         if self.points_per_dim ** self.dims > self.max_points:
             raise ValueError(
                 f"grid: {self.points_per_dim}^{self.dims} points exceed cap {self.max_points}")

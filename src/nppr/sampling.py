@@ -13,7 +13,7 @@ import numpy as np
 
 from . import tensor as T
 from .models import GmmParams, Temperatures
-from .serialize import at_least, check_fields, checked, positive, value_error
+from .serialize import check_fields, checked, positive, value_error
 from .tensor import Tensor
 
 GUMBEL_FLOOR = 1e-12
@@ -41,16 +41,12 @@ def _positive_pair(value):
 
 @dataclass
 class AnnealSchedule:
-    """Per-group temperature divisors, each interpolated (init -> final).
-
-    warmup_epochs == 0 spreads the interpolation over the whole run;
-    otherwise values clamp at their final level once the window ends.
-    """
+    """Per-group temperature divisors, each interpolated (init -> final) over
+    the whole run."""
     T_pi: tuple = checked((3.0, 1.0), _positive_pair)
     T_mu: tuple = checked((3.0, 1.0), _positive_pair)
     T_sigma: tuple = checked((1.5, 1.0), _positive_pair)
     T_shared: tuple = checked((1.5, 1.0), _positive_pair)
-    warmup_epochs: int = checked(0, at_least(0))
 
     def __post_init__(self):
         check_fields(self)
@@ -59,19 +55,18 @@ class AnnealSchedule:
 
     def at(self, epoch: int, total_epochs: int) -> Temperatures:
         """The four divisors of `epoch` in a run of `total_epochs` epochs."""
-        return Temperatures(*(anneal_value(getattr(self, f.name), epoch, total_epochs,
-                                           self.warmup_epochs) for f in fields(Temperatures)))
+        return Temperatures(*(anneal_value(getattr(self, f.name), epoch, total_epochs)
+                              for f in fields(Temperatures)))
 
 
-def anneal_value(pair: tuple, epoch: int, total_epochs: int, warmup_epochs: int = 0) -> float:
-    """Linear interpolation from pair[0] to pair[1]; epoch 0 gives the initial
-    value, the end of the window (warmup if set, else the full run) the final."""
+def anneal_value(pair: tuple, epoch: int, total_epochs: int) -> float:
+    """Linear interpolation from pair[0] at epoch 0 to pair[1] at the last
+    epoch; a one-epoch run reads the final value."""
     if not (0 <= epoch < total_epochs):
         raise ValueError(f"anneal_value: epoch {epoch} outside [0, {total_epochs})")
-    window = warmup_epochs if warmup_epochs > 0 else total_epochs
-    if window <= 1:
+    if total_epochs == 1:
         return float(pair[1])
-    t = min(epoch, window - 1) / (window - 1)
+    t = epoch / (total_epochs - 1)
     return float(pair[0] + t * (pair[1] - pair[0]))
 
 

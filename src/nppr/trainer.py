@@ -22,7 +22,7 @@ from .optim import Adam
 from .rng import GUMBEL, PROBE, SHUFFLE, substream
 from .sampling import AnnealSchedule, GumbelConfig, anneal_value
 from .serialize import (SnapshotError, at_least, check_fields, checked, config_record,
-                        load_snapshot, one_of, positive, rate, save_snapshot)
+                        load_snapshot, positive, rate, save_snapshot)
 from .upsample import UpsamplerConfig
 
 log = logging.getLogger(__name__)
@@ -30,14 +30,10 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class TrainConfig:
-    """How the generator is trained. `warmup_epochs` and `lr_min` are read only
-    by the cosine learning-rate schedule (`lr_at_epoch`); `warmup_epochs` is not
-    `anneal.warmup_epochs`, the window over which the temperatures anneal."""
+    """How the generator is trained: Adam at `lr` for all `epochs`, while the
+    relaxation and head temperatures anneal over the whole run."""
     epochs: int = checked(50, at_least(1))
     lr: float = checked(5e-4, positive)
-    lr_schedule: str = checked("constant", one_of({"constant", "cosine"}))
-    warmup_epochs: int = checked(20, at_least(0))
-    lr_min: float = checked(2e-6, positive)
     samples_per_input: int = checked(32, at_least(1))
     batch_size: int = checked(128, at_least(1))
     seed: int = checked(0, at_least(0))
@@ -72,17 +68,6 @@ class EpochRecord:
 
 
 EPOCH_CSV_COLUMNS = [f.name for f in fields(EpochRecord) if f.name != "aborted"]
-
-
-def lr_at_epoch(cfg: TrainConfig, epoch: int) -> float:
-    if cfg.lr_schedule == "constant":
-        return cfg.lr
-    warm = min(cfg.warmup_epochs, cfg.epochs)
-    if epoch < warm:
-        return cfg.lr * (epoch + 1) / warm
-    span = max(cfg.epochs - warm, 1)
-    t = (epoch - warm) / span
-    return cfg.lr_min + 0.5 * (cfg.lr - cfg.lr_min) * (1.0 + np.cos(np.pi * t))
 
 
 @dataclass
@@ -310,7 +295,6 @@ def train_generator(clf: Classifier, split: SplitDataset, cfg: TrainConfig,
     for epoch in range(run.epoch_next, cfg.epochs):
         generator.temps = temps = cfg.anneal.at(epoch, cfg.epochs)
         tau = anneal_value((cfg.gumbel.tau_init, cfg.gumbel.tau_final), epoch, cfg.epochs)
-        opt.lr = lr_at_epoch(cfg, epoch)
 
         order = substream(cfg.seed, SHUFFLE, epoch).permutation(n)
         total_loss, total_rows, aborted = 0.0, 0, False

@@ -19,6 +19,7 @@ from nppr.metrics import (CLIPPED_GAUSSIAN, UNIFORM_BALL, RobustnessReport, ar_c
                           mixture_statistics, nppr_estimate, pr_estimate)
 from nppr.models import (CHOL_DIAG_FLOOR, Classifier, ClassifierConfig, ClassifierSpec,
                          DependencyMode, HeadConfig, train_classifier)
+from nppr.oracle import GridSpec
 from nppr.rng import EVAL, substream
 from nppr.tensor import Tensor
 from nppr.upsample import UpsamplerConfig, apply_budget
@@ -384,30 +385,26 @@ _BUDGET_USERS = {
                                                         np.random.default_rng(0)),
     "ar_pgd": lambda clf, x, y, gamma: ar_pgd(clf, x, y, gamma, steps=1),
     "ar_cw": lambda clf, x, y, gamma: ar_cw(clf, x, y, gamma, steps=1),
+    # NaN and inf once built a grid of NaN points, on which oracle_pr read 0.0.
+    "grid": lambda clf, x, y, gamma: GridSpec(dims=1, points_per_dim=5, gamma=gamma),
 }
 
 
 # The attacks read gamma 0 as no attack (clean accuracy, tested above).
 @pytest.mark.parametrize("name, gamma", [
     *((name, gamma) for name in _BUDGET_USERS for gamma in (np.nan, np.inf, -np.inf, -0.5)),
-    ("apply_budget", 0.0), ("pr_estimate", 0.0)])
+    ("apply_budget", 0.0), ("pr_estimate", 0.0), ("grid", 0.0)])
 def test_budget_must_be_finite_and_positive(name, gamma):
     x, y = np.ones((3, 2)), np.array([0, 1, 1])
     with pytest.raises(ValueError, match=rf"^{name}: gamma must be finite and > 0, got "):
         _BUDGET_USERS[name](linear_clf([1.0, -1.0]), x, y, gamma)
 
 
-@pytest.mark.parametrize("sigma", [np.nan, 0.0, np.inf, -1.0])
-def test_pr_estimate_sigma_must_be_finite_and_positive(sigma):
-    # Each once gave a number or a bare numpy error: NaN rows all read as
-    # class 0 (0.345), sigma 0 added no noise (1.0), inf was clipped to the
-    # corners of the ball (0.99875) and -1 ended in "scale < 0".
-    ds = make_blobs(d=4, classes=3, n=200, seed=0)
-    clf = train_classifier(ds.x, ds.y, ClassifierSpec(hidden=(8,)), seed=0)
-    assert clf.accuracy(ds.x, ds.y) == 1.0
-    with pytest.raises(ValueError, match=r"^pr_estimate: sigma must be finite and > 0, got "):
-        pr_estimate(clf, ds.x, ds.y, CLIPPED_GAUSSIAN, 1.0, 8, np.random.default_rng(0),
-                    sigma=sigma)
+@pytest.mark.parametrize("gamma", [0.25, 1.0, 16 / 255])
+def test_clipped_gaussian_has_sd_a_third_of_the_budget(gamma):
+    noise = baseline_noise(CLIPPED_GAUSSIAN, (50, 4), gamma, np.random.default_rng(3))
+    twin = np.random.default_rng(3).normal(0, gamma / 3, (50, 4))
+    np.testing.assert_array_equal(noise, np.clip(twin, -gamma, gamma))
 
 
 class TestEntropyRatio:

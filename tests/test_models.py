@@ -62,8 +62,8 @@ class TestClassifier:
         # The config reader is not the only way in: a spec built in code is
         # refused before the fit, not inside it.
         x, y = np.zeros((8, 2)), np.arange(8) % 2
-        with pytest.raises(ValueError, match=r"^ClassifierSpec\.batch_size: must be >= 1$"):
-            train_classifier(x, y, ClassifierSpec(hidden=(4,), batch_size=0), seed=0)
+        with pytest.raises(ValueError, match=r"^ClassifierSpec\.epochs: must be >= 1$"):
+            train_classifier(x, y, ClassifierSpec(hidden=(4,), epochs=0), seed=0)
 
     def test_wrong_input_shape_rejected(self, blob_classifier):
         clf, _ = blob_classifier

@@ -414,13 +414,11 @@ class TestAnnealing:
 
     def test_final_epoch_is_final(self):
         assert anneal_value((3.0, 1.0), 49, 50) == 1.0
+        assert anneal_value((3.0, 1.0), 0, 1) == 1.0  # a one-epoch run
 
     def test_midpoint(self):
         # 3.0 -> 1.0 over 51 epochs: epoch 25 sits exactly halfway.
         assert anneal_value((3.0, 1.0), 25, 51) == pytest.approx(2.0)
-
-    def test_warmup_clamps_at_final(self):
-        assert anneal_value((2.0, 0.5), 30, 100, warmup_epochs=10) == 0.5
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):

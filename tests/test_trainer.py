@@ -23,9 +23,8 @@ from nppr.optim import Adam
 from nppr.rng import EVAL, substream
 from nppr.sampling import AnnealSchedule, GumbelConfig
 from nppr.serialize import SnapshotError, config_record, doc_to_tensors, tensors_to_doc
-from nppr.trainer import (EPOCH_CSV_COLUMNS, RunState, TrainConfig, lr_at_epoch,
-                          read_checkpoint, restore_checkpoint, save_checkpoint, train_generator,
-                          write_epoch_csv)
+from nppr.trainer import (EPOCH_CSV_COLUMNS, RunState, TrainConfig, read_checkpoint,
+                          restore_checkpoint, save_checkpoint, train_generator, write_epoch_csv)
 from nppr.upsample import UpsamplerConfig
 
 
@@ -81,8 +80,7 @@ def _train_until_killed(monkeypatch, clf, split, cfg, out, epoch_next,
 
 @pytest.mark.parametrize("field,value,reason", [
     ("batch_size", 0, "must be >= 1"), ("probe_size", 0, "must be >= 1"),
-    ("eval_every", 0, "must be >= 1"), ("kappa", float("nan"), "must be finite, got nan"),
-    ("warmup_epochs", -3, "must be >= 0")])
+    ("eval_every", 0, "must be >= 1"), ("kappa", float("nan"), "must be finite, got nan")])
 def test_train_config_refuses_bad_values(field, value, reason):
     with pytest.raises(ValueError) as info:
         TrainConfig(**{field: value})
@@ -90,17 +88,6 @@ def test_train_config_refuses_bad_values(field, value, reason):
 
 
 class TestSchedules:
-    def test_constant(self):
-        cfg = _cfg(lr=3e-3, lr_schedule="constant")
-        assert lr_at_epoch(cfg, 0) == lr_at_epoch(cfg, 7) == 3e-3
-
-    def test_cosine_warmup_and_floor(self):
-        cfg = _cfg(epochs=50, lr=2e-2, lr_schedule="cosine", warmup_epochs=20, lr_min=2e-6)
-        assert lr_at_epoch(cfg, 0) == pytest.approx(2e-2 / 20)
-        assert lr_at_epoch(cfg, 19) == pytest.approx(2e-2)
-        assert lr_at_epoch(cfg, 49) > 2e-6
-        assert lr_at_epoch(cfg, 35) < lr_at_epoch(cfg, 25)
-
     def test_temps_interpolate(self):
         anneal = AnnealSchedule()
         t0, tm, tf = anneal.at(0, 51), anneal.at(25, 51), anneal.at(50, 51)
@@ -109,10 +96,6 @@ class TestSchedules:
         assert tf == Temperatures()
         with pytest.raises(ValueError, match=r"epoch 51 outside \[0, 51\)"):
             anneal.at(51, 51)
-        # A warmup window anneals over its own length, then holds the finals.
-        warm = AnnealSchedule(T_pi=(5.0, 1.0), T_shared=(1.0, 3.0), warmup_epochs=5)
-        assert warm.at(2, 50) == Temperatures(T_pi=3.0, T_mu=2.0, T_sigma=1.25, T_shared=2.0)
-        assert warm.at(4, 50) == warm.at(49, 50) == Temperatures(T_shared=3.0)
 
 
 class TestTraining:
@@ -691,7 +674,11 @@ class TestTemperatures:
          "ValueError: AnnealSchedule.T_pi: must be a positive (init, final) pair"),
         (lambda doc: doc.update(epoch_next=9),
          "ValueError: anneal_value: epoch 8 outside [0, 8)"),
-    ], ids=["bad_pair", "past_the_run"])
+        # written while the temperatures had a warm-up window of their own
+        (lambda doc: doc["train_cfg"]["anneal"].update(warmup_epochs=0),
+         "TypeError: AnnealSchedule.__init__() got an unexpected keyword argument "
+         "'warmup_epochs'"),
+    ], ids=["bad_pair", "past_the_run", "anneal_warmup_window"])
     def test_read_refuses_a_record_without_temperatures(self, instance, tmp_path, edit,
                                                          reason):
         clf, _ = instance
