@@ -13,10 +13,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nppr.config import _KEY, ConfigError, config_to_json, parse_config, serialize_config
+from nppr.config import (_KEY, BaselineSpec, ConfigError, DatasetSpec, ExperimentConfig,
+                         SweepSpec, config_to_json, parse_config, serialize_config)
 from nppr.datasets import GRID_IMAGE_CLASSES
 from nppr.models import ClassifierSpec, HeadConfig
 from nppr.sampling import AnnealSchedule, GumbelConfig
+from nppr.serialize import field_rule
 from nppr.trainer import TrainConfig
 from nppr.upsample import Upsampler, UpsamplerConfig
 
@@ -287,17 +289,65 @@ NEWLY_REJECTED = [
      "dataset.classes: grid-image data has at most 4 classes, got 5"),
 ]
 
+# Rules that no case above pins: a wrong type in the classifier, train and
+# baselines sections, the baselines section's shape, the seeds' and the
+# accuracy threshold's ranges, and a NaN sweep budget.
+UNPINNED = [
+    ({"classifier": {"epochs": 1.5}}, "classifier.epochs: expected int, got float"),
+    ({"train": {"kappa": "1"}}, "train.kappa: expected float, got str"),
+    ({"baselines": {"pgd_steps": 2.5}}, "baselines.pgd_steps: expected int, got float"),
+    ({"baselines": {"eval_samples": "512"}}, "baselines.eval_samples: expected int, got str"),
+    ({"baselines": []}, "baselines: expected an object, got list"),
+    ({"dataset": {"seed": -1}}, "dataset.seed: must be >= 0"),
+    ({"train": {"seed": -1}}, "train.seed: must be >= 0"),
+    ({"classifier": {"accuracy_threshold": 1.5}},
+     "classifier.accuracy_threshold: 1.5 outside [0, 1]"),
+    ('{"sweep": {"epsilons": ["1/2", NaN]}}',
+     "sweep.epsilons: cannot parse 'nan' as a budget radius"),
+]
+
 
 def _as_text(doc) -> str:
     return doc if isinstance(doc, str) else json.dumps(doc)
 
 
 @pytest.mark.parametrize("strict", [True, False], ids=["strict", "lax"])
-@pytest.mark.parametrize("doc,message", INVALID + NEWLY_REJECTED)
+@pytest.mark.parametrize("doc,message", INVALID + NEWLY_REJECTED + UNPINNED)
 def test_invalid_document_message(doc, message, strict):
     with pytest.raises(ConfigError) as info:
         parse_config(_as_text(doc), strict=strict)
     assert str(info.value) == message
+
+
+# Each document section and its dataclass; the upsampler's gamma is
+# `budget.epsilon`, not a key of its own.
+SECTIONS = {"": ExperimentConfig, "dataset": DatasetSpec, "classifier": ClassifierSpec,
+            "gmm": HeadConfig, "upsampler": UpsamplerConfig, "train": TrainConfig,
+            "train.gumbel": GumbelConfig, "train.anneal": AnnealSchedule,
+            "baselines": BaselineSpec, "sweep": SweepSpec}
+FLOAT_KEYS = [(path, _KEY.get(f.name, f.name)) for path, cls in SECTIONS.items()
+              for f in fields(cls) if field_rule(f)[0] is float and f.name != "gamma"]
+
+
+def test_float_keys_span_every_section_with_floats():
+    assert {path for path, _ in FLOAT_KEYS} == {"", "dataset", "classifier", "train",
+                                                "train.gumbel"}
+    assert len(FLOAT_KEYS) == 11
+
+
+@pytest.mark.parametrize("path,key", FLOAT_KEYS,
+                         ids=[f"{p}.{k}" if p else k for p, k in FLOAT_KEYS])
+def test_every_float_key_refuses_non_finite(path, key):
+    """A float key refuses NaN and the infinities by its kind alone, so no
+    field states the rule again."""
+    full = f"{path}.{key}" if path else key
+    for text in ("NaN", "Infinity", "-Infinity"):
+        doc = f'{{"{key}": {text}}}'
+        for part in reversed(path.split(".") if path else []):
+            doc = f'{{"{part}": {doc}}}'
+        with pytest.raises(ConfigError) as info:
+            parse_config(doc)
+        assert str(info.value) == f"{full}: must be finite, got {float(text.lower())}"
 
 
 @pytest.mark.parametrize("classes", [None, 2, GRID_IMAGE_CLASSES])

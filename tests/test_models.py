@@ -9,6 +9,8 @@ from nppr.generator import build_generator
 from nppr.metrics import margin_loss
 from nppr.models import (Classifier, ClassifierConfig, ClassifierSpec, DependencyMode, GmmHead,
                          HeadConfig, Temperatures, train_classifier)
+from nppr.optim import Adam
+from nppr.rng import CLASSIFIER, substream
 from nppr.tensor import Tensor
 from nppr.upsample import UpsamplerConfig
 
@@ -24,6 +26,22 @@ class TestClassifier:
     def test_separable_blobs_hit_accuracy(self, blob_classifier):
         clf, _ = blob_classifier
         assert clf.train_accuracy >= 0.99
+
+    def test_one_full_batch_step_per_epoch(self):
+        # Each epoch is one Adam step on every row, in that epoch's shuffled order.
+        ds = make_blobs(d=3, classes=3, n=60, seed=4, separation=3.0)
+        spec = ClassifierSpec(hidden=(8,), epochs=5, lr=0.05)
+        clf = train_classifier(ds.x, ds.y, spec, seed=2)
+        twin = Classifier(ClassifierConfig(input_dim=3, num_classes=3, hidden=(8,)), seed=2)
+        opt = Adam(twin.params(), lr=spec.lr)
+        for epoch in range(spec.epochs):
+            idx = substream(2, CLASSIFIER, 1, epoch).permutation(len(ds.y))
+            opt.zero_grad()
+            T.cross_entropy(twin.logits(T.constant(ds.x[idx])), ds.y[idx]).backward()
+            opt.step()
+        assert opt.t == spec.epochs
+        for p, q in zip(clf.params(), twin.params()):
+            np.testing.assert_array_equal(p.data, q.data)
 
     def test_constant_labels_trivial(self):
         rng = np.random.default_rng(1)

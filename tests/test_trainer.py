@@ -80,7 +80,8 @@ def _train_until_killed(monkeypatch, clf, split, cfg, out, epoch_next,
 
 @pytest.mark.parametrize("field,value,reason", [
     ("batch_size", 0, "must be >= 1"), ("probe_size", 0, "must be >= 1"),
-    ("eval_every", 0, "must be >= 1"), ("kappa", float("nan"), "must be finite, got nan")])
+    ("eval_every", 0, "must be >= 1"), ("seed", -1, "must be >= 0"),
+    ("kappa", float("nan"), "must be finite, got nan")])
 def test_train_config_refuses_bad_values(field, value, reason):
     with pytest.raises(ValueError) as info:
         TrainConfig(**{field: value})
@@ -117,6 +118,21 @@ class TestTraining:
         _, records = train_generator(clf, split, cfg, _gen(clf))
         assert [r.tau_gumbel for r in records] == pytest.approx(
             [taus[0], sum(taus) / 2, taus[1]], abs=1e-15)
+
+    def test_adam_runs_at_the_configured_rate_throughout(self, instance, monkeypatch):
+        clf, split = instance
+        rates = []
+
+        class Recording(Adam):
+            def step(self):
+                rates.append(self.lr)
+                return super().step()
+
+        monkeypatch.setattr(nppr.trainer, "Adam", Recording)
+        cfg = _cfg(epochs=3, lr=2e-3)
+        train_generator(clf, split, cfg, _gen(clf))
+        assert len(rates) >= cfg.epochs
+        assert set(rates) == {2e-3}
 
     def test_loss_decreases_on_crossing_instance(self, instance):
         clf, split = instance
