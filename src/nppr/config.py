@@ -3,10 +3,11 @@
 A minimal document ({}) yields the documented default experiment (blobs
 d=16/C=10, K=7, M=32, kappa=1, 50 epochs, epsilon 16/255). Budgets written
 as rationals like "16/255" are parsed exactly. Unknown keys are fatal in
-strict mode: a silently misconfigured robustness run is worse than a failed
-one. So are the keys of removed settings: training and evaluation run one way
-(Adam at `train.lr` throughout, temperatures annealed over the whole run, a
-clipped Gaussian baseline of sd epsilon/3, a full-batch classifier fit).
+strict mode, every section's named in one error: a silently misconfigured
+robustness run is worse than a failed one. So are the keys of removed
+settings: training and evaluation run one way (Adam at `train.lr`
+throughout, temperatures annealed over the whole run, a clipped Gaussian
+baseline of sd epsilon/3, a full-batch classifier fit).
 
 Each document section is read into its dataclass, which gives every key's
 type, default and check: a field's rule is stated once, on the field, with
@@ -124,14 +125,17 @@ def _parse_epsilon(value, path: str) -> Fraction:
 
 
 class _Section:
-    """One level of the document with strict unknown-key handling."""
+    """One level of the document with strict unknown-key handling: in strict
+    mode each section's unknown keys go to `unknown`, which every section of
+    one document shares, else they are logged."""
 
-    def __init__(self, doc: dict, path: str, strict: bool):
+    def __init__(self, doc: dict, path: str, strict: bool, unknown: list):
         if not isinstance(doc, dict):
             raise ConfigError(f"{path or '<root>'}: expected an object, got {type(doc).__name__}")
         self.doc = doc
         self.path = path
         self.strict = strict
+        self.unknown = unknown
         self.seen: set[str] = set()
 
     def _full(self, key: str) -> str:
@@ -151,7 +155,7 @@ class _Section:
     def section(self, key: str) -> "_Section":
         self.seen.add(key)
         sub = self.doc.get(key, {})
-        return _Section(sub, self._full(key), self.strict)
+        return _Section(sub, self._full(key), self.strict, self.unknown)
 
     def finish(self) -> None:
         unknown = sorted(set(self.doc) - self.seen)
@@ -159,8 +163,9 @@ class _Section:
             return
         msg = f"{self.path or '<root>'}: unknown key(s) {unknown}"
         if self.strict:
-            raise ConfigError(msg)
-        log.warning("%s (ignored)", msg)
+            self.unknown.append(msg)
+        else:
+            log.warning("%s (ignored)", msg)
 
 
 # Document keys that differ from their field's name.
@@ -192,7 +197,7 @@ def parse_config(text: str | dict, strict: bool = True) -> ExperimentConfig:
             raise ConfigError(f"not valid JSON: {err}") from None
     else:
         doc = text
-    root = _Section(doc, "", strict)
+    root = _Section(doc, "", strict, [])
 
     ds = root.section("dataset")
     dataset = _read(ds, DatasetSpec)
@@ -226,9 +231,12 @@ def parse_config(text: str | dict, strict: bool = True) -> ExperimentConfig:
     train = _read(root.section("train"), TrainConfig)
     baselines = _read(root.section("baselines"), BaselineSpec)
     sweep = _read(root.section("sweep"), SweepSpec)
-    return _read(root, ExperimentConfig, dataset=dataset, classifier=classifier, head=head,
-                 upsampler=upsampler, train=train, baselines=baselines, epsilon=epsilon,
-                 sweep=sweep)
+    cfg = _read(root, ExperimentConfig, dataset=dataset, classifier=classifier, head=head,
+                upsampler=upsampler, train=train, baselines=baselines, epsilon=epsilon,
+                sweep=sweep)
+    if root.unknown:
+        raise ConfigError("; ".join(root.unknown))
+    return cfg
 
 
 def serialize_config(cfg: ExperimentConfig) -> dict:

@@ -125,7 +125,8 @@ def export_perturbation_samples(generator: Generator, split: SplitDataset, per_i
                             + [f"value_{i}" for i in range(dim)])
         params = generator.gmm_params(x, y)
         for part in pieces:
-            batch = generator.perturb_exact(params.rows(part), per_input, rng)
+            batch = generator.perturb_exact(params.rows(part), per_input,
+                                            rng.spawn(len(x[part])))
             comp = batch.relaxed_weights.data.argmax(axis=2)
             for writer, values in zip(writers, (batch.latent.data, batch.images.data)):
                 writer.writerows([part.start + i, j, int(comp[i, j])]

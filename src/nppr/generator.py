@@ -63,10 +63,10 @@ class Generator:
         """Training path: relaxed mixture draws, graph-connected end to end."""
         return self._to_images(sample_perturbations(params, M, tau, rng))
 
-    def perturb_exact(self, params: GmmParams, M: int,
-                      rng: np.random.Generator) -> PerturbationBatch:
-        """Evaluation path: exact categorical draws, no relaxation bias."""
-        return self._to_images(sample_exact(params, M, rng))
+    def perturb_exact(self, params: GmmParams, M: int, streams: list) -> PerturbationBatch:
+        """Evaluation path: exact categorical draws, no relaxation bias, input
+        b's from `streams[b]`."""
+        return self._to_images(sample_exact(params, M, streams))
 
 
 def build_generator(clf: Classifier, head_cfg: HeadConfig, ups_cfg: UpsamplerConfig,

@@ -10,10 +10,24 @@ The training loss (`margin_loss`) and the CW attack's objective are one logit
 margin with opposite signs, and both are the engine op `tensor.margin`. PGD
 ascends the engine op `tensor.cross_entropy`, the loss the classifier is fit on.
 
-The Monte-Carlo estimators take max(1, _ROWS // M) inputs at a time; no
-draw depends on that tiling (`sample_exact` gives each input its own stream).
-They record no autograd tape: they classify with `Classifier.predict`,
-the classifier's `tensor.dense` forward under `tensor.no_grad()`, and
+The Monte-Carlo estimators cut their inputs into pieces and sum the hits of
+the pieces as integers. A piece holds max(1, _ROWS // (M * workers)) inputs,
+so at most _ROWS (input, draw) rows are in flight across the workers (an
+input with more draws is a piece of its own). The pieces run on `_POOL`, one
+worker per usable core; while they do, the process's BLAS thread count is
+held at 1, so that each product runs on its worker's core, and it is
+restored after the last piece, also when one raises. Where that count cannot
+be set, or one core is usable, or there is one piece, the calling thread
+runs every piece. No number depends on the workers: the calling thread makes
+every draw that shares a stream, in piece order. For NPPR it spawns each
+input's stream in input order, and a piece draws from its inputs' streams
+(`sample_exact`) where it runs, so every piece is handed out at once. For PR
+it draws each piece's noise from its one generator, with at most one
+unfinished piece per worker.
+
+The estimators record no autograd tape: each piece runs under its own
+`tensor.no_grad()` (the flag is per thread) and classifies with
+`Classifier.predict`, the classifier's `tensor.dense` forward, and
 `nppr_estimate` runs the head and the upsampler there too. Only the attacks,
 which need input gradients, record a tape.
 """
@@ -21,7 +35,10 @@ which need input gradients, record a tape.
 from __future__ import annotations
 
 import json
+import os
+from concurrent.futures import FIRST_COMPLETED, FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 
@@ -36,9 +53,14 @@ from .upsample import check_budget
 UNIFORM_BALL = "uniform_ball"
 CLIPPED_GAUSSIAN = "clipped_gaussian"
 
-# (input, draw) rows the estimators draw, perturb and classify at a time
-# (8 MiB per array at d=256); an input with more draws is a piece of its own.
+# (input, draw) rows the estimators draw, perturb and classify at a time,
+# across all workers (8 MiB per array at d=256).
 _ROWS = 1 << 12
+
+# Workers for the estimators' pieces: one per usable core. Its threads start
+# with the first piece handed out.
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+_POOL = ThreadPoolExecutor(max_workers=_WORKERS, thread_name_prefix="nppr-piece")
 
 
 def margin_loss(logits: Tensor, y: np.ndarray, kappa: float = 1.0) -> Tensor:
@@ -76,15 +98,22 @@ def mc_half_width(p: float, draws: int) -> float:
     return 3.0 * float(np.sqrt(p * (1.0 - p) / draws))
 
 
-def _pieces(x: np.ndarray, y: np.ndarray, M: int, name: str):
-    """Checked inputs, then slices of max(1, _ROWS // M) inputs covering them."""
+def _workers() -> int:
+    """Workers the estimators use: `_WORKERS` where the BLAS thread count can
+    be held at 1 while they run, else 1 (the calling thread)."""
+    return _WORKERS if T.BLAS_THREADS is not None else 1
+
+
+def _pieces(x: np.ndarray, y: np.ndarray, M: int, name: str, workers: int = 1):
+    """Checked inputs, then slices of max(1, _ROWS // (M * workers)) inputs
+    covering them."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if x.shape[0] == 0:
         raise ValueError(f"{name}: empty dataset")
     if M < 1:
         raise ValueError(f"{name}: M must be >= 1")
-    step = max(1, _ROWS // M)
+    step = max(1, _ROWS // (M * workers))
     return x, y, [slice(lo, lo + step) for lo in range(0, x.shape[0], step)]
 
 
@@ -99,20 +128,65 @@ def _hits(clf: Classifier, xb: np.ndarray, yb: np.ndarray, delta: np.ndarray) ->
     return int(np.sum(clf.predict(rows) == yb[owner]))
 
 
+def _untaped(task) -> int:
+    """Run one piece's task under `no_grad`, in whichever thread runs it."""
+    with T.no_grad():
+        return task()
+
+
+def _total_hits(tasks, workers: int, ahead: int) -> int:
+    """Sum of the hit counts of `tasks`, zero-argument callables that the
+    calling thread takes from the iterable in order (a lazy one makes each
+    piece's draws as it is taken). With one worker the calling thread runs
+    them. Otherwise they run on `_POOL` with one BLAS thread, at most `ahead`
+    handed out and unfinished at a time, and a task's exception reaches the
+    caller once no handed-out task is left running."""
+    if workers == 1:
+        return sum(_untaped(task) for task in tasks)
+    get_threads, set_threads = T.BLAS_THREADS
+    previous = get_threads()
+    set_threads(1)
+    running = set()
+    total = 0
+    try:
+        for task in tasks:
+            if len(running) == ahead:
+                done, running = wait(running, return_when=FIRST_COMPLETED)
+                total += sum(f.result() for f in done)
+            running.add(_POOL.submit(_untaped, task))
+        done, running = wait(running, return_when=FIRST_EXCEPTION)
+        total += sum(f.result() for f in done)
+    finally:
+        for f in running:
+            f.cancel()
+        wait(running)
+        set_threads(previous)
+    return total
+
+
+def _nppr_hits(clf: Classifier, generator: Generator, xb: np.ndarray, yb: np.ndarray,
+               params, M: int, streams: list) -> int:
+    """One NPPR piece: exact draws from the inputs' own streams, mapped to
+    input space and classified."""
+    images = generator.perturb_exact(params, M, streams).images.data
+    return _hits(clf, xb, yb, images.reshape(-1, xb.shape[1]))
+
+
 def nppr_estimate(clf: Classifier, generator: Generator, x: np.ndarray, y: np.ndarray,
                   M: int, rng: np.random.Generator) -> float:
     """Fraction of (input, draw) pairs classified correctly under the learned
     distribution, the head read at the generator's temperatures; exact
     sampling, hard 0-1 indicator. The head runs once over all inputs, then
-    each piece is drawn, mapped to input space and classified."""
-    x, y, pieces = _pieces(x, y, M, "nppr_estimate")
-    hits = 0
+    each piece is drawn, mapped to input space and classified; input i draws
+    from the i-th stream `rng` spawns."""
+    workers = _workers()
+    x, y, pieces = _pieces(x, y, M, "nppr_estimate", workers)
     with T.no_grad():
         params = generator.gmm_params(x, y)
-        for part in pieces:
-            images = generator.perturb_exact(params.rows(part), M, rng).images.data
-            hits += _hits(clf, x[part], y[part], images.reshape(-1, x.shape[1]))
-    return hits / (x.shape[0] * M)
+    streams = rng.spawn(x.shape[0])
+    tasks = [partial(_nppr_hits, clf, generator, x[part], y[part], params.rows(part), M,
+                     streams[part]) for part in pieces]
+    return _total_hits(tasks, min(workers, len(tasks)), len(tasks)) / (x.shape[0] * M)
 
 
 def baseline_noise(dist: str, shape: tuple, gamma: float, rng: np.random.Generator) -> np.ndarray:
@@ -129,15 +203,18 @@ def baseline_noise(dist: str, shape: tuple, gamma: float, rng: np.random.Generat
 def pr_estimate(clf: Classifier, x: np.ndarray, y: np.ndarray, dist: str,
                 gamma: float, M: int, rng: np.random.Generator) -> float:
     """Monte-Carlo retention probability under a fixed baseline distribution
-    (`baseline_noise`)."""
+    (`baseline_noise`), drawn from `rng` piece by piece."""
     check_budget(gamma, "pr_estimate")
-    x, y, pieces = _pieces(x, y, M, "pr_estimate")
-    hits = 0
-    for part in pieces:
-        xb = x[part]
-        noise = baseline_noise(dist, (len(xb) * M, x.shape[1]), gamma, rng)
-        hits += _hits(clf, xb, y[part], noise)
-    return hits / (x.shape[0] * M)
+    workers = _workers()
+    x, y, pieces = _pieces(x, y, M, "pr_estimate", workers)
+
+    def tasks():
+        for part in pieces:
+            xb = x[part]
+            noise = baseline_noise(dist, (len(xb) * M, x.shape[1]), gamma, rng)
+            yield partial(_hits, clf, xb, y[part], noise)
+
+    return _total_hits(tasks(), min(workers, len(pieces)), workers) / (x.shape[0] * M)
 
 
 def _attack(clf: Classifier, x: np.ndarray, y: np.ndarray, gamma: float, steps: int,

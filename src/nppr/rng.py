@@ -3,8 +3,9 @@
 Every source of randomness in a run is a substream keyed by the run seed plus
 a small integer path (purpose code, epoch, batch index, ...). Substreams are
 independent of execution order, which is what makes checkpoint-resume replay
-possible. `sampling.sample_exact` draws input i under `substream(seed, *path)`
-from `substream(seed, *path, i)`, so no estimate depends on how it tiles inputs.
+possible. The estimators draw input i under `substream(seed, *path)` from
+`substream(seed, *path, i)` (its i-th spawned child, which
+`sampling.sample_exact` takes), so no estimate depends on how it tiles inputs.
 """
 
 from __future__ import annotations

@@ -135,19 +135,19 @@ def categorical_exact(pi: np.ndarray, u: np.ndarray) -> np.ndarray:
     return z
 
 
-def sample_exact(params: GmmParams, M: int, rng: np.random.Generator) -> PerturbationBatch:
+def sample_exact(params: GmmParams, M: int, streams: list) -> PerturbationBatch:
     """Exact (non-relaxed) draws used by every evaluation-time estimator.
 
-    Input b draws its M uniforms, then its (M, D) normals, from child b of
-    `rng.spawn(B)`. The spawn count carries on across calls, so under
-    `substream(seed, *path)` the i-th input of all calls draws from
-    `substream(seed, *path, i)`, and calls over consecutive slices of the
-    inputs give the rows of one call over all.
+    Input b draws its M uniforms, then its (M, D) normals, from `streams[b]`,
+    its own generator. The estimators spawn them from one generator in input
+    order (`rng.spawn(B)`, whose count carries on across calls), so under
+    `substream(seed, *path)` the i-th input draws from `substream(seed, *path,
+    i)` however the inputs are cut into calls, and whichever thread draws.
 
     latent = mu_z + L_z xi for the drawn component z. L_z xi comes from one
-    product: each input's (M, D) noise against its K factors side by side,
+    product per input: its (M, D) noise against its K factors side by side,
     (D, K*D), of which each draw keeps the D columns of its component. Its
-    temporary is B*M*K*D floats, so callers bound B*M. The picks use `np.take`
+    temporary is M*K*D floats, one input's at a time. The picks use `np.take`
     on a flat row index (component z of input b is row b*K + z): the floats
     of a two-array index at a fraction of its cost.
     """
@@ -157,24 +157,27 @@ def sample_exact(params: GmmParams, M: int, rng: np.random.Generator) -> Perturb
     if bad is not None:
         raise ValueError(f"sample_exact: {bad} must be finite")
     B, K, D = params.batch, params.K, params.latent_dim
+    if len(streams) != B:
+        raise ValueError(f"sample_exact: {len(streams)} streams for {B} inputs")
     u = np.empty((B, M))
     xi = np.empty((B, M, D))
-    for b, stream in enumerate(rng.spawn(B)):
+    for b, stream in enumerate(streams):
         stream.random(out=u[b])
         stream.standard_normal(out=xi[b])
     z = categorical_exact(params.pi(), u)                          # (B, M)
 
     means = params.means.data.reshape(B * K, D)
     latent = np.take(means, np.arange(B)[:, None] * K + z, axis=0)  # (B, M, D)
-    # Row (b*M + m)*K + z of a (B*M*K, ...) array belongs to draw m of input b.
-    drawn = np.arange(B * M).reshape(B, M) * K + z
-    # Column k*D + d of stacked[b] is row d of L_k, so (xi @ stacked[b])
+    # Row m*K + z of input b's (M*K, D) product belongs to its draw m.
+    picks = np.arange(M) * K + z                                    # (B, M)
+    # Column k*D + d of stacked[b] is row d of L_k, so (xi[b] @ stacked[b])
     # holds L_k xi for every k side by side.
     stacked = np.swapaxes(params.chol.data.reshape(B, K * D, D), 1, 2)  # (B, D, K*D)
-    latent += np.take((xi @ stacked).reshape(-1, D), drawn, axis=0)
+    for b in range(B):
+        latent[b] += np.take((xi[b] @ stacked[b]).reshape(-1, D), picks[b], axis=0)
 
     onehot = np.zeros((B, M, K))
-    onehot.reshape(-1)[drawn.ravel()] = 1.0
+    np.put_along_axis(onehot.reshape(B, M * K), picks, 1.0, axis=1)
     return PerturbationBatch(latent=T.constant(latent),
                              relaxed_weights=T.constant(onehot),
                              component_draws=xi)

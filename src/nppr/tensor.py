@@ -34,15 +34,16 @@ routed its gradient, so only leaves keep a `.grad`. A leaf's first gradient is
 stored without a copy and may share memory with another leaf's (or be a
 read-only broadcast view); nothing may write into a stored `.grad`.
 
-Under `no_grad()` every op returns a plain tensor that needs no gradient and
-keeps no parents or closure, whatever its operands need. Evaluation runs its
-forwards there, so a Monte-Carlo estimate records no tape that nothing reads;
-the forward values are the same bits either way.
+Under `no_grad()` every op the same thread runs returns a plain tensor that
+needs no gradient and keeps no parents or closure, whatever its operands
+need. Evaluation runs its forwards there, so a Monte-Carlo estimate records
+no tape that nothing reads; the forward values are the same bits either way.
 """
 
 from __future__ import annotations
 
 import ctypes
+import threading
 from contextlib import contextmanager
 
 import numpy as np
@@ -51,13 +52,31 @@ import numpy as np
 # about the same arrays again. glibc would hand the freed heap top back to the
 # kernel for the next step to fault in: keep up to 128 MiB of it. Setting one
 # threshold freezes the other, so pin the mmap one at its adaptive ceiling.
+# The estimators' worker threads allocate too, and glibc would give each its
+# own arena, which keeps its own freed heap: one arena for every thread holds
+# the process to one kept heap, as with one thread.
 try:
     _mallopt = ctypes.CDLL("libc.so.6").mallopt
     _mallopt.argtypes, _mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     _mallopt(-3, 32 << 20)   # M_MMAP_THRESHOLD
     _mallopt(-1, 128 << 20)  # M_TRIM_THRESHOLD
+    _mallopt(-8, 1)          # M_ARENA_MAX
 except (OSError, AttributeError):  # not glibc
     pass
+
+# The (get, set) thread-count calls of the OpenBLAS that numpy loaded, under
+# the names numpy 2's bundled scipy-openblas gives them, or None where they
+# are not found. The Monte-Carlo estimators hold the count at 1 while their
+# worker threads run, so that each product runs on its worker's core (see
+# `metrics`).
+try:
+    _openblas = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    BLAS_THREADS = (_openblas.scipy_openblas_get_num_threads64_,
+                    _openblas.scipy_openblas_set_num_threads64_)
+    BLAS_THREADS[0].argtypes, BLAS_THREADS[0].restype = (), ctypes.c_int
+    BLAS_THREADS[1].argtypes, BLAS_THREADS[1].restype = (ctypes.c_int,), None
+except (OSError, AttributeError):  # another BLAS, or numpy's names differ
+    BLAS_THREADS = None
 
 
 class ShapeError(Exception):
@@ -86,20 +105,24 @@ def _bump(counter: str, amount: int) -> None:
         _NUMERIC_COUNTERS[counter] += int(amount)
 
 
-_grad_enabled = True
+class _GradState(threading.local):
+    enabled = True
+
+
+_grad = _GradState()
 
 
 @contextmanager
 def no_grad():
-    """Record no tape inside the block; the previous state comes back on exit,
-    also after an exception, so blocks nest."""
-    global _grad_enabled
-    previous = _grad_enabled
-    _grad_enabled = False
+    """Record no tape inside the block, in this thread only; the previous
+    state comes back on exit, also after an exception, so blocks nest. Every
+    thread starts with taping on."""
+    previous = _grad.enabled
+    _grad.enabled = False
     try:
         yield
     finally:
-        _grad_enabled = previous
+        _grad.enabled = previous
 
 
 class Tensor:
@@ -167,7 +190,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def _node(data: np.ndarray, parents: tuple, bwd, op: str) -> Tensor:
-    if not (_grad_enabled and any(p.requires_grad for p in parents)):
+    if not (_grad.enabled and any(p.requires_grad for p in parents)):
         return Tensor(data, requires_grad=False, op=op)
     return Tensor(data, requires_grad=True, op=op, parents=parents, bwd=bwd)
 

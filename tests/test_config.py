@@ -378,6 +378,22 @@ def test_unknown_key_strict(doc, message):
     assert str(info.value) == message
 
 
+def test_unknown_keys_of_every_section_in_one_error(caplog):
+    # The removed settings of an old document, in three sections: strict mode
+    # names them all at once, and the lax read logs each section's.
+    doc = {"export_samples": 0, "train": {"lr_schedule": "cosine"},
+           "baselines": {"gaussian_sigma_rule": 0.1}}
+    messages = ["train: unknown key(s) ['lr_schedule']",
+                "baselines: unknown key(s) ['gaussian_sigma_rule']",
+                "<root>: unknown key(s) ['export_samples']"]
+    with pytest.raises(ConfigError) as info:
+        parse_config(_as_text(doc))
+    assert str(info.value) == "; ".join(messages)
+    with caplog.at_level(logging.WARNING, logger="nppr.config"):
+        assert parse_config(_as_text(doc), strict=False) == parse_config("{}")
+    assert caplog.messages == [f"{m} (ignored)" for m in messages]
+
+
 @pytest.mark.parametrize("doc,message", UNKNOWN_KEYS)
 def test_unknown_key_lax_warns_and_ignores(doc, message, caplog):
     with caplog.at_level(logging.WARNING, logger="nppr.config"):

@@ -108,14 +108,14 @@ def test_export_draws_in_pieces(tmp_path, monkeypatch, per_input):
     x, y = split.test.x, split.test.y
     with T.no_grad():
         whole = generator.perturb_exact(generator.gmm_params(x, y), per_input,
-                                        substream(cfg.seed, EVAL, 9))
+                                        substream(cfg.seed, EVAL, 9).spawn(len(x)))
     comp = whole.relaxed_weights.data.argmax(axis=2)
 
     rows = []
     real_sample = nppr.generator.sample_exact
     monkeypatch.setattr(nppr.generator, "sample_exact",
-                        lambda params, M, rng: rows.append(params.batch * M)
-                        or real_sample(params, M, rng))
+                        lambda params, M, streams: rows.append(params.batch * M)
+                        or real_sample(params, M, streams))
     monkeypatch.setattr(nppr.metrics, "_ROWS", 16)
     export_perturbation_samples(generator, split, per_input, tmp_path, cfg.seed)
     assert len(rows) > 1 and max(rows) <= max(16, per_input)

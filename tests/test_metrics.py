@@ -1,6 +1,10 @@
 """Margin loss values, estimator laws, attack baselines, entropy ratio."""
 
 import math
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -140,19 +144,20 @@ class TestPiecewiseEvaluation:
     def test_pieces_equal_whole_batch(self, setup):
         _, gen, x, y = setup
         params = gen.gmm_params(x, y)
-        whole = gen.perturb_exact(params, 5, np.random.default_rng(8))
+        whole = gen.perturb_exact(params, 5, np.random.default_rng(8).spawn(60))
         draws = whole.latent.data.reshape(300, 2)
         pieces = [gen.images(T.constant(draws[lo:lo + 7])).data for lo in range(0, 300, 7)]
         np.testing.assert_array_equal(np.concatenate(pieces), whole.images.data.reshape(300, 3))
         rng = np.random.default_rng(8)
-        parts = [gen.perturb_exact(params.rows(slice(lo, lo + 7)), 5, rng).images.data
+        parts = [gen.perturb_exact(params.rows(slice(lo, lo + 7)), 5,
+                                   rng.spawn(len(range(60)[lo:lo + 7]))).images.data
                  for lo in range(0, 60, 7)]
         np.testing.assert_array_equal(np.concatenate(parts), whole.images.data)
 
     def test_estimate_independent_of_piece_size(self, setup, monkeypatch):
         clf, gen, x, y = setup
         params = gen.gmm_params(x, y)
-        images = gen.perturb_exact(params, 5, np.random.default_rng(8)).images.data
+        images = gen.perturb_exact(params, 5, np.random.default_rng(8).spawn(60)).images.data
         preds = clf.predict((x[:, None, :] + images).reshape(-1, 3)).reshape(60, 5)
         expected = float(np.mean(preds == y[:, None]))
         assert 0.0 < expected < 1.0
@@ -166,7 +171,7 @@ class TestPiecewiseEvaluation:
         # differently, down to one input per piece.
         clf, gen, x, y = setup
         rng = substream(3, EVAL, 0)
-        images = gen.perturb_exact(gen.gmm_params(x, y), 2048, rng).images.data
+        images = gen.perturb_exact(gen.gmm_params(x, y), 2048, rng.spawn(60)).images.data
         preds = clf.predict((x[:, None, :] + images).reshape(-1, 3)).reshape(60, 2048)
         expected = float(np.mean(preds == y[:, None]))
         assert 0.0 < expected < 1.0
@@ -272,6 +277,152 @@ class TestTapeFreeEvaluation:
             assert grad is not None, name
             np.testing.assert_array_equal(grad, fresh[name])
         assert any(np.any(grad != 0.0) for grad in after.values())
+
+
+needs_blas_setter = pytest.mark.skipif(
+    T.BLAS_THREADS is None, reason="numpy's BLAS exports no thread-count calls")
+
+
+class TestPool:
+    """The estimators' pieces on the worker pool: the same numbers as in the
+    calling thread, one BLAS thread while the pool runs, and every piece
+    stopped before an estimate returns or raises."""
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        ds = make_blobs(d=3, classes=3, n=60, seed=4, separation=1.5)
+        spec = ClassifierSpec(hidden=(8,), epochs=60, accuracy_threshold=0.5)
+        clf = train_classifier(ds.x, ds.y, spec, seed=0)
+        head = HeadConfig(mode=DependencyMode.JOINT, K=3, latent_dim=2, hidden_dim=8,
+                          label_emb_dim=4)
+        gen = build_generator(clf, head, UpsamplerConfig(mode="linear_vector", gamma=1.5),
+                              seed=2)
+        return clf, gen, ds.x, ds.y
+
+    @staticmethod
+    def _estimates(clf, gen, x, y, M):
+        return (nppr_estimate(clf, gen, x, y, M, substream(3, EVAL, 0)),
+                pr_estimate(clf, x, y, UNIFORM_BALL, 1.5, M, substream(3, EVAL, 2)),
+                pr_estimate(clf, x, y, CLIPPED_GAUSSIAN, 1.5, M, substream(3, EVAL, 3)),
+                nppr.trainer._probe_metrics(gen, x, y, M, substream(3, EVAL, 4)))
+
+    @staticmethod
+    def _threads(monkeypatch, name):
+        """Wrap the metrics function `name`; the list gets each call's thread."""
+        threads = []
+        real = getattr(nppr.metrics, name)
+
+        def wrapper(*args):
+            threads.append(threading.get_ident())
+            return real(*args)
+
+        monkeypatch.setattr(nppr.metrics, name, wrapper)
+        return threads
+
+    # (M, _ROWS): 60 inputs in pieces of 7 at two workers (the last holds 4)
+    # and of 14 at one; then more draws than _ROWS, one input a piece.
+    @pytest.mark.parametrize("M,rows", [(5, 70), (2048, 1 << 10)])
+    def test_two_workers_equal_one(self, setup, M, rows, monkeypatch):
+        clf, gen, x, y = setup
+        monkeypatch.setattr(nppr.metrics, "_ROWS", rows)
+        monkeypatch.setattr(nppr.metrics, "_WORKERS", 1)
+        alone = self._estimates(clf, gen, x, y, M)
+        monkeypatch.setattr(nppr.metrics, "_WORKERS", 2)
+        threads = self._threads(monkeypatch, "_hits")
+        pooled = self._estimates(clf, gen, x, y, M)
+        assert pooled == alone
+        assert 0.0 < alone[0] < 1.0 and 0.0 < alone[1] < 1.0
+        if T.BLAS_THREADS is not None:
+            assert threading.get_ident() not in threads
+        assert T._grad.enabled
+
+    def test_stress_more_workers_than_cores(self, setup, monkeypatch):
+        # Four workers switching threads every microsecond give the numbers
+        # of one; a lost hit count or a shared tape flag would show.
+        clf, gen, x, y = setup
+        monkeypatch.setattr(nppr.metrics, "_ROWS", 20)
+        monkeypatch.setattr(nppr.metrics, "_WORKERS", 1)
+        alone = self._estimates(clf, gen, x, y, 5)
+        pool = ThreadPoolExecutor(max_workers=4)
+        monkeypatch.setattr(nppr.metrics, "_POOL", pool)
+        monkeypatch.setattr(nppr.metrics, "_WORKERS", 4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pooled = self._estimates(clf, gen, x, y, 5)
+        finally:
+            sys.setswitchinterval(interval)
+            pool.shutdown()
+        assert pooled == alone
+
+    def test_no_blas_setter_runs_in_calling_thread(self, setup, monkeypatch):
+        clf, gen, x, y = setup
+        monkeypatch.setattr(nppr.metrics, "_ROWS", 70)
+        monkeypatch.setattr(nppr.metrics, "_WORKERS", 2)
+        monkeypatch.setattr(T, "BLAS_THREADS", None)
+        threads = self._threads(monkeypatch, "_hits")
+        self._estimates(clf, gen, x, y, 5)
+        assert len(threads) == 4 * 5  # pieces of 14, the last of 4, per estimate
+        assert set(threads) == {threading.get_ident()}
+
+    @needs_blas_setter
+    def test_blas_threads_restored(self, setup, monkeypatch):
+        clf, gen, x, y = setup
+        get_threads, set_threads = T.BLAS_THREADS
+        monkeypatch.setattr(nppr.metrics, "_ROWS", 70)
+        monkeypatch.setattr(nppr.metrics, "_WORKERS", 2)
+        inside = []
+        real = nppr.metrics._hits
+        monkeypatch.setattr(nppr.metrics, "_hits",
+                            lambda *args: inside.append(get_threads()) or real(*args))
+        previous = get_threads()
+        set_threads(2)
+        try:
+            self._estimates(clf, gen, x, y, 5)
+            assert get_threads() == 2
+        finally:
+            set_threads(previous)
+        assert set(inside) == {1}
+
+    @needs_blas_setter
+    def test_failing_piece_stops_every_piece(self, setup, monkeypatch):
+        # Input 3's mixture is not finite, so the first of nine pieces raises;
+        # the error reaches the caller only after the slowed pieces beside it
+        # stopped, and the pieces not yet started never start.
+        clf, gen, x, y = setup
+        get_threads, _ = T.BLAS_THREADS
+        before = get_threads()
+        monkeypatch.setattr(nppr.metrics, "_ROWS", 70)
+        monkeypatch.setattr(nppr.metrics, "_WORKERS", 2)
+        real_params = gen.gmm_params
+
+        def broken(*args):
+            params = real_params(*args)
+            params.means.data[3] = np.nan
+            return params
+
+        monkeypatch.setattr(gen, "gmm_params", broken)
+        lock = threading.Lock()
+        state = {"running": 0, "started": 0}
+        real = nppr.metrics._nppr_hits
+
+        def counted(*args):
+            with lock:
+                state["running"] += 1
+                state["started"] += 1
+            try:
+                time.sleep(0.05)
+                return real(*args)
+            finally:
+                with lock:
+                    state["running"] -= 1
+
+        monkeypatch.setattr(nppr.metrics, "_nppr_hits", counted)
+        with pytest.raises(ValueError, match="sample_exact: means must be finite"):
+            nppr_estimate(clf, gen, x, y, 5, np.random.default_rng(8))
+        assert state["running"] == 0 and 0 < state["started"] < 9
+        assert get_threads() == before
+        assert T._grad.enabled
 
 
 class TestPrEstimate:

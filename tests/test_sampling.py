@@ -225,7 +225,7 @@ class TestSampleExact:
         logits = np.array([[30.0, 0.0, 0.0]])
         mu = np.array([[[5.0], [0.0], [0.0]]])
         params = _params(logits, mu, _diag_chol(1, 3, 1, 1e-9))
-        batch = sample_exact(params, M=200, rng=np.random.default_rng(17))
+        batch = sample_exact(params, M=200, streams=np.random.default_rng(17).spawn(params.batch))
         np.testing.assert_allclose(batch.latent.data, 5.0, atol=1e-6)
         assert np.all(batch.relaxed_weights.data.argmax(axis=2) == 0)
 
@@ -234,7 +234,7 @@ class TestSampleExact:
         logits = np.zeros((1, 2))
         mu = np.array([[[-a], [a]]])
         params = _params(logits, mu, _diag_chol(1, 2, 1, 1e-12))
-        batch = sample_exact(params, M=40_000, rng=np.random.default_rng(18))
+        batch = sample_exact(params, M=40_000, streams=np.random.default_rng(18).spawn(params.batch))
         vals = batch.latent.data.ravel()
         assert abs(vals.mean()) <= 3 * a / np.sqrt(len(vals)) + 1e-9
         np.testing.assert_allclose(np.abs(vals), a, atol=1e-9)
@@ -242,7 +242,7 @@ class TestSampleExact:
     def test_frequencies_chi_square(self):
         pi = np.array([0.5, 0.3, 0.15, 0.05])
         params = _params(np.log(pi)[None, :], np.zeros((1, 4, 1)), _diag_chol(1, 4, 1))
-        batch = sample_exact(params, M=10_000, rng=np.random.default_rng(19))
+        batch = sample_exact(params, M=10_000, streams=np.random.default_rng(19).spawn(params.batch))
         z = batch.relaxed_weights.data.argmax(axis=2).ravel()
         observed = np.bincount(z, minlength=4)
         chi2 = float(np.sum((observed - 10_000 * pi) ** 2 / (10_000 * pi)))
@@ -254,7 +254,7 @@ class TestSampleExact:
         mu = rng.normal(size=(1, 2, 3))
         params = _params(np.log(pi)[None, :], mu, _diag_chol(1, 2, 3, 0.5))
         N = 200_000
-        batch = sample_exact(params, M=N, rng=np.random.default_rng(21))
+        batch = sample_exact(params, M=N, streams=np.random.default_rng(21).spawn(params.batch))
         expected = (pi[:, None] * mu[0]).sum(axis=0)
         # Mixture std per coordinate bounds the MC error.
         var = (pi[:, None] * (0.25 + mu[0] ** 2)).sum(axis=0) - expected**2
@@ -294,8 +294,8 @@ class TestSampleExact:
 
     def test_reproducible(self):
         params = _params(np.zeros((2, 3)), np.zeros((2, 3, 2)), _diag_chol(2, 3, 2))
-        a = sample_exact(params, M=7, rng=np.random.default_rng(22))
-        b = sample_exact(params, M=7, rng=np.random.default_rng(22))
+        a = sample_exact(params, M=7, streams=np.random.default_rng(22).spawn(params.batch))
+        b = sample_exact(params, M=7, streams=np.random.default_rng(22).spawn(params.batch))
         np.testing.assert_array_equal(a.latent.data, b.latent.data)
 
     def test_gathered_blocks_equal_one_gather(self):
@@ -313,7 +313,7 @@ class TestSampleExact:
                   "chol": _diag_chol(2, 3, 2)}
         values[field].flat[0] = np.nan
         with pytest.raises(ValueError, match=f"sample_exact: {field} must be finite"):
-            sample_exact(_params(**values), M=4, rng=np.random.default_rng(27))
+            sample_exact(_params(**values), M=4, streams=np.random.default_rng(27).spawn(2))
 
 
 def _einsum_reference(params, batch):
@@ -339,7 +339,7 @@ def _check_exact_draws(params, M):
     """The one-hot rows are the categorical draws of each input's own
     uniforms, the flat-index picks equal two-array picks bit for bit, and the
     latents agree with the per-draw gather to round-off."""
-    batch = sample_exact(params, M, rng=np.random.default_rng(24))
+    batch = sample_exact(params, M, np.random.default_rng(24).spawn(params.batch))
     u = np.stack([s.random(M) for s in np.random.default_rng(24).spawn(params.batch)])
     onehot = np.zeros((params.batch, M, params.K))
     np.put_along_axis(onehot, categorical_exact(params.pi(), u)[..., None], 1.0, axis=2)
@@ -377,10 +377,11 @@ class TestPerInputStreams:
     def test_consecutive_slices_equal_one_call(self, spec, size):
         params, M = _shape(spec)
         size %= params.batch  # -1: all inputs but the last, then the last
-        whole = sample_exact(params, M, np.random.default_rng(30))
+        whole = sample_exact(params, M, np.random.default_rng(30).spawn(params.batch))
         rng = np.random.default_rng(30)
-        parts = [sample_exact(_rows(params, slice(lo, lo + size)), M, rng)
-                 for lo in range(0, params.batch, size)]
+        parts = [sample_exact(rows, M, rng.spawn(rows.batch))
+                 for rows in (_rows(params, slice(lo, lo + size))
+                              for lo in range(0, params.batch, size))]
         for field in ("latent", "relaxed_weights"):
             np.testing.assert_array_equal(
                 np.concatenate([getattr(b, field).data for b in parts]),
@@ -391,16 +392,16 @@ class TestPerInputStreams:
     @pytest.mark.parametrize("spec", [_GATHERED, _SHARED, _LONG])
     def test_prefix_draws_equal_leading_rows(self, spec):
         params, M = _shape(spec)
-        whole = sample_exact(params, M, np.random.default_rng(31))
+        whole = sample_exact(params, M, np.random.default_rng(31).spawn(params.batch))
         for n in (1, params.batch - 1):
             prefix = sample_exact(_rows(params, slice(0, n)), M,
-                                  np.random.default_rng(31))
+                                  np.random.default_rng(31).spawn(n))
             np.testing.assert_array_equal(prefix.latent.data, whole.latent.data[:n])
             np.testing.assert_array_equal(prefix.component_draws, whole.component_draws[:n])
 
     def test_input_stream_is_its_substream(self):
         params, M = _shape(_GATHERED)
-        batch = sample_exact(params, M, substream(5, EVAL, 0))
+        batch = sample_exact(params, M, substream(5, EVAL, 0).spawn(params.batch))
         for i in (0, params.batch - 1):
             own = substream(5, EVAL, 0, i)
             own.random(M)

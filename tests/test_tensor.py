@@ -3,6 +3,7 @@
 import inspect
 import itertools
 import re
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -485,6 +486,35 @@ class TestNoGrad:
         assert out.requires_grad
         out.backward()
         assert x.grad is not None and w.grad is not None and b.grad is not None
+
+    def test_flag_is_per_thread(self):
+        # Another thread sits inside `no_grad` while this one records a node;
+        # a thread started under this one's `no_grad` records one too.
+        x, w, b = self._leaves()
+        inside, release = threading.Event(), threading.Event()
+        seen = []
+
+        def hold():
+            with T.no_grad():
+                inside.set()
+                release.wait(10)
+                seen.append(T.dense(x, (w, b)).requires_grad)
+
+        other = threading.Thread(target=hold)
+        other.start()
+        try:
+            assert inside.wait(10)
+            out = T.dense(x, (w, b))
+            assert out.requires_grad and out._parents
+        finally:
+            release.set()
+            other.join(10)
+        assert not other.is_alive() and seen == [False]
+        with T.no_grad():
+            fresh = threading.Thread(target=lambda: seen.append(T.dense(x, (w, b)).requires_grad))
+            fresh.start()
+            fresh.join(10)
+        assert not fresh.is_alive() and seen == [False, True]
 
 
 class TestMixtureLatent:

@@ -40,7 +40,7 @@ def test_every_layer_target_exists(tracing):
 
 def test_exact_bytes_counts_a_sample_exact_result(tracing):
     head = GmmHead(HeadConfig(mode=DependencyMode.INDEPENDENT, K=3, latent_dim=4))
-    batch = sample_exact(head.forward(batch_size=5), 6, np.random.default_rng(0))
+    batch = sample_exact(head.forward(batch_size=5), 6, np.random.default_rng(0).spawn(5))
     counted = tracing._exact_bytes(batch)["bytes"]
     assert counted == batch.latent.data.nbytes + batch.relaxed_weights.data.nbytes \
         + batch.component_draws.nbytes
