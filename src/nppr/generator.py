@@ -47,26 +47,31 @@ class Generator:
         features = self.clf.features(T.constant(x)) if self.mode.conditions_on_features else None
         return self.head.forward(features=features, labels=y, temps=self.temps, batch_size=len(x))
 
-    def images(self, latent: Tensor) -> Tensor:
-        """(N, latent_dim) latent rows -> (N, input_dim) perturbations inside the
-        budget: |gamma * tanh(u)| <= gamma holds in float64 for every real u."""
-        return apply_budget(self.upsampler.forward(latent), self.gamma)
-
-    def _to_images(self, batch: PerturbationBatch) -> PerturbationBatch:
-        B, M, D = batch.latent.shape
-        bounded = self.images(T.reshape(batch.latent, (B * M, D)))
-        batch.images = T.reshape(bounded, (B, M, self.upsampler.input_dim))
-        return batch
+    def images(self, latent: Tensor, base: np.ndarray | None = None) -> Tensor:
+        """(..., latent_dim) latent draws -> (..., input_dim) perturbations
+        inside the budget, |gamma * tanh(u)| <= gamma in float64 for every real
+        u, plus `base` when given, a constant that broadcasts to them."""
+        flat = T.reshape(latent, (-1, latent.shape[-1]))
+        u = self.upsampler.forward(flat)
+        return apply_budget(T.reshape(u, (*latent.shape[:-1], u.shape[1])), self.gamma, base)
 
     def perturb_relaxed(self, params: GmmParams, M: int, tau: float,
-                        rng: np.random.Generator) -> PerturbationBatch:
-        """Training path: relaxed mixture draws, graph-connected end to end."""
-        return self._to_images(sample_perturbations(params, M, tau, rng))
+                        rng: np.random.Generator, base: np.ndarray | None = None
+                        ) -> PerturbationBatch:
+        """Training path: relaxed mixture draws, graph-connected end to end;
+        the images are `base` plus the perturbations when a base is given."""
+        batch = sample_perturbations(params, M, tau, rng)
+        batch.images = self.images(batch.latent, base)
+        return batch
 
-    def perturb_exact(self, params: GmmParams, M: int, streams: list) -> PerturbationBatch:
+    def perturb_exact(self, params: GmmParams, M: int, streams: list,
+                      base: np.ndarray | None = None) -> PerturbationBatch:
         """Evaluation path: exact categorical draws, no relaxation bias, input
-        b's from `streams[b]`."""
-        return self._to_images(sample_exact(params, M, streams))
+        b's from `streams[b]`; the images are `base` plus the perturbations
+        when a base is given."""
+        batch = sample_exact(params, M, streams)
+        batch.images = self.images(batch.latent, base)
+        return batch
 
 
 def build_generator(clf: Classifier, head_cfg: HeadConfig, ups_cfg: UpsamplerConfig,

@@ -12,18 +12,27 @@ ascends the engine op `tensor.cross_entropy`, the loss the classifier is fit on.
 
 The Monte-Carlo estimators cut their inputs into pieces and sum the hits of
 the pieces as integers. A piece holds max(1, _ROWS // (M * workers)) inputs,
-so at most _ROWS (input, draw) rows are in flight across the workers (an
-input with more draws is a piece of its own). The pieces run on `_POOL`, one
-worker per usable core; while they do, the process's BLAS thread count is
-held at 1, so that each product runs on its worker's core, and it is
-restored after the last piece, also when one raises. Where that count cannot
-be set, or one core is usable, or there is one piece, the calling thread
-runs every piece. No number depends on the workers: the calling thread makes
-every draw that shares a stream, in piece order. For NPPR it spawns each
-input's stream in input order, and a piece draws from its inputs' streams
-(`sample_exact`) where it runs, so every piece is handed out at once. For PR
-it draws each piece's noise from its one generator, with at most one
-unfinished piece per worker.
+so about _ROWS (input, draw) rows are in flight across the workers (an input
+with more draws is a piece of its own). The workers are the calling thread
+and the `_WORKERS - 1` threads of `_POOL`, one per usable core in all: the
+calling thread hands pieces to the pool and runs the others itself. While
+they run, the process's BLAS thread count is held at 1, so that each product
+runs on its worker's core, and it is restored after the last piece, also
+when one raises. Where that count cannot be set, or one core is usable, or
+there is one piece, the calling thread runs every piece. No number depends
+on the workers: the calling thread makes every draw that shares a stream, in
+piece order. For NPPR it spawns each input's stream in input order, and a
+piece draws from its inputs' streams (`sample_exact`) where it runs; a
+waiting NPPR piece holds no draws, so each pool thread gets one piece queued
+behind its running one. For PR it draws each piece's noise from its one
+generator, with at most one unfinished piece per worker.
+
+NPPR's head runs once over all of an estimate's inputs, since its bits
+depend on how many rows its products have (see `models`), and its Cholesky
+factors stay packed; each piece unpacks its own inputs' factors, so the
+estimate holds the full D x D factors of one piece per worker, not of every
+input. The budget op adds each draw to its input, so a piece holds the
+perturbed rows and not the perturbation beside them.
 
 The estimators record no autograd tape: each piece runs under its own
 `tensor.no_grad()` (the flag is per thread) and classifies with
@@ -36,7 +45,7 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import FIRST_COMPLETED, FIRST_EXCEPTION, ThreadPoolExecutor, wait
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass
 from functools import partial
 
@@ -54,13 +63,15 @@ UNIFORM_BALL = "uniform_ball"
 CLIPPED_GAUSSIAN = "clipped_gaussian"
 
 # (input, draw) rows the estimators draw, perturb and classify at a time,
-# across all workers (8 MiB per array at d=256).
+# across all workers (8 MiB per array at d=256); a piece unpacks the factors
+# of its own inputs only.
 _ROWS = 1 << 12
 
-# Workers for the estimators' pieces: one per usable core. Its threads start
-# with the first piece handed out.
+# Workers for the estimators' pieces: one per usable core, the calling thread
+# among them, so the pool has one thread fewer. Its threads start with the
+# first piece handed out.
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-_POOL = ThreadPoolExecutor(max_workers=_WORKERS, thread_name_prefix="nppr-piece")
+_POOL = ThreadPoolExecutor(max_workers=max(_WORKERS - 1, 1), thread_name_prefix="nppr-piece")
 
 
 def margin_loss(logits: Tensor, y: np.ndarray, kappa: float = 1.0) -> Tensor:
@@ -117,15 +128,16 @@ def _pieces(x: np.ndarray, y: np.ndarray, M: int, name: str, workers: int = 1):
     return x, y, [slice(lo, lo + step) for lo in range(0, x.shape[0], step)]
 
 
-def _hits(clf: Classifier, xb: np.ndarray, yb: np.ndarray, delta: np.ndarray) -> int:
-    """Correct predictions on the (input, draw) rows of one piece, M per input:
-    row r perturbs input r // M by delta[r]. The rows are built in one array
-    (the owners' rows, picked with `np.take`, then the perturbation added in
-    place) and `Classifier.predict` classifies it without a tape."""
-    owner = np.arange(len(delta)) // (len(delta) // len(xb))
-    rows = np.take(xb, owner, axis=0)
-    rows += delta
-    return int(np.sum(clf.predict(rows) == yb[owner]))
+def _hits(clf: Classifier, yb: np.ndarray, perturbed: np.ndarray,
+          xb: np.ndarray | None = None) -> int:
+    """Correct predictions on one piece's perturbed inputs, (inputs, draws,
+    width), each draw labelled with its input's label. `xb`, when given, is
+    added in place first, for perturbations drawn without their inputs.
+    `Classifier.predict` classifies the rows without a tape."""
+    if xb is not None:
+        perturbed += xb[:, None, :]
+    preds = clf.predict(perturbed.reshape(-1, perturbed.shape[-1]))
+    return int(np.sum(preds.reshape(perturbed.shape[:2]) == yb[:, None]))
 
 
 def _untaped(task) -> int:
@@ -138,23 +150,33 @@ def _total_hits(tasks, workers: int, ahead: int) -> int:
     """Sum of the hit counts of `tasks`, zero-argument callables that the
     calling thread takes from the iterable in order (a lazy one makes each
     piece's draws as it is taken). With one worker the calling thread runs
-    them. Otherwise they run on `_POOL` with one BLAS thread, at most `ahead`
-    handed out and unfinished at a time, and a task's exception reaches the
-    caller once no handed-out task is left running."""
+    them. Otherwise the BLAS thread count is 1 while they run, and the
+    calling thread is one of the workers: it hands a task to `_POOL` while
+    fewer than `ahead` handed-out tasks are unfinished, and runs it itself
+    otherwise. Once every task is taken it runs, newest first, the handed-out
+    ones that no pool thread has started. A task's exception reaches the
+    caller once no handed-out task is left running; the caller sees it the
+    next time it looks, and hands out and starts no task after that."""
     if workers == 1:
         return sum(_untaped(task) for task in tasks)
     get_threads, set_threads = T.BLAS_THREADS
     previous = get_threads()
     set_threads(1)
-    running = set()
+    running = {}  # future -> task, handed out and not yet seen finished
     total = 0
     try:
         for task in tasks:
-            if len(running) == ahead:
-                done, running = wait(running, return_when=FIRST_COMPLETED)
-                total += sum(f.result() for f in done)
-            running.add(_POOL.submit(_untaped, task))
-        done, running = wait(running, return_when=FIRST_EXCEPTION)
+            for f in [f for f in running if f.done()]:
+                del running[f]
+                total += f.result()
+            if len(running) < ahead:
+                running[_POOL.submit(_untaped, task)] = task
+            else:
+                total += _untaped(task)
+        for f in reversed(list(running)):
+            if f.cancel():
+                total += _untaped(running.pop(f))
+        done, _ = wait(running, return_when=FIRST_EXCEPTION)
         total += sum(f.result() for f in done)
     finally:
         for f in running:
@@ -167,18 +189,19 @@ def _total_hits(tasks, workers: int, ahead: int) -> int:
 def _nppr_hits(clf: Classifier, generator: Generator, xb: np.ndarray, yb: np.ndarray,
                params, M: int, streams: list) -> int:
     """One NPPR piece: exact draws from the inputs' own streams, mapped to
-    input space and classified."""
-    images = generator.perturb_exact(params, M, streams).images.data
-    return _hits(clf, xb, yb, images.reshape(-1, xb.shape[1]))
+    input space, added to their inputs by the budget op and classified."""
+    perturbed = generator.perturb_exact(params, M, streams, base=xb[:, None, :]).images.data
+    return _hits(clf, yb, perturbed)
 
 
 def nppr_estimate(clf: Classifier, generator: Generator, x: np.ndarray, y: np.ndarray,
                   M: int, rng: np.random.Generator) -> float:
     """Fraction of (input, draw) pairs classified correctly under the learned
     distribution, the head read at the generator's temperatures; exact
-    sampling, hard 0-1 indicator. The head runs once over all inputs, then
-    each piece is drawn, mapped to input space and classified; input i draws
-    from the i-th stream `rng` spawns."""
+    sampling, hard 0-1 indicator. The head runs once over all inputs, and
+    its factors stay packed; then each piece is drawn (its factors unpacked
+    there), mapped to input space and classified; input i draws from the
+    i-th stream `rng` spawns."""
     workers = _workers()
     x, y, pieces = _pieces(x, y, M, "nppr_estimate", workers)
     with T.no_grad():
@@ -186,7 +209,7 @@ def nppr_estimate(clf: Classifier, generator: Generator, x: np.ndarray, y: np.nd
     streams = rng.spawn(x.shape[0])
     tasks = [partial(_nppr_hits, clf, generator, x[part], y[part], params.rows(part), M,
                      streams[part]) for part in pieces]
-    return _total_hits(tasks, min(workers, len(tasks)), len(tasks)) / (x.shape[0] * M)
+    return _total_hits(tasks, min(workers, len(tasks)), 2 * (workers - 1)) / (x.shape[0] * M)
 
 
 def baseline_noise(dist: str, shape: tuple, gamma: float, rng: np.random.Generator) -> np.ndarray:
@@ -211,10 +234,10 @@ def pr_estimate(clf: Classifier, x: np.ndarray, y: np.ndarray, dist: str,
     def tasks():
         for part in pieces:
             xb = x[part]
-            noise = baseline_noise(dist, (len(xb) * M, x.shape[1]), gamma, rng)
-            yield partial(_hits, clf, xb, y[part], noise)
+            noise = baseline_noise(dist, (len(xb), M, x.shape[1]), gamma, rng)
+            yield partial(_hits, clf, y[part], noise, xb)
 
-    return _total_hits(tasks(), min(workers, len(pieces)), workers) / (x.shape[0] * M)
+    return _total_hits(tasks(), min(workers, len(pieces)), workers - 1) / (x.shape[0] * M)
 
 
 def _attack(clf: Classifier, x: np.ndarray, y: np.ndarray, gamma: float, steps: int,
@@ -236,7 +259,7 @@ def _attack(clf: Classifier, x: np.ndarray, y: np.ndarray, gamma: float, steps: 
         adv = Tensor(x + delta, requires_grad=True)
         loss(clf.logits(adv)).backward()
         delta = np.clip(delta + alpha * np.sign(adv.grad), -gamma, gamma)
-    return _hits(clf, x, y, delta) / len(x)
+    return _hits(clf, y, delta[:, None, :], x) / len(x)
 
 
 def ar_pgd(clf: Classifier, x: np.ndarray, y: np.ndarray, gamma: float,

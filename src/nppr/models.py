@@ -16,14 +16,20 @@ inputs, mirroring the four dependency structures:
 Each output (weights, means, factors) is a bias plus, where the mode gives it
 an input, a dense layer on that input.
 
-Every head is per-row: the mixture for one input does not depend on the other
-inputs of its batch.
+Every head is per-row in exact arithmetic: the mixture for one input does
+not depend on the other inputs of its batch. Its bits may: BLAS rounds a
+row of a product differently depending on how many rows the product has, so
+the head runs once over all of an estimate's inputs, and only the sampler
+after it is cut into pieces.
 
 A Cholesky factor is stored packed: its D(D+1)/2 lower-triangle entries in
 row-major order (`np.tril_indices`), the unconstrained parametrisation of
-Pinheiro & Bates (1996). `tensor.tril_factor` scales them by 1/T_sigma, maps
-the diagonal through softplus plus CHOL_DIAG_FLOOR and scatters them into a
-D x D block, so the zero upper triangle has no parameters.
+Pinheiro & Bates (1996). The head's `tensor.tril_activate` scales them by
+1/T_sigma and maps the diagonal through softplus plus CHOL_DIAG_FLOOR; the
+mixture keeps them packed, and `tensor.tril_scatter` unpacks them into D x D
+blocks only where they are applied, so the zero upper triangle has no
+parameters, and evaluation unpacks the factors of one piece of inputs at a
+time.
 """
 
 from __future__ import annotations
@@ -207,14 +213,16 @@ class Temperatures:
 
 @dataclass
 class GmmParams:
-    """Batched mixture parameters: weight logits, means, lower Cholesky factors.
+    """Batched mixture parameters: weight logits, means, packed Cholesky factors.
 
-    `chol` is the unpacked output of `tensor.tril_factor`: the head's packed
-    D(D+1)/2 entries per component scattered into full D x D blocks.
+    `chol_packed` holds each component's lower-triangle entries, row-major, as
+    `tensor.tril_activate` leaves them (diagonal already softplus-floored);
+    `tensor.tril_scatter` unpacks them into full D x D blocks where a sampler
+    applies them: once per training step, and per piece in the estimators.
     """
-    pi_logits: Tensor   # (B, K)
-    means: Tensor       # (B, K, D)
-    chol: Tensor        # (B, K, D, D), strictly lower + softplus-floored diagonal
+    pi_logits: Tensor    # (B, K)
+    means: Tensor        # (B, K, D)
+    chol_packed: Tensor  # (B, K, D(D+1)/2)
 
     @property
     def batch(self) -> int:
@@ -235,13 +243,14 @@ class GmmParams:
         return e / e.sum(axis=1, keepdims=True)
 
     def rows(self, part: slice) -> "GmmParams":
-        """The mixtures of the inputs in `part`, as constants."""
+        """The mixtures of the inputs in `part`, as constants: slices of the
+        packed entries, unpacked later by whichever sampler reads them."""
         return GmmParams(*(T.constant(t.data[part])
-                           for t in (self.pi_logits, self.means, self.chol)))
+                           for t in (self.pi_logits, self.means, self.chol_packed)))
 
     def non_finite(self) -> str | None:
         """Name of the first field holding a NaN or an infinity, else None."""
-        for name in ("pi_logits", "means", "chol"):
+        for name in ("pi_logits", "means", "chol_packed"):
             if not np.all(np.isfinite(getattr(self, name).data)):
                 return name
         return None
@@ -257,7 +266,7 @@ class GmmHead:
     the weights, on the trunk for the means and factors. An output without an
     input is its bias alone, the same for every row. Factors are packed: K
     times D(D+1)/2 entries, each component's lower triangle in row-major
-    order, which `tensor.tril_factor` unpacks.
+    order, which `tensor.tril_activate` activates and the mixture keeps packed.
 
     Initialization is symmetric: zero layers, and biases that give zero weight
     logits (uniform mixture), zero means and factor diagonals that softplus to
@@ -310,7 +319,8 @@ class GmmHead:
                 temps: Temperatures | None = None, batch_size: int | None = None) -> GmmParams:
         """Mixture parameters, one row per input: each output is f(layer(input)),
         or f(bias) broadcast over the batch when it has no input, where f is
-        its temperature, reshape and (for factors) `tensor.tril_factor`."""
+        its temperature, reshape and (for factors) `tensor.tril_activate`;
+        the factors stay packed (see `GmmParams`)."""
         temps = temps or Temperatures()
         mode, K, D = self.cfg.mode, self.cfg.K, self.cfg.latent_dim
         if mode.conditions_on_features and features is None:
@@ -338,6 +348,6 @@ class GmmHead:
                            lambda t: T.scale(t, 1.0 / temps.T_pi))
         means = output("mu", trunk, lambda t: T.reshape(T.scale(t, 1.0 / temps.T_mu),
                                                         (*t.shape[:-1], K, D)))
-        chol = output("chol", trunk, lambda t: T.tril_factor(
+        chol = output("chol", trunk, lambda t: T.tril_activate(
             T.reshape(t, (*t.shape[:-1], K, -1)), D, temps.T_sigma, CHOL_DIAG_FLOOR))
         return GmmParams(pi_logits, means, chol)

@@ -77,7 +77,8 @@ class PerturbationBatch:
     relaxed_weights: Tensor   # (B, M, K); exact draws store one-hot rows
     component_draws: np.ndarray  # standard-normal noise: (B, M, K, D) relaxed, one per k,
                                  # (B, M, D) exact (for the drawn component only)
-    images: Tensor | None = None  # (B, M, input_dim), inside the budget
+    images: Tensor | None = None  # (B, M, input_dim): perturbations inside the budget,
+                                  # or the inputs plus them (`Generator.images`'s base)
 
 
 def gumbel_noise(rng: np.random.Generator, shape: tuple) -> np.ndarray:
@@ -105,7 +106,8 @@ def sample_perturbations(params: GmmParams, M: int, tau: float,
 
     The Gumbel uniforms come first, then xi_k for every draw and component.
     latent = sum_k z_k (mu_k + L_k xi_k), with relaxed weights z, is one
-    `tensor.mixture_latent` op, differentiable in weights, means and factors.
+    `tensor.mixture_latent` op on the factors `tensor.tril_scatter` unpacks,
+    differentiable in weights, means and the packed factors.
     """
     if M < 1:
         raise ValueError("sample_perturbations: M must be >= 1")
@@ -113,7 +115,8 @@ def sample_perturbations(params: GmmParams, M: int, tau: float,
     pi_b = T.broadcast_to(T.reshape(params.pi_logits, (B, 1, K)), (B, M, K))
     z = gumbel_softmax_sample(pi_b, tau, rng)                     # (B, M, K)
     xi = rng.standard_normal((B, M, K, D))
-    latent = T.mixture_latent(z, params.means, params.chol, xi)   # (B, M, D)
+    chol = T.tril_scatter(params.chol_packed, D)                  # (B, K, D, D)
+    latent = T.mixture_latent(z, params.means, chol, xi)          # (B, M, D)
     return PerturbationBatch(latent=latent, relaxed_weights=z, component_draws=xi)
 
 
@@ -144,12 +147,15 @@ def sample_exact(params: GmmParams, M: int, streams: list) -> PerturbationBatch:
     `substream(seed, *path)` the i-th input draws from `substream(seed, *path,
     i)` however the inputs are cut into calls, and whichever thread draws.
 
-    latent = mu_z + L_z xi for the drawn component z. L_z xi comes from one
-    product per input: its (M, D) noise against its K factors side by side,
-    (D, K*D), of which each draw keeps the D columns of its component. Its
-    temporary is M*K*D floats, one input's at a time. The picks use `np.take`
-    on a flat row index (component z of input b is row b*K + z): the floats
-    of a two-array index at a fraction of its cost.
+    latent = mu_z + L_z xi for the drawn component z. The packed factors of
+    these B inputs are unpacked here (`tensor.tril_scatter`), so a caller that
+    cuts its inputs into pieces holds the full (B, K, D, D) factors of one
+    piece at a time. L_z xi comes from one product per input: its (M, D)
+    noise against its K factors side by side, (D, K*D), of which each draw
+    keeps the D columns of its component. Its temporary is M*K*D floats, one
+    input's at a time. The picks use `np.take` on a flat row index (component
+    z of input b is row b*K + z): the floats of a two-array index at a
+    fraction of its cost.
     """
     if M < 1:
         raise ValueError("sample_exact: M must be >= 1")
@@ -172,7 +178,8 @@ def sample_exact(params: GmmParams, M: int, streams: list) -> PerturbationBatch:
     picks = np.arange(M) * K + z                                    # (B, M)
     # Column k*D + d of stacked[b] is row d of L_k, so (xi[b] @ stacked[b])
     # holds L_k xi for every k side by side.
-    stacked = np.swapaxes(params.chol.data.reshape(B, K * D, D), 1, 2)  # (B, D, K*D)
+    chol = T.tril_scatter(params.chol_packed, D).data                   # (B, K, D, D)
+    stacked = np.swapaxes(chol.reshape(B, K * D, D), 1, 2)              # (B, D, K*D)
     for b in range(B):
         latent[b] += np.take((xi[b] @ stacked[b]).reshape(-1, D), picks[b], axis=0)
 

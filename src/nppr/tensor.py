@@ -8,24 +8,28 @@ topological sort from the root visits nodes in a correct reverse order.
 All values are 64-bit floats. Ops are plain numpy calls in a fixed order, so
 forward values are bit-stable for fixed inputs.
 
-Seven special-purpose ops with hand-written backwards replace chains of
-generic ops that were longer and slower: `dense` is the classifier's
-relu-separated dense layers, or one layer of the head or upsampler,
-`mixture_latent` mixes the relaxed per-component draws without copying a
-factor per draw, `tril_factor` unpacks lower triangles into Cholesky factors
-with a positive diagonal, `margin` is the softplus logit margin that training
-minimises and the CW attack ascends, whose gradient reaches only each row's
-true class and runner-up, `cross_entropy` is the loss the classifier is fit
-on and PGD ascends, `gumbel_softmax` is the relaxation that carries gradients
-to the mixture weights (these two take the only softmaxes on the tape), and
+Nine special-purpose ops with hand-written backwards replace chains of
+generic ops that were longer, slower or held more memory: `dense` is the
+classifier's relu-separated dense layers, or one layer of the head or
+upsampler, `mixture_latent` mixes the relaxed per-component draws without
+copying a factor per draw, `tril_activate` turns a head's packed lower
+triangles into Cholesky entries with a positive diagonal and `tril_scatter`
+unpacks them into D x D factors where they are used, `budget` is the
+perturbation `gamma * tanh` (plus the clean inputs) computed block by block,
+`margin` is the softplus logit margin that training minimises and the CW
+attack ascends, whose gradient reaches only each row's true class and
+runner-up, `cross_entropy` is the loss the classifier is fit on and PGD
+ascends, `gumbel_softmax` is the relaxation that carries gradients to the
+mixture weights (these two take the only softmaxes on the tape), and
 `unit_rows` scales the label embedding's rows to unit length.
 
-Three generic ops have no caller in the package and serve the tests'
-reference chains: `softplus` builds the chain `tril_factor` is compared
-against, and `mul` and `reduce_sum` build that chain and the gradient probes.
-No op clamps a log any more, so the `log_clamped` counter stays 0; it stays a
-key of `numeric_counters()` because the benchmark reads every key, and it
-leaves together with that benchmark metric.
+Five generic ops have no caller in the package and serve the tests'
+reference chains: `add` and `tanh` build the chain `budget` is compared
+against, `softplus` the one `tril_activate` is, and `mul` and `reduce_sum`
+build those chains and the gradient probes. No op clamps a log any more, so
+the `log_clamped` counter stays 0; it stays a key of `numeric_counters()`
+because the benchmark reads every key, and it leaves together with that
+benchmark metric.
 
 A backward computes gradients only for operands that require them: the
 product for a frozen weight or a constant input is never formed. A tape serves
@@ -43,6 +47,7 @@ no tape that nothing reads; the forward values are the same bits either way.
 from __future__ import annotations
 
 import ctypes
+import math
 import threading
 from contextlib import contextmanager
 
@@ -84,6 +89,10 @@ class ShapeError(Exception):
 
 
 NORM_FLOOR = 1e-12
+
+# Floats of `budget`'s operand per block (256 KiB): a block's tanh is still in
+# a core's L2 cache when it is scaled and added to the base.
+_BUDGET_BLOCK = 1 << 15
 
 # Counts of guarded numeric events (domain clamps, skipped optimizer steps);
 # `log_clamped` is never incremented (see the module docstring).
@@ -379,32 +388,49 @@ def mixture_latent(z: Tensor, means: Tensor, chol: Tensor, xi: np.ndarray) -> Te
     return _node(out_data, (z, means, chol), bwd, "mixture_latent")
 
 
-def tril_factor(packed: Tensor, dim: int, t_sigma: float, floor: float) -> Tensor:
-    """Unpack row-major lower triangles into Cholesky factors: (..., D(D+1)/2) -> (..., D, D).
-
-    Entries are divided by t_sigma (as a multiplication by 1/t_sigma); the
-    diagonal ones then become softplus(.) + floor, so every factor has a
-    positive diagonal. The upper triangle is zero and has no parameters.
-    """
+def _tril_indices(packed: Tensor, dim: int, op: str) -> tuple:
+    """(rows, cols) of the D x D lower triangle in row-major order, after
+    checking that the last axis of `packed` holds D(D+1)/2 entries."""
     D = int(dim)
     if packed.ndim < 1 or packed.shape[-1] != D * (D + 1) // 2:
-        raise ShapeError(f"tril_factor: expected last axis {D * (D + 1) // 2} "
+        raise ShapeError(f"{op}: expected last axis {D * (D + 1) // 2} "
                          f"(D={D}), got shape {packed.shape}")
-    rows, cols = np.tril_indices(D)
+    return np.tril_indices(D)
+
+
+def tril_activate(packed: Tensor, dim: int, t_sigma: float, floor: float) -> Tensor:
+    """Cholesky entries from raw row-major lower triangles, (..., D(D+1)/2) each.
+
+    Entries are divided by t_sigma (as a multiplication by 1/t_sigma); the
+    diagonal ones then become softplus(.) + floor, so every factor that
+    `tril_scatter` builds from them has a positive diagonal.
+    """
+    rows, cols = _tril_indices(packed, dim, "tril_activate")
     diag = np.flatnonzero(rows == cols)
     c = 1.0 / float(t_sigma)
-    vals = packed.data * c
-    scaled_diag = vals[..., diag]  # a copy, kept for the backward
-    vals[..., diag] = np.logaddexp(0.0, scaled_diag) + floor
-    out_data = np.zeros((*packed.shape[:-1], D, D))
-    out_data[..., rows, cols] = vals
+    out_data = packed.data * c
+    scaled_diag = out_data[..., diag]  # a copy, kept for the backward
+    out_data[..., diag] = np.logaddexp(0.0, scaled_diag) + floor
 
     def bwd(g):
-        gp = g[..., rows, cols]
-        gp[..., diag] *= _sigmoid(scaled_diag)
-        _accumulate(packed, gp * c)
+        gp = g * c
+        gp[..., diag] = (g[..., diag] * _sigmoid(scaled_diag)) * c
+        _accumulate(packed, gp)
 
-    return _node(out_data, (packed,), bwd, "tril_factor")
+    return _node(out_data, (packed,), bwd, "tril_activate")
+
+
+def tril_scatter(packed: Tensor, dim: int) -> Tensor:
+    """Row-major lower triangles into D x D blocks: (..., D(D+1)/2) -> (..., D, D).
+    The upper triangle is zero and has no parameters."""
+    rows, cols = _tril_indices(packed, dim, "tril_scatter")
+    out_data = np.zeros((*packed.shape[:-1], int(dim), int(dim)))
+    out_data[..., rows, cols] = packed.data
+
+    def bwd(g):
+        _accumulate(packed, g[..., rows, cols])
+
+    return _node(out_data, (packed,), bwd, "tril_scatter")
 
 
 def margin(logits: Tensor, y: np.ndarray, kappa: float, sign: int) -> Tensor:
@@ -500,6 +526,51 @@ def unit_rows(a: Tensor) -> Tensor:
         _accumulate(a, g / n + gq * a.data + gq * a.data)
 
     return _node(out_data, (a,), bwd, "unit_rows")
+
+
+def budget(u: Tensor, gamma: float, base: np.ndarray | None = None) -> Tensor:
+    """base + gamma * tanh(u), or gamma * tanh(u) without a base, for a
+    constant `base` that broadcasts to u's shape and gets no gradient.
+
+    It runs over blocks of u's leading axis of about _BUDGET_BLOCK floats and
+    keeps neither tanh(u) nor the scaled perturbation: the backward recomputes
+    tanh per block and forms (g * gamma) * (1 - t * t). The arithmetic is that
+    of add(base, scale(tanh(u), gamma)), so values and gradients keep its bits.
+    """
+    gamma = float(gamma)
+    rows = u.shape or (1,)  # a scalar is one row
+    if base is not None:
+        base = np.asarray(base, dtype=np.float64)
+        try:
+            base = np.broadcast_to(base, u.shape).reshape(rows)
+        except ValueError:
+            raise ShapeError(f"budget: base shape {base.shape} does not broadcast "
+                             f"to {u.shape}") from None
+    step = max(1, _BUDGET_BLOCK // max(1, math.prod(rows[1:])))
+    blocks = [slice(lo, lo + step) for lo in range(0, rows[0], step)]
+    x = u.data.reshape(rows)
+    out_data = np.empty(rows)
+    for blk in blocks:
+        out = out_data[blk]
+        np.tanh(x[blk], out=out)
+        out *= gamma
+        if base is not None:
+            out += base[blk]
+
+    def bwd(g):
+        g = g.reshape(rows)
+        grad = np.empty(rows)
+        for blk in blocks:
+            t = np.tanh(x[blk])
+            t *= t
+            np.subtract(1.0, t, out=t)
+            out = grad[blk]
+            np.multiply(g[blk], gamma, out=out)
+            out *= t
+        _accumulate(u, grad.reshape(u.shape))
+
+    out_data = out_data.reshape(u.shape)
+    return _node(out_data, (u,), bwd, "budget")
 
 
 # ---------------------------------------------------------------------------

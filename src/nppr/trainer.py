@@ -233,10 +233,12 @@ def _probe_metrics(generator: Generator, probe_x: np.ndarray, probe_y: np.ndarra
 
 def _step_loss(clf: Classifier, generator: Generator, cfg: TrainConfig, xb: np.ndarray,
                yb: np.ndarray, tau: float, rng: np.random.Generator) -> T.Tensor:
-    """One step's relaxed forward; its tape is reachable from the loss alone."""
+    """One step's relaxed forward; its tape is reachable from the loss alone.
+    The budget op adds the clean inputs, so the perturbation is never held."""
     M = cfg.samples_per_input
-    batch = generator.perturb_relaxed(generator.gmm_params(xb, yb), M, tau, rng)
-    perturbed = T.reshape(T.add(T.constant(xb[:, None, :]), batch.images), (len(xb) * M, -1))
+    batch = generator.perturb_relaxed(generator.gmm_params(xb, yb), M, tau, rng,
+                                      base=xb[:, None, :])
+    perturbed = T.reshape(batch.images, (len(xb) * M, -1))
     return margin_loss(clf.logits(perturbed), np.repeat(yb, M), cfg.kappa)
 
 

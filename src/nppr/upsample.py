@@ -5,7 +5,8 @@ bicubic interpolation (Catmull-Rom kernel) up to the input grid: with fixed
 taps that is linear, one constant factor per channel, the Kronecker product of
 the two axes' weight matrices. Vector-mode latents use a trained affine map
 instead. The scaled-tanh budget mapping is applied last so the L-infinity
-bound holds exactly in input space.
+bound holds exactly in input space; it also adds the clean inputs where the
+caller wants perturbed inputs rather than perturbations.
 """
 
 from __future__ import annotations
@@ -112,11 +113,14 @@ def check_budget(gamma: float, caller: str) -> None:
         raise ValueError(f"{caller}: gamma must be finite and > 0, got {gamma}")
 
 
-def apply_budget(u: Tensor, gamma: float) -> Tensor:
-    """gamma * tanh(u); every element lands in [-gamma, gamma]. The ends are
-    reached: tanh rounds to exactly 1 in float64 from about u = 19 on."""
+def apply_budget(u: Tensor, gamma: float, base: np.ndarray | None = None) -> Tensor:
+    """gamma * tanh(u), plus `base` when given (a constant that broadcasts to
+    u's shape, such as the clean inputs); every perturbation element lands in
+    [-gamma, gamma]. The ends are reached: tanh rounds to exactly 1 in float64
+    from about u = 19 on. One `tensor.budget` op, which keeps neither tanh(u)
+    nor the perturbation for its backward."""
     check_budget(gamma, "apply_budget")
-    return T.scale(T.tanh(u), gamma)
+    return T.budget(u, gamma, base)
 
 
 class Upsampler:

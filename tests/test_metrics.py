@@ -244,7 +244,7 @@ class TestTapeFreeEvaluation:
         made = self._recorded(gen, ("gmm_params", "images"), monkeypatch)
         nppr_estimate(clf, gen, x, y, 5, np.random.default_rng(8))
         params, images = made  # 300 rows: one piece
-        self._assert_no_tape(gen, (params.pi_logits, params.means, params.chol, images))
+        self._assert_no_tape(gen, (params.pi_logits, params.means, params.chol_packed, images))
 
     def test_probe_records_no_tape(self, setup, monkeypatch):
         clf, x, y = setup
@@ -252,7 +252,7 @@ class TestTapeFreeEvaluation:
         made = self._recorded(gen, ("gmm_params",), monkeypatch)
         nppr.trainer._probe_metrics(gen, x, y, 5, np.random.default_rng(8))
         assert len(made) == 2  # the weight statistics' forward, then the estimate's
-        self._assert_no_tape(gen, [t for p in made for t in (p.pi_logits, p.means, p.chol)])
+        self._assert_no_tape(gen, [t for p in made for t in (p.pi_logits, p.means, p.chol_packed)])
 
     def test_evaluate_generator_records_no_tape(self, setup, monkeypatch):
         clf, _, _ = setup
@@ -264,7 +264,7 @@ class TestTapeFreeEvaluation:
                                  cfg.train_frac, 0)
         evaluate_generator(cfg, clf, gen, split)
         assert len(made) == 3  # NPPR on test and train, then the weight statistics
-        self._assert_no_tape(gen, [t for p in made for t in (p.pi_logits, p.means, p.chol)])
+        self._assert_no_tape(gen, [t for p in made for t in (p.pi_logits, p.means, p.chol_packed)])
 
     def test_training_step_after_probe_gets_gradients(self, setup):
         clf, x, y = setup
@@ -332,9 +332,44 @@ class TestPool:
         pooled = self._estimates(clf, gen, x, y, M)
         assert pooled == alone
         assert 0.0 < alone[0] < 1.0 and 0.0 < alone[1] < 1.0
-        if T.BLAS_THREADS is not None:
-            assert threading.get_ident() not in threads
+        # The calling thread and the pool's: one worker per core in all.
+        assert len(set(threads)) <= 1 + nppr.metrics._POOL._max_workers
         assert T._grad.enabled
+
+    def test_pool_leaves_one_worker_to_the_calling_thread(self):
+        assert nppr.metrics._POOL._max_workers == max(nppr.metrics._WORKERS - 1, 1)
+
+    @needs_blas_setter
+    def test_calling_thread_runs_pieces_beside_the_pool(self, setup, monkeypatch):
+        # Slowed pieces keep the pool busy, so the calling thread takes some,
+        # and the pool takes some: nine pieces of 7 inputs, the last of 4.
+        clf, gen, x, y = setup
+        monkeypatch.setattr(nppr.metrics, "_ROWS", 70)
+        monkeypatch.setattr(nppr.metrics, "_WORKERS", 2)
+        alone = nppr_estimate(clf, gen, x, y, 5, substream(3, EVAL, 0))
+        real = nppr.metrics._nppr_hits
+        threads = []
+
+        def slowed(*args):
+            threads.append(threading.get_ident())
+            time.sleep(0.02)
+            return real(*args)
+
+        monkeypatch.setattr(nppr.metrics, "_nppr_hits", slowed)
+        assert nppr_estimate(clf, gen, x, y, 5, substream(3, EVAL, 0)) == alone
+        assert len(threads) == 9
+        assert threading.get_ident() in threads and len(set(threads)) >= 2
+
+    @needs_blas_setter
+    def test_pr_noise_is_drawn_on_the_calling_thread(self, setup, monkeypatch):
+        clf, _, x, y = setup
+        monkeypatch.setattr(nppr.metrics, "_ROWS", 70)
+        monkeypatch.setattr(nppr.metrics, "_WORKERS", 2)
+        pieces = self._threads(monkeypatch, "_hits")
+        draws = self._threads(monkeypatch, "baseline_noise")
+        pr_estimate(clf, x, y, UNIFORM_BALL, 1.5, 5, substream(3, EVAL, 2))
+        assert len(draws) == len(pieces) == 9
+        assert set(draws) == {threading.get_ident()}
 
     def test_stress_more_workers_than_cores(self, setup, monkeypatch):
         # Four workers switching threads every microsecond give the numbers

@@ -158,7 +158,7 @@ class TestHeads:
     def test_independent_rows_identical(self):
         head = _head(DependencyMode.INDEPENDENT)
         params = head.forward(batch_size=5)
-        for field in (params.pi_logits, params.means, params.chol):
+        for field in (params.pi_logits, params.means, params.chol_packed):
             for row in field.data[1:]:
                 np.testing.assert_array_equal(row, field.data[0])
 
@@ -179,7 +179,7 @@ class TestHeads:
         head = _head(DependencyMode.LABEL)
         params = head.forward(labels=np.array([0, 3]))
         np.testing.assert_array_equal(params.means.data[0], params.means.data[1])
-        np.testing.assert_array_equal(params.chol.data[0], params.chol.data[1])
+        np.testing.assert_array_equal(params.chol_packed.data[0], params.chol_packed.data[1])
 
     def test_joint_same_label_different_input(self):
         head = _head(DependencyMode.JOINT)
@@ -212,7 +212,7 @@ class TestHeads:
         head = _head(DependencyMode.INPUT, K=2, latent=3)
         head._named["head.chol_w"].data = np.random.default_rng(4).normal(size=(8, 2 * 6))
         feats = Tensor(np.random.default_rng(5).normal(size=(3, 5)))
-        chol = head.forward(features=feats).chol.data
+        chol = T.tril_scatter(head.forward(features=feats).chol_packed, 3).data
         upper = np.triu(chol, k=1)
         np.testing.assert_array_equal(upper, np.zeros_like(upper))
         diags = chol[:, :, np.arange(3), np.arange(3)]
@@ -275,7 +275,7 @@ class TestPerRowHeads:
         whole = gen.gmm_params(x, y)
         for i in range(len(x)):
             alone = gen.gmm_params(x[i:i + 1], y[i:i + 1])
-            for name in ("pi_logits", "means", "chol"):
+            for name in ("pi_logits", "means", "chol_packed"):
                 np.testing.assert_allclose(getattr(alone, name).data[0],
                                            getattr(whole, name).data[i],
                                            rtol=0, atol=1e-12, err_msg=f"{name}, row {i}")

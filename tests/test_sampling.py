@@ -1,12 +1,17 @@
 """Sampler laws: relaxation correctness, exact-draw statistics, annealing."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
 
+import nppr.metrics
 from nppr import tensor as T
 from nppr.generator import build_generator
-from nppr.models import Classifier, ClassifierConfig, DependencyMode, GmmParams, HeadConfig
+from nppr.metrics import nppr_estimate
+from nppr.models import (Classifier, ClassifierConfig, DependencyMode, GmmParams, HeadConfig,
+                         Temperatures)
 from nppr.rng import EVAL, substream
 from nppr.sampling import (AnnealSchedule, GumbelConfig, anneal_value, categorical_exact,
                            gumbel_softmax_sample, sample_exact, sample_perturbations)
@@ -14,14 +19,28 @@ from nppr.tensor import Tensor
 from nppr.upsample import UpsamplerConfig
 
 
+def _pack(chol):
+    """The row-major lower triangles of (..., D, D) factors."""
+    chol = np.asarray(chol, dtype=float)
+    rows, cols = np.tril_indices(chol.shape[-1])
+    return chol[..., rows, cols]
+
+
 def _params(pi_logits, means, chol):
+    """Mixture parameters from full lower-triangular (..., D, D) factors."""
     return GmmParams(pi_logits=Tensor(np.asarray(pi_logits, dtype=float)),
                      means=Tensor(np.asarray(means, dtype=float)),
-                     chol=Tensor(np.asarray(chol, dtype=float)))
+                     chol_packed=Tensor(_pack(chol)))
+
+
+def _full(params):
+    """The (B, K, D, D) factors of packed mixture parameters."""
+    return T.tril_scatter(params.chol_packed, params.latent_dim).data
 
 
 def _rows(params, part):
-    return _params(params.pi_logits.data[part], params.means.data[part], params.chol.data[part])
+    return GmmParams(*(Tensor(t.data[part])
+                       for t in (params.pi_logits, params.means, params.chol_packed)))
 
 
 def _diag_chol(B, K, D, value=1.0):
@@ -131,7 +150,8 @@ class TestSamplePerturbations:
         rng_seed = 12
         pi0 = np.random.default_rng(13).normal(size=(2, 3))
         mu0 = np.random.default_rng(14).normal(size=(2, 3, 2))
-        ch0 = np.random.default_rng(15).normal(0.0, 0.3, size=(2, 3, 2, 2)) + _diag_chol(2, 3, 2)
+        ch0 = _pack(np.random.default_rng(15).normal(0.0, 0.3, size=(2, 3, 2, 2))
+                    + _diag_chol(2, 3, 2))
         probe = np.random.default_rng(16).normal(size=(2, 4, 2))
 
         def run(pi_a, mu_a, ch_a, requires_grad):
@@ -145,7 +165,8 @@ class TestSamplePerturbations:
         params, loss = run(pi0, mu0, ch0, True)
         loss.backward()
         h = 1e-6
-        for arr, tensor in ((pi0, params.pi_logits), (mu0, params.means), (ch0, params.chol)):
+        for arr, tensor in ((pi0, params.pi_logits), (mu0, params.means),
+                            (ch0, params.chol_packed)):
             fd = np.zeros_like(arr)
             for idx in np.ndindex(arr.shape):
                 up, down = arr.copy(), arr.copy()
@@ -177,14 +198,18 @@ def _head_params(mode):
     with T.no_grad():
         params = gen.gmm_params(rng.normal(size=(5, 3)), np.array([0, 1, 2, 1, 0]))
     return GmmParams(*(Tensor(t.data, requires_grad=True)
-                       for t in (params.pi_logits, params.means, params.chol)))
+                       for t in (params.pi_logits, params.means, params.chol_packed)))
 
 
 def _four_op_latent(params, z, xi):
-    """The generic route to sum_k z_k (mu_k + L_k xi_k): factors applied by a
-    batched matmul, then add, mul and reduce_sum over the components."""
+    """The generic route to sum_k z_k (mu_k + L_k xi_k): factors unpacked by a
+    product with a 0/1 selection matrix and applied by a batched matmul, then
+    add, mul and reduce_sum over the components."""
     B, M, K, D = xi.shape
-    chol_b = T.reshape(params.chol, (B, 1, K, D, D))
+    rows, cols = np.tril_indices(D)
+    select = np.zeros((rows.size, D * D))
+    select[np.arange(rows.size), rows * D + cols] = 1.0
+    chol_b = T.reshape(T.matmul(params.chol_packed, T.constant(select)), (B, 1, K, D, D))
     lx = T.reshape(T.matmul(chol_b, T.constant(xi.reshape(B, M, K, D, 1))), (B, M, K, D))
     comp = T.add(T.reshape(params.means, (B, 1, K, D)), lx)
     return T.reduce_sum(T.mul(T.reshape(z, (B, M, K, 1)), comp), axis=2)
@@ -214,7 +239,7 @@ class TestMixtureLatentSampler:
                 latent = _four_op_latent(params, z, rng.standard_normal((5, 6, 3, 4)))
             T.reduce_sum(T.mul(latent, probe)).backward()
             results.append([latent.data, params.pi_logits.grad, params.means.grad,
-                            params.chol.grad])
+                            params.chol_packed.grad])
         for got, want in zip(*results):
             assert want is not None
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
@@ -307,13 +332,14 @@ class TestSampleExact:
     def test_input_longer_than_a_part(self):
         _check_exact_draws(*_shape(_LONG))
 
-    @pytest.mark.parametrize("field", ["pi_logits", "means", "chol"])
+    @pytest.mark.parametrize("field", ["pi_logits", "means", "chol_packed"])
     def test_non_finite_mixture_refused(self, field):
         values = {"pi_logits": np.zeros((2, 3)), "means": np.zeros((2, 3, 2)),
-                  "chol": _diag_chol(2, 3, 2)}
+                  "chol_packed": _pack(_diag_chol(2, 3, 2))}
         values[field].flat[0] = np.nan
+        params = GmmParams(**{name: Tensor(v) for name, v in values.items()})
         with pytest.raises(ValueError, match=f"sample_exact: {field} must be finite"):
-            sample_exact(_params(**values), M=4, streams=np.random.default_rng(27).spawn(2))
+            sample_exact(params, M=4, streams=np.random.default_rng(27).spawn(2))
 
 
 def _einsum_reference(params, batch):
@@ -321,7 +347,7 @@ def _einsum_reference(params, batch):
     z = batch.relaxed_weights.data.argmax(axis=2)
     rows = np.arange(params.batch)[:, None]
     return params.means.data[rows, z] + np.einsum(
-        "bmde,bme->bmd", params.chol.data[rows, z], batch.component_draws)
+        "bmde,bme->bmd", _full(params)[rows, z], batch.component_draws)
 
 
 def _fancy_index_reference(params, batch):
@@ -330,7 +356,7 @@ def _fancy_index_reference(params, batch):
     M = batch.latent.shape[1]
     z = batch.relaxed_weights.data.argmax(axis=2)
     latent = params.means.data[np.arange(B)[:, None], z]
-    stacked = np.swapaxes(params.chol.data.reshape(B, K * D, D), 1, 2)
+    stacked = np.swapaxes(_full(params).reshape(B, K * D, D), 1, 2)
     every = (batch.component_draws @ stacked).reshape(-1, K, D)
     return latent + every[np.arange(len(every)), z.ravel()].reshape(B, M, D)
 
@@ -445,3 +471,102 @@ class TestAnnealing:
     def test_invalid_order_rejected(self):
         with pytest.raises(ValueError):
             GumbelConfig(tau_init=0.1, tau_final=1.0)
+
+
+def _mode_generator(mode, input_dim=3):
+    """A generator of the given head mode, moved off its symmetric init."""
+    clf = Classifier(ClassifierConfig(input_dim=input_dim, num_classes=3, hidden=(6,)), seed=0)
+    head_cfg = HeadConfig(mode=mode, K=3, latent_dim=4, hidden_dim=8, label_emb_dim=4)
+    gen = build_generator(clf, head_cfg, UpsamplerConfig(mode="linear_vector", gamma=1.0))
+    rng = np.random.default_rng(41)
+    for p in gen.head.named_params().values():
+        p.data = p.data + rng.normal(0.0, 0.5, size=p.data.shape)
+    return gen
+
+
+class TestPackedFactors:
+    """The mixture keeps its factors packed; each sampler unpacks them where
+    it applies them, with the bits of the factors unpacked for every input."""
+
+    @pytest.mark.parametrize("mode", list(DependencyMode), ids=lambda m: m.value)
+    def test_rows_unpack_to_rows_of_the_full_factors(self, mode):
+        gen = _mode_generator(mode)
+        rng = np.random.default_rng(42)
+        x, y = rng.normal(size=(11, 3)), rng.integers(0, 3, 11)
+        with T.no_grad():
+            params = gen.gmm_params(x, y)
+        assert params.chol_packed.shape == (11, 3, 10)
+        full = T.tril_scatter(params.chol_packed, 4).data
+        whole = sample_exact(params, 6, np.random.default_rng(43).spawn(11))
+        streams = np.random.default_rng(43).spawn(11)
+        for lo, hi in ((0, 1), (1, 3), (3, 10), (10, 11)):
+            rows = params.rows(slice(lo, hi))
+            np.testing.assert_array_equal(T.tril_scatter(rows.chol_packed, 4).data, full[lo:hi])
+            piece = sample_exact(rows, 6, streams[lo:hi])
+            np.testing.assert_array_equal(piece.latent.data, whole.latent.data[lo:hi])
+
+    @pytest.mark.parametrize("mode", [DependencyMode.LABEL, DependencyMode.INDEPENDENT],
+                             ids=lambda m: m.value)
+    def test_global_factor_bias_gradient_keeps_its_bits(self, mode):
+        # Before, the head unpacked the one global factor set, broadcast the
+        # (K, D, D) factors over the batch, and its backward summed their
+        # gradient over the batch before gathering the triangle. Now the
+        # packed entries are broadcast and unpacked per row; the gradient must
+        # sum the same elements in the same order.
+        gen = _mode_generator(mode)
+        B, M, K, D = 7, 5, 3, 4
+        labels = np.array([0, 1, 2, 1, 0, 2, 2])
+        probe = T.constant(np.random.default_rng(44).normal(size=(B, M, D)))
+        params = gen.head.forward(labels=labels, batch_size=B, temps=Temperatures(T_sigma=1.3))
+        T.reduce_sum(T.mul(sample_perturbations(params, M, 0.7, np.random.default_rng(45)).latent,
+                           probe)).backward()
+        new = gen.head.named_params()["head.chol_b"].grad
+
+        # The old chain's gradient, from the one reaching the full factors.
+        with T.no_grad():
+            params = gen.head.forward(labels=labels, batch_size=B,
+                                      temps=Temperatures(T_sigma=1.3))
+        full = Tensor(T.tril_scatter(params.chol_packed, D).data, requires_grad=True)
+        rng = np.random.default_rng(45)
+        pi_b = T.broadcast_to(T.reshape(params.pi_logits, (B, 1, K)), (B, M, K))
+        z = gumbel_softmax_sample(pi_b, 0.7, rng)
+        latent = T.mixture_latent(z, params.means, full, rng.standard_normal((B, M, K, D)))
+        T.reduce_sum(T.mul(latent, probe)).backward()
+        rows, cols = np.tril_indices(D)
+        diag = np.flatnonzero(rows == cols)
+        c = 1.0 / 1.3
+        scaled_diag = (gen.head.named_params()["head.chol_b"].data.reshape(K, -1) * c)[:, diag]
+        old = full.grad.sum(axis=(0,))[..., rows, cols]
+        old[..., diag] *= T._sigmoid(scaled_diag)
+        np.testing.assert_array_equal(new, (old * c).reshape(-1))
+
+
+class TestEstimateMemory:
+    """nppr_estimate holds the packed factors of every input and the full
+    factors of one piece, never the full factors of every input."""
+
+    @staticmethod
+    def _peak(clf, gen, x, y, M):
+        tracemalloc.start()
+        try:
+            nppr_estimate(clf, gen, x, y, M, np.random.default_rng(1))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_grows_by_less_than_the_full_factors(self, monkeypatch):
+        # K 8 and D 16, 64 draws of width 256: the full factors of 448 more
+        # inputs are 7 MiB, their packed mixture 4.2 MiB, and the pieces'
+        # rows about 18 MiB whatever the inputs, more than the head's peak.
+        # One worker: with two, whether two pieces overlap moves the peak.
+        monkeypatch.setattr(nppr.metrics, "_WORKERS", 1)
+        rng = np.random.default_rng(46)
+        x, y = rng.normal(size=(512, 256)), rng.integers(0, 3, 512)
+        clf = Classifier(ClassifierConfig(input_dim=256, num_classes=3, hidden=(8,)), seed=0)
+        clf.freeze()
+        K, D = 8, 16
+        head = HeadConfig(mode=DependencyMode.JOINT, K=K, latent_dim=D, hidden_dim=8,
+                          label_emb_dim=4)
+        gen = build_generator(clf, head, UpsamplerConfig(mode="linear_vector", gamma=0.5))
+        small, large = (self._peak(clf, gen, x[:n], y[:n], 64) for n in (64, 512))
+        assert large - small < 0.75 * (512 - 64) * K * D * D * 8

@@ -171,6 +171,12 @@ def _gumbel_softmax_case(r):
             [r.uniform(-2, 2, (2, 3, 4)), r.uniform(-2, 2, (2, 3, 4))])
 
 
+def _budget_base_case(r):
+    base = r.uniform(-1, 1, (2, 1, 4))  # constant, closed over
+    return (lambda ts: T.reduce_sum(T.mul(T.budget(ts[0], 0.4, base), ts[1])),
+            [r.uniform(-2, 2, (2, 3, 4)), r.uniform(-2, 2, (2, 3, 4))])
+
+
 # Per-op finite-difference checks; inputs are kept away from kinks/ties.
 PER_OP_CASES = {
     "add": lambda r: (lambda ts: T.reduce_sum(T.add(ts[0], ts[1])),
@@ -189,9 +195,12 @@ PER_OP_CASES = {
                                      [r.uniform(-1, 1, (2, 1, 3, 4)),
                                       r.uniform(-1, 1, (5, 4, 2))]),
     "mixture_latent": _mixture_latent_case,
-    "tril_factor": lambda r: (lambda ts: T.reduce_sum(T.mul(T.tril_factor(ts[0], 3, 0.7, 1e-6),
-                                                             ts[1])),
-                              [r.uniform(-2, 2, (2, 6)), r.uniform(-2, 2, (2, 3, 3))]),
+    "tril_factor": lambda r: (lambda ts: T.reduce_sum(T.mul(
+        T.tril_scatter(T.tril_activate(ts[0], 3, 0.7, 1e-6), 3), ts[1])),
+        [r.uniform(-2, 2, (2, 6)), r.uniform(-2, 2, (2, 3, 3))]),
+    "budget": lambda r: (lambda ts: T.reduce_sum(T.mul(T.budget(ts[0], 0.4), ts[1])),
+                         [r.uniform(-2, 2, (3, 4)), r.uniform(-2, 2, (3, 4))]),
+    "budget_base": _budget_base_case,
     "dense": lambda r: (lambda ts: T.reduce_sum(T.dense(ts[0], (ts[1], ts[2]))),
                         [r.uniform(-2, 2, (3, 4)), r.uniform(-2, 2, (4, 2)),
                          r.uniform(-2, 2, (2,))]),
@@ -590,12 +599,13 @@ class TestTrilFactor:
 
     @pytest.mark.parametrize("t_sigma", [1.0, 0.37])
     def test_matches_mask_chain(self, t_sigma):
+        # The factors are the head's activation, then the sampler's scatter.
         rng = np.random.default_rng(9)
         B, K, D = 4, 3, 5
         packed = rng.normal(0.0, 2.0, size=(B, K, D * (D + 1) // 2))
         probe = T.constant(rng.normal(size=(B, K, D, D)))
         results = []
-        for build in (lambda t: T.tril_factor(t, D, t_sigma, CHOL_DIAG_FLOOR),
+        for build in (lambda t: T.tril_scatter(T.tril_activate(t, D, t_sigma, CHOL_DIAG_FLOOR), D),
                       lambda t: self._mask_chain(t, D, t_sigma)):
             leaf = Tensor(packed.copy(), requires_grad=True)
             out = build(leaf)
@@ -605,10 +615,84 @@ class TestTrilFactor:
         np.testing.assert_array_equal(out_op, out_chain)
         np.testing.assert_allclose(grad_op, grad_chain, rtol=0, atol=1e-12)
 
+    def test_activate_keeps_the_packed_shape(self):
+        packed = np.random.default_rng(10).normal(size=(2, 3, 10))
+        out = T.tril_activate(Tensor(packed), 4, 1.0, CHOL_DIAG_FLOOR).data
+        diag = [0, 2, 5, 9]
+        assert out.shape == packed.shape and np.all(out[..., diag] > 0)
+        off = np.setdiff1d(np.arange(10), diag)
+        np.testing.assert_array_equal(out[..., off], packed[..., off])
+
     def test_shape_guard(self):
         packed = Tensor(np.zeros((2, 3, 9)), requires_grad=True)
-        with pytest.raises(ShapeError, match="tril_factor"):
-            T.tril_factor(packed, 4, 1.0, CHOL_DIAG_FLOOR)
+        with pytest.raises(ShapeError, match="tril_activate"):
+            T.tril_activate(packed, 4, 1.0, CHOL_DIAG_FLOOR)
+        with pytest.raises(ShapeError, match="tril_scatter"):
+            T.tril_scatter(packed, 4)
+
+
+class TestBudget:
+    """The budget op against the add(base, scale(tanh(u), gamma)) chain it
+    replaces: the same bits forward and backward, whatever the blocks."""
+
+    @staticmethod
+    def _both(u, gamma, base, probe):
+        results = []
+        for fused in (True, False):
+            leaf = Tensor(u.copy(), requires_grad=True)
+            if fused:
+                out = T.budget(leaf, gamma, base)
+            else:
+                out = T.scale(T.tanh(leaf), gamma)
+                out = out if base is None else T.add(T.constant(base), out)
+            T.reduce_sum(T.mul(out, T.constant(probe))).backward()
+            results.append((out.data, leaf.grad))
+        return results
+
+    @pytest.mark.parametrize("extra", [None, -1, 0, 1])
+    @pytest.mark.parametrize("with_base", [False, True])
+    def test_rows_around_a_block_match_the_chain(self, extra, with_base):
+        # 1 row, and a block of rows less one, exactly and plus one.
+        d = 96
+        block = T._BUDGET_BLOCK // d
+        n = 1 if extra is None else block + extra
+        rng = np.random.default_rng(30 + n)
+        u, probe = rng.normal(0.0, 3.0, (n, d)), rng.normal(size=(n, d))
+        base = rng.uniform(-1, 1, (n, d)) if with_base else None
+        (out, grad), (out_chain, grad_chain) = self._both(u, 16 / 255, base, probe)
+        np.testing.assert_array_equal(out, out_chain)
+        np.testing.assert_array_equal(grad, grad_chain)
+
+    def test_broadcast_base_matches_the_chain(self):
+        # The trainer's (B, 1, d) inputs against (B, M, d) draws, over several blocks.
+        rng = np.random.default_rng(31)
+        B, M, d = 11, 100, 70
+        assert B * M * d > 2 * T._BUDGET_BLOCK
+        u, probe = rng.normal(0.0, 3.0, (B, M, d)), rng.normal(size=(B, M, d))
+        (out, grad), (out_chain, grad_chain) = self._both(u, 0.5, rng.uniform(size=(B, 1, d)),
+                                                          probe)
+        np.testing.assert_array_equal(out, out_chain)
+        np.testing.assert_array_equal(grad, grad_chain)
+
+    def test_scalar_operand(self):
+        assert T.budget(Tensor(0.0), 0.3).item() == 0.0
+        (out, grad), (out_chain, grad_chain) = self._both(np.array(0.7), 0.3, np.array(2.0),
+                                                          np.array(1.5))
+        assert out == out_chain and grad == grad_chain
+
+    def test_keeps_no_perturbation(self):
+        # The backward keeps no array of its own: tanh(u) is recomputed from u.
+        u = Tensor(np.random.default_rng(32).normal(size=(64, 8)), requires_grad=True)
+        out = T.budget(u, 0.5, np.ones((64, 8)))
+        held = [c.cell_contents for c in out._bwd.__closure__
+                if isinstance(c.cell_contents, np.ndarray)]
+        assert held and all(np.shares_memory(a, u.data) for a in held)
+
+    def test_base_must_broadcast_to_the_operand(self):
+        with pytest.raises(ShapeError, match="budget"):
+            T.budget(Tensor(np.zeros((3, 1))), 0.5, np.zeros((3, 4)))
+        with pytest.raises(ShapeError, match="budget"):
+            T.budget(Tensor(np.zeros((3, 4))), 0.5, np.zeros((2, 4)))
 
 
 class TestMargin:
@@ -672,7 +756,9 @@ class TestUnitRows:
 
 # The ops no package module calls, each with the tests' reference it serves.
 TEST_ONLY_OPS = {
-    "softplus": "TestTrilFactor._mask_chain, the chain tril_factor is compared against",
+    "add": "TestBudget's chain and the mixture and factor reference chains",
+    "tanh": "TestBudget's chain, the gamma * tanh that budget replaced",
+    "softplus": "TestTrilFactor._mask_chain, the chain tril_activate is compared against",
     "mul": "the reference chains and the gradient probes",
     "reduce_sum": "the reference chains and the gradient probes",
 }

@@ -235,8 +235,8 @@ class TestTraining:
         refs, alive = [], []
         perturb_relaxed, gmm_params = gen.perturb_relaxed, gen.gmm_params
 
-        def recording_perturb_relaxed(*args):
-            batch = perturb_relaxed(*args)
+        def recording_perturb_relaxed(*args, **kwargs):
+            batch = perturb_relaxed(*args, **kwargs)
             refs.append(weakref.ref(batch.images.data))
             return batch
 
