@@ -56,21 +56,19 @@ class Generator:
         return apply_budget(T.reshape(u, (*latent.shape[:-1], u.shape[1])), self.gamma, base)
 
     def perturb_relaxed(self, params: GmmParams, M: int, tau: float,
-                        rng: np.random.Generator, base: np.ndarray | None = None
-                        ) -> PerturbationBatch:
+                        rng: np.random.Generator, base: np.ndarray) -> PerturbationBatch:
         """Training path: relaxed mixture draws, graph-connected end to end;
-        the images are `base` plus the perturbations when a base is given."""
+        the images are `base` plus the perturbations, the budget op adding
+        them, since a tape cannot add in place."""
         batch = sample_perturbations(params, M, tau, rng)
         batch.images = self.images(batch.latent, base)
         return batch
 
-    def perturb_exact(self, params: GmmParams, M: int, streams: list,
-                      base: np.ndarray | None = None) -> PerturbationBatch:
+    def perturb_exact(self, params: GmmParams, M: int, streams: list) -> PerturbationBatch:
         """Evaluation path: exact categorical draws, no relaxation bias, input
-        b's from `streams[b]`; the images are `base` plus the perturbations
-        when a base is given."""
+        b's from `streams[b]`."""
         batch = sample_exact(params, M, streams)
-        batch.images = self.images(batch.latent, base)
+        batch.images = self.images(batch.latent)
         return batch
 
 

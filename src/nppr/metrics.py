@@ -31,8 +31,8 @@ NPPR's head runs once over all of an estimate's inputs, since its bits
 depend on how many rows its products have (see `models`), and its Cholesky
 factors stay packed; each piece unpacks its own inputs' factors, so the
 estimate holds the full D x D factors of one piece per worker, not of every
-input. The budget op adds each draw to its input, so a piece holds the
-perturbed rows and not the perturbation beside them.
+input. Every estimator adds a piece's inputs to its perturbations in place,
+so a piece holds one (inputs, draws, width) array of perturbed rows.
 
 The estimators record no autograd tape: each piece runs under its own
 `tensor.no_grad()` (the flag is per thread) and classifies with
@@ -128,14 +128,12 @@ def _pieces(x: np.ndarray, y: np.ndarray, M: int, name: str, workers: int = 1):
     return x, y, [slice(lo, lo + step) for lo in range(0, x.shape[0], step)]
 
 
-def _hits(clf: Classifier, yb: np.ndarray, perturbed: np.ndarray,
-          xb: np.ndarray | None = None) -> int:
-    """Correct predictions on one piece's perturbed inputs, (inputs, draws,
-    width), each draw labelled with its input's label. `xb`, when given, is
-    added in place first, for perturbations drawn without their inputs.
-    `Classifier.predict` classifies the rows without a tape."""
-    if xb is not None:
-        perturbed += xb[:, None, :]
+def _hits(clf: Classifier, yb: np.ndarray, perturbed: np.ndarray, xb: np.ndarray) -> int:
+    """Correct predictions on one piece's inputs `xb` under its perturbations,
+    (inputs, draws, width), each draw labelled with its input's label. The
+    inputs are added to the perturbations in place, so the piece holds one
+    such array. `Classifier.predict` classifies the rows without a tape."""
+    perturbed += xb[:, None, :]
     preds = clf.predict(perturbed.reshape(-1, perturbed.shape[-1]))
     return int(np.sum(preds.reshape(perturbed.shape[:2]) == yb[:, None]))
 
@@ -154,27 +152,36 @@ def _total_hits(tasks, workers: int, ahead: int) -> int:
     calling thread is one of the workers: it hands a task to `_POOL` while
     fewer than `ahead` handed-out tasks are unfinished, and runs it itself
     otherwise. Once every task is taken it runs, newest first, the handed-out
-    ones that no pool thread has started. A task's exception reaches the
-    caller once no handed-out task is left running; the caller sees it the
-    next time it looks, and hands out and starts no task after that."""
+    ones that no pool thread has started. The calling thread looks at the
+    handed-out tasks before it takes or starts a task; once one has failed,
+    it starts no task after that, and the exception reaches the caller once
+    no handed-out task is left running."""
     if workers == 1:
         return sum(_untaped(task) for task in tasks)
     get_threads, set_threads = T.BLAS_THREADS
     previous = get_threads()
     set_threads(1)
     running = {}  # future -> task, handed out and not yet seen finished
+
+    def finished() -> int:
+        """Hits of the handed-out tasks that finished, which leave `running`;
+        a failed one raises its exception here."""
+        done = [f for f in running if f.done()]
+        for f in done:
+            del running[f]
+        return sum(f.result() for f in done)
+
     total = 0
     try:
         for task in tasks:
-            for f in [f for f in running if f.done()]:
-                del running[f]
-                total += f.result()
+            total += finished()
             if len(running) < ahead:
                 running[_POOL.submit(_untaped, task)] = task
             else:
                 total += _untaped(task)
         for f in reversed(list(running)):
-            if f.cancel():
+            total += finished()
+            if f in running and f.cancel():
                 total += _untaped(running.pop(f))
         done, _ = wait(running, return_when=FIRST_EXCEPTION)
         total += sum(f.result() for f in done)
@@ -189,9 +196,8 @@ def _total_hits(tasks, workers: int, ahead: int) -> int:
 def _nppr_hits(clf: Classifier, generator: Generator, xb: np.ndarray, yb: np.ndarray,
                params, M: int, streams: list) -> int:
     """One NPPR piece: exact draws from the inputs' own streams, mapped to
-    input space, added to their inputs by the budget op and classified."""
-    perturbed = generator.perturb_exact(params, M, streams, base=xb[:, None, :]).images.data
-    return _hits(clf, yb, perturbed)
+    input space, added to their inputs and classified."""
+    return _hits(clf, yb, generator.perturb_exact(params, M, streams).images.data, xb)
 
 
 def nppr_estimate(clf: Classifier, generator: Generator, x: np.ndarray, y: np.ndarray,

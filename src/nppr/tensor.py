@@ -90,8 +90,8 @@ class ShapeError(Exception):
 
 NORM_FLOOR = 1e-12
 
-# Floats of `budget`'s operand per block (256 KiB): a block's tanh is still in
-# a core's L2 cache when it is scaled and added to the base.
+# Floats of `budget`'s operand per backward block (256 KiB): the backward's
+# recomputed tanh is one block, not a second array of the operand's size.
 _BUDGET_BLOCK = 1 << 15
 
 # Counts of guarded numeric events (domain clamps, skipped optimizer steps);
@@ -532,36 +532,36 @@ def budget(u: Tensor, gamma: float, base: np.ndarray | None = None) -> Tensor:
     """base + gamma * tanh(u), or gamma * tanh(u) without a base, for a
     constant `base` that broadcasts to u's shape and gets no gradient.
 
-    It runs over blocks of u's leading axis of about _BUDGET_BLOCK floats and
-    keeps neither tanh(u) nor the scaled perturbation: the backward recomputes
-    tanh per block and forms (g * gamma) * (1 - t * t). The arithmetic is that
-    of add(base, scale(tanh(u), gamma)), so values and gradients keep its bits.
+    The forward fills one array in place and keeps neither tanh(u) nor the
+    scaled perturbation beside it. The backward recomputes tanh over blocks of
+    u's leading axis of about _BUDGET_BLOCK floats and forms
+    (g * gamma) * (1 - t * t). The arithmetic is that of
+    add(base, scale(tanh(u), gamma)), so values and gradients keep its bits.
     """
     gamma = float(gamma)
-    rows = u.shape or (1,)  # a scalar is one row
     if base is not None:
         base = np.asarray(base, dtype=np.float64)
         try:
-            base = np.broadcast_to(base, u.shape).reshape(rows)
+            fits = np.broadcast_shapes(base.shape, u.shape) == u.shape
         except ValueError:
+            fits = False
+        if not fits:
             raise ShapeError(f"budget: base shape {base.shape} does not broadcast "
-                             f"to {u.shape}") from None
-    step = max(1, _BUDGET_BLOCK // max(1, math.prod(rows[1:])))
-    blocks = [slice(lo, lo + step) for lo in range(0, rows[0], step)]
-    x = u.data.reshape(rows)
-    out_data = np.empty(rows)
-    for blk in blocks:
-        out = out_data[blk]
-        np.tanh(x[blk], out=out)
-        out *= gamma
-        if base is not None:
-            out += base[blk]
+                             f"to {u.shape}")
+    x = u.data
+    out_data = np.tanh(x, out=np.empty(u.shape))
+    out_data *= gamma
+    if base is not None:
+        out_data += base
 
     def bwd(g):
-        g = g.reshape(rows)
+        rows = u.shape or (1,)  # a scalar is one row
+        step = max(1, _BUDGET_BLOCK // max(1, math.prod(rows[1:])))
+        x_rows, g = x.reshape(rows), g.reshape(rows)
         grad = np.empty(rows)
-        for blk in blocks:
-            t = np.tanh(x[blk])
+        for lo in range(0, rows[0], step):
+            blk = slice(lo, lo + step)
+            t = np.tanh(x_rows[blk])
             t *= t
             np.subtract(1.0, t, out=t)
             out = grad[blk]
@@ -569,7 +569,6 @@ def budget(u: Tensor, gamma: float, base: np.ndarray | None = None) -> Tensor:
             out *= t
         _accumulate(u, grad.reshape(u.shape))
 
-    out_data = out_data.reshape(u.shape)
     return _node(out_data, (u,), bwd, "budget")
 
 

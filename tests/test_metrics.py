@@ -5,6 +5,7 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 import pytest
@@ -211,8 +212,9 @@ class TestTapeFreeEvaluation:
     @staticmethod
     def _step_grads(clf, gen, x, y):
         """Gradients of one relaxed training step's loss."""
-        batch = gen.perturb_relaxed(gen.gmm_params(x, y), 4, 0.5, np.random.default_rng(5))
-        perturbed = T.reshape(T.add(T.constant(x[:, None, :]), batch.images), (len(x) * 4, 3))
+        batch = gen.perturb_relaxed(gen.gmm_params(x, y), 4, 0.5, np.random.default_rng(5),
+                                    x[:, None, :])
+        perturbed = T.reshape(batch.images, (len(x) * 4, 3))
         margin_loss(clf.logits(perturbed), np.repeat(y, 4)).backward()
         return {name: p.grad for name, p in gen.named_params().items()}
 
@@ -458,6 +460,40 @@ class TestPool:
         assert state["running"] == 0 and 0 < state["started"] < 9
         assert get_threads() == before
         assert T._grad.enabled
+
+    def test_failed_piece_stops_the_drain(self, monkeypatch):
+        # Two pool threads, four pieces handed out: the first fails once all
+        # are, its thread takes the third, the second runs, and the fourth
+        # waits in the queue. The calling thread must not run it.
+        pool = ThreadPoolExecutor(max_workers=2)
+        monkeypatch.setattr(nppr.metrics, "_POOL", pool)
+        monkeypatch.setattr(T, "BLAS_THREADS", (lambda: 1, lambda n: None))
+        handed_out, third_started = threading.Event(), threading.Event()
+        ran = []
+
+        def fail():
+            assert handed_out.wait(5.0)
+            raise ValueError("piece 0 failed")
+
+        def slow(i):
+            ran.append(i)
+            if i == 2:
+                third_started.set()
+            time.sleep(0.3)
+            return 1
+
+        def tasks():
+            yield fail
+            yield from (partial(slow, i) for i in (1, 2, 3))
+            handed_out.set()
+            assert third_started.wait(5.0)
+
+        try:
+            with pytest.raises(ValueError, match="piece 0 failed"):
+                nppr.metrics._total_hits(tasks(), 3, 4)
+        finally:
+            pool.shutdown()
+        assert sorted(ran) == [1, 2]
 
 
 class TestPrEstimate:

@@ -315,8 +315,8 @@ class TestPackedFactors:
         rng = np.random.default_rng(3)
         B, M = 12, 4
         x, y = rng.normal(size=(B, 16)), rng.integers(0, 10, size=B)
-        batch = gen.perturb_relaxed(gen.gmm_params(x, y), M, 0.5, rng)
-        perturbed = T.reshape(T.add(T.constant(x[:, None, :]), batch.images), (B * M, 16))
+        batch = gen.perturb_relaxed(gen.gmm_params(x, y), M, 0.5, rng, x[:, None, :])
+        perturbed = T.reshape(batch.images, (B * M, 16))
         margin_loss(clf.logits(perturbed), np.repeat(y, M)).backward()
         grad = gen.head.named_params()[name].grad
         assert grad.shape == shape
