@@ -1,9 +1,32 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-The graph is implicit: until a backward consumes it, every tensor produced by
-an op keeps references to its parents and a closure that routes the incoming
-gradient to them. Creation order is a valid forward order, so a depth-first
-topological sort from the root visits nodes in a correct reverse order.
+A `Tensor` holds its value, `data`, and, when it needs a gradient, its node on
+the tape. A node holds its parents' nodes, the closure that routes the
+gradient reaching it to them, and that gradient while a backward runs; a
+leaf's node holds the leaf's `.grad`. Creation order is a valid forward order,
+so a depth-first topological sort from the root's node visits nodes in a
+correct reverse order.
+
+The tape is made of nodes, not tensors: a closure keeps only the arrays and
+shapes its backward reads, never an operand. So an output that no backward
+reads is freed as soon as its caller drops its tensor, while its node stays
+on the tape. Each op keeps:
+- `add`, `scale`, `reshape`, `broadcast_to`, `reduce_sum`, `take_rows` and
+  `tril_scatter`: shapes or indices only;
+- `mul` and `matmul`: the other operand's data, for each operand that takes a
+  gradient;
+- `dense`: the input of each layer whose weight takes a gradient, the weights
+  the gradient passes down through, and a boolean relu mask for each frozen
+  layer above the first it passes (see `dense`);
+- `mixture_latent`: the weights z, the means, the noise and one stacked copy
+  of the factors, not the D x D factors themselves;
+- `tril_activate`: the scaled diagonal entries; `budget`: its operand u, not
+  the perturbed rows it returns;
+- `margin`: each row's gap and its two classes; `cross_entropy`: the log
+  softmax; `gumbel_softmax`: the log softmax and its output; `tanh`: its
+  output; `relu`, `softplus` and `unit_rows`: the operand (and the norms).
+A training step thus frees the perturbed rows, the head's outputs and the
+activated and unpacked factors once the forward has read them.
 
 All values are 64-bit floats. Ops are plain numpy calls in a fixed order, so
 forward values are bit-stable for fixed inputs.
@@ -33,15 +56,17 @@ benchmark metric.
 
 A backward computes gradients only for operands that require them: the
 product for a frozen weight or a constant input is never formed. A tape serves
-one backward: an op's node drops its `.grad`, closure and parents once it has
+one backward: an op's node drops its gradient, closure and parents once it has
 routed its gradient, so only leaves keep a `.grad`. A leaf's first gradient is
 stored without a copy and may share memory with another leaf's (or be a
-read-only broadcast view); nothing may write into a stored `.grad`.
+read-only broadcast view); nothing may write into a stored `.grad`. An op's
+output may be a read-only view too (`broadcast_to`, `reshape`): no op writes
+into an operand.
 
 Under `no_grad()` every op the same thread runs returns a plain tensor that
-needs no gradient and keeps no parents or closure, whatever its operands
-need. Evaluation runs its forwards there, so a Monte-Carlo estimate records
-no tape that nothing reads; the forward values are the same bits either way.
+needs no gradient and records no node, whatever its operands need. Evaluation
+runs its forwards there, so a Monte-Carlo estimate records no tape that
+nothing reads; the forward values are the same bits either way.
 """
 
 from __future__ import annotations
@@ -134,20 +159,52 @@ def no_grad():
         _grad.enabled = previous
 
 
+class _Node:
+    """One op's place on the tape, or a leaf that takes a gradient.
+
+    `parents` are the operands' nodes, `bwd` routes the gradient reaching
+    this node to them, and `grad` is that gradient while a backward runs (a
+    leaf's is the leaf's `.grad`). A leaf's node has neither parents nor a
+    closure; an op's loses both, and its gradient, once it has routed it."""
+
+    __slots__ = ("op", "parents", "bwd", "grad")
+
+    def __init__(self, op: str, parents: tuple = (), bwd=None):
+        self.op, self.parents, self.bwd, self.grad = op, parents, bwd, None
+
+
 class Tensor:
-    """A dense n-d array that optionally participates in the gradient tape."""
+    """A dense n-d array; one that needs a gradient also holds its tape node."""
 
-    __slots__ = ("data", "requires_grad", "grad", "op", "_parents", "_bwd")
+    __slots__ = ("data", "_node", "__weakref__")
 
-    def __init__(self, data, requires_grad: bool = False, *, op: str = "leaf",
-                 parents: tuple = (), bwd=None):
-        arr = np.asarray(data, dtype=np.float64)
-        self.data = arr
-        self.requires_grad = bool(requires_grad)
-        self.grad: np.ndarray | None = None
-        self.op = op
-        self._parents = parents if self.requires_grad else ()
-        self._bwd = bwd if self.requires_grad else None
+    def __init__(self, data, requires_grad: bool = False):
+        self.data = np.asarray(data, dtype=np.float64)
+        self._node = _Node("leaf") if requires_grad else None
+
+    @property
+    def requires_grad(self) -> bool:
+        """Whether the tensor has a node. Setting it off drops the node;
+        setting it on gives a tensor without one a fresh leaf's."""
+        return self._node is not None
+
+    @requires_grad.setter
+    def requires_grad(self, flag: bool) -> None:
+        if not flag:
+            self._node = None
+        elif self._node is None:
+            self._node = _Node("leaf")
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return None if self._node is None else self._node.grad
+
+    @grad.setter
+    def grad(self, value) -> None:
+        if self._node is not None:
+            self._node.grad = value
+        elif value is not None:
+            raise ValueError("grad: the tensor takes no gradient")
 
     @property
     def shape(self) -> tuple:
@@ -168,8 +225,8 @@ class Tensor:
         backward(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        flag = ", grad" if self.requires_grad else ""
-        return f"Tensor(op={self.op}, shape={self.shape}{flag})"
+        flag = f", grad {self._node.op}" if self._node is not None else ""
+        return f"Tensor(shape={self.shape}{flag})"
 
 
 def constant(data) -> Tensor:
@@ -178,13 +235,11 @@ def constant(data) -> Tensor:
 
 
 # A first gradient is kept uncopied; only leaves keep a `.grad`, so only theirs alias.
-def _accumulate(parent: Tensor, grad: np.ndarray) -> None:
-    if not parent.requires_grad:
-        return
-    if parent.grad is None:
-        parent.grad = np.asarray(grad, dtype=np.float64)
+def _accumulate(node: _Node, grad: np.ndarray) -> None:
+    if node.grad is None:
+        node.grad = np.asarray(grad, dtype=np.float64)
     else:
-        parent.grad = parent.grad + grad
+        node.grad = node.grad + grad
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -198,10 +253,22 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
-def _node(data: np.ndarray, parents: tuple, bwd, op: str) -> Tensor:
-    if not (_grad.enabled and any(p.requires_grad for p in parents)):
-        return Tensor(data, requires_grad=False, op=op)
-    return Tensor(data, requires_grad=True, op=op, parents=parents, bwd=bwd)
+def _taped(t: Tensor) -> _Node | None:
+    """The node an op records as `t`'s: None when `t` takes no gradient, and
+    for every operand under `no_grad`."""
+    return t._node if _grad.enabled else None
+
+
+def _record(data: np.ndarray, op: str, parents: tuple, bwd) -> Tensor:
+    """The op's output; it holds a node when any of `parents`, its operands'
+    `_taped` nodes, is one. `bwd` may close over arrays, shapes and nodes,
+    never an operand: an output that no closure reads is freed with its
+    tensor."""
+    out = Tensor(data)
+    nodes = tuple(p for p in parents if p is not None)
+    if nodes:
+        out._node = _Node(op, nodes, bwd)
+    return out
 
 
 def backward(root: Tensor) -> None:
@@ -211,12 +278,12 @@ def backward(root: Tensor) -> None:
     """
     if root.size != 1:
         raise ShapeError(f"backward: root must be scalar, got shape {root.shape}")
-    if not root.requires_grad:
+    if root._node is None:
         return
 
-    topo: list[Tensor] = []
+    topo: list[_Node] = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    stack: list[tuple[_Node, bool]] = [(root._node, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -224,21 +291,21 @@ def backward(root: Tensor) -> None:
             continue
         if id(node) in seen:
             continue
-        if node._bwd is None and node.op != "leaf":
+        if node.bwd is None and node.op != "leaf":
             raise RuntimeError(f"backward: a {node.op} node's tape was consumed earlier")
         seen.add(id(node))
         stack.append((node, True))
-        for parent in node._parents:
-            if parent.requires_grad and id(parent) not in seen:
+        for parent in node.parents:
+            if id(parent) not in seen:
                 stack.append((parent, False))
 
-    root.grad = np.ones_like(root.data)
+    root._node.grad = np.ones_like(root.data)
     while topo:
         node = topo.pop()
-        if node._bwd is not None:
+        if node.bwd is not None:
             if node.grad is not None:
-                node._bwd(node.grad)
-            node.grad, node._bwd, node._parents = None, None, ()
+                node.bwd(node.grad)
+            node.grad, node.bwd, node.parents = None, None, ()
 
 
 def _require_broadcastable(a: Tensor, b: Tensor, op: str) -> None:
@@ -255,37 +322,41 @@ def _require_broadcastable(a: Tensor, b: Tensor, op: str) -> None:
 def add(a: Tensor, b: Tensor) -> Tensor:
     _require_broadcastable(a, b, "add")
     out_data = a.data + b.data
+    an, bn, a_shape, b_shape = _taped(a), _taped(b), a.shape, b.shape
 
     def bwd(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g, b.shape))
+        if an:
+            _accumulate(an, _unbroadcast(g, a_shape))
+        if bn:
+            _accumulate(bn, _unbroadcast(g, b_shape))
 
-    return _node(out_data, (a, b), bwd, "add")
+    return _record(out_data, "add", (an, bn), bwd)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _require_broadcastable(a, b, "mul")
     out_data = a.data * b.data
+    an, bn, a_shape, b_shape = _taped(a), _taped(b), a.shape, b.shape
+    a_data, b_data = a.data if bn else None, b.data if an else None
 
     def bwd(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g * b.data, a.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g * a.data, b.shape))
+        if an:
+            _accumulate(an, _unbroadcast(g * b_data, a_shape))
+        if bn:
+            _accumulate(bn, _unbroadcast(g * a_data, b_shape))
 
-    return _node(out_data, (a, b), bwd, "mul")
+    return _record(out_data, "mul", (an, bn), bwd)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
     out_data = a.data * c
+    an = _taped(a)
 
     def bwd(g):
-        _accumulate(a, g * c)
+        _accumulate(an, g * c)
 
-    return _node(out_data, (a,), bwd, "scale")
+    return _record(out_data, "scale", (an,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -303,51 +374,64 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     except ValueError:
         raise ShapeError(f"matmul: batch dims of {a.shape} and {b.shape} do not broadcast") from None
     out_data = a.data @ b.data
+    an, bn, a_shape, b_shape = _taped(a), _taped(b), a.shape, b.shape
+    a_data, b_data = a.data if bn else None, b.data if an else None
 
     def bwd(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
+        if an:
+            _accumulate(an, _unbroadcast(g @ np.swapaxes(b_data, -1, -2), a_shape))
+        if bn:
+            _accumulate(bn, _unbroadcast(np.swapaxes(a_data, -1, -2) @ g, b_shape))
 
-    return _node(out_data, (a, b), bwd, "matmul")
+    return _record(out_data, "matmul", (an, bn), bwd)
 
 
 def dense(x: Tensor, *layers: tuple[Tensor, Tensor]) -> Tensor:
     """Dense layers a @ weight + bias per (weight, bias) pair, a relu between
     layers and none after the last: x (B, in), weight (in, out), bias (out,).
-    The backward keeps each layer's post-relu input (> 0 exactly where its
-    pre-activation is) and stops below the last operand needing a gradient."""
+
+    The backward stops below the last operand needing a gradient. Of each
+    layer it keeps the input a only when the layer's weight takes a gradient
+    (a.T @ g), and its weight only when the gradient goes on below it. Above
+    the first layer, that gradient also reads where a > 0 (a is post-relu, so
+    exactly where its pre-activation is): from a when it is kept, else from a
+    boolean mask. So a frozen stack keeps one mask per relu and no activation.
+    """
     width = x.shape[1] if x.ndim == 2 else None
     for w, b in layers:
         width = w.shape[1] if (w.ndim, w.shape[:1], b.shape) == (2, (width,), w.shape[1:]) else None
     if not layers or width is None:
         raise ShapeError(f"dense: expected x (B, in) and chained (weight (in, out), bias (out,)) "
                          f"layers, got {x.shape} and {[(w.shape, b.shape) for w, b in layers]}")
-    params = [p for layer in layers for p in layer]
-    inputs, h = [], x.data
-    for i, (w, b) in enumerate(layers):
+    xn = _taped(x)
+    nodes = [(_taped(w), _taped(b)) for w, b in layers]
+    taped = xn is not None or any(wn or bn for wn, bn in nodes)
+    saved, below, h = [], xn is not None, x.data  # below: an operand under the layer is taped
+    for i, ((w, b), (wn, bn)) in enumerate(zip(layers, nodes)):
         if i:
             np.maximum(h, 0.0, out=h)
-        inputs.append(h)
+        if taped:
+            saved.append((h if wn else None, w.data if below else None,
+                          h > 0.0 if i and below and not wn else None))
+        below = below or wn is not None or bn is not None
         h = h @ w.data
         h += b.data
 
     def bwd(g):
-        for i in reversed(range(len(layers))):
-            (w, b), a = layers[i], inputs[i]
-            if w.requires_grad:
-                _accumulate(w, a.T @ g)
-            if b.requires_grad:
-                _accumulate(b, g.sum(axis=0))
-            if not (x.requires_grad or any(p.requires_grad for p in params[:2 * i])):
+        for i in reversed(range(len(saved))):
+            (a, w, mask), (wn, bn) = saved[i], nodes[i]
+            if wn:
+                _accumulate(wn, a.T @ g)
+            if bn:
+                _accumulate(bn, g.sum(axis=0))
+            if w is None:
                 return
-            g = g @ w.data.T
+            g = g @ w.T
             if i:
-                g *= a > 0.0
-        _accumulate(x, g)
+                g *= a > 0.0 if mask is None else mask
+        _accumulate(xn, g)
 
-    return _node(h, (x, *params), bwd, "dense")
+    return _record(h, "dense", (xn, *(n for layer in nodes for n in layer)), bwd)
 
 
 def mixture_latent(z: Tensor, means: Tensor, chol: Tensor, xi: np.ndarray) -> Tensor:
@@ -357,7 +441,8 @@ def mixture_latent(z: Tensor, means: Tensor, chol: Tensor, xi: np.ndarray) -> Te
     array that gets no gradient. With input b's factors side by side as
     S = [L_1 ... L_K], (D, K*D), the forward is z @ means + (z*xi) @ S^T, and
     each gradient is one product per input: means gets z^T g, chol g^T (z*xi)
-    and z g.mu_k + (S^T g)_k.xi_k. The backward forms z*xi again, not kept.
+    and z g.mu_k + (S^T g)_k.xi_k. The backward keeps z, the means, xi and S,
+    a copy, but not the D x D factors, and forms z*xi again.
     """
     xi = np.asarray(xi, dtype=np.float64)
     B, M, K = z.shape if z.ndim == 3 else (None,) * 3
@@ -366,26 +451,28 @@ def mixture_latent(z: Tensor, means: Tensor, chol: Tensor, xi: np.ndarray) -> Te
         raise ShapeError(f"mixture_latent: expected z (B,M,K), means (B,K,D), chol (B,K,D,D) "
                          f"and xi (B,M,K,D), got {z.shape}, {means.shape}, {chol.shape} "
                          f"and {xi.shape}")
+    z_data, means_data = z.data, means.data
     stacked = chol.data.transpose(0, 2, 1, 3).reshape(B, D, K * D)  # S per input, a copy
+    zn, mn, cn = _taped(z), _taped(means), _taped(chol)
 
     def weighted():  # z*xi as (B, M, K*D)
-        return (z.data[..., None] * xi).reshape(B, M, K * D)
+        return (z_data[..., None] * xi).reshape(B, M, K * D)
 
-    out_data = z.data @ means.data
+    out_data = z_data @ means_data
     out_data += weighted() @ np.swapaxes(stacked, 1, 2)
 
     def bwd(g):
-        if means.requires_grad:
-            _accumulate(means, np.swapaxes(z.data, 1, 2) @ g)
-        if chol.requires_grad:
+        if mn:
+            _accumulate(mn, np.swapaxes(z_data, 1, 2) @ g)
+        if cn:
             gs = np.swapaxes(g, 1, 2) @ weighted()                    # (B, D, K*D)
-            _accumulate(chol, gs.reshape(B, D, K, D).transpose(0, 2, 1, 3))
-        if z.requires_grad:
-            gz = g @ np.swapaxes(means.data, 1, 2)
+            _accumulate(cn, gs.reshape(B, D, K, D).transpose(0, 2, 1, 3))
+        if zn:
+            gz = g @ np.swapaxes(means_data, 1, 2)
             gz += np.einsum("bmke,bmke->bmk", (g @ stacked).reshape(B, M, K, D), xi)
-            _accumulate(z, gz)
+            _accumulate(zn, gz)
 
-    return _node(out_data, (z, means, chol), bwd, "mixture_latent")
+    return _record(out_data, "mixture_latent", (zn, mn, cn), bwd)
 
 
 def _tril_indices(packed: Tensor, dim: int, op: str) -> tuple:
@@ -403,7 +490,8 @@ def tril_activate(packed: Tensor, dim: int, t_sigma: float, floor: float) -> Ten
 
     Entries are divided by t_sigma (as a multiplication by 1/t_sigma); the
     diagonal ones then become softplus(.) + floor, so every factor that
-    `tril_scatter` builds from them has a positive diagonal.
+    `tril_scatter` builds from them has a positive diagonal. The backward
+    keeps the scaled diagonal entries, not the output.
     """
     rows, cols = _tril_indices(packed, dim, "tril_activate")
     diag = np.flatnonzero(rows == cols)
@@ -411,26 +499,29 @@ def tril_activate(packed: Tensor, dim: int, t_sigma: float, floor: float) -> Ten
     out_data = packed.data * c
     scaled_diag = out_data[..., diag]  # a copy, kept for the backward
     out_data[..., diag] = np.logaddexp(0.0, scaled_diag) + floor
+    pn = _taped(packed)
 
     def bwd(g):
         gp = g * c
         gp[..., diag] = (g[..., diag] * _sigmoid(scaled_diag)) * c
-        _accumulate(packed, gp)
+        _accumulate(pn, gp)
 
-    return _node(out_data, (packed,), bwd, "tril_activate")
+    return _record(out_data, "tril_activate", (pn,), bwd)
 
 
 def tril_scatter(packed: Tensor, dim: int) -> Tensor:
     """Row-major lower triangles into D x D blocks: (..., D(D+1)/2) -> (..., D, D).
-    The upper triangle is zero and has no parameters."""
+    The upper triangle is zero and has no parameters; the backward keeps only
+    the triangle's indices."""
     rows, cols = _tril_indices(packed, dim, "tril_scatter")
     out_data = np.zeros((*packed.shape[:-1], int(dim), int(dim)))
     out_data[..., rows, cols] = packed.data
+    pn = _taped(packed)
 
     def bwd(g):
-        _accumulate(packed, g[..., rows, cols])
+        _accumulate(pn, g[..., rows, cols])
 
-    return _node(out_data, (packed,), bwd, "tril_scatter")
+    return _record(out_data, "tril_scatter", (pn,), bwd)
 
 
 def margin(logits: Tensor, y: np.ndarray, kappa: float, sign: int) -> Tensor:
@@ -449,16 +540,17 @@ def margin(logits: Tensor, y: np.ndarray, kappa: float, sign: int) -> Tensor:
     h_y, r = logits.data[rows, y], masked[rows, arg]
     gap = (h_y - r if sign == 1 else r - h_y) + float(kappa)
     out_data = np.logaddexp(0.0, gap).mean()
+    ln, shape = _taped(logits), logits.shape
 
     def bwd(g):
         s = (g / len(rows)) * _sigmoid(gap)
         up, down = (y, arg) if sign == 1 else (arg, y)
-        full = np.zeros_like(logits.data)
+        full = np.zeros(shape)
         full[rows, up] += s
         full[rows, down] -= s
-        _accumulate(logits, full)
+        _accumulate(ln, full)
 
-    return _node(out_data, (logits,), bwd, "margin")
+    return _record(out_data, "margin", (ln,), bwd)
 
 
 def _log_softmax(h: np.ndarray) -> np.ndarray:
@@ -481,13 +573,14 @@ def cross_entropy(logits: Tensor, y: np.ndarray) -> Tensor:
     rows = np.arange(len(y))
     logp = _log_softmax(logits.data)
     out_data = logp[rows, y].mean() * -1.0
+    ln = _taped(logits)
 
     def bwd(g):
         full = np.zeros_like(logp)
         full[rows, y] = (g * -1.0) / len(rows)
-        _accumulate(logits, _log_softmax_grad(logp, full))
+        _accumulate(ln, _log_softmax_grad(logp, full))
 
-    return _node(out_data, (logits,), bwd, "cross_entropy")
+    return _record(out_data, "cross_entropy", (ln,), bwd)
 
 
 def gumbel_softmax(logits: Tensor, noise: np.ndarray, tau: float) -> Tensor:
@@ -502,12 +595,13 @@ def gumbel_softmax(logits: Tensor, noise: np.ndarray, tau: float) -> Tensor:
     s = (log_pi + noise) * c
     e = np.exp(s - s.max(axis=-1, keepdims=True))
     out_data = e / e.sum(axis=-1, keepdims=True)
+    ln = _taped(logits)
 
     def bwd(g):
         gs = out_data * (g - (g * out_data).sum(axis=-1, keepdims=True)) * c
-        _accumulate(logits, _log_softmax_grad(log_pi, gs))
+        _accumulate(ln, _log_softmax_grad(log_pi, gs))
 
-    return _node(out_data, (logits,), bwd, "gumbel_softmax")
+    return _record(out_data, "gumbel_softmax", (ln,), bwd)
 
 
 def unit_rows(a: Tensor) -> Tensor:
@@ -515,17 +609,19 @@ def unit_rows(a: Tensor) -> Tensor:
     below NORM_FLOOR are clamped, and each clamped row is counted."""
     if a.ndim != 2:
         raise ShapeError(f"unit_rows: expected an (N, E) matrix, got shape {a.shape}")
-    sq = (a.data * a.data).sum(axis=1, keepdims=True)
+    a_data = a.data
+    sq = (a_data * a_data).sum(axis=1, keepdims=True)
     _bump("sqrt_clamped", np.count_nonzero(sq < NORM_FLOOR))
     n = np.sqrt(np.maximum(sq, NORM_FLOOR))
-    out_data = a.data / n
+    out_data = a_data / n
+    an = _taped(a)
 
     def bwd(g):
         # The arithmetic order of div(a, sqrt(sum(a * a))), so gradients keep its bits.
-        gq = (-g * a.data / (n * n)).sum(axis=1, keepdims=True) * 0.5 / n
-        _accumulate(a, g / n + gq * a.data + gq * a.data)
+        gq = (-g * a_data / (n * n)).sum(axis=1, keepdims=True) * 0.5 / n
+        _accumulate(an, g / n + gq * a_data + gq * a_data)
 
-    return _node(out_data, (a,), bwd, "unit_rows")
+    return _record(out_data, "unit_rows", (an,), bwd)
 
 
 def budget(u: Tensor, gamma: float, base: np.ndarray | None = None) -> Tensor:
@@ -533,9 +629,10 @@ def budget(u: Tensor, gamma: float, base: np.ndarray | None = None) -> Tensor:
     constant `base` that broadcasts to u's shape and gets no gradient.
 
     The forward fills one array in place and keeps neither tanh(u) nor the
-    scaled perturbation beside it. The backward recomputes tanh over blocks of
-    u's leading axis of about _BUDGET_BLOCK floats and forms
-    (g * gamma) * (1 - t * t). The arithmetic is that of
+    scaled perturbation beside it, and the backward keeps only u: the output,
+    often the perturbed inputs, is freed with its tensor. The backward
+    recomputes tanh over blocks of u's leading axis of about _BUDGET_BLOCK
+    floats and forms (g * gamma) * (1 - t * t). The arithmetic is that of
     add(base, scale(tanh(u), gamma)), so values and gradients keep its bits.
     """
     gamma = float(gamma)
@@ -548,14 +645,15 @@ def budget(u: Tensor, gamma: float, base: np.ndarray | None = None) -> Tensor:
         if not fits:
             raise ShapeError(f"budget: base shape {base.shape} does not broadcast "
                              f"to {u.shape}")
-    x = u.data
-    out_data = np.tanh(x, out=np.empty(u.shape))
+    x, shape = u.data, u.shape
+    out_data = np.tanh(x, out=np.empty(shape))
     out_data *= gamma
     if base is not None:
         out_data += base
+    un = _taped(u)
 
     def bwd(g):
-        rows = u.shape or (1,)  # a scalar is one row
+        rows = shape or (1,)  # a scalar is one row
         step = max(1, _BUDGET_BLOCK // max(1, math.prod(rows[1:])))
         x_rows, g = x.reshape(rows), g.reshape(rows)
         grad = np.empty(rows)
@@ -567,9 +665,9 @@ def budget(u: Tensor, gamma: float, base: np.ndarray | None = None) -> Tensor:
             out = grad[blk]
             np.multiply(g[blk], gamma, out=out)
             out *= t
-        _accumulate(u, grad.reshape(u.shape))
+        _accumulate(un, grad.reshape(shape))
 
-    return _node(out_data, (u,), bwd, "budget")
+    return _record(out_data, "budget", (un,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -577,21 +675,24 @@ def budget(u: Tensor, gamma: float, base: np.ndarray | None = None) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    out_data = np.maximum(a.data, 0.0)
+    a_data = a.data
+    out_data = np.maximum(a_data, 0.0)
+    an = _taped(a)
 
     def bwd(g):
-        _accumulate(a, g * (a.data > 0.0))
+        _accumulate(an, g * (a_data > 0.0))
 
-    return _node(out_data, (a,), bwd, "relu")
+    return _record(out_data, "relu", (an,), bwd)
 
 
 def tanh(a: Tensor) -> Tensor:
     out_data = np.tanh(a.data)
+    an = _taped(a)
 
     def bwd(g):
-        _accumulate(a, g * (1.0 - out_data * out_data))
+        _accumulate(an, g * (1.0 - out_data * out_data))
 
-    return _node(out_data, (a,), bwd, "tanh")
+    return _record(out_data, "tanh", (an,), bwd)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -601,12 +702,14 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 def softplus(a: Tensor) -> Tensor:
     """log(1 + e^x), evaluated stably via logaddexp."""
-    out_data = np.logaddexp(0.0, a.data)
+    a_data = a.data
+    out_data = np.logaddexp(0.0, a_data)
+    an = _taped(a)
 
     def bwd(g):
-        _accumulate(a, g * _sigmoid(a.data))
+        _accumulate(an, g * _sigmoid(a_data))
 
-    return _node(out_data, (a,), bwd, "softplus")
+    return _record(out_data, "softplus", (an,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -615,13 +718,14 @@ def softplus(a: Tensor) -> Tensor:
 
 def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out_data = a.data.sum(axis=axis, keepdims=keepdims)
+    an, shape = _taped(a), a.shape
 
     def bwd(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        _accumulate(a, np.broadcast_to(g, a.shape))
+        _accumulate(an, np.broadcast_to(g, shape))
 
-    return _node(out_data, (a,), bwd, "reduce_sum")
+    return _record(out_data, "reduce_sum", (an,), bwd)
 
 
 def take_rows(a: Tensor, index: np.ndarray) -> Tensor:
@@ -630,13 +734,14 @@ def take_rows(a: Tensor, index: np.ndarray) -> Tensor:
     if idx.ndim != 1:
         raise ShapeError(f"take_rows: index must be 1-D, got shape {idx.shape}")
     out_data = a.data[idx]
+    an, shape = _taped(a), a.shape
 
     def bwd(g):
-        full = np.zeros_like(a.data)
+        full = np.zeros(shape)
         np.add.at(full, idx, g)
-        _accumulate(a, full)
+        _accumulate(an, full)
 
-    return _node(out_data, (a,), bwd, "take_rows")
+    return _record(out_data, "take_rows", (an,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -645,20 +750,23 @@ def take_rows(a: Tensor, index: np.ndarray) -> Tensor:
 
 def reshape(a: Tensor, shape: tuple) -> Tensor:
     out_data = a.data.reshape(shape)
+    an, a_shape = _taped(a), a.shape
 
     def bwd(g):
-        _accumulate(a, g.reshape(a.shape))
+        _accumulate(an, g.reshape(a_shape))
 
-    return _node(out_data, (a,), bwd, "reshape")
+    return _record(out_data, "reshape", (an,), bwd)
 
 
 def broadcast_to(a: Tensor, shape: tuple) -> Tensor:
+    """numpy's read-only broadcast view of `a`: no copy per row."""
     try:
         out_data = np.broadcast_to(a.data, shape)
     except ValueError:
         raise ShapeError(f"broadcast_to: cannot broadcast {a.shape} to {shape}") from None
+    an, a_shape = _taped(a), a.shape
 
     def bwd(g):
-        _accumulate(a, _unbroadcast(g, a.shape))
+        _accumulate(an, _unbroadcast(g, a_shape))
 
-    return _node(np.ascontiguousarray(out_data), (a,), bwd, "broadcast_to")
+    return _record(out_data, "broadcast_to", (an,), bwd)

@@ -234,7 +234,8 @@ def _probe_metrics(generator: Generator, probe_x: np.ndarray, probe_y: np.ndarra
 def _step_loss(clf: Classifier, generator: Generator, cfg: TrainConfig, xb: np.ndarray,
                yb: np.ndarray, tau: float, rng: np.random.Generator) -> T.Tensor:
     """One step's relaxed forward; its tape is reachable from the loss alone.
-    The budget op adds the clean inputs, so the perturbation is never held."""
+    The budget op adds the clean inputs, so the perturbation is never held,
+    and no backward reads the perturbed rows, so they go when this returns."""
     M = cfg.samples_per_input
     batch = generator.perturb_relaxed(generator.gmm_params(xb, yb), M, tau, rng,
                                       base=xb[:, None, :])
@@ -253,7 +254,9 @@ def train_generator(clf: Classifier, split: SplitDataset, cfg: TrainConfig,
     the temperatures of the last epoch it ran. Non-finite losses abort the
     epoch and roll back to the last good state. Randomness is keyed by (seed,
     purpose, epoch, batch), so a restored run replays exactly like an
-    uninterrupted one. A step's graph is dropped once its backward has run.
+    uninterrupted one. A step's tape keeps only what its backward reads, so
+    the perturbed rows, the head's outputs and the unpacked factors are freed
+    with the forward, and the tape itself once its backward has run.
 
     Every checkpoint is a resume point: `_state` (parameters and Adam's
     moments), the RunState and the fingerprint of `clf`; `ckpt_best.json`,

@@ -117,8 +117,8 @@ def apply_budget(u: Tensor, gamma: float, base: np.ndarray | None = None) -> Ten
     """gamma * tanh(u), plus `base` when given (a constant that broadcasts to
     u's shape, such as the clean inputs); every perturbation element lands in
     [-gamma, gamma]. The ends are reached: tanh rounds to exactly 1 in float64
-    from about u = 19 on. One `tensor.budget` op, which keeps neither tanh(u)
-    nor the perturbation for its backward."""
+    from about u = 19 on. One `tensor.budget` op, whose backward keeps only u:
+    neither tanh(u) nor the perturbation, nor the output it returns."""
     check_budget(gamma, "apply_budget")
     return T.budget(u, gamma, base)
 

@@ -236,7 +236,7 @@ class TestTapeFreeEvaluation:
     @staticmethod
     def _assert_no_tape(gen, tensors):
         for t in tensors:
-            assert not t.requires_grad and t._parents == ()
+            assert not t.requires_grad and t._node is None
         assert all(p.grad is None for p in gen.params())
 
     def test_nppr_estimate_records_no_tape(self, setup, monkeypatch):

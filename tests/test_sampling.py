@@ -540,6 +540,41 @@ class TestPackedFactors:
         old[..., diag] *= T._sigmoid(scaled_diag)
         np.testing.assert_array_equal(new, (old * c).reshape(-1))
 
+    @pytest.mark.parametrize("mode", [DependencyMode.LABEL, DependencyMode.INDEPENDENT],
+                             ids=lambda m: m.value)
+    def test_global_outputs_are_one_row_for_every_input(self, mode):
+        # An output that is its bias alone is numpy's read-only broadcast view
+        # of one row. Every reader gives the bits it gives on a contiguous copy.
+        gen = _mode_generator(mode)
+        B, M, K, D = 7, 5, 3, 4
+        labels = np.array([0, 1, 2, 1, 0, 2, 2])
+        params = gen.head.forward(labels=labels, batch_size=B)
+        views = [t.data for t in (params.pi_logits, params.means, params.chol_packed)
+                 if t.data.strides[0] == 0]
+        assert len(views) == (3 if mode == DependencyMode.INDEPENDENT else 2)
+        for view in views:
+            assert not view.flags.writeable and np.shares_memory(view[0], view[-1])
+
+        def readers(params, leaves):
+            rows = params.rows(slice(2, 5))
+            exact = sample_exact(params, M, np.random.default_rng(47).spawn(B))
+            means, chol = (Tensor(t.data, requires_grad=True) for t in leaves)
+            rng = np.random.default_rng(48)
+            z = T.constant(rng.dirichlet(np.ones(K), size=(B, M)))
+            latent = T.mixture_latent(z, means, T.tril_scatter(chol, D),
+                                      rng.standard_normal((B, M, K, D)))
+            T.reduce_sum(T.mul(latent, T.constant(rng.normal(size=(B, M, D))))).backward()
+            return [*(t.data for t in (rows.pi_logits, rows.means, rows.chol_packed)),
+                    exact.latent.data, exact.relaxed_weights.data,
+                    T.tril_scatter(params.chol_packed, D).data, latent.data, means.grad,
+                    chol.grad]
+
+        copied = GmmParams(*(T.constant(np.ascontiguousarray(t.data))
+                             for t in (params.pi_logits, params.means, params.chol_packed)))
+        for got, want in zip(readers(params, (params.means, params.chol_packed)),
+                             readers(copied, (copied.means, copied.chol_packed))):
+            np.testing.assert_array_equal(got, want)
+
 
 class TestEstimateMemory:
     """nppr_estimate holds the packed factors of every input and the full

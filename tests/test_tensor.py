@@ -4,6 +4,7 @@ import inspect
 import itertools
 import re
 import threading
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -379,8 +380,8 @@ def test_shared_first_gradient_stays_its_own():
 
 
 def _topo(root):
-    """The engine's walk: every node reachable from root, parents first."""
-    topo, seen, stack = [], set(), [(root, False)]
+    """The engine's walk: every node reachable from root's, parents first."""
+    topo, seen, stack = [], set(), [(root._node, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -390,21 +391,35 @@ def _topo(root):
             continue
         seen.add(id(node))
         stack.append((node, True))
-        for parent in node._parents:
-            if parent.requires_grad and id(parent) not in seen:
+        for parent in node.parents:
+            if id(parent) not in seen:
                 stack.append((parent, False))
     return topo
 
 
 def _keeping_backward(root):
     """The reference backward: the engine's walk and order, with every node
-    keeping its .grad, closure and parents."""
+    keeping its gradient, closure and parents."""
     topo = _topo(root)
-    root.grad = np.ones_like(root.data)
+    root._node.grad = np.ones_like(root.data)
     for node in reversed(topo):
-        if node._bwd is not None and node.grad is not None:
-            node._bwd(node.grad)
+        if node.bwd is not None and node.grad is not None:
+            node.bwd(node.grad)
     return topo
+
+
+def _closure_values(fn):
+    """Every value `fn`'s closure holds, also through nested closures, lists
+    and tuples."""
+    out, todo = [], [c.cell_contents for c in fn.__closure__ or ()]
+    while todo:
+        v = todo.pop()
+        out.append(v)
+        if isinstance(v, (list, tuple)):
+            todo.extend(v)
+        elif inspect.isfunction(v):
+            todo.extend(c.cell_contents for c in v.__closure__ or ())
+    return out
 
 
 class TestTapeConsumption:
@@ -416,10 +431,11 @@ class TestTapeConsumption:
         ts = [Tensor(leaf.copy(), requires_grad=True) for leaf in leaves]
         root = build(ts)
         ops = [n for n in _topo(root) if n.op != "leaf"]
-        assert ops and all(n._bwd is not None for n in ops)
+        assert ops and all(n.bwd is not None for n in ops)
+        assert not any(isinstance(v, Tensor) for n in ops for v in _closure_values(n.bwd))
         root.backward()
         for n in ops:
-            assert n.grad is None and n._bwd is None and n._parents == (), n.op
+            assert n.grad is None and n.bwd is None and n.parents == (), n.op
         for t, want in zip(ts, kept):
             np.testing.assert_array_equal(t.grad, want.grad)
 
@@ -452,6 +468,83 @@ class TestTapeConsumption:
             assert x.grad == 1.0
 
 
+class TestUnsavedOutputsAreFreed:
+    """An op's output that no backward reads goes with its tensor; its node
+    stays on the tape, and the leaves' gradients keep their bits."""
+
+    @staticmethod
+    def _check(build, leaves):
+        # build(leaves) -> (the output under test, the root of a tape through it)
+        kept = [Tensor(a.copy(), requires_grad=True) for a in leaves]
+        out_kept, root = build(kept)
+        root.backward()
+        ts = [Tensor(a.copy(), requires_grad=True) for a in leaves]
+        out, root = build(ts)
+        node, refs = out._node, (weakref.ref(out), weakref.ref(out.data))
+        del out
+        assert all(ref() is None for ref in refs)
+        assert node.bwd is not None and any(n is node for n in _topo(root))
+        root.backward()
+        for t, want in zip(ts, kept):
+            np.testing.assert_array_equal(t.grad, want.grad)
+
+    def test_budget_output_feeding_a_frozen_dense(self):
+        rng = np.random.default_rng(51)
+        base = rng.uniform(-1, 1, (6, 8))
+        layers = [(T.constant(rng.normal(size=(8, 5))), T.constant(rng.normal(size=5))),
+                  (T.constant(rng.normal(size=(5, 3))), T.constant(rng.normal(size=3)))]
+        probe = T.constant(rng.normal(size=(6, 3)))
+
+        def build(ts):
+            out = T.budget(ts[0], 0.5, base)
+            return out, T.reduce_sum(T.mul(T.dense(out, *layers), probe))
+
+        self._check(build, [rng.normal(size=(6, 8))])
+
+    def test_tril_activate_output_feeding_tril_scatter(self):
+        rng = np.random.default_rng(52)
+        probe = T.constant(rng.normal(size=(4, 2, 3, 3)))
+
+        def build(ts):
+            out = T.tril_activate(ts[0], 3, 0.7, CHOL_DIAG_FLOOR)
+            return out, T.reduce_sum(T.mul(T.tril_scatter(out, 3), probe))
+
+        self._check(build, [rng.normal(size=(4, 2, 6))])
+
+    def test_tril_scatter_output_feeding_mixture_latent(self):
+        rng = np.random.default_rng(53)
+        B, M, K, D = 3, 5, 2, 3
+        xi = rng.standard_normal((B, M, K, D))
+        probe = T.constant(rng.normal(size=(B, M, D)))
+
+        def build(ts):
+            out = T.tril_scatter(ts[2], D)
+            return out, T.reduce_sum(T.mul(T.mixture_latent(ts[0], ts[1], out, xi), probe))
+
+        self._check(build, [rng.dirichlet(np.ones(K), size=(B, M)), rng.normal(size=(B, K, D)),
+                            rng.normal(size=(B, K, D * (D + 1) // 2))])
+
+    @pytest.mark.parametrize("widths", [(5, 3), (5, 6, 3), (5, 6, 4, 3)])
+    def test_frozen_dense_keeps_only_relu_masks(self, widths):
+        # Frozen layers, as the classifier's under generator training: the
+        # backward needs no activation, only where each relu let a row pass.
+        rng = np.random.default_rng(54)
+        x = rng.normal(size=(40, widths[0]))
+        layers = [(rng.normal(size=(m, n)), rng.normal(size=n))
+                  for m, n in zip(widths[:-1], widths[1:])]
+        probe = rng.normal(size=(40, widths[-1]))
+        leaf = Tensor(x.copy(), requires_grad=True)
+        out = T.dense(leaf, *[(T.constant(w), T.constant(b)) for w, b in layers])
+        held = [v for v in _closure_values(out._node.bwd) if isinstance(v, np.ndarray)]
+        masks = [a for a in held if a.dtype == bool]
+        assert sorted(m.shape for m in masks) == sorted((40, n) for n in widths[1:-1])
+        assert all(any(a is w for w, _ in layers) for a in held if a.dtype != bool)
+        T.reduce_sum(T.mul(out, T.constant(probe))).backward()
+        want, grads = TestDense._chain(x, layers, probe)
+        np.testing.assert_array_equal(out.data, want)
+        np.testing.assert_array_equal(leaf.grad, grads[0])
+
+
 class TestNoGrad:
     @staticmethod
     def _leaves():
@@ -473,7 +566,7 @@ class TestNoGrad:
             free = self._forward(x, w, b)
         for out, ref in zip(free, taped):
             assert not out.requires_grad
-            assert out._parents == () and out._bwd is None
+            assert out._node is None
             np.testing.assert_array_equal(out.data, ref.data)
         free[-1].backward()
         assert x.grad is None and w.grad is None and b.grad is None
@@ -514,7 +607,7 @@ class TestNoGrad:
         try:
             assert inside.wait(10)
             out = T.dense(x, (w, b))
-            assert out.requires_grad and out._parents
+            assert out.requires_grad and out._node.parents
         finally:
             release.set()
             other.join(10)
@@ -684,8 +777,7 @@ class TestBudget:
         # The backward keeps no array of its own: tanh(u) is recomputed from u.
         u = Tensor(np.random.default_rng(32).normal(size=(64, 8)), requires_grad=True)
         out = T.budget(u, 0.5, np.ones((64, 8)))
-        held = [c.cell_contents for c in out._bwd.__closure__
-                if isinstance(c.cell_contents, np.ndarray)]
+        held = [v for v in _closure_values(out._node.bwd) if isinstance(v, np.ndarray)]
         assert held and all(np.shares_memory(a, u.data) for a in held)
 
     def test_base_must_broadcast_to_the_operand(self):
@@ -765,10 +857,10 @@ TEST_ONLY_OPS = {
 
 
 def test_every_op_has_a_caller():
-    # An op is a public function of the engine that builds a graph node.
+    # An op is a public function of the engine that records its output.
     ops = {name for name, f in vars(T).items()
            if inspect.isfunction(f) and f.__module__ == T.__name__
-           and not name.startswith("_") and "_node(" in inspect.getsource(f)}
+           and not name.startswith("_") and "_record(" in inspect.getsource(f)}
     package = Path(T.__file__).parent
     called = {m.group(2) for path in package.glob("*.py") if path.name != "tensor.py"
               for m in re.finditer(r"\b(T|tensor)\.(\w+)\(", path.read_text())}

@@ -228,8 +228,8 @@ class TestTraining:
         assert all(np.isnan(probe[k]) for k in ("entropy_ratio", "pi_max", "nppr_running"))
 
     def test_step_graph_is_dropped_before_the_next_forward(self, instance):
-        # Tensor takes no weak reference, so the ref is to the images' data: a
-        # reshape view that only the images tensor holds.
+        # The ref is to the images' data: a reshape view that only the images
+        # tensor holds.
         clf, split = instance
         gen = _gen(clf)
         refs, alive = [], []
