@@ -14,18 +14,18 @@ The Monte-Carlo estimators cut their inputs into pieces and sum the hits of
 the pieces as integers. A piece holds max(1, _ROWS // (M * workers)) inputs,
 so about _ROWS (input, draw) rows are in flight across the workers (an input
 with more draws is a piece of its own). The workers are the calling thread
-and the `_WORKERS - 1` threads of `_POOL`, one per usable core in all: the
-calling thread hands pieces to the pool and runs the others itself. While
-they run, the process's BLAS thread count is held at 1, so that each product
-runs on its worker's core, and it is restored after the last piece, also
-when one raises. Where that count cannot be set, or one core is usable, or
-there is one piece, the calling thread runs every piece. No number depends
-on the workers: the calling thread makes every draw that shares a stream, in
-piece order. For NPPR it spawns each input's stream in input order, and a
-piece draws from its inputs' streams (`sample_exact`) where it runs; a
-waiting NPPR piece holds no draws, so each pool thread gets one piece queued
-behind its running one. For PR it draws each piece's noise from its one
-generator, with at most one unfinished piece per worker.
+and the `_WORKERS - 1` threads of `_POOL`, one per usable core in all; each
+takes the next piece under one lock and runs it, until none is left or one
+failed. While they run, the process's BLAS thread count is held at 1, so
+that each product runs on its worker's core, and it is restored after the
+last piece, also when one raises. Where that count cannot be set, or one
+core is usable, or there is one piece, the calling thread runs every piece.
+The draws do not depend on the workers: NPPR spawns each input's stream in
+input order, and a piece draws from its inputs' streams (`sample_exact`)
+where it runs; PR draws each piece's noise from its one generator as the
+piece is taken, so in piece order. The piece size does depend on them, and
+with it the rows of each classifier call, whose logits' rounding can depend
+on how many rows share the call. A worker holds one piece's draws at a time.
 
 NPPR's head runs once over all of an estimate's inputs, since its bits
 depend on how many rows its products have (see `models`), and its Cholesky
@@ -34,7 +34,7 @@ estimate holds the full D x D factors of one piece per worker, not of every
 input. Every estimator adds a piece's inputs to its perturbations in place,
 so a piece holds one (inputs, draws, width) array of perturbed rows.
 
-The estimators record no autograd tape: each piece runs under its own
+The estimators record no autograd tape: each worker runs its pieces under
 `tensor.no_grad()` (the flag is per thread) and classifies with
 `Classifier.predict`, the classifier's `tensor.dense` forward, and
 `nppr_estimate` runs the head and the upsampler there too. Only the attacks,
@@ -45,7 +45,8 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass
 from functools import partial
 
@@ -115,13 +116,21 @@ def _workers() -> int:
     return _WORKERS if T.BLAS_THREADS is not None else 1
 
 
-def _pieces(x: np.ndarray, y: np.ndarray, M: int, name: str, workers: int = 1):
-    """Checked inputs, then slices of max(1, _ROWS // (M * workers)) inputs
-    covering them."""
+def _inputs(x: np.ndarray, y: np.ndarray, name: str):
+    """`x` as (N, width) floats and `y` as its N int labels, N >= 1."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
+    if x.ndim != 2 or y.shape != x.shape[:1]:
+        raise ValueError(f"{name}: need (N, width) inputs and N labels, got {x.shape}, {y.shape}")
     if x.shape[0] == 0:
         raise ValueError(f"{name}: empty dataset")
+    return x, y
+
+
+def _pieces(x: np.ndarray, y: np.ndarray, M: int, name: str, workers: int = 1):
+    """Checked inputs (`_inputs`), then slices of max(1, _ROWS // (M * workers))
+    inputs covering them."""
+    x, y = _inputs(x, y, name)
     if M < 1:
         raise ValueError(f"{name}: M must be >= 1")
     step = max(1, _ROWS // (M * workers))
@@ -138,59 +147,48 @@ def _hits(clf: Classifier, yb: np.ndarray, perturbed: np.ndarray, xb: np.ndarray
     return int(np.sum(preds.reshape(perturbed.shape[:2]) == yb[:, None]))
 
 
-def _untaped(task) -> int:
-    """Run one piece's task under `no_grad`, in whichever thread runs it."""
-    with T.no_grad():
-        return task()
-
-
-def _total_hits(tasks, workers: int, ahead: int) -> int:
+def _total_hits(tasks, workers: int) -> int:
     """Sum of the hit counts of `tasks`, zero-argument callables that the
-    calling thread takes from the iterable in order (a lazy one makes each
-    piece's draws as it is taken). With one worker the calling thread runs
-    them. Otherwise the BLAS thread count is 1 while they run, and the
-    calling thread is one of the workers: it hands a task to `_POOL` while
-    fewer than `ahead` handed-out tasks are unfinished, and runs it itself
-    otherwise. Once every task is taken it runs, newest first, the handed-out
-    ones that no pool thread has started. The calling thread looks at the
-    handed-out tasks before it takes or starts a task; once one has failed,
-    it starts no task after that, and the exception reaches the caller once
-    no handed-out task is left running."""
+    workers take from the one iterable in order, one at a time under a lock
+    (a lazy iterable makes each piece's draws as it is taken), and run under
+    `no_grad` outside it. The workers are the calling thread and `workers - 1`
+    threads of `_POOL`; with more than one, the BLAS thread count is 1 while
+    they run. Once a task or the iterable raises, no worker takes another
+    task, and the exception reaches the caller once every worker stopped."""
+    tasks = iter(tasks)
+    lock = threading.Lock()
+    failed = threading.Event()
+
+    def take():
+        with lock:
+            return None if failed.is_set() else next(tasks, None)
+
+    def work() -> int:
+        total = 0
+        try:
+            with T.no_grad():
+                while (task := take()) is not None:
+                    total += task()
+                    del task  # a worker holds one piece's draws, not two
+            return total
+        except BaseException:
+            failed.set()
+            raise
+
     if workers == 1:
-        return sum(_untaped(task) for task in tasks)
+        return work()
     get_threads, set_threads = T.BLAS_THREADS
     previous = get_threads()
     set_threads(1)
-    running = {}  # future -> task, handed out and not yet seen finished
-
-    def finished() -> int:
-        """Hits of the handed-out tasks that finished, which leave `running`;
-        a failed one raises its exception here."""
-        done = [f for f in running if f.done()]
-        for f in done:
-            del running[f]
-        return sum(f.result() for f in done)
-
-    total = 0
     try:
-        for task in tasks:
-            total += finished()
-            if len(running) < ahead:
-                running[_POOL.submit(_untaped, task)] = task
-            else:
-                total += _untaped(task)
-        for f in reversed(list(running)):
-            total += finished()
-            if f in running and f.cancel():
-                total += _untaped(running.pop(f))
-        done, _ = wait(running, return_when=FIRST_EXCEPTION)
-        total += sum(f.result() for f in done)
+        helpers = [_POOL.submit(work) for _ in range(workers - 1)]
+        try:
+            total = work()
+        finally:
+            wait(helpers)
+        return total + sum(f.result() for f in helpers)
     finally:
-        for f in running:
-            f.cancel()
-        wait(running)
         set_threads(previous)
-    return total
 
 
 def _nppr_hits(clf: Classifier, generator: Generator, xb: np.ndarray, yb: np.ndarray,
@@ -213,9 +211,9 @@ def nppr_estimate(clf: Classifier, generator: Generator, x: np.ndarray, y: np.nd
     with T.no_grad():
         params = generator.gmm_params(x, y)
     streams = rng.spawn(x.shape[0])
-    tasks = [partial(_nppr_hits, clf, generator, x[part], y[part], params.rows(part), M,
-                     streams[part]) for part in pieces]
-    return _total_hits(tasks, min(workers, len(tasks)), 2 * (workers - 1)) / (x.shape[0] * M)
+    tasks = (partial(_nppr_hits, clf, generator, x[part], y[part], params.rows(part), M,
+                     streams[part]) for part in pieces)
+    return _total_hits(tasks, min(workers, len(pieces))) / (x.shape[0] * M)
 
 
 def baseline_noise(dist: str, shape: tuple, gamma: float, rng: np.random.Generator) -> np.ndarray:
@@ -236,14 +234,12 @@ def pr_estimate(clf: Classifier, x: np.ndarray, y: np.ndarray, dist: str,
     check_budget(gamma, "pr_estimate")
     workers = _workers()
     x, y, pieces = _pieces(x, y, M, "pr_estimate", workers)
-
-    def tasks():
-        for part in pieces:
-            xb = x[part]
-            noise = baseline_noise(dist, (len(xb), M, x.shape[1]), gamma, rng)
-            yield partial(_hits, clf, y[part], noise, xb)
-
-    return _total_hits(tasks(), min(workers, len(pieces)), workers - 1) / (x.shape[0] * M)
+    # A piece's noise is drawn as a worker takes its task, so in piece order;
+    # the generator keeps no name for it, so it is freed with its task.
+    tasks = (partial(_hits, clf, y[part],
+                     baseline_noise(dist, (len(y[part]), M, x.shape[1]), gamma, rng), x[part])
+             for part in pieces)
+    return _total_hits(tasks, min(workers, len(pieces))) / (x.shape[0] * M)
 
 
 def _attack(clf: Classifier, x: np.ndarray, y: np.ndarray, gamma: float, steps: int,
@@ -253,8 +249,7 @@ def _attack(clf: Classifier, x: np.ndarray, y: np.ndarray, gamma: float, steps: 
     it is the clean accuracy."""
     if steps < 1:
         raise ValueError(f"{name}: steps must be >= 1")
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
+    x, y = _inputs(x, y, name)
     if gamma == 0.0:
         return clf.accuracy(x, y)
     check_budget(gamma, name)

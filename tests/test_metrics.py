@@ -4,8 +4,8 @@ import math
 import sys
 import threading
 import time
+import weakref
 from concurrent.futures import ThreadPoolExecutor
-from functools import partial
 
 import numpy as np
 import pytest
@@ -363,15 +363,48 @@ class TestPool:
         assert threading.get_ident() in threads and len(set(threads)) >= 2
 
     @needs_blas_setter
-    def test_pr_noise_is_drawn_on_the_calling_thread(self, setup, monkeypatch):
+    def test_pr_draws_in_piece_order_one_piece_per_worker(self, setup, monkeypatch):
+        # Slowed pieces on two workers: the k-th draw is the k-th piece's
+        # noise, and at most two pieces' noise is alive at once. Even draws
+        # run longer, so a worker often draws while the other's piece runs
+        # and the last piece drawn has finished.
         clf, _, x, y = setup
         monkeypatch.setattr(nppr.metrics, "_ROWS", 70)
         monkeypatch.setattr(nppr.metrics, "_WORKERS", 2)
-        pieces = self._threads(monkeypatch, "_hits")
-        draws = self._threads(monkeypatch, "baseline_noise")
-        pr_estimate(clf, x, y, UNIFORM_BALL, 1.5, 5, substream(3, EVAL, 2))
-        assert len(draws) == len(pieces) == 9
-        assert set(draws) == {threading.get_ident()}
+        alone = pr_estimate(clf, x, y, UNIFORM_BALL, 1.5, 5, substream(3, EVAL, 2))
+        lock = threading.Lock()
+        state = {"alive": 0, "peak": 0, "draws": 0}
+        drawn, order, threads = {}, [], []  # id of a live noise array -> its draw
+        real_noise, real_hits = nppr.metrics.baseline_noise, nppr.metrics._hits
+
+        def freed():
+            with lock:
+                state["alive"] -= 1
+
+        def counted(*args):
+            noise = real_noise(*args)
+            with lock:
+                drawn[id(noise)] = state["draws"]
+                state["draws"] += 1
+                state["alive"] += 1
+                state["peak"] = max(state["peak"], state["alive"])
+            weakref.finalize(noise, freed)
+            return noise
+
+        def slowed(clf, yb, noise, xb):
+            threads.append(threading.get_ident())
+            k = drawn[id(noise)]
+            order.append((k, int(np.flatnonzero((x == xb[0]).all(1))[0])))
+            time.sleep(0.03 if k % 2 == 0 else 0.002)
+            return real_hits(clf, yb, noise, xb)
+
+        monkeypatch.setattr(nppr.metrics, "baseline_noise", counted)
+        monkeypatch.setattr(nppr.metrics, "_hits", slowed)
+        assert pr_estimate(clf, x, y, UNIFORM_BALL, 1.5, 5, substream(3, EVAL, 2)) == alone
+        # Nine pieces of 7 inputs, the last of 4, on both workers.
+        assert sorted(order) == [(k, 7 * k) for k in range(9)]
+        assert len(set(threads)) == 2
+        assert state["alive"] == 0 and state["peak"] == 2
 
     def test_stress_more_workers_than_cores(self, setup, monkeypatch):
         # Four workers switching threads every microsecond give the numbers
@@ -461,39 +494,74 @@ class TestPool:
         assert get_threads() == before
         assert T._grad.enabled
 
-    def test_failed_piece_stops_the_drain(self, monkeypatch):
-        # Two pool threads, four pieces handed out: the first fails once all
-        # are, its thread takes the third, the second runs, and the fourth
-        # waits in the queue. The calling thread must not run it.
-        pool = ThreadPoolExecutor(max_workers=2)
+    def test_failed_pool_piece_stops_the_calling_thread(self, monkeypatch):
+        # One pool thread beside the calling thread. The pool thread's piece
+        # fails while the calling thread runs one; once the pool thread has
+        # stopped, the calling thread takes no further piece.
+        pool = ThreadPoolExecutor(max_workers=1)
         monkeypatch.setattr(nppr.metrics, "_POOL", pool)
         monkeypatch.setattr(T, "BLAS_THREADS", (lambda: 1, lambda n: None))
-        handed_out, third_started = threading.Event(), threading.Event()
-        ran = []
+        caller, caller_running = threading.get_ident(), threading.Event()
+        ran, taken = [], []
 
-        def fail():
-            assert handed_out.wait(5.0)
-            raise ValueError("piece 0 failed")
+        def piece():
+            if threading.get_ident() == caller:
+                ran.append("caller")
+                caller_running.set()
+                pool.submit(lambda: None).result(timeout=5.0)  # the pool thread stopped
+                return 1
+            ran.append("pool")
+            assert caller_running.wait(5.0)
+            raise ValueError("pool piece failed")
 
-        def slow(i):
-            ran.append(i)
-            if i == 2:
-                third_started.set()
-            time.sleep(0.3)
+        def tasks():
+            for i in range(5):
+                taken.append(i)
+                yield piece
+
+        try:
+            with pytest.raises(ValueError, match="pool piece failed"):
+                nppr.metrics._total_hits(tasks(), 2)
+        finally:
+            pool.shutdown()
+        assert sorted(ran) == ["caller", "pool"] and taken == [0, 1]
+
+    def test_failed_draw_stops_every_worker(self, monkeypatch):
+        # The task iterable raises at its fourth task, as a PR noise draw
+        # would: the error reaches the caller after every running piece
+        # stopped, with the BLAS count and both threads' tape flags restored.
+        pool = ThreadPoolExecutor(max_workers=1)
+        monkeypatch.setattr(nppr.metrics, "_POOL", pool)
+        blas = {"threads": 3, "inside": set()}
+        monkeypatch.setattr(T, "BLAS_THREADS",
+                            (lambda: blas["threads"], lambda n: blas.update(threads=n)))
+        lock = threading.Lock()
+        state = {"running": 0, "started": 0}
+
+        def piece():
+            with lock:
+                state["running"] += 1
+                state["started"] += 1
+            blas["inside"].add(blas["threads"])
+            assert not T._grad.enabled
+            time.sleep(0.05)
+            with lock:
+                state["running"] -= 1
             return 1
 
         def tasks():
-            yield fail
-            yield from (partial(slow, i) for i in (1, 2, 3))
-            handed_out.set()
-            assert third_started.wait(5.0)
+            yield from (piece for _ in range(3))
+            raise ValueError("draw failed")
 
         try:
-            with pytest.raises(ValueError, match="piece 0 failed"):
-                nppr.metrics._total_hits(tasks(), 3, 4)
+            with pytest.raises(ValueError, match="draw failed"):
+                nppr.metrics._total_hits(tasks(), 2)
+            assert state == {"running": 0, "started": 3}
+            assert blas == {"threads": 3, "inside": {1}}
+            assert T._grad.enabled
+            assert pool.submit(lambda: T._grad.enabled).result(timeout=5.0)
         finally:
             pool.shutdown()
-        assert sorted(ran) == [1, 2]
 
 
 class TestPrEstimate:
@@ -620,6 +688,32 @@ def test_budget_must_be_finite_and_positive(name, gamma):
     x, y = np.ones((3, 2)), np.array([0, 1, 1])
     with pytest.raises(ValueError, match=rf"^{name}: gamma must be finite and > 0, got "):
         _BUDGET_USERS[name](linear_clf([1.0, -1.0]), x, y, gamma)
+
+
+_INPUT_USERS = {
+    "nppr_estimate": lambda clf, x, y: nppr_estimate(clf, None, x, y, 4, np.random.default_rng(0)),
+    "pr_estimate": lambda clf, x, y: pr_estimate(clf, x, y, UNIFORM_BALL, 0.5, 4,
+                                                 np.random.default_rng(0)),
+    "ar_pgd": lambda clf, x, y: ar_pgd(clf, x, y, 0.5, steps=1),
+    "ar_cw": lambda clf, x, y: ar_cw(clf, x, y, 0.5, steps=1),
+    # At gamma 0 an attack reads the clean accuracy.
+    "ar_pgd gamma=0": lambda clf, x, y: ar_pgd(clf, x, y, 0.0),
+    "ar_cw gamma=0": lambda clf, x, y: ar_cw(clf, x, y, 0.0),
+}
+
+
+# A label once broadcast over ten inputs, and no inputs ran the attacks'
+# steps on NaN losses.
+@pytest.mark.parametrize("x, y, message", [
+    (np.ones(2), np.zeros(2, dtype=int), "need"),
+    (np.ones((10, 2)), np.zeros(1, dtype=int), "need"),
+    (np.ones((3, 2)), np.zeros((3, 1), dtype=int), "need"),
+    (np.zeros((0, 2)), np.zeros(0, dtype=int), "empty dataset")],
+    ids=["1-D inputs", "one label for ten", "2-D labels", "empty"])
+@pytest.mark.parametrize("user", list(_INPUT_USERS))
+def test_inputs_checked_one_way(user, x, y, message):
+    with pytest.raises(ValueError, match=rf"^{user.split()[0]}: {message}"):
+        _INPUT_USERS[user](linear_clf([1.0, -1.0]), x, y)
 
 
 @pytest.mark.parametrize("gamma", [0.25, 1.0, 16 / 255])
