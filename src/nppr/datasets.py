@@ -35,10 +35,6 @@ class LabeledDataset:
     def n(self) -> int:
         return self.x.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.x.shape[1]
-
 
 @dataclass
 class SplitDataset:

@@ -10,22 +10,21 @@ The training loss (`margin_loss`) and the CW attack's objective are one logit
 margin with opposite signs, and both are the engine op `tensor.margin`. PGD
 ascends the engine op `tensor.cross_entropy`, the loss the classifier is fit on.
 
-The Monte-Carlo estimators cut their inputs into pieces and sum the hits of
-the pieces as integers. A piece holds max(1, _ROWS // (M * workers)) inputs,
-so about _ROWS (input, draw) rows are in flight across the workers (an input
-with more draws is a piece of its own). The workers are the calling thread
-and the `_WORKERS - 1` threads of `_POOL`, one per usable core in all; each
-takes the next piece under one lock and runs it, until none is left or one
-failed. While they run, the process's BLAS thread count is held at 1, so
-that each product runs on its worker's core, and it is restored after the
-last piece, also when one raises. Where that count cannot be set, or one
-core is usable, or there is one piece, the calling thread runs every piece.
-The draws do not depend on the workers: NPPR spawns each input's stream in
-input order, and a piece draws from its inputs' streams (`sample_exact`)
-where it runs; PR draws each piece's noise from its one generator as the
-piece is taken, so in piece order. The piece size does depend on them, and
-with it the rows of each classifier call, whose logits' rounding can depend
-on how many rows share the call. A worker holds one piece's draws at a time.
+The Monte-Carlo estimators cut their inputs into pieces of max(1, _ROWS // M)
+inputs, about _ROWS (input, draw) rows (an input with more draws is a piece
+of its own), and sum the pieces' hits as integers; the sample export draws
+in the same pieces. The workers, the calling thread and up to `_WORKERS - 1`
+threads of `_POOL` (one per usable core, at most one per piece), each take
+the next piece under one lock and run it, until none is left or one failed.
+One BLAS rule holds: while they run, even alone, the BLAS thread count is 1,
+so that each product runs on its worker's core, and it is restored after
+the last piece, also when one raises; where it cannot be set, the calling
+thread runs every piece. No draw depends on the workers: NPPR spawns each
+input's stream in input order, and a piece draws from its inputs' streams
+(`sample_exact`) where it runs; PR draws each piece's noise from its one
+generator as the piece is taken, so in piece order. Nor does the row count
+of a classifier call, which can move its logits' rounding. A worker holds
+one piece's draws at a time.
 
 NPPR's head runs once over all of an estimate's inputs, since its bits
 depend on how many rows its products have (see `models`), and its Cholesky
@@ -63,10 +62,10 @@ from .upsample import check_budget
 UNIFORM_BALL = "uniform_ball"
 CLIPPED_GAUSSIAN = "clipped_gaussian"
 
-# (input, draw) rows the estimators draw, perturb and classify at a time,
-# across all workers (8 MiB per array at d=256); a piece unpacks the factors
-# of its own inputs only.
-_ROWS = 1 << 12
+# (input, draw) rows in the one piece a worker draws, perturbs and classifies
+# at a time (4 MiB per array at d=256); a piece unpacks the factors of its own
+# inputs only.
+_ROWS = 1 << 11
 
 # Workers for the estimators' pieces: one per usable core, the calling thread
 # among them, so the pool has one thread fewer. Its threads start with the
@@ -110,12 +109,6 @@ def mc_half_width(p: float, draws: int) -> float:
     return 3.0 * float(np.sqrt(p * (1.0 - p) / draws))
 
 
-def _workers() -> int:
-    """Workers the estimators use: `_WORKERS` where the BLAS thread count can
-    be held at 1 while they run, else 1 (the calling thread)."""
-    return _WORKERS if T.BLAS_THREADS is not None else 1
-
-
 def _inputs(x: np.ndarray, y: np.ndarray, name: str):
     """`x` as (N, width) floats and `y` as its N int labels, N >= 1."""
     x = np.asarray(x, dtype=np.float64)
@@ -127,13 +120,13 @@ def _inputs(x: np.ndarray, y: np.ndarray, name: str):
     return x, y
 
 
-def _pieces(x: np.ndarray, y: np.ndarray, M: int, name: str, workers: int = 1):
-    """Checked inputs (`_inputs`), then slices of max(1, _ROWS // (M * workers))
-    inputs covering them."""
+def _pieces(x: np.ndarray, y: np.ndarray, M: int, name: str):
+    """Checked inputs (`_inputs`), then slices of max(1, _ROWS // M) inputs
+    covering them."""
     x, y = _inputs(x, y, name)
     if M < 1:
         raise ValueError(f"{name}: M must be >= 1")
-    step = max(1, _ROWS // (M * workers))
+    step = max(1, _ROWS // M)
     return x, y, [slice(lo, lo + step) for lo in range(0, x.shape[0], step)]
 
 
@@ -151,9 +144,9 @@ def _total_hits(tasks, workers: int) -> int:
     """Sum of the hit counts of `tasks`, zero-argument callables that the
     workers take from the one iterable in order, one at a time under a lock
     (a lazy iterable makes each piece's draws as it is taken), and run under
-    `no_grad` outside it. The workers are the calling thread and `workers - 1`
-    threads of `_POOL`; with more than one, the BLAS thread count is 1 while
-    they run. Once a task or the iterable raises, no worker takes another
+    `no_grad` outside it: the calling thread and `workers - 1` threads of
+    `_POOL` at one BLAS thread, or the calling thread alone where that count
+    cannot be set. Once a task or the iterable raises, no worker takes another
     task, and the exception reaches the caller once every worker stopped."""
     tasks = iter(tasks)
     lock = threading.Lock()
@@ -175,7 +168,7 @@ def _total_hits(tasks, workers: int) -> int:
             failed.set()
             raise
 
-    if workers == 1:
+    if T.BLAS_THREADS is None:
         return work()
     get_threads, set_threads = T.BLAS_THREADS
     previous = get_threads()
@@ -206,14 +199,13 @@ def nppr_estimate(clf: Classifier, generator: Generator, x: np.ndarray, y: np.nd
     its factors stay packed; then each piece is drawn (its factors unpacked
     there), mapped to input space and classified; input i draws from the
     i-th stream `rng` spawns."""
-    workers = _workers()
-    x, y, pieces = _pieces(x, y, M, "nppr_estimate", workers)
+    x, y, pieces = _pieces(x, y, M, "nppr_estimate")
     with T.no_grad():
         params = generator.gmm_params(x, y)
     streams = rng.spawn(x.shape[0])
     tasks = (partial(_nppr_hits, clf, generator, x[part], y[part], params.rows(part), M,
                      streams[part]) for part in pieces)
-    return _total_hits(tasks, min(workers, len(pieces))) / (x.shape[0] * M)
+    return _total_hits(tasks, min(_WORKERS, len(pieces))) / (x.shape[0] * M)
 
 
 def baseline_noise(dist: str, shape: tuple, gamma: float, rng: np.random.Generator) -> np.ndarray:
@@ -232,14 +224,13 @@ def pr_estimate(clf: Classifier, x: np.ndarray, y: np.ndarray, dist: str,
     """Monte-Carlo retention probability under a fixed baseline distribution
     (`baseline_noise`), drawn from `rng` piece by piece."""
     check_budget(gamma, "pr_estimate")
-    workers = _workers()
-    x, y, pieces = _pieces(x, y, M, "pr_estimate", workers)
+    x, y, pieces = _pieces(x, y, M, "pr_estimate")
     # A piece's noise is drawn as a worker takes its task, so in piece order;
     # the generator keeps no name for it, so it is freed with its task.
     tasks = (partial(_hits, clf, y[part],
                      baseline_noise(dist, (len(y[part]), M, x.shape[1]), gamma, rng), x[part])
              for part in pieces)
-    return _total_hits(tasks, min(workers, len(pieces))) / (x.shape[0] * M)
+    return _total_hits(tasks, min(_WORKERS, len(pieces))) / (x.shape[0] * M)
 
 
 def _attack(clf: Classifier, x: np.ndarray, y: np.ndarray, gamma: float, steps: int,

@@ -16,6 +16,7 @@ from __future__ import annotations
 import base64
 import json
 import math
+import os
 from dataclasses import MISSING, asdict, field, fields
 from pathlib import Path
 
@@ -149,10 +150,17 @@ def doc_to_tensors(doc: dict) -> dict[str, np.ndarray]:
 
 
 def save_snapshot(path, named: dict[str, np.ndarray], extra: dict | None = None) -> None:
+    """Written to a sibling temporary file, then moved onto `path`: a failed
+    write leaves the previous snapshot whole and no temporary file."""
     doc = {"format_version": FORMAT_VERSION, "tensors": tensors_to_doc(named)}
     if extra:
         doc["extra"] = extra
-    Path(path).write_text(json.dumps(doc, sort_keys=True))
+    tmp = Path(f"{path}.tmp")
+    try:
+        tmp.write_text(json.dumps(doc, sort_keys=True))
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_snapshot(path) -> tuple[dict[str, np.ndarray], dict]:

@@ -132,6 +132,27 @@ def test_export_draws_in_pieces(tmp_path, monkeypatch, per_input):
         assert (tmp_path / name).read_bytes() == expected.getvalue().encode()
 
 
+def test_export_pieces_equal_the_estimate_pieces(tmp_path, monkeypatch):
+    # At 16 rows a piece and 3 draws, the export and a two-worker NPPR
+    # estimate of TINY's 11 test inputs both draw pieces of 5, 5 and 1 inputs.
+    cfg = parse_config(TINY)
+    split = stratified_split(make_dataset(cfg.dataset), cfg.train_frac, cfg.seed)
+    clf = fit_classifier(cfg, split)
+    generator = build_generator(clf, cfg.head, cfg.upsampler, seed=cfg.seed)
+    rows = []
+    real_sample = nppr.generator.sample_exact
+    monkeypatch.setattr(nppr.generator, "sample_exact",
+                        lambda params, M, streams: rows.append(params.batch)
+                        or real_sample(params, M, streams))
+    monkeypatch.setattr(nppr.metrics, "_ROWS", 16)
+    monkeypatch.setattr(nppr.metrics, "_WORKERS", 2)
+    export_perturbation_samples(generator, split, 3, tmp_path, cfg.seed)
+    exported = sorted(rows)
+    rows.clear()
+    nppr_estimate(clf, generator, split.test.x, split.test.y, 3, substream(cfg.seed, EVAL, 0))
+    assert exported == sorted(rows) == [1, 5, 5]
+
+
 def test_failed_stage_recorded_and_raised(tmp_path, monkeypatch):
     def refuse(cfg, split):
         raise RuntimeError("classifier refused")

@@ -321,8 +321,8 @@ class TestPool:
         monkeypatch.setattr(nppr.metrics, name, wrapper)
         return threads
 
-    # (M, _ROWS): 60 inputs in pieces of 7 at two workers (the last holds 4)
-    # and of 14 at one; then more draws than _ROWS, one input a piece.
+    # (M, _ROWS): 60 inputs in pieces of 14 (the last holds 4) at both
+    # worker counts; then more draws than _ROWS, one input a piece.
     @pytest.mark.parametrize("M,rows", [(5, 70), (2048, 1 << 10)])
     def test_two_workers_equal_one(self, setup, M, rows, monkeypatch):
         clf, gen, x, y = setup
@@ -338,6 +338,24 @@ class TestPool:
         assert len(set(threads)) <= 1 + nppr.metrics._POOL._max_workers
         assert T._grad.enabled
 
+    def test_rows_per_call_independent_of_workers(self, setup, monkeypatch):
+        # 60 inputs at 5 draws and 70 rows a piece: at every worker count,
+        # each estimate classifies four pieces of 70 rows and one of 20, so
+        # the estimates are the same floats.
+        clf, gen, x, y = setup
+        monkeypatch.setattr(nppr.metrics, "_ROWS", 70)
+        real = nppr.metrics._hits
+        runs = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(nppr.metrics, "_WORKERS", workers)
+            rows = []
+            monkeypatch.setattr(nppr.metrics, "_hits", lambda clf, yb, perturbed, xb:
+                                rows.append(perturbed.shape[0] * perturbed.shape[1])
+                                or real(clf, yb, perturbed, xb))
+            runs.append((self._estimates(clf, gen, x, y, 5), sorted(rows)))
+        assert runs[0][1] == [20] * 4 + [70] * 16
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
     def test_pool_leaves_one_worker_to_the_calling_thread(self):
         assert nppr.metrics._POOL._max_workers == max(nppr.metrics._WORKERS - 1, 1)
 
@@ -346,7 +364,7 @@ class TestPool:
         # Slowed pieces keep the pool busy, so the calling thread takes some,
         # and the pool takes some: nine pieces of 7 inputs, the last of 4.
         clf, gen, x, y = setup
-        monkeypatch.setattr(nppr.metrics, "_ROWS", 70)
+        monkeypatch.setattr(nppr.metrics, "_ROWS", 35)
         monkeypatch.setattr(nppr.metrics, "_WORKERS", 2)
         alone = nppr_estimate(clf, gen, x, y, 5, substream(3, EVAL, 0))
         real = nppr.metrics._nppr_hits
@@ -369,7 +387,7 @@ class TestPool:
         # run longer, so a worker often draws while the other's piece runs
         # and the last piece drawn has finished.
         clf, _, x, y = setup
-        monkeypatch.setattr(nppr.metrics, "_ROWS", 70)
+        monkeypatch.setattr(nppr.metrics, "_ROWS", 35)
         monkeypatch.setattr(nppr.metrics, "_WORKERS", 2)
         alone = pr_estimate(clf, x, y, UNIFORM_BALL, 1.5, 5, substream(3, EVAL, 2))
         lock = threading.Lock()
@@ -437,9 +455,10 @@ class TestPool:
 
     @needs_blas_setter
     def test_blas_threads_restored(self, setup, monkeypatch):
+        # Five pieces an estimate on two workers, then one piece an estimate,
+        # which the calling thread runs alone: one BLAS thread either way.
         clf, gen, x, y = setup
         get_threads, set_threads = T.BLAS_THREADS
-        monkeypatch.setattr(nppr.metrics, "_ROWS", 70)
         monkeypatch.setattr(nppr.metrics, "_WORKERS", 2)
         inside = []
         real = nppr.metrics._hits
@@ -448,11 +467,13 @@ class TestPool:
         previous = get_threads()
         set_threads(2)
         try:
-            self._estimates(clf, gen, x, y, 5)
-            assert get_threads() == 2
+            for rows in (70, 1 << 11):
+                monkeypatch.setattr(nppr.metrics, "_ROWS", rows)
+                self._estimates(clf, gen, x, y, 5)
+                assert get_threads() == 2
         finally:
             set_threads(previous)
-        assert set(inside) == {1}
+        assert inside == [1] * (4 * 5 + 4)
 
     @needs_blas_setter
     def test_failing_piece_stops_every_piece(self, setup, monkeypatch):
@@ -462,7 +483,7 @@ class TestPool:
         clf, gen, x, y = setup
         get_threads, _ = T.BLAS_THREADS
         before = get_threads()
-        monkeypatch.setattr(nppr.metrics, "_ROWS", 70)
+        monkeypatch.setattr(nppr.metrics, "_ROWS", 35)
         monkeypatch.setattr(nppr.metrics, "_WORKERS", 2)
         real_params = gen.gmm_params
 

@@ -592,7 +592,7 @@ class TestEstimateMemory:
     def test_peak_grows_by_less_than_the_full_factors(self, monkeypatch):
         # K 8 and D 16, 64 draws of width 256: the full factors of 448 more
         # inputs are 7 MiB, their packed mixture 4.2 MiB, and the pieces'
-        # rows about 18 MiB whatever the inputs, more than the head's peak.
+        # rows about 9 MiB whatever the inputs, more than the head's peak.
         # One worker: with two, whether two pieces overlap moves the peak.
         monkeypatch.setattr(nppr.metrics, "_WORKERS", 1)
         rng = np.random.default_rng(46)

@@ -1,7 +1,9 @@
 """Snapshot format: base64 float64 payloads, corruption errors, version guard, size."""
 
 import base64
+import errno
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +27,26 @@ def test_extreme_values_roundtrip_bit_exact(tmp_path):
     back, _ = load_snapshot(path)
     assert back["w"].shape == (2, 2)
     assert back["w"].tobytes() == values.tobytes()
+
+
+def test_failed_write_keeps_the_previous_snapshot(tmp_path, monkeypatch):
+    # The second save runs out of space half-way through its document: the
+    # first snapshot still loads, and no partial file is left beside it.
+    path = tmp_path / "ckpt_latest.json"
+    first = np.arange(6.0).reshape(2, 3)
+    save_snapshot(path, {"w": first}, extra={"epoch_next": 1})
+    real = Path.write_text
+
+    def out_of_space(self, text, *args, **kwargs):
+        real(self, text[:len(text) // 2], *args, **kwargs)
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(Path, "write_text", out_of_space)
+    with pytest.raises(OSError, match="No space left"):
+        save_snapshot(path, {"w": first + 1.0}, extra={"epoch_next": 2})
+    named, extra = load_snapshot(path)
+    assert named["w"].tobytes() == first.tobytes() and extra == {"epoch_next": 1}
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
 def test_bad_base64_rejected(tmp_path):
