@@ -34,8 +34,8 @@ forward values are bit-stable for fixed inputs.
 Nine special-purpose ops with hand-written backwards replace chains of
 generic ops that were longer, slower or held more memory: `dense` is the
 classifier's relu-separated dense layers, or one layer of the head or
-upsampler, `mixture_latent` mixes the relaxed per-component draws without
-copying a factor per draw, `tril_activate` turns a head's packed lower
+upsampler, `mixture_latent` mixes the relaxed per-component draws a block of
+inputs at a time, without copying a factor per draw, `tril_activate` turns a head's packed lower
 triangles into Cholesky entries with a positive diagonal and `tril_scatter`
 unpacks them into D x D factors where they are used, `budget` is the
 perturbation `gamma * tanh` (plus the clean inputs) computed block by block,
@@ -57,11 +57,17 @@ benchmark metric.
 A backward computes gradients only for operands that require them: the
 product for a frozen weight or a constant input is never formed. A tape serves
 one backward: an op's node drops its gradient, closure and parents once it has
-routed its gradient, so only leaves keep a `.grad`. A leaf's first gradient is
-stored without a copy and may share memory with another leaf's (or be a
-read-only broadcast view); nothing may write into a stored `.grad`. An op's
-output may be a read-only view too (`broadcast_to`, `reshape`): no op writes
-into an operand.
+routed its gradient, so only leaves keep a `.grad`.
+
+Gradients in flight follow one rule: a gradient that reaches an op's backward
+and is writable belongs to that op, which may write into it (`budget` does).
+So an op hands each operand either a new array or a view of its own gradient
+that no other operand is handed: `add`, the one op that routes one array to
+two operands, hands it on as a read-only view, and `reduce_sum` hands on a
+read-only broadcast view. A leaf's first gradient is stored without a copy,
+so it may be such a view and share memory with another leaf's; nothing writes
+into a stored `.grad`. An op's output may be a read-only view too
+(`broadcast_to`, `reshape`): no op writes into an operand.
 
 Under `no_grad()` every op the same thread runs returns a plain tensor that
 needs no gradient and records no node, whatever its operands need. Evaluation
@@ -118,6 +124,10 @@ NORM_FLOOR = 1e-12
 # Floats of `budget`'s operand per backward block (256 KiB): the backward's
 # recomputed tanh is one block, not a second array of the operand's size.
 _BUDGET_BLOCK = 1 << 15
+
+# Floats of z*xi per `mixture_latent` block (1 MiB): the op forms z*xi and the
+# products that read it a block of inputs at a time, never for every input.
+_LATENT_BLOCK = 1 << 17
 
 # Counts of guarded numeric events (domain clamps, skipped optimizer steps);
 # `log_clamped` is never incremented (see the module docstring).
@@ -234,7 +244,8 @@ def constant(data) -> Tensor:
     return Tensor(data, requires_grad=False)
 
 
-# A first gradient is kept uncopied; only leaves keep a `.grad`, so only theirs alias.
+# A first gradient is kept uncopied: an op's becomes its own (see the module
+# docstring), and only leaves keep a `.grad`, so only theirs alias.
 def _accumulate(node: _Node, grad: np.ndarray) -> None:
     if node.grad is None:
         node.grad = np.asarray(grad, dtype=np.float64)
@@ -320,11 +331,16 @@ def _require_broadcastable(a: Tensor, b: Tensor, op: str) -> None:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
+    """a + b with numpy broadcasting. Its gradient reaches both operands, so
+    it hands each a read-only view of it (or a sum over broadcast axes): no
+    operand's backward may write into the array the other one receives."""
     _require_broadcastable(a, b, "add")
     out_data = a.data + b.data
     an, bn, a_shape, b_shape = _taped(a), _taped(b), a.shape, b.shape
 
     def bwd(g):
+        g = g.view()
+        g.flags.writeable = False
         if an:
             _accumulate(an, _unbroadcast(g, a_shape))
         if bn:
@@ -441,8 +457,11 @@ def mixture_latent(z: Tensor, means: Tensor, chol: Tensor, xi: np.ndarray) -> Te
     array that gets no gradient. With input b's factors side by side as
     S = [L_1 ... L_K], (D, K*D), the forward is z @ means + (z*xi) @ S^T, and
     each gradient is one product per input: means gets z^T g, chol g^T (z*xi)
-    and z g.mu_k + (S^T g)_k.xi_k. The backward keeps z, the means, xi and S,
-    a copy, but not the D x D factors, and forms z*xi again.
+    and z g.mu_k + (S^T g)_k.xi_k. z*xi, its products and g S are formed for
+    blocks of inputs of about _LATENT_BLOCK floats of z*xi, so no (B, M, K*D)
+    array is ever held; numpy makes one BLAS call per input either way, so
+    the blocks leave every bit as it is. The backward keeps z, the means, xi
+    and S, a copy, but not the D x D factors, and forms z*xi again.
     """
     xi = np.asarray(xi, dtype=np.float64)
     B, M, K = z.shape if z.ndim == 3 else (None,) * 3
@@ -454,22 +473,31 @@ def mixture_latent(z: Tensor, means: Tensor, chol: Tensor, xi: np.ndarray) -> Te
     z_data, means_data = z.data, means.data
     stacked = chol.data.transpose(0, 2, 1, 3).reshape(B, D, K * D)  # S per input, a copy
     zn, mn, cn = _taped(z), _taped(means), _taped(chol)
+    step = max(1, _LATENT_BLOCK // max(1, M * K * D))
+    blocks = [slice(lo, lo + step) for lo in range(0, B, step)]
 
-    def weighted():  # z*xi as (B, M, K*D)
-        return (z_data[..., None] * xi).reshape(B, M, K * D)
+    def weighted(blk):  # z*xi of a block of inputs, as (b, M, K*D)
+        w = z_data[blk, ..., None] * xi[blk]
+        return w.reshape(*w.shape[:2], K * D)
 
     out_data = z_data @ means_data
-    out_data += weighted() @ np.swapaxes(stacked, 1, 2)
+    for blk in blocks:
+        out_data[blk] += weighted(blk) @ np.swapaxes(stacked[blk], 1, 2)
 
     def bwd(g):
         if mn:
             _accumulate(mn, np.swapaxes(z_data, 1, 2) @ g)
+        gs = np.empty((B, D, K * D)) if cn else None
+        gz = g @ np.swapaxes(means_data, 1, 2) if zn else None
+        for blk in blocks:
+            if cn:
+                np.matmul(np.swapaxes(g[blk], 1, 2), weighted(blk), out=gs[blk])
+            if zn:
+                gz[blk] += np.einsum("bmke,bmke->bmk",
+                                     (g[blk] @ stacked[blk]).reshape(-1, M, K, D), xi[blk])
         if cn:
-            gs = np.swapaxes(g, 1, 2) @ weighted()                    # (B, D, K*D)
             _accumulate(cn, gs.reshape(B, D, K, D).transpose(0, 2, 1, 3))
         if zn:
-            gz = g @ np.swapaxes(means_data, 1, 2)
-            gz += np.einsum("bmke,bmke->bmk", (g @ stacked).reshape(B, M, K, D), xi)
             _accumulate(zn, gz)
 
     return _record(out_data, "mixture_latent", (zn, mn, cn), bwd)
@@ -632,8 +660,11 @@ def budget(u: Tensor, gamma: float, base: np.ndarray | None = None) -> Tensor:
     scaled perturbation beside it, and the backward keeps only u: the output,
     often the perturbed inputs, is freed with its tensor. The backward
     recomputes tanh over blocks of u's leading axis of about _BUDGET_BLOCK
-    floats and forms (g * gamma) * (1 - t * t). The arithmetic is that of
-    add(base, scale(tanh(u), gamma)), so values and gradients keep its bits.
+    floats and forms (g * gamma) * (1 - t * t) block by block inside the
+    incoming gradient g, which is its own when writable (see the module
+    docstring), and in a new array only when g is read-only. The arithmetic
+    is that of add(base, scale(tanh(u), gamma)), so values and gradients keep
+    its bits.
     """
     gamma = float(gamma)
     if base is not None:
@@ -656,7 +687,7 @@ def budget(u: Tensor, gamma: float, base: np.ndarray | None = None) -> Tensor:
         rows = shape or (1,)  # a scalar is one row
         step = max(1, _BUDGET_BLOCK // max(1, math.prod(rows[1:])))
         x_rows, g = x.reshape(rows), g.reshape(rows)
-        grad = np.empty(rows)
+        grad = g if g.flags.writeable else np.empty(rows)
         for lo in range(0, rows[0], step):
             blk = slice(lo, lo + step)
             t = np.tanh(x_rows[blk])
@@ -665,6 +696,7 @@ def budget(u: Tensor, gamma: float, base: np.ndarray | None = None) -> Tensor:
             out = grad[blk]
             np.multiply(g[blk], gamma, out=out)
             out *= t
+            del t  # before the next block's tanh, so one block is alive at a time
         _accumulate(un, grad.reshape(shape))
 
     return _record(out_data, "budget", (un,), bwd)

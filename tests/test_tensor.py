@@ -4,6 +4,7 @@ import inspect
 import itertools
 import re
 import threading
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -664,6 +665,66 @@ class TestMixtureLatent:
             np.testing.assert_allclose(out[b, m], means[b, k] + chol[b, k] @ xi[b, m, k],
                                        rtol=0, atol=1e-14)
 
+    @staticmethod
+    def _unblocked(z, means, chol, xi, g):
+        """The op's products over every input at once: the output and the
+        gradients of z, the means and chol for the gradient g reaching it."""
+        B, M, K = z.shape
+        D = means.shape[-1]
+        stacked = chol.transpose(0, 2, 1, 3).reshape(B, D, K * D)
+        weighted = (z[..., None] * xi).reshape(B, M, K * D)
+        out = z @ means
+        out += weighted @ np.swapaxes(stacked, 1, 2)
+        grad_z = g @ np.swapaxes(means, 1, 2)
+        grad_z += np.einsum("bmke,bmke->bmk", (g @ stacked).reshape(B, M, K, D), xi)
+        grad_chol = (np.swapaxes(g, 1, 2) @ weighted).reshape(B, D, K, D).transpose(0, 2, 1, 3)
+        return out, grad_z, np.swapaxes(z, 1, 2) @ g, grad_chol
+
+    @pytest.mark.parametrize("extra", [None, -1, 0, 1])
+    def test_inputs_around_a_block_match_the_unblocked_products(self, extra):
+        # 1 input, and a block of inputs less one, exactly and plus one.
+        M, K, D = 16, 4, 8
+        block = T._LATENT_BLOCK // (M * K * D)
+        B = 1 if extra is None else block + extra
+        rng = np.random.default_rng(40 + B)
+        arrays = (rng.dirichlet(np.ones(K), size=(B, M)), rng.normal(size=(B, K, D)),
+                  np.tril(rng.normal(size=(B, K, D, D))))
+        xi, probe = rng.standard_normal((B, M, K, D)), rng.normal(size=(B, M, D))
+        leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        out = T.mixture_latent(*leaves, xi)
+        T.reduce_sum(T.mul(out, T.constant(probe))).backward()
+        want = self._unblocked(*arrays, xi, probe)
+        for got, ref in zip((out.data, *(leaf.grad for leaf in leaves)), want):
+            np.testing.assert_array_equal(got, ref)
+
+    def test_forward_and_backward_hold_one_block(self):
+        # z*xi for every input is 4 MiB here and a block of it 1 MiB: neither
+        # pass holds an array of the former's size, also not on top of its
+        # 0.5 MiB output and the 1 MiB stacked factors.
+        B, M, K, D = 64, 64, 8, 16
+        rng = np.random.default_rng(41)
+        leaves = [Tensor(a, requires_grad=True)
+                  for a in (rng.dirichlet(np.ones(K), size=(B, M)), rng.normal(size=(B, K, D)),
+                            np.tril(rng.normal(size=(B, K, D, D))))]
+        xi, probe = rng.standard_normal((B, M, K, D)), T.constant(rng.normal(size=(B, M, D)))
+        full = B * M * K * D * 8
+        assert full >= 4 * T._LATENT_BLOCK * 8
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            out = T.mixture_latent(*leaves, xi)
+            forward = tracemalloc.get_traced_memory()[1] - start
+            root = T.reduce_sum(T.mul(out, probe))
+            del out
+            taped = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            root.backward()
+            backward = tracemalloc.get_traced_memory()[1] - taped
+        finally:
+            tracemalloc.stop()
+        assert forward < full
+        assert backward < full
+
     @pytest.mark.parametrize("xi_shape", [(2, 5, 3, 2), (2, 5, 4, 4), (2, 4, 3, 4)])
     def test_shape_guard(self, xi_shape):
         z = Tensor(np.zeros((2, 5, 3)), requires_grad=True)
@@ -779,6 +840,48 @@ class TestBudget:
         out = T.budget(u, 0.5, np.ones((64, 8)))
         held = [v for v in _closure_values(out._node.bwd) if isinstance(v, np.ndarray)]
         assert held and all(np.shares_memory(a, u.data) for a in held)
+
+    @pytest.mark.parametrize("case", ["budget_and_leaf", "two_budgets_of_one_operand"])
+    def test_add_shares_no_writable_gradient(self, case):
+        # add hands one gradient to both operands; the budget's backward forms
+        # its gradient in place only in an array it owns. The probe makes the
+        # gradient reaching add writable.
+        rng = np.random.default_rng(33)
+        u, w = rng.normal(0.0, 3.0, (5, 7)), rng.normal(size=(5, 7))
+        base, probe = rng.uniform(-1, 1, (5, 7)), T.constant(rng.normal(size=(5, 7)))
+        grads = []
+        for fused in (True, False):
+            leaves = [Tensor(a.copy(), requires_grad=True) for a in (u, w)]
+
+            def perturbed(gamma, b):
+                if fused:
+                    return T.budget(leaves[0], gamma, b)
+                return T.add(T.constant(b), T.scale(T.tanh(leaves[0]), gamma))
+
+            other = leaves[1] if case == "budget_and_leaf" else perturbed(0.25, -base)
+            out = T.add(perturbed(0.5, base), other)
+            T.reduce_sum(T.mul(out, probe)).backward()
+            grads.append([leaf.grad for leaf in leaves])
+        for got, want in zip(*grads):
+            np.testing.assert_array_equal(got, want)
+
+    def test_writes_into_a_writable_gradient_only(self):
+        # mul hands the budget a new array, reduce_sum a read-only broadcast view.
+        rng = np.random.default_rng(34)
+        u, probe = rng.normal(size=(6, 5)), T.constant(rng.normal(size=(6, 5)))
+        for build, writable in ((lambda out: T.mul(out, probe), True), (lambda out: out, False)):
+            leaf = Tensor(u.copy(), requires_grad=True)
+            out = T.budget(leaf, 0.5)
+            node, seen = out._node, []
+            routed = node.bwd
+            node.bwd = lambda g: (seen.append(g), routed(g))
+            T.reduce_sum(build(out)).backward()
+            (g,) = seen
+            assert g.flags.writeable == writable
+            assert np.shares_memory(leaf.grad, g) == writable
+            ref = Tensor(u.copy(), requires_grad=True)
+            T.reduce_sum(build(T.scale(T.tanh(ref), 0.5))).backward()
+            np.testing.assert_array_equal(leaf.grad, ref.grad)
 
     def test_base_must_broadcast_to_the_operand(self):
         with pytest.raises(ShapeError, match="budget"):

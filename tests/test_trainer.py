@@ -3,6 +3,7 @@
 import csv
 import json
 import re
+import tracemalloc
 import weakref
 from fractions import Fraction
 from pathlib import Path
@@ -256,6 +257,38 @@ class TestTraining:
             assert 0.0 <= r.nppr_running <= 1.0
             assert 0.0 <= r.entropy_ratio <= 1.0 + 1e-12
             assert r.pi_min - 1e-12 <= r.pi_max <= 1.0 + 1e-12
+
+
+class TestStepMemory:
+    """The budget's backward forms its gradient inside the one the classifier
+    hands it, so a step's backward holds one perturbed-row gradient, not two."""
+
+    def test_backward_holds_under_one_and_a_half_perturbed_row_arrays(self):
+        # 32 images of 1 x 16 x 16 at 16 draws each, through a bicubic
+        # upsampler: the perturbed rows are (512, 256), 1 MiB, and every other
+        # array the backward makes is far smaller.
+        B, M, width = 32, 16, 256
+        clf = Classifier(ClassifierConfig(input_dim=width, num_classes=4, hidden=(8,),
+                                          image_shape=(1, 16, 16)), seed=0)
+        clf.freeze()
+        head = HeadConfig(mode=DependencyMode.LABEL, K=3, latent_dim=16, hidden_dim=8,
+                          label_emb_dim=4)
+        gen = build_generator(clf, head, UpsamplerConfig(mode="bicubic_image",
+                                                         latent_grid=(1, 4, 4), gamma=0.5))
+        rng = np.random.default_rng(61)
+        xb, yb = rng.uniform(-1, 1, (B, width)), rng.integers(0, 4, B)
+        tracemalloc.start()
+        try:
+            loss = nppr.trainer._step_loss(clf, gen, _cfg(samples_per_input=M), xb, yb, 0.5,
+                                           np.random.default_rng(62))
+            taped = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            loss.backward()
+            peak = tracemalloc.get_traced_memory()[1] - taped
+        finally:
+            tracemalloc.stop()
+        assert gen.upsampler.weight.grad is not None
+        assert peak < 1.5 * B * M * width * 8
 
 
 class TestCheckpoints:
