@@ -11,8 +11,9 @@ Subcommands:
                   (samples_latent.csv, samples_input.csv); no other command
                   writes them
 
-The default output root comes from --out, then the config's output_dir, then
-$NPPR_OUTPUT_ROOT, then ./runs.
+A command writes to --out, or else to its run name (train-seed3, say) under
+the output root: the config's output_dir, then $NPPR_OUTPUT_ROOT, then
+./runs, so commands that share an output_dir keep their files apart.
 """
 
 from __future__ import annotations
@@ -55,9 +56,9 @@ def _load_config(args) -> ExperimentConfig:
 def _out_dir(args, cfg: ExperimentConfig, run_name: str) -> Path:
     if args.out is not None:
         return Path(args.out)
-    if cfg.output_dir is not None:
-        return Path(cfg.output_dir)
-    root = os.environ.get(OUTPUT_ROOT_ENV, "runs")
+    root = cfg.output_dir
+    if root is None:
+        root = os.environ.get(OUTPUT_ROOT_ENV, "runs")
     return Path(root) / run_name
 
 

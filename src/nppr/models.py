@@ -26,10 +26,10 @@ A Cholesky factor is stored packed: its D(D+1)/2 lower-triangle entries in
 row-major order (`np.tril_indices`), the unconstrained parametrisation of
 Pinheiro & Bates (1996). The head's `tensor.tril_activate` scales them by
 1/T_sigma and maps the diagonal through softplus plus CHOL_DIAG_FLOOR; the
-mixture keeps them packed, and `tensor.tril_scatter` unpacks them into D x D
-blocks only where they are applied, so the zero upper triangle has no
-parameters, and evaluation unpacks the factors of one piece of inputs at a
-time.
+mixture keeps them packed, and the samplers unpack them into D x D blocks
+only where they are applied (`tensor.mixture_latent` in training, numpy in
+`sampling.sample_exact`), so the zero upper triangle has no parameters, and
+evaluation unpacks the factors of one piece of inputs at a time.
 """
 
 from __future__ import annotations
@@ -217,8 +217,9 @@ class GmmParams:
 
     `chol_packed` holds each component's lower-triangle entries, row-major, as
     `tensor.tril_activate` leaves them (diagonal already softplus-floored);
-    `tensor.tril_scatter` unpacks them into full D x D blocks where a sampler
-    applies them: once per training step, and per piece in the estimators.
+    a sampler unpacks them into full D x D blocks where it applies them:
+    `tensor.mixture_latent` once per training step, and `sample_exact` per
+    piece in the estimators.
     """
     pi_logits: Tensor    # (B, K)
     means: Tensor        # (B, K, D)

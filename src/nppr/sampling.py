@@ -87,17 +87,20 @@ def gumbel_noise(rng: np.random.Generator, shape: tuple) -> np.ndarray:
     return -np.log(-np.log(u))
 
 
-def gumbel_softmax_sample(pi_logits: Tensor, tau: float, rng: np.random.Generator) -> Tensor:
-    """Relaxed one-hot draws: softmax((log softmax(pi_logits) + g) / tau).
+def gumbel_softmax_sample(pi_logits: Tensor, M: int, tau: float,
+                          rng: np.random.Generator) -> Tensor:
+    """M relaxed one-hot draws per row of the (B, K) `pi_logits`, (B, M, K):
+    softmax((log softmax(pi_logits) + g) / tau) for a Gumbel vector g per draw.
 
-    One Gumbel vector is drawn per row of `pi_logits` (last axis = components)
-    and fed to the engine op `tensor.gumbel_softmax`, differentiable in the logits.
+    The engine op `tensor.gumbel_softmax`, differentiable in the logits,
+    takes them as (B, 1, K), so each input's log softmax is taken once.
     """
     if tau <= 0:
         raise ValueError("gumbel_softmax_sample: tau must be > 0")
     if not np.all(np.isfinite(pi_logits.data)):
         raise ValueError("gumbel_softmax_sample: logits must be finite")
-    return T.gumbel_softmax(pi_logits, gumbel_noise(rng, pi_logits.shape), tau)
+    B, K = pi_logits.shape
+    return T.gumbel_softmax(T.reshape(pi_logits, (B, 1, K)), gumbel_noise(rng, (B, M, K)), tau)
 
 
 def sample_perturbations(params: GmmParams, M: int, tau: float,
@@ -106,17 +109,15 @@ def sample_perturbations(params: GmmParams, M: int, tau: float,
 
     The Gumbel uniforms come first, then xi_k for every draw and component.
     latent = sum_k z_k (mu_k + L_k xi_k), with relaxed weights z, is one
-    `tensor.mixture_latent` op on the factors `tensor.tril_scatter` unpacks,
-    differentiable in weights, means and the packed factors.
+    `tensor.mixture_latent` op on the packed factors, differentiable in
+    weights, means and factors.
     """
     if M < 1:
         raise ValueError("sample_perturbations: M must be >= 1")
     B, K, D = params.batch, params.K, params.latent_dim
-    pi_b = T.broadcast_to(T.reshape(params.pi_logits, (B, 1, K)), (B, M, K))
-    z = gumbel_softmax_sample(pi_b, tau, rng)                     # (B, M, K)
+    z = gumbel_softmax_sample(params.pi_logits, M, tau, rng)             # (B, M, K)
     xi = rng.standard_normal((B, M, K, D))
-    chol = T.tril_scatter(params.chol_packed, D)                  # (B, K, D, D)
-    latent = T.mixture_latent(z, params.means, chol, xi)          # (B, M, D)
+    latent = T.mixture_latent(z, params.means, params.chol_packed, xi)   # (B, M, D)
     return PerturbationBatch(latent=latent, relaxed_weights=z, component_draws=xi)
 
 
@@ -148,14 +149,13 @@ def sample_exact(params: GmmParams, M: int, streams: list) -> PerturbationBatch:
     i)` however the inputs are cut into calls, and whichever thread draws.
 
     latent = mu_z + L_z xi for the drawn component z. The packed factors of
-    these B inputs are unpacked here (`tensor.tril_scatter`), so a caller that
-    cuts its inputs into pieces holds the full (B, K, D, D) factors of one
-    piece at a time. L_z xi comes from one product per input: its (M, D)
-    noise against its K factors side by side, (D, K*D), of which each draw
-    keeps the D columns of its component. Its temporary is M*K*D floats, one
-    input's at a time. The picks use `np.take` on a flat row index (component
-    z of input b is row b*K + z): the floats of a two-array index at a
-    fraction of its cost.
+    these B inputs are unpacked here, so a caller that cuts its inputs into
+    pieces holds the full (B, K, D, D) factors of one piece at a time. L_z xi
+    comes from one product per input: its (M, D) noise against its K factors
+    side by side, (D, K*D), of which each draw keeps the D columns of its
+    component. Its temporary is M*K*D floats, one input's at a time. The
+    picks use `np.take` on a flat row index (component z of input b is row
+    b*K + z): the floats of a two-array index at a fraction of its cost.
     """
     if M < 1:
         raise ValueError("sample_exact: M must be >= 1")
@@ -178,8 +178,9 @@ def sample_exact(params: GmmParams, M: int, streams: list) -> PerturbationBatch:
     picks = np.arange(M) * K + z                                    # (B, M)
     # Column k*D + d of stacked[b] is row d of L_k, so (xi[b] @ stacked[b])
     # holds L_k xi for every k side by side.
-    chol = T.tril_scatter(params.chol_packed, D).data                   # (B, K, D, D)
-    stacked = np.swapaxes(chol.reshape(B, K * D, D), 1, 2)              # (B, D, K*D)
+    chol = np.zeros((B, K, D, D))
+    chol[(..., *np.tril_indices(D))] = params.chol_packed.data
+    stacked = np.swapaxes(chol.reshape(B, K * D, D), 1, 2)          # (B, D, K*D)
     for b in range(B):
         latent[b] += np.take((xi[b] @ stacked[b]).reshape(-1, D), picks[b], axis=0)
 

@@ -11,40 +11,41 @@ The tape is made of nodes, not tensors: a closure keeps only the arrays and
 shapes its backward reads, never an operand. So an output that no backward
 reads is freed as soon as its caller drops its tensor, while its node stays
 on the tape. Each op keeps:
-- `add`, `scale`, `reshape`, `broadcast_to`, `reduce_sum`, `take_rows` and
-  `tril_scatter`: shapes or indices only;
+- `add`, `scale`, `reshape`, `broadcast_to`, `reduce_sum` and `take_rows`:
+  shapes or indices only;
 - `mul` and `matmul`: the other operand's data, for each operand that takes a
   gradient;
 - `dense`: the input of each layer whose weight takes a gradient, the weights
   the gradient passes down through, and a boolean relu mask for each frozen
   layer above the first it passes (see `dense`);
-- `mixture_latent`: the weights z, the means, the noise and one stacked copy
-  of the factors, not the D x D factors themselves;
+- `mixture_latent`: the weights z, the means, the noise and the factors
+  scattered side by side from their packed triangles, the one unpacked copy;
 - `tril_activate`: the scaled diagonal entries; `budget`: its operand u, not
   the perturbed rows it returns;
 - `margin`: each row's gap and its two classes; `cross_entropy`: the log
   softmax; `gumbel_softmax`: the log softmax and its output; `tanh`: its
   output; `relu`, `softplus` and `unit_rows`: the operand (and the norms).
 A training step thus frees the perturbed rows, the head's outputs and the
-activated and unpacked factors once the forward has read them.
+activated factors once the forward has read them.
 
 All values are 64-bit floats. Ops are plain numpy calls in a fixed order, so
 forward values are bit-stable for fixed inputs.
 
-Nine special-purpose ops with hand-written backwards replace chains of
+Eight special-purpose ops with hand-written backwards replace chains of
 generic ops that were longer, slower or held more memory: `dense` is the
 classifier's relu-separated dense layers, or one layer of the head or
 upsampler, `mixture_latent` mixes the relaxed per-component draws a block of
-inputs at a time, without copying a factor per draw, `tril_activate` turns a head's packed lower
-triangles into Cholesky entries with a positive diagonal and `tril_scatter`
-unpacks them into D x D factors where they are used, `budget` is the
-perturbation `gamma * tanh` (plus the clean inputs) computed block by block,
-`margin` is the softplus logit margin that training minimises and the CW
-attack ascends, whose gradient reaches only each row's true class and
-runner-up, `cross_entropy` is the loss the classifier is fit on and PGD
-ascends, `gumbel_softmax` is the relaxation that carries gradients to the
-mixture weights (these two take the only softmaxes on the tape), and
-`unit_rows` scales the label embedding's rows to unit length.
+inputs at a time, reading the factors packed and without copying a factor
+per draw, `tril_activate` turns a head's packed lower triangles into
+Cholesky entries with a positive diagonal, `budget` is the perturbation
+`gamma * tanh` (plus the clean inputs) computed block by block, `margin` is
+the softplus logit margin that training minimises and the CW attack
+ascends, whose gradient reaches only each row's true class and runner-up,
+`cross_entropy` is the loss the classifier is fit on and PGD ascends,
+`gumbel_softmax` is the relaxation that carries gradients to the mixture
+weights, one log softmax per input for all its draws (these two take the
+only softmaxes on the tape), and `unit_rows` scales the label embedding's
+rows to unit length.
 
 Five generic ops have no caller in the package and serve the tests'
 reference chains: `add` and `tanh` build the chain `budget` is compared
@@ -264,6 +265,13 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def _broadcasts_to(shape: tuple, target: tuple) -> bool:
+    try:
+        return np.broadcast_shapes(shape, target) == target
+    except ValueError:
+        return False
+
+
 def _taped(t: Tensor) -> _Node | None:
     """The node an op records as `t`'s: None when `t` takes no gradient, and
     for every operand under `no_grad`."""
@@ -450,29 +458,35 @@ def dense(x: Tensor, *layers: tuple[Tensor, Tensor]) -> Tensor:
     return _record(h, "dense", (xn, *(n for layer in nodes for n in layer)), bwd)
 
 
-def mixture_latent(z: Tensor, means: Tensor, chol: Tensor, xi: np.ndarray) -> Tensor:
-    """Mix per-component draws: out[b,m] = sum_k z[b,m,k] (means[b,k] + chol[b,k] @ xi[b,m,k]).
+def mixture_latent(z: Tensor, means: Tensor, packed: Tensor, xi: np.ndarray) -> Tensor:
+    """Mix per-component draws: out[b,m] = sum_k z[b,m,k] (means[b,k] + L[b,k] @ xi[b,m,k]).
 
-    z is (B,M,K), means (B,K,D), chol (B,K,D,D) and xi a constant (B,M,K,D)
-    array that gets no gradient. With input b's factors side by side as
-    S = [L_1 ... L_K], (D, K*D), the forward is z @ means + (z*xi) @ S^T, and
-    each gradient is one product per input: means gets z^T g, chol g^T (z*xi)
-    and z g.mu_k + (S^T g)_k.xi_k. z*xi, its products and g S are formed for
-    blocks of inputs of about _LATENT_BLOCK floats of z*xi, so no (B, M, K*D)
-    array is ever held; numpy makes one BLAS call per input either way, so
-    the blocks leave every bit as it is. The backward keeps z, the means, xi
-    and S, a copy, but not the D x D factors, and forms z*xi again.
+    z is (B,M,K), means (B,K,D), packed (B,K,D(D+1)/2) the factors L as
+    row-major lower triangles, and xi a constant (B,M,K,D) array that gets no
+    gradient. With input b's factors side by side as S = [L_1 ... L_K],
+    (D, K*D), into which the triangles are scattered, the forward is
+    z @ means + (z*xi) @ S^T, and each gradient is one product per input:
+    means gets z^T g, the factors g^T (z*xi), gathered back to the
+    triangles, and z g.mu_k + (S^T g)_k.xi_k. z*xi, its products and g S are
+    formed for blocks of inputs of about _LATENT_BLOCK floats of z*xi, so no
+    (B, M, K*D) array is ever held; numpy makes one BLAS call per input
+    either way, so the blocks leave every bit as it is. The backward keeps z,
+    the means, xi and S, and forms z*xi again.
     """
     xi = np.asarray(xi, dtype=np.float64)
     B, M, K = z.shape if z.ndim == 3 else (None,) * 3
     D = means.shape[-1]
-    if means.shape != (B, K, D) or chol.shape != (B, K, D, D) or xi.shape != (B, M, K, D):
-        raise ShapeError(f"mixture_latent: expected z (B,M,K), means (B,K,D), chol (B,K,D,D) "
-                         f"and xi (B,M,K,D), got {z.shape}, {means.shape}, {chol.shape} "
-                         f"and {xi.shape}")
+    if (means.shape != (B, K, D) or packed.shape != (B, K, D * (D + 1) // 2)
+            or xi.shape != (B, M, K, D)):
+        raise ShapeError(f"mixture_latent: expected z (B,M,K), means (B,K,D), packed "
+                         f"(B,K,D(D+1)/2) and xi (B,M,K,D), got {z.shape}, {means.shape}, "
+                         f"{packed.shape} and {xi.shape}")
     z_data, means_data = z.data, means.data
-    stacked = chol.data.transpose(0, 2, 1, 3).reshape(B, D, K * D)  # S per input, a copy
-    zn, mn, cn = _taped(z), _taped(means), _taped(chol)
+    rows, cols = np.tril_indices(D)
+    stacked = np.zeros((B, D, K, D))  # S per input: L_k[i, j] is stacked[b, i, k, j]
+    stacked.transpose(0, 2, 1, 3)[..., rows, cols] = packed.data
+    stacked = stacked.reshape(B, D, K * D)
+    zn, mn, pn = _taped(z), _taped(means), _taped(packed)
     step = max(1, _LATENT_BLOCK // max(1, M * K * D))
     blocks = [slice(lo, lo + step) for lo in range(0, B, step)]
 
@@ -487,41 +501,38 @@ def mixture_latent(z: Tensor, means: Tensor, chol: Tensor, xi: np.ndarray) -> Te
     def bwd(g):
         if mn:
             _accumulate(mn, np.swapaxes(z_data, 1, 2) @ g)
-        gs = np.empty((B, D, K * D)) if cn else None
+        gs = np.empty((B, D, K * D)) if pn else None
         gz = g @ np.swapaxes(means_data, 1, 2) if zn else None
         for blk in blocks:
-            if cn:
+            if pn:
                 np.matmul(np.swapaxes(g[blk], 1, 2), weighted(blk), out=gs[blk])
             if zn:
                 gz[blk] += np.einsum("bmke,bmke->bmk",
                                      (g[blk] @ stacked[blk]).reshape(-1, M, K, D), xi[blk])
-        if cn:
-            _accumulate(cn, gs.reshape(B, D, K, D).transpose(0, 2, 1, 3))
+        if pn:
+            # The gather mirrors the scatter. Its strides set the order in which
+            # the head's factor bias sums this gradient over the batch: a
+            # contiguous gather moves that sum's last bits.
+            _accumulate(pn, gs.reshape(B, D, K, D).transpose(0, 2, 1, 3)[..., rows, cols])
         if zn:
             _accumulate(zn, gz)
 
-    return _record(out_data, "mixture_latent", (zn, mn, cn), bwd)
-
-
-def _tril_indices(packed: Tensor, dim: int, op: str) -> tuple:
-    """(rows, cols) of the D x D lower triangle in row-major order, after
-    checking that the last axis of `packed` holds D(D+1)/2 entries."""
-    D = int(dim)
-    if packed.ndim < 1 or packed.shape[-1] != D * (D + 1) // 2:
-        raise ShapeError(f"{op}: expected last axis {D * (D + 1) // 2} "
-                         f"(D={D}), got shape {packed.shape}")
-    return np.tril_indices(D)
+    return _record(out_data, "mixture_latent", (zn, mn, pn), bwd)
 
 
 def tril_activate(packed: Tensor, dim: int, t_sigma: float, floor: float) -> Tensor:
     """Cholesky entries from raw row-major lower triangles, (..., D(D+1)/2) each.
 
     Entries are divided by t_sigma (as a multiplication by 1/t_sigma); the
-    diagonal ones then become softplus(.) + floor, so every factor that
-    `tril_scatter` builds from them has a positive diagonal. The backward
-    keeps the scaled diagonal entries, not the output.
+    diagonal ones then become softplus(.) + floor, so every factor built from
+    them has a positive diagonal. The backward keeps the scaled diagonal
+    entries, not the output.
     """
-    rows, cols = _tril_indices(packed, dim, "tril_activate")
+    D = int(dim)
+    if packed.ndim < 1 or packed.shape[-1] != D * (D + 1) // 2:
+        raise ShapeError(f"tril_activate: expected last axis {D * (D + 1) // 2} "
+                         f"(D={D}), got shape {packed.shape}")
+    rows, cols = np.tril_indices(D)
     diag = np.flatnonzero(rows == cols)
     c = 1.0 / float(t_sigma)
     out_data = packed.data * c
@@ -535,21 +546,6 @@ def tril_activate(packed: Tensor, dim: int, t_sigma: float, floor: float) -> Ten
         _accumulate(pn, gp)
 
     return _record(out_data, "tril_activate", (pn,), bwd)
-
-
-def tril_scatter(packed: Tensor, dim: int) -> Tensor:
-    """Row-major lower triangles into D x D blocks: (..., D(D+1)/2) -> (..., D, D).
-    The upper triangle is zero and has no parameters; the backward keeps only
-    the triangle's indices."""
-    rows, cols = _tril_indices(packed, dim, "tril_scatter")
-    out_data = np.zeros((*packed.shape[:-1], int(dim), int(dim)))
-    out_data[..., rows, cols] = packed.data
-    pn = _taped(packed)
-
-    def bwd(g):
-        _accumulate(pn, g[..., rows, cols])
-
-    return _record(out_data, "tril_scatter", (pn,), bwd)
 
 
 def margin(logits: Tensor, y: np.ndarray, kappa: float, sign: int) -> Tensor:
@@ -613,21 +609,23 @@ def cross_entropy(logits: Tensor, y: np.ndarray) -> Tensor:
 
 def gumbel_softmax(logits: Tensor, noise: np.ndarray, tau: float) -> Tensor:
     """softmax((log softmax(logits) + noise) / tau) along the last axis, for a
-    constant `noise` of the logits' shape that gets no gradient."""
+    constant `noise` that gets no gradient and logits that broadcast to its
+    shape: the log softmax is taken once per row of the logits, and the
+    backward sums the gradients of the noise rows that share one."""
     noise = np.asarray(noise, dtype=np.float64)
-    if noise.shape != logits.shape:
-        raise ShapeError(f"gumbel_softmax: noise shape {noise.shape} is not the "
-                         f"logits' {logits.shape}")
+    if not _broadcasts_to(logits.shape, noise.shape):
+        raise ShapeError(f"gumbel_softmax: logits shape {logits.shape} does not "
+                         f"broadcast to the noise's {noise.shape}")
     c = 1.0 / float(tau)
     log_pi = _log_softmax(logits.data)
     s = (log_pi + noise) * c
     e = np.exp(s - s.max(axis=-1, keepdims=True))
     out_data = e / e.sum(axis=-1, keepdims=True)
-    ln = _taped(logits)
+    ln, shape = _taped(logits), logits.shape
 
     def bwd(g):
         gs = out_data * (g - (g * out_data).sum(axis=-1, keepdims=True)) * c
-        _accumulate(ln, _log_softmax_grad(log_pi, gs))
+        _accumulate(ln, _unbroadcast(_log_softmax_grad(log_pi, gs), shape))
 
     return _record(out_data, "gumbel_softmax", (ln,), bwd)
 
@@ -669,11 +667,7 @@ def budget(u: Tensor, gamma: float, base: np.ndarray | None = None) -> Tensor:
     gamma = float(gamma)
     if base is not None:
         base = np.asarray(base, dtype=np.float64)
-        try:
-            fits = np.broadcast_shapes(base.shape, u.shape) == u.shape
-        except ValueError:
-            fits = False
-        if not fits:
+        if not _broadcasts_to(base.shape, u.shape):
             raise ShapeError(f"budget: base shape {base.shape} does not broadcast "
                              f"to {u.shape}")
     x, shape = u.data, u.shape

@@ -251,12 +251,13 @@ def train_generator(clf: Classifier, split: SplitDataset, cfg: TrainConfig,
     Per epoch: set `generator.temps` to the epoch's annealed temperatures,
     draw M relaxed perturbations per input, average the margin loss over all
     batch x M samples, step Adam, and log probe metrics; the generator ends at
-    the temperatures of the last epoch it ran. Non-finite losses abort the
-    epoch and roll back to the last good state. Randomness is keyed by (seed,
-    purpose, epoch, batch), so a restored run replays exactly like an
-    uninterrupted one. A step's tape keeps only what its backward reads, so
-    the perturbed rows, the head's outputs and the unpacked factors are freed
-    with the forward, and the tape itself once its backward has run.
+    the temperatures of the last epoch run, the resumed checkpoint's when no
+    epoch is left. Non-finite losses abort the epoch and roll back to the
+    last good state. Randomness is keyed by (seed, purpose, epoch, batch), so
+    a restored run replays exactly like an uninterrupted one. A step's tape
+    keeps only what its backward reads, so the perturbed rows and the head's
+    outputs are freed with the forward, and the tape itself once its backward
+    has run.
 
     Every checkpoint is a resume point: `_state` (parameters and Adam's
     moments), the RunState and the fingerprint of `clf`; `ckpt_best.json`,
@@ -284,6 +285,7 @@ def train_generator(clf: Classifier, split: SplitDataset, cfg: TrainConfig,
                 f"so resume with the same TrainConfig")
         run = replace(resume.run)  # the loop advances its own copy
         _load_state(generator, opt, resume.tensors, run.adam_t)
+        generator.temps = resume.temps
 
     probe_rng = substream(cfg.seed, PROBE)
     probe_n = min(cfg.probe_size, test.n)

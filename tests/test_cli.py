@@ -61,6 +61,25 @@ def test_export_samples_writes_every_draw_reproducibly(trained, tmp_path):
             assert max(abs(v) for v in values) <= 16 / 255
 
 
+def test_output_dir_is_a_root_each_command_writes_under(tmp_path):
+    # Without --out, each command writes its own run directory under the
+    # config's output_dir, so evaluating and exporting leave the training
+    # run's files as they were.
+    root = tmp_path / "runs" / "x"
+    config = _write(tmp_path, {**TINY, "output_dir": str(root)})
+    common = ["--config", config, "--seed", "3"]
+    assert cli.main(["train", *common]) == 0
+    run = root / "train-seed3"
+    written = {p.name: p.read_bytes() for p in run.iterdir()}
+    checkpoint = ["--checkpoint", str(run / "ckpt_latest.json")]
+    assert cli.main(["evaluate", *common, *checkpoint]) == 0
+    assert cli.main(["export-samples", *common, *checkpoint, "--per-input", "2"]) == 0
+    assert sorted(p.name for p in root.iterdir()) == [
+        "evaluate-seed3", "samples-seed3", "train-seed3"]
+    assert {p.name: p.read_bytes() for p in run.iterdir()} == written
+    assert (root / "evaluate-seed3" / "report.json").read_bytes() == written["report.json"]
+
+
 def test_export_samples_draws_eight_per_input_by_default(trained, tmp_path):
     config, run = trained
     out = tmp_path / "samples"

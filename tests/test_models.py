@@ -13,6 +13,7 @@ from nppr.optim import Adam
 from nppr.rng import CLASSIFIER, substream
 from nppr.tensor import Tensor
 from nppr.upsample import UpsamplerConfig
+from test_tensor import unpack
 
 
 @pytest.fixture(scope="module")
@@ -212,7 +213,7 @@ class TestHeads:
         head = _head(DependencyMode.INPUT, K=2, latent=3)
         head._named["head.chol_w"].data = np.random.default_rng(4).normal(size=(8, 2 * 6))
         feats = Tensor(np.random.default_rng(5).normal(size=(3, 5)))
-        chol = T.tril_scatter(head.forward(features=feats).chol_packed, 3).data
+        chol = unpack(head.forward(features=feats).chol_packed.data, 3)
         upper = np.triu(chol, k=1)
         np.testing.assert_array_equal(upper, np.zeros_like(upper))
         diags = chol[:, :, np.arange(3), np.arange(3)]

@@ -14,9 +14,11 @@ from nppr.models import (Classifier, ClassifierConfig, DependencyMode, GmmParams
                          Temperatures)
 from nppr.rng import EVAL, substream
 from nppr.sampling import (AnnealSchedule, GumbelConfig, anneal_value, categorical_exact,
-                           gumbel_softmax_sample, sample_exact, sample_perturbations)
+                           gumbel_noise, gumbel_softmax_sample, sample_exact,
+                           sample_perturbations)
 from nppr.tensor import Tensor
 from nppr.upsample import UpsamplerConfig
+from test_tensor import unpack
 
 
 def _pack(chol):
@@ -35,7 +37,7 @@ def _params(pi_logits, means, chol):
 
 def _full(params):
     """The (B, K, D, D) factors of packed mixture parameters."""
-    return T.tril_scatter(params.chol_packed, params.latent_dim).data
+    return unpack(params.chol_packed.data, params.latent_dim)
 
 
 def _rows(params, part):
@@ -53,21 +55,21 @@ class TestGumbelSoftmax:
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(0)
         logits = Tensor(rng.normal(size=(6, 4)))
-        z = gumbel_softmax_sample(logits, tau=0.7, rng=rng)
-        assert np.all(z.data >= 0)
-        np.testing.assert_allclose(z.data.sum(axis=1), 1.0, atol=1e-9)
+        z = gumbel_softmax_sample(logits, 3, tau=0.7, rng=rng)
+        assert z.shape == (6, 3, 4) and np.all(z.data >= 0)
+        np.testing.assert_allclose(z.data.sum(axis=2), 1.0, atol=1e-9)
 
     def test_dominated_logit_is_one_hot(self):
         logits = Tensor(np.array([[35.0, 0.0, -2.0]]))
-        z = gumbel_softmax_sample(logits, tau=1.0, rng=np.random.default_rng(1))
-        np.testing.assert_allclose(z.data, [[1.0, 0.0, 0.0]], atol=1e-9)
+        z = gumbel_softmax_sample(logits, 1, tau=1.0, rng=np.random.default_rng(1))
+        np.testing.assert_allclose(z.data, [[[1.0, 0.0, 0.0]]], atol=1e-9)
 
     def test_argmax_frequency_matches_pi(self):
         # Gumbel-argmax is exactly Categorical(pi); tau only smooths the vector.
         pi = np.array([0.7, 0.3])
-        logits = Tensor(np.log(pi)[None, :].repeat(10_000, axis=0))
-        z = gumbel_softmax_sample(logits, tau=0.1, rng=np.random.default_rng(2))
-        freq = float(np.mean(z.data.argmax(axis=1) == 0))
+        logits = Tensor(np.log(pi)[None, :])
+        z = gumbel_softmax_sample(logits, 10_000, tau=0.1, rng=np.random.default_rng(2))
+        freq = float(np.mean(z.data.argmax(axis=2) == 0))
         assert abs(freq - 0.7) <= 0.02
 
     def test_tau_to_zero_recovers_argmax(self):
@@ -90,11 +92,11 @@ class TestGumbelSoftmax:
     def test_gradient_with_frozen_noise(self):
         """d(loss)/d(pi_logits) through the relaxation vs finite differences,
         with common random numbers."""
-        probe = np.random.default_rng(5).normal(size=(4, 3))
+        probe = np.random.default_rng(5).normal(size=(4, 2, 3))
 
         def run(logits_arr, requires_grad):
             logits = Tensor(logits_arr, requires_grad=requires_grad)
-            z = gumbel_softmax_sample(logits, tau=0.5, rng=np.random.default_rng(42))
+            z = gumbel_softmax_sample(logits, 2, tau=0.5, rng=np.random.default_rng(42))
             return logits, T.reduce_sum(T.mul(z, T.constant(probe)))
 
         base = np.random.default_rng(6).normal(size=(4, 3))
@@ -113,7 +115,7 @@ class TestGumbelSoftmax:
 
     def test_tau_guard(self):
         with pytest.raises(ValueError, match="tau"):
-            gumbel_softmax_sample(Tensor(np.zeros((1, 2))), 0.0, np.random.default_rng(0))
+            gumbel_softmax_sample(Tensor(np.zeros((1, 2))), 1, 0.0, np.random.default_rng(0))
 
 
 class TestSamplePerturbations:
@@ -233,9 +235,9 @@ class TestMixtureLatentSampler:
             rng = np.random.default_rng(20)
             if fused:
                 latent = sample_perturbations(params, M=6, tau=0.6, rng=rng).latent
-            else:
+            else:  # the logits copied to every draw, as one row of noise each reads them
                 pi_b = T.broadcast_to(T.reshape(params.pi_logits, (5, 1, 3)), (5, 6, 3))
-                z = gumbel_softmax_sample(pi_b, 0.6, rng)
+                z = T.gumbel_softmax(pi_b, gumbel_noise(rng, (5, 6, 3)), 0.6)
                 latent = _four_op_latent(params, z, rng.standard_normal((5, 6, 3, 4)))
             T.reduce_sum(T.mul(latent, probe)).backward()
             results.append([latent.data, params.pi_logits.grad, params.means.grad,
@@ -496,49 +498,60 @@ class TestPackedFactors:
         with T.no_grad():
             params = gen.gmm_params(x, y)
         assert params.chol_packed.shape == (11, 3, 10)
-        full = T.tril_scatter(params.chol_packed, 4).data
+        full = _full(params)
         whole = sample_exact(params, 6, np.random.default_rng(43).spawn(11))
         streams = np.random.default_rng(43).spawn(11)
         for lo, hi in ((0, 1), (1, 3), (3, 10), (10, 11)):
             rows = params.rows(slice(lo, hi))
-            np.testing.assert_array_equal(T.tril_scatter(rows.chol_packed, 4).data, full[lo:hi])
+            np.testing.assert_array_equal(_full(rows), full[lo:hi])
             piece = sample_exact(rows, 6, streams[lo:hi])
             np.testing.assert_array_equal(piece.latent.data, whole.latent.data[lo:hi])
 
-    @pytest.mark.parametrize("mode", [DependencyMode.LABEL, DependencyMode.INDEPENDENT],
-                             ids=lambda m: m.value)
+    @pytest.mark.parametrize("mode", [DependencyMode.LABEL, DependencyMode.INDEPENDENT,
+                                      DependencyMode.JOINT], ids=lambda m: m.value)
     def test_global_factor_bias_gradient_keeps_its_bits(self, mode):
         # Before, the head unpacked the one global factor set, broadcast the
         # (K, D, D) factors over the batch, and its backward summed their
         # gradient over the batch before gathering the triangle. Now the
         # packed entries are broadcast and unpacked per row; the gradient must
-        # sum the same elements in the same order.
+        # sum the same elements in the same order. A joint head's factor bias
+        # sums, over the batch, the gradient each row's factors had when they
+        # were unpacked by their own op. The order of either sum follows the
+        # strides of the gradient gathered per row, which 7 rows cannot show
+        # and 128 do.
         gen = _mode_generator(mode)
-        B, M, K, D = 7, 5, 3, 4
-        labels = np.array([0, 1, 2, 1, 0, 2, 2])
-        probe = T.constant(np.random.default_rng(44).normal(size=(B, M, D)))
-        params = gen.head.forward(labels=labels, batch_size=B, temps=Temperatures(T_sigma=1.3))
-        T.reduce_sum(T.mul(sample_perturbations(params, M, 0.7, np.random.default_rng(45)).latent,
-                           probe)).backward()
-        new = gen.head.named_params()["head.chol_b"].grad
+        B, M, K, D = 128, 5, 3, 4
+        rng = np.random.default_rng(44)
+        x, labels, probe = rng.normal(size=(B, 3)), rng.integers(0, 3, B), rng.normal(size=(B, M, D))
+        gen.temps = Temperatures(T_sigma=1.3)
+        batch = sample_perturbations(gen.gmm_params(x, labels), M, 0.7, np.random.default_rng(45))
+        T.reduce_sum(T.mul(batch.latent, T.constant(probe))).backward()
+        p = gen.head.named_params()
+        new = p["head.chol_b"].grad
 
-        # The old chain's gradient, from the one reaching the full factors.
-        with T.no_grad():
-            params = gen.head.forward(labels=labels, batch_size=B,
-                                      temps=Temperatures(T_sigma=1.3))
-        full = Tensor(T.tril_scatter(params.chol_packed, D).data, requires_grad=True)
-        rng = np.random.default_rng(45)
-        pi_b = T.broadcast_to(T.reshape(params.pi_logits, (B, 1, K)), (B, M, K))
-        z = gumbel_softmax_sample(pi_b, 0.7, rng)
-        latent = T.mixture_latent(z, params.means, full, rng.standard_normal((B, M, K, D)))
-        T.reduce_sum(T.mul(latent, probe)).backward()
+        # The old chain's gradient, from the one reaching the full factors:
+        # g^T (z*xi) per input, as (B, K, D, D) views of (B, D, K*D).
+        weighted = batch.relaxed_weights.data[..., None] * batch.component_draws
+        full = (np.swapaxes(probe, 1, 2) @ weighted.reshape(B, M, K * D))
+        full = full.reshape(B, D, K, D).transpose(0, 2, 1, 3)
         rows, cols = np.tril_indices(D)
         diag = np.flatnonzero(rows == cols)
         c = 1.0 / 1.3
-        scaled_diag = (gen.head.named_params()["head.chol_b"].data.reshape(K, -1) * c)[:, diag]
-        old = full.grad.sum(axis=(0,))[..., rows, cols]
-        old[..., diag] *= T._sigmoid(scaled_diag)
-        np.testing.assert_array_equal(new, (old * c).reshape(-1))
+        if mode == DependencyMode.JOINT:
+            with T.no_grad():
+                trunk = gen.head._trunk(gen.clf.features(T.constant(x)), gen.temps)
+                raw = T.dense(trunk, (p["head.chol_w"], p["head.chol_b"])).data
+            per_row = full[..., rows, cols]
+            old = per_row * c
+            old[..., diag] = (per_row[..., diag] * T._sigmoid(
+                (raw.reshape(B, K, -1) * c)[..., diag])) * c
+            old = old.reshape(B, -1).sum(axis=0)
+        else:
+            scaled_diag = (p["head.chol_b"].data.reshape(K, -1) * c)[:, diag]
+            old = full.sum(axis=(0,))[..., rows, cols]
+            old[..., diag] *= T._sigmoid(scaled_diag)
+            old = (old * c).reshape(-1)
+        np.testing.assert_array_equal(new, old)
 
     @pytest.mark.parametrize("mode", [DependencyMode.LABEL, DependencyMode.INDEPENDENT],
                              ids=lambda m: m.value)
@@ -561,12 +574,10 @@ class TestPackedFactors:
             means, chol = (Tensor(t.data, requires_grad=True) for t in leaves)
             rng = np.random.default_rng(48)
             z = T.constant(rng.dirichlet(np.ones(K), size=(B, M)))
-            latent = T.mixture_latent(z, means, T.tril_scatter(chol, D),
-                                      rng.standard_normal((B, M, K, D)))
+            latent = T.mixture_latent(z, means, chol, rng.standard_normal((B, M, K, D)))
             T.reduce_sum(T.mul(latent, T.constant(rng.normal(size=(B, M, D))))).backward()
             return [*(t.data for t in (rows.pi_logits, rows.means, rows.chol_packed)),
-                    exact.latent.data, exact.relaxed_weights.data,
-                    T.tril_scatter(params.chol_packed, D).data, latent.data, means.grad,
+                    exact.latent.data, exact.relaxed_weights.data, latent.data, means.grad,
                     chol.grad]
 
         copied = GmmParams(*(T.constant(np.ascontiguousarray(t.data))

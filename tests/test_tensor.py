@@ -59,6 +59,14 @@ def check_grads(build, leaves, tol=1e-5):
         assert np.all(err <= tol * (1.0 + np.abs(fd))), f"max err {err.max()} vs fd {fd}"
 
 
+def unpack(packed, D):
+    """Row-major lower triangles, (..., D(D+1)/2), as D x D blocks whose upper
+    triangle is zero."""
+    full = np.zeros((*np.shape(packed)[:-1], D, D))
+    full[(..., *np.tril_indices(D))] = packed
+    return full
+
+
 class TestForwardExamples:
     def test_softplus_zero(self):
         assert T.softplus(Tensor(0.0)).item() == pytest.approx(np.log(2.0), abs=1e-12)
@@ -142,7 +150,16 @@ def _mixture_latent_case(r):
     xi = r.normal(size=(2, 3, 2, 3))  # (B, M, K, D) constant noise, closed over
     return (lambda ts: T.reduce_sum(T.mul(T.mixture_latent(ts[0], ts[1], ts[2], xi), ts[3])),
             [r.uniform(0, 1, (2, 3, 2)), r.uniform(-1, 1, (2, 2, 3)),
-             r.uniform(-1, 1, (2, 2, 3, 3)), r.uniform(-2, 2, (2, 3, 3))])
+             r.uniform(-1, 1, (2, 2, 6)), r.uniform(-2, 2, (2, 3, 3))])
+
+
+def _tril_factor_case(r):
+    """The head's activation of packed factors, applied by the mixture."""
+    z, means = r.dirichlet(np.ones(2), size=(2, 3)), r.uniform(-1, 1, (2, 2, 3))
+    xi = r.normal(size=(2, 3, 2, 3))  # constants, closed over
+    return (lambda ts: T.reduce_sum(T.mul(T.mixture_latent(
+        T.constant(z), T.constant(means), T.tril_activate(ts[0], 3, 0.7, 1e-6), xi), ts[1])),
+        [r.uniform(-2, 2, (2, 2, 6)), r.uniform(-2, 2, (2, 3, 3))])
 
 
 def _margin_case(sign):
@@ -167,10 +184,14 @@ def _dense_case(widths):
     return case
 
 
-def _gumbel_softmax_case(r):
-    noise = r.gumbel(size=(2, 3, 4))  # constant, closed over
-    return (lambda ts: T.reduce_sum(T.mul(T.gumbel_softmax(ts[0], noise, 0.6), ts[1])),
-            [r.uniform(-2, 2, (2, 3, 4)), r.uniform(-2, 2, (2, 3, 4))])
+def _gumbel_softmax_case(logits_shape):
+    """Logits of `logits_shape` under (2, 3, 4) noise: one row per noise row,
+    or one per input that its draws share."""
+    def case(r):
+        noise = r.gumbel(size=(2, 3, 4))  # constant, closed over
+        return (lambda ts: T.reduce_sum(T.mul(T.gumbel_softmax(ts[0], noise, 0.6), ts[1])),
+                [r.uniform(-2, 2, logits_shape), r.uniform(-2, 2, (2, 3, 4))])
+    return case
 
 
 def _budget_base_case(r):
@@ -197,9 +218,7 @@ PER_OP_CASES = {
                                      [r.uniform(-1, 1, (2, 1, 3, 4)),
                                       r.uniform(-1, 1, (5, 4, 2))]),
     "mixture_latent": _mixture_latent_case,
-    "tril_factor": lambda r: (lambda ts: T.reduce_sum(T.mul(
-        T.tril_scatter(T.tril_activate(ts[0], 3, 0.7, 1e-6), 3), ts[1])),
-        [r.uniform(-2, 2, (2, 6)), r.uniform(-2, 2, (2, 3, 3))]),
+    "tril_factor": _tril_factor_case,
     "budget": lambda r: (lambda ts: T.reduce_sum(T.mul(T.budget(ts[0], 0.4), ts[1])),
                          [r.uniform(-2, 2, (3, 4)), r.uniform(-2, 2, (3, 4))]),
     "budget_base": _budget_base_case,
@@ -213,7 +232,8 @@ PER_OP_CASES = {
     "tanh": lambda r: (lambda ts: T.reduce_sum(T.tanh(ts[0])), [r.uniform(-2, 2, (6,))]),
     "cross_entropy": lambda r: (lambda ts: T.cross_entropy(ts[0], np.array([0, 3, 1])),
                                 [r.uniform(-2, 2, (3, 4))]),
-    "gumbel_softmax": _gumbel_softmax_case,
+    "gumbel_softmax": _gumbel_softmax_case((2, 3, 4)),
+    "gumbel_softmax_shared": _gumbel_softmax_case((2, 1, 4)),
     "margin": _margin_case(1),
     "margin_cw": _margin_case(-1),
     "unit_rows": lambda r: (lambda ts: T.reduce_sum(T.mul(T.unit_rows(ts[0]), ts[1])),
@@ -502,28 +522,35 @@ class TestUnsavedOutputsAreFreed:
 
         self._check(build, [rng.normal(size=(6, 8))])
 
-    def test_tril_activate_output_feeding_tril_scatter(self):
+    @staticmethod
+    def _mixture_leaves(rng, B, M, K, D):
+        return [rng.dirichlet(np.ones(K), size=(B, M)), rng.normal(size=(B, K, D)),
+                rng.normal(size=(B, K, D * (D + 1) // 2))]
+
+    def test_tril_activate_output_feeding_mixture_latent(self):
+        # The activated packed factors go once the mixture has scattered them.
         rng = np.random.default_rng(52)
-        probe = T.constant(rng.normal(size=(4, 2, 3, 3)))
+        B, M, K, D = 4, 5, 2, 3
+        xi = rng.standard_normal((B, M, K, D))
+        probe = T.constant(rng.normal(size=(B, M, D)))
 
         def build(ts):
-            out = T.tril_activate(ts[0], 3, 0.7, CHOL_DIAG_FLOOR)
-            return out, T.reduce_sum(T.mul(T.tril_scatter(out, 3), probe))
+            out = T.tril_activate(ts[2], D, 0.7, CHOL_DIAG_FLOOR)
+            return out, T.reduce_sum(T.mul(T.mixture_latent(ts[0], ts[1], out, xi), probe))
 
-        self._check(build, [rng.normal(size=(4, 2, 6))])
+        self._check(build, self._mixture_leaves(rng, B, M, K, D))
 
-    def test_tril_scatter_output_feeding_mixture_latent(self):
+    def test_mixture_latent_output_feeding_a_product(self):
         rng = np.random.default_rng(53)
         B, M, K, D = 3, 5, 2, 3
         xi = rng.standard_normal((B, M, K, D))
         probe = T.constant(rng.normal(size=(B, M, D)))
 
         def build(ts):
-            out = T.tril_scatter(ts[2], D)
-            return out, T.reduce_sum(T.mul(T.mixture_latent(ts[0], ts[1], out, xi), probe))
+            out = T.mixture_latent(*ts, xi)
+            return out, T.reduce_sum(T.mul(out, probe))
 
-        self._check(build, [rng.dirichlet(np.ones(K), size=(B, M)), rng.normal(size=(B, K, D)),
-                            rng.normal(size=(B, K, D * (D + 1) // 2))])
+        self._check(build, self._mixture_leaves(rng, B, M, K, D))
 
     @pytest.mark.parametrize("widths", [(5, 3), (5, 6, 3), (5, 6, 4, 3)])
     def test_frozen_dense_keeps_only_relu_masks(self, widths):
@@ -623,30 +650,30 @@ class TestNoGrad:
 class TestMixtureLatent:
     @pytest.mark.parametrize("shared", [False, True], ids=["per_row", "broadcast"])
     def test_matches_einsum_reference(self, shared):
-        # `shared` builds chol by broadcast_to from one (1,K,D,D) factor, as the
+        # `shared` broadcasts one (1,K,D(D+1)/2) set of packed factors, as the
         # label head does.
         rng = np.random.default_rng(5)
         B, M, K, D = 4, 6, 3, 5
         z = rng.dirichlet(np.ones(K), size=(B, M))
         means = rng.normal(size=(B, K, D))
-        raw = np.tril(rng.normal(size=(1 if shared else B, K, D, D)))
+        raw = rng.normal(size=(1 if shared else B, K, D * (D + 1) // 2))
         xi = rng.standard_normal((B, M, K, D))
         probe = rng.normal(size=(B, M, D))
         leaves = [Tensor(a.copy(), requires_grad=True) for a in (z, means, raw)]
-        chol = T.broadcast_to(leaves[2], (B, K, D, D)) if shared else leaves[2]
-        out = T.mixture_latent(leaves[0], leaves[1], chol, xi)
+        packed = T.broadcast_to(leaves[2], (B, *raw.shape[1:])) if shared else leaves[2]
+        out = T.mixture_latent(leaves[0], leaves[1], packed, xi)
         T.reduce_sum(T.mul(out, T.constant(probe))).backward()
 
-        full = np.broadcast_to(raw, (B, K, D, D))
+        full = np.broadcast_to(unpack(raw, D), (B, K, D, D))
         lx = np.einsum("bkde,bmke->bmkd", full, xi)
         ref = np.einsum("bmk,bmkd->bmd", z, means[:, None] + lx)
         grad_z = np.einsum("bmd,bmkd->bmk", probe, means[:, None] + lx)
         grad_means = np.einsum("bmk,bmd->bkd", z, probe)
-        grad_chol = np.einsum("bmd,bmk,bmke->bkde", probe, z, xi)
+        grad_packed = np.einsum("bmd,bmk,bmke->bkde", probe, z, xi)[(..., *np.tril_indices(D))]
         if shared:
-            grad_chol = grad_chol.sum(axis=0, keepdims=True)
+            grad_packed = grad_packed.sum(axis=0, keepdims=True)
         for got, want in ((out.data, ref), (leaves[0].grad, grad_z),
-                          (leaves[1].grad, grad_means), (leaves[2].grad, grad_chol)):
+                          (leaves[1].grad, grad_means), (leaves[2].grad, grad_packed)):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_one_hot_weights_pick_one_component(self):
@@ -655,9 +682,10 @@ class TestMixtureLatent:
         pick = rng.integers(0, K, size=(B, M))
         z = np.eye(K)[pick]
         means = rng.normal(size=(B, K, D))
-        chol = np.tril(rng.normal(size=(B, K, D, D)))
+        packed = rng.normal(size=(B, K, D * (D + 1) // 2))
+        chol = unpack(packed, D)
         xi = rng.standard_normal((B, M, K, D))
-        out = T.mixture_latent(Tensor(z), Tensor(means), Tensor(chol), xi).data
+        out = T.mixture_latent(Tensor(z), Tensor(means), Tensor(packed), xi).data
         # The other components enter as exact zeros; only the order in which
         # the D terms of L_z xi_z are summed may differ from a matrix-vector product.
         for b, m in np.ndindex(B, M):
@@ -666,19 +694,20 @@ class TestMixtureLatent:
                                        rtol=0, atol=1e-14)
 
     @staticmethod
-    def _unblocked(z, means, chol, xi, g):
+    def _unblocked(z, means, packed, xi, g):
         """The op's products over every input at once: the output and the
-        gradients of z, the means and chol for the gradient g reaching it."""
+        gradients of z, the means and the packed factors for the gradient g
+        reaching it."""
         B, M, K = z.shape
         D = means.shape[-1]
-        stacked = chol.transpose(0, 2, 1, 3).reshape(B, D, K * D)
+        stacked = unpack(packed, D).transpose(0, 2, 1, 3).reshape(B, D, K * D)
         weighted = (z[..., None] * xi).reshape(B, M, K * D)
         out = z @ means
         out += weighted @ np.swapaxes(stacked, 1, 2)
         grad_z = g @ np.swapaxes(means, 1, 2)
         grad_z += np.einsum("bmke,bmke->bmk", (g @ stacked).reshape(B, M, K, D), xi)
         grad_chol = (np.swapaxes(g, 1, 2) @ weighted).reshape(B, D, K, D).transpose(0, 2, 1, 3)
-        return out, grad_z, np.swapaxes(z, 1, 2) @ g, grad_chol
+        return out, grad_z, np.swapaxes(z, 1, 2) @ g, grad_chol[(..., *np.tril_indices(D))]
 
     @pytest.mark.parametrize("extra", [None, -1, 0, 1])
     def test_inputs_around_a_block_match_the_unblocked_products(self, extra):
@@ -688,7 +717,7 @@ class TestMixtureLatent:
         B = 1 if extra is None else block + extra
         rng = np.random.default_rng(40 + B)
         arrays = (rng.dirichlet(np.ones(K), size=(B, M)), rng.normal(size=(B, K, D)),
-                  np.tril(rng.normal(size=(B, K, D, D))))
+                  rng.normal(size=(B, K, D * (D + 1) // 2)))
         xi, probe = rng.standard_normal((B, M, K, D)), rng.normal(size=(B, M, D))
         leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
         out = T.mixture_latent(*leaves, xi)
@@ -700,12 +729,13 @@ class TestMixtureLatent:
     def test_forward_and_backward_hold_one_block(self):
         # z*xi for every input is 4 MiB here and a block of it 1 MiB: neither
         # pass holds an array of the former's size, also not on top of its
-        # 0.5 MiB output and the 1 MiB stacked factors.
+        # 0.5 MiB output, the 1 MiB factors scattered from their packed
+        # triangles and the 0.5 MiB gradient gathered back to them.
         B, M, K, D = 64, 64, 8, 16
         rng = np.random.default_rng(41)
         leaves = [Tensor(a, requires_grad=True)
                   for a in (rng.dirichlet(np.ones(K), size=(B, M)), rng.normal(size=(B, K, D)),
-                            np.tril(rng.normal(size=(B, K, D, D))))]
+                            rng.normal(size=(B, K, D * (D + 1) // 2)))]
         xi, probe = rng.standard_normal((B, M, K, D)), T.constant(rng.normal(size=(B, M, D)))
         full = B * M * K * D * 8
         assert full >= 4 * T._LATENT_BLOCK * 8
@@ -729,9 +759,16 @@ class TestMixtureLatent:
     def test_shape_guard(self, xi_shape):
         z = Tensor(np.zeros((2, 5, 3)), requires_grad=True)
         means = Tensor(np.zeros((2, 3, 4)))
-        chol = Tensor(np.zeros((2, 3, 4, 4)), requires_grad=True)
+        packed = Tensor(np.zeros((2, 3, 10)), requires_grad=True)
         with pytest.raises(ShapeError, match="mixture_latent"):
-            T.mixture_latent(z, means, chol, np.zeros(xi_shape))
+            T.mixture_latent(z, means, packed, np.zeros(xi_shape))
+
+    @pytest.mark.parametrize("packed_shape", [(2, 3, 9), (2, 3, 4, 4)])
+    def test_packed_shape_guard(self, packed_shape):
+        z = Tensor(np.zeros((2, 5, 3)), requires_grad=True)
+        means = Tensor(np.zeros((2, 3, 4)))
+        with pytest.raises(ShapeError, match="mixture_latent"):
+            T.mixture_latent(z, means, Tensor(np.zeros(packed_shape)), np.zeros((2, 5, 3, 4)))
 
 
 class TestTrilFactor:
@@ -753,20 +790,24 @@ class TestTrilFactor:
 
     @pytest.mark.parametrize("t_sigma", [1.0, 0.37])
     def test_matches_mask_chain(self, t_sigma):
-        # The factors are the head's activation, then the sampler's scatter.
+        # The factors are the head's activation, unpacked as the samplers do.
+        # The chain's upper triangle is a constant zero, so the probe's upper
+        # triangle reaches no gradient.
         rng = np.random.default_rng(9)
         B, K, D = 4, 3, 5
         packed = rng.normal(0.0, 2.0, size=(B, K, D * (D + 1) // 2))
-        probe = T.constant(rng.normal(size=(B, K, D, D)))
+        probe = rng.normal(size=(B, K, D, D))
         results = []
-        for build in (lambda t: T.tril_scatter(T.tril_activate(t, D, t_sigma, CHOL_DIAG_FLOOR), D),
-                      lambda t: self._mask_chain(t, D, t_sigma)):
+        for build, weights in (
+                (lambda t: T.tril_activate(t, D, t_sigma, CHOL_DIAG_FLOOR),
+                 probe[(..., *np.tril_indices(D))]),
+                (lambda t: self._mask_chain(t, D, t_sigma), probe)):
             leaf = Tensor(packed.copy(), requires_grad=True)
             out = build(leaf)
-            T.reduce_sum(T.mul(out, probe)).backward()
+            T.reduce_sum(T.mul(out, T.constant(weights))).backward()
             results.append((out.data, leaf.grad))
         (out_op, grad_op), (out_chain, grad_chain) = results
-        np.testing.assert_array_equal(out_op, out_chain)
+        np.testing.assert_array_equal(unpack(out_op, D), out_chain)
         np.testing.assert_allclose(grad_op, grad_chain, rtol=0, atol=1e-12)
 
     def test_activate_keeps_the_packed_shape(self):
@@ -781,8 +822,6 @@ class TestTrilFactor:
         packed = Tensor(np.zeros((2, 3, 9)), requires_grad=True)
         with pytest.raises(ShapeError, match="tril_activate"):
             T.tril_activate(packed, 4, 1.0, CHOL_DIAG_FLOOR)
-        with pytest.raises(ShapeError, match="tril_scatter"):
-            T.tril_scatter(packed, 4)
 
 
 class TestBudget:
@@ -1024,9 +1063,27 @@ class TestGumbelSoftmax:
         # larger terms; it keeps their round-off (~1e-17), not its own.
         np.testing.assert_allclose(leaf.grad, grad, rtol=1e-12, atol=1e-15)
 
+    def test_shared_logits_match_their_copies(self):
+        # Logits that broadcast to the noise give the bits of their copies,
+        # and a gradient summed over the rows that share them.
+        rng = np.random.default_rng(15)
+        logits = rng.normal(size=(3, 1, 4))
+        noise, probe = rng.gumbel(size=(3, 5, 4)), rng.normal(size=(3, 5, 4))
+        results = []
+        for shared in (True, False):
+            leaf = Tensor(logits.copy(), requires_grad=True)
+            h = leaf if shared else T.broadcast_to(leaf, noise.shape)
+            out = T.gumbel_softmax(h, noise, 0.7)
+            T.reduce_sum(T.mul(out, T.constant(probe))).backward()
+            results.append((out.data, leaf.grad))
+        for got, want in zip(*results):
+            np.testing.assert_array_equal(got, want)
+
     def test_shape_guard(self):
         with pytest.raises(ShapeError, match="gumbel_softmax"):
             T.gumbel_softmax(Tensor(np.zeros((3, 4))), np.zeros(4), 1.0)
+        with pytest.raises(ShapeError, match="gumbel_softmax"):  # logits wider than the noise
+            T.gumbel_softmax(Tensor(np.zeros((2, 3, 4))), np.zeros((2, 1, 4)), 1.0)
 
 
 def _random_graph(rng):

@@ -684,6 +684,21 @@ class TestTemperatures:
         assert (records[-1].T_pi, records[-1].T_mu, records[-1].T_sigma) == (
             gen.temps.T_pi, gen.temps.T_mu, gen.temps.T_sigma)
 
+    def test_resume_with_no_epoch_left_keeps_the_checkpoints_temperatures(self, instance,
+                                                                          tmp_path):
+        # No epoch runs to set them, so the resumed generator must take the
+        # checkpoint's, not stay at the fresh generator's T = 1.
+        clf, split = instance
+        cfg = _cfg(epochs=2, anneal=AnnealSchedule(T_pi=(3.0, 2.0), T_mu=(3.0, 2.0)))
+        trained, _ = train_generator(clf, split, cfg, _gen(clf), out_dir=tmp_path)
+        stored = read_checkpoint(tmp_path / "ckpt_latest.json")
+        resumed, records = train_generator(clf, split, cfg, _gen(clf), resume=stored)
+        assert records == [] and resumed.temps == trained.temps != Temperatures()
+        x, y = split.test.x, split.test.y
+        for got, want in zip(vars(resumed.gmm_params(x, y)).values(),
+                             vars(trained.gmm_params(x, y)).values()):
+            np.testing.assert_array_equal(got.data, want.data)
+
     @pytest.mark.parametrize("epoch", [0, 2])
     def test_restore_holds_the_last_completed_epochs_temperatures(self, instance, tmp_path,
                                                                    monkeypatch, epoch):
